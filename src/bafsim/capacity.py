@@ -61,11 +61,10 @@ def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str 
     """Aggregate level below which a block of K+1 sub-blocks is in outage.
 
     "exact" inverts the capacity condition: tau*(2^((K+1)*rate/tau) - 1)/SNR.
-    "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).
+    "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).  Both are 0
+    at rate 0 and apply elementwise to arrays of rates and duty cycles.
     """
     _check_mode(mode, THRESHOLD_MODES)
-    if rate == 0.0:
-        return 0.0
     if mode == "exact":
         return tau * (2.0 ** ((k_relays + 1) * rate / tau) - 1.0) / snr
     return (k_relays + 1) * rate / (LOG2E * snr)

@@ -200,7 +200,9 @@ def batch_stream(master_seed: int, batch_index: int) -> np.random.Generator:
     """Counter-based generator for one batch of trials."""
     _check_seed("master_seed", master_seed)
     _check_seed("batch_index", batch_index)
-    return np.random.Generator(np.random.Philox(key=[int(master_seed), int(batch_index)]))
+    # an explicit uint64 key: a Python list goes through float64 once the seed reaches 2**63
+    key = np.array([int(master_seed), int(batch_index)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def trial_stream(master_seed: int, trial_index: int, k_relays: int = 1) -> np.random.Generator:

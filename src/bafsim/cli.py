@@ -37,6 +37,8 @@ CSV_HEADER = ("snr_db", "rate", "epsilon", "k_relays", "metric_name", "value", "
 
 SUBCOMMANDS = ("analytic", "outage", "capacity", "ratio", "lemma1", "placement")
 
+MAX_SWEEP_POINTS = 100_000
+
 _DEFAULTS = {
     "snr_db": "0:0:1",
     "rate": "0.01",
@@ -148,7 +150,10 @@ def _parse_sweep(text: str) -> tuple[float, ...]:
         raise InvalidParameterError(f"snr_db step must be > 0, got {step!r}")
     if stop < start:
         raise InvalidParameterError(f"snr_db stop must be >= start, got {text!r}")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not span < MAX_SWEEP_POINTS:
+        raise InvalidParameterError(f"snr_db sweep {text!r} exceeds {MAX_SWEEP_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -290,7 +295,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise InvalidParameterError(f"snr_db {db!r} is out of range") from None
 
 
 def _require_one_relay(cfg: ExperimentConfig, what: str) -> None:

@@ -9,6 +9,11 @@ worker count.  Workers default to ``os.cpu_count()`` capped by the
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
 deterministic cross-check of the simulation path.
+
+The empirical outage capacity, at one operating point or across relay
+positions, comes from one order-statistic kernel: each trial has a single
+boundary rate, and the capacity is the boundary rate of order k0, the largest
+outage count below epsilon.
 """
 
 from __future__ import annotations
@@ -22,21 +27,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .capacity import LOG2E, c_eps_baf_k, position_grid, threshold_for
+from .capacity import c_eps_baf_k, position_grid, threshold_for
 from .channel import (
     LinkVariances,
     SystemParams,
     batch_plan,
     batch_stream,
     gains_batch,
+    variance_row,
 )
 from .errors import ConvergenceError, InvalidParameterError
 from .protocol import block_stats_batch
 
 MIN_TRIALS = 10_000
-# Above this many matrix elements the rate search streams batches per
-# candidate instead of caching the draws (same values either way).
-CACHE_ELEMENT_LIMIT = 64_000_000
 
 
 @dataclass(frozen=True)
@@ -51,12 +54,11 @@ class Estimate:
 
 @dataclass(frozen=True)
 class RateSearchResult:
-    """Outcome of the empirical outage-capacity bisection."""
+    """Empirical outage capacity, its achieved outage and the draw passes it took."""
 
     rate: float
     achieved_outage: float
     iterations: int
-    bracketing: tuple[float, float]
 
 
 def worker_count(requested: int | None = None) -> int:
@@ -231,8 +233,8 @@ def lemma1_ratio_experiment(
         if len(xs) != len(gs) or any(x < 0.0 for x in xs):
             raise InvalidParameterError("x_values must be nonnegative, one per threshold")
     elif x_factor is not None:
-        if x_factor < 0.0:
-            raise InvalidParameterError(f"x_factor must be >= 0, got {x_factor!r}")
+        if not (math.isfinite(x_factor) and x_factor >= 0.0):
+            raise InvalidParameterError(f"x_factor must be finite and >= 0, got {x_factor!r}")
         xs = [x_factor * g for g in gs]
     else:
         xs = [policy_x_for_threshold(g) for g in gs]
@@ -339,6 +341,10 @@ def quadrature_outage_oracle(variances: LinkVariances, threshold: float, x: floa
 
 # --- empirical outage capacity ----------------------------------------------
 
+# Relative widening of every bound the capacity kernel derives from
+# floating-point values; far above their rounding error.
+_BOUND_MARGIN = 1e-9
+
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
     """Largest outage count c with c/n_trials < epsilon in float arithmetic."""
@@ -350,25 +356,108 @@ def _max_allowed_count(epsilon: float, n_trials: int) -> int:
     return c
 
 
+def _aggregate(gains: np.ndarray, k: int, x) -> np.ndarray:
+    """alpha_K of every row of a ``gains_batch`` matrix; x is a scalar or a column."""
+    g_sr = gains[:, 1 : 1 + k]
+    g_rd = gains[:, 1 + k :]
+    return gains[:, 0] + (g_rd * g_sr / (g_rd + g_sr + x)).sum(axis=1)
+
+
+def _solve_increasing(f, target: float, start: float) -> float:
+    """Rate r > 0 with f(r) = target for an increasing f, searched outward from ``start``."""
+    lo = hi = start
+    while f(lo) > target:
+        lo *= 0.5
+    while f(hi) < target:
+        hi *= 2.0
+    return optimize.brentq(lambda r: f(r) - target, lo, hi, xtol=lo * 1e-14, rtol=1e-14)
+
+
+def _capacity_order_statistic(
+    draw, plan: list[tuple[int, int]], snr: float, epsilon: float, k: int,
+    tau: float | None, threshold_mode: str, start_rate: float,
+) -> tuple[float, int]:
+    """Largest rate at which at most k0 = _max_allowed_count trials are in outage.
+
+    ``draw(j, rows, idx)`` returns rows ``idx`` (default all) of the gains of
+    batch j of ``plan``.  A trial is in outage at rate r iff alpha(x(r)) <
+    thr(r), x = tau/SNR (``tau`` None: the clamped policy), thr from
+    ``threshold_for``; both move against it as r grows, so each trial has
+    one boundary rate, and the answer is the boundary rate of order k0.
+    One pass keeps each trial's aggregate a0 at ``start_rate``.  As
+    |d alpha/dx| = sum v*w/(v+w+x)^2 <= K/4, the k0-th smallest a0 brackets
+    the answer and marks each trial in outage on all of the bracket, on none
+    of it, or a candidate.  Only batches holding candidates are drawn again,
+    and only candidates are bisected.  Returns (rate, outage count there).
+    """
+    k0 = _max_allowed_count(epsilon, sum(rows for _, rows in plan))
+
+    def offset_threshold(rate):
+        t = tau if tau is not None else np.minimum(np.sqrt(rate * snr), 1.0)
+        return t / snr, threshold_for(rate, snr, t, k, threshold_mode)
+
+    x0, _ = offset_threshold(start_rate)
+    a0 = np.concatenate([_aggregate(draw(j, rows), k, x0) for j, rows in plan])
+    a_k0 = float(np.partition(a0, k0)[k0])
+
+    def certain(rate):  # a0 below this: in outage at ``rate``
+        x, thr = offset_threshold(rate)
+        return thr - k / 4.0 * max(x0 - x, 0.0)
+
+    def possible(rate):  # a0 at or above this: not in outage at ``rate``
+        x, thr = offset_threshold(rate)
+        return thr + k / 4.0 * max(x - x0, 0.0)
+
+    r_lo = _solve_increasing(possible, a_k0, start_rate)
+    r_hi = _solve_increasing(certain, a_k0, start_rate)
+    a_below = certain(r_lo) * (1.0 - _BOUND_MARGIN)  # a0 > 0, so a negative bound marks none
+    a_above = possible(r_hi) * (1.0 + _BOUND_MARGIN)
+    below = int(np.count_nonzero(a0 < a_below))
+    keep = (a0 >= a_below) & (a0 < a_above)
+
+    starts = np.cumsum([0] + [rows for _, rows in plan])
+    picks = [(j, rows, np.flatnonzero(keep[s : s + rows])) for (j, rows), s in zip(plan, starts)]
+    cand = np.concatenate([draw(j, rows, idx) for j, rows, idx in picks if idx.size])
+    lo = np.full(len(cand), r_lo * (1.0 - _BOUND_MARGIN))
+    hi = np.full(len(cand), r_hi * (1.0 + _BOUND_MARGIN))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            break
+        x, thr = offset_threshold(mid)
+        out = _aggregate(cand, k, np.reshape(x, (-1, 1))) < thr
+        hi = np.where(out, mid, hi)
+        lo = np.where(out, lo, mid)
+    rate = float(np.partition(lo, k0 - below)[k0 - below])
+
+    def outages(r: float) -> int:
+        x, thr = offset_threshold(r)
+        return below + int(np.count_nonzero(_aggregate(cand, k, x) < thr))
+
+    # vectorised and scalar powers may differ in the last bit: settle the
+    # rate on the scalar recount, which is what a caller would repeat
+    count = outages(rate)
+    while count > k0:
+        rate = math.nextafter(rate, 0.0)
+        count = outages(rate)
+    return rate, count
+
+
 def empirical_eps_outage_capacity(
     variances: LinkVariances,
     params: SystemParams,
     n_trials: int,
     master_seed: int,
-    workers: int | None = None,
     threshold_mode: str = "exact",
-    rel_tol: float = 1e-4,
-    max_iter: int = 60,
 ) -> RateSearchResult:
     """Largest rate whose simulated outage probability stays below epsilon.
 
-    Bisection over the rate with common random numbers: every candidate rate
-    is evaluated on the identical trials, which makes the empirical outage
-    probability monotone nondecreasing in the rate (the per-trial outage set
-    only grows with the rate under the duty-cycle policy).  The search stops
-    once the bracket is narrower than ``rel_tol`` times its upper end or
-    after ``max_iter`` bisection steps, and returns the achieving (lower)
-    side of the bracket.  ``params.rate`` is ignored.
+    The outage probability at a rate is the fraction of the seeded trials in
+    outage there.  Each trial has one boundary rate, so the answer is an
+    order statistic of them, found exactly by ``_capacity_order_statistic``
+    from the closed form ``c_eps_baf_k``; ``iterations`` counts its two
+    passes over the draws.  ``params.tau`` fixes the duty cycle, None selects
+    the clamped policy; ``params.rate`` is ignored.
     """
     _check_estimator_inputs(variances, params, n_trials)
     eps = params.epsilon
@@ -376,99 +465,17 @@ def empirical_eps_outage_capacity(
         raise InvalidParameterError(
             f"epsilon*n_trials must be >= 100 (got {eps * n_trials:g}); increase n_trials"
         )
-
-    k = params.k_relays
-    snr = params.snr
-    n_workers = worker_count(workers)
-    plan = batch_plan(n_trials)
-
-    cached = n_trials * (1 + 2 * k) <= CACHE_ELEMENT_LIMIT
-    if cached:
-        gains = np.concatenate(
-            [gains_batch(variances, master_seed, j, rows) for j, rows in plan], axis=0
-        )
-        g_sd = gains[:, 0]
-        g_sr = gains[:, 1 : 1 + k]
-        g_rd = gains[:, 1 + k :]
-
-        def outage_count(rate: float) -> int:
-            if rate == 0.0:
-                return 0
-            tau = _resolve_tau_quiet(rate, snr, params.tau)
-            x = tau / snr
-            thr = threshold_for(rate, snr, tau, k, threshold_mode)
-            agg = g_sd + (g_rd * g_sr / (g_rd + g_sr + x)).sum(axis=1)
-            return int(np.count_nonzero(agg < thr))
-
-    else:
-
-        def outage_count(rate: float) -> int:
-            if rate == 0.0:
-                return 0
-            tau = _resolve_tau_quiet(rate, snr, params.tau)
-            tasks = [
-                (variances, master_seed, j, rows, snr, rate, tau, k, threshold_mode)
-                for j, rows in plan
-            ]
-            results = _run_batches(_protocol_batch, tasks, n_workers)
-            return sum(r[0] for r in results)
-
-    evals: dict[float, float] = {}
-
-    def p_hat(rate: float) -> float:
-        if rate not in evals:
-            evals[rate] = outage_count(rate) / n_trials
-        return evals[rate]
-
-    r_lo = 0.0
-    evals[0.0] = 0.0
-    r_hi = max(c_eps_baf_k(variances, snr, eps), 1e-12)
-    doublings = 0
-    while p_hat(r_hi) < eps:
-        r_lo = r_hi
-        r_hi *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise InvalidParameterError(
-                "no rate with outage probability >= epsilon found after 60 bracket doublings"
-            )
-
-    steps = 0
-    while (r_hi - r_lo) > rel_tol * r_hi and steps < max_iter:
-        mid = 0.5 * (r_lo + r_hi)
-        if p_hat(mid) < eps:
-            r_lo = mid
-        else:
-            r_hi = mid
-        steps += 1
-
-    rates = sorted(evals)
-    probs = [evals[r] for r in rates]
-    if any(b < a for a, b in zip(probs, probs[1:])):
-        raise RuntimeError("common-random-number outage probability is not monotone in the rate")
-
-    return RateSearchResult(
-        rate=r_lo,
-        achieved_outage=evals[r_lo],
-        iterations=len(evals) - 1,
-        bracketing=(r_lo, r_hi),
+    rate, count = _capacity_order_statistic(
+        lambda j, rows, idx=slice(None): gains_batch(variances, master_seed, j, rows)[idx],
+        batch_plan(n_trials), params.snr, eps, params.k_relays, params.tau, threshold_mode,
+        max(c_eps_baf_k(variances, params.snr, eps), 1e-6 * params.snr),
     )
+    return RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=2)
 
 
 # --- empirical capacity across relay positions ------------------------------
 
 PLACEMENT_TRIAL_LIMIT = 20_000_000
-
-
-def _y_for_threshold_exact(q: float, k_relays: int) -> float:
-    """Invert q = y*(2^((K+1)*y) - 1) for y > 0."""
-    if q <= 0.0:
-        return 0.0
-    return float(
-        optimize.brentq(
-            lambda y: y * (2.0 ** ((k_relays + 1) * y) - 1.0) - q, 1e-300, 64.0, rtol=1e-15
-        )
-    )
 
 
 def empirical_capacity_vs_position(
@@ -486,9 +493,9 @@ def empirical_capacity_vs_position(
     raw exponentials are drawn once and rescaled by the position-dependent
     variances, so the capacity curve is smooth in the position and its argmax
     is comparable across positions.  At each position the capacity is the
-    epsilon-quantile order statistic of the per-trial supportable rate,
-    located by a fixed point on the duty-cycle relation; this equals the
-    bisection limit of ``empirical_eps_outage_capacity`` on the same trials.
+    order statistic of ``_capacity_order_statistic`` under the clamped
+    duty-cycle policy, started from the previous position's capacity; it
+    equals ``empirical_eps_outage_capacity`` on the same variances and trials.
 
     Returns (positions, capacities).
     """
@@ -511,33 +518,18 @@ def empirical_capacity_vs_position(
         raise InvalidParameterError(f"unknown threshold_mode {threshold_mode!r}")
 
     unit = LinkVariances(1.0, (1.0,), (1.0,))
-    raw = np.concatenate(
-        [gains_batch(unit, master_seed, j, rows) for j, rows in batch_plan(n_trials)], axis=0
-    )
-    # order statistic matching sup{R : count(R)/n < eps}
-    k0 = _max_allowed_count(epsilon, n_trials)
-    u = raw[:, 0]
+    plan = batch_plan(n_trials)
+    # column-major, so that scaling by the variances runs down whole columns
+    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
 
     grid = position_grid(grid_points)
     caps = np.empty_like(grid)
     for i, d in enumerate(grid):
-        v = raw[:, 1] * d**-pathloss_exponent
-        w = raw[:, 2] * (1.0 - d) ** -pathloss_exponent
-        y = 0.5 * math.sqrt(epsilon)  # rough starting scale
-        converged = False
-        for _ in range(80):
-            agg = u + v * w / (v + w + y)
-            q = float(np.partition(agg, k0)[k0])
-            if threshold_mode == "exact":
-                y_new = _y_for_threshold_exact(q, 1)
-            else:
-                y_new = math.sqrt(q * LOG2E / 2.0)
-            if abs(y_new - y) <= 1e-13 * max(y_new, 1e-300):
-                y = y_new
-                converged = True
-                break
-            y = y_new
-        if not converged:
-            raise ConvergenceError(f"capacity fixed point did not converge at position {d:g}")
-        caps[i] = snr * y * y
+        variances = LinkVariances(1.0, (d**-pathloss_exponent,), ((1.0 - d) ** -pathloss_exponent,))
+        scale = variance_row(variances)
+        start = caps[i - 1] if i else max(c_eps_baf_k(variances, snr, epsilon), 1e-6 * snr)
+        caps[i], _ = _capacity_order_statistic(
+            lambda j, rows, idx=slice(None): raw[j][idx] * scale,
+            plan, snr, epsilon, 1, None, threshold_mode, start,
+        )
     return grid, caps

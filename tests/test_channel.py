@@ -150,6 +150,16 @@ class TestDraws:
         with pytest.raises(InvalidParameterError):
             ChannelDraw(-0.1, (1.0,), (1.0,))
 
+    @pytest.mark.parametrize("seeds", [(2**63 + 1, 2**63 + 2), (2**64 - 2, 2**64 - 1)])
+    def test_top_bit_seeds_draw_distinct_gains(self, seeds):
+        v = LinkVariances(1.0, (1.0,), (1.0,))
+        first, second = (gains_batch(v, seed, 0, 8) for seed in seeds)
+        assert not np.array_equal(first, second)
+
+    def test_seeds_below_top_bit_keep_their_draws(self):
+        v = LinkVariances(1.0, (1.0,), (1.0,))
+        assert gains_batch(v, 2**63 - 1, 3, 1)[0, 0] == 0.8875982332871811
+
     @given(seed=st.integers(0, 2**64 - 1), idx=st.integers(0, 10 * TRIALS_PER_BATCH))
     @settings(max_examples=25, deadline=None)
     def test_draws_are_pure_functions_of_seed_and_index(self, seed, idx):

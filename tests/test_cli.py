@@ -62,6 +62,23 @@ class TestAnalytic:
         assert [r["snr_db"] for r in rows[:7]] == ["-4.0"] * 7
 
 
+class TestSweepGuards:
+    @pytest.mark.parametrize("sweep", ["0:1e308:1e307", "0:1e9:1", "0:1e308:1e-300"])
+    def test_unusable_sweep_exits_one(self, tmp_path, capsys, sweep):
+        code = main(["analytic", f"--snr-db={sweep}", "--pathloss", "0", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bafsim: error: snr_db") and err.count("\n") == 1
+
+    def test_nan_x_factor_exits_one(self, tmp_path, capsys):
+        code = main([
+            "lemma1", "--x-factor", "nan", "--trials", "10000", "--pathloss", "0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        assert "x_factor" in capsys.readouterr().err
+
+
 class TestRatio:
     def test_fig_preset_shape_and_anchor(self, tmp_path):
         _, rows = run_csv(tmp_path, ["ratio", "--preset", "fig2"])

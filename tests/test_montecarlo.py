@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bafsim.capacity import lemma1_constant, position_grid, threshold_for
-from bafsim.channel import LinkVariances, SystemParams, gains_batch
+from bafsim.channel import LinkVariances, SystemParams, batch_plan, gains_batch
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
     empirical_capacity_vs_position,
@@ -162,6 +164,47 @@ class TestQuadratureOracle:
             quadrature_outage_oracle(UNIT, 0.1, -1.0)
 
 
+def _gains(variances, n_trials, seed):
+    return np.concatenate([gains_batch(variances, seed, j, rows) for j, rows in batch_plan(n_trials)])
+
+
+def _outage_count(gains, params, rate, mode):
+    """Trials of ``gains`` in outage at ``rate``, counted directly."""
+    k, snr = params.k_relays, params.snr
+    tau = params.tau if params.tau is not None else min(math.sqrt(rate * snr), 1.0)
+    x = tau / snr
+    g_sr, g_rd = gains[:, 1 : 1 + k], gains[:, 1 + k :]
+    agg = gains[:, 0] + (g_rd * g_sr / (g_rd + g_sr + x)).sum(axis=1)
+    return int(np.count_nonzero(agg < threshold_for(rate, snr, tau, k, mode)))
+
+
+def _bisection_bracket(gains, params, mode, rel_tol=1e-9):
+    """Reference rate search: bisection on common random numbers.
+
+    Returns (lo, hi) with the outage fraction below epsilon at lo and not at
+    hi, and hi - lo <= rel_tol * hi.
+    """
+    n = gains.shape[0]
+    probs = {}
+
+    def achieves(rate):
+        probs[rate] = _outage_count(gains, params, rate, mode) / n
+        return probs[rate] < params.epsilon
+
+    lo, hi = 0.0, 1e-6
+    while achieves(hi):
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if achieves(mid):
+            lo = mid
+        else:
+            hi = mid
+    ordered = [probs[r] for r in sorted(probs)]
+    assert ordered == sorted(ordered), "outage fraction not monotone in the rate"
+    return lo, hi
+
+
 class TestEmpiricalCapacity:
     def test_requires_enough_expected_events(self):
         params = SystemParams(snr=0.01, rate=0.0, epsilon=1e-3)
@@ -175,12 +218,34 @@ class TestEmpiricalCapacity:
     def test_result_invariants(self):
         params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02)
         res = empirical_eps_outage_capacity(UNIT, params, 50_000, 11)
-        lo, hi = res.bracketing
-        assert lo <= res.rate <= hi
+        assert res.rate > 0.0
         assert res.achieved_outage < 0.02
-        assert res.iterations > 0
-        # the bracket is tight in relative terms
-        assert hi - lo <= 1e-4 * hi
+        # the aggregate pass and the candidate pass
+        assert res.iterations == 2
+
+    @given(
+        k=st.sampled_from([1, 2, 3]),
+        mode=st.sampled_from(["exact", "linearized"]),
+        tau=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        snr_db=st.floats(-20.0, 30.0),
+        epsilon=st.floats(0.01, 0.3),
+        sigmas=st.lists(st.floats(0.25, 4.0), min_size=7, max_size=7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # one case on each side of the duty-cycle clamp sqrt(rate*snr) = 1
+    @example(k=1, mode="exact", tau=None, snr_db=-20.0, epsilon=0.3, sigmas=[0.25] * 7, seed=1)
+    @example(k=3, mode="exact", tau=None, snr_db=30.0, epsilon=0.01, sigmas=[4.0] * 7, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bisection_oracle(self, k, mode, tau, snr_db, epsilon, sigmas, seed):
+        n = 20_000
+        v = LinkVariances(sigmas[0], sigmas[1 : 1 + k], sigmas[4 : 4 + k])
+        params = SystemParams(snr=10.0 ** (snr_db / 10.0), rate=0.0, epsilon=epsilon, k_relays=k, tau=tau)
+        res = empirical_eps_outage_capacity(v, params, n, seed, threshold_mode=mode)
+        gains = _gains(v, n, seed)
+        lo, hi = _bisection_bracket(gains, params, mode)
+        assert lo <= res.rate <= hi
+        assert res.achieved_outage < epsilon
+        assert res.achieved_outage == _outage_count(gains, params, res.rate, mode) / n
 
     def test_doubling_trials_is_stable(self):
         params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02)
@@ -189,13 +254,6 @@ class TestEmpiricalCapacity:
         # combined relative quantile noise at these event counts
         noise = 0.5 / math.sqrt(0.02 * 50_000) + 0.5 / math.sqrt(0.02 * 100_000)
         assert abs(r1 - r2) <= 3.0 * noise * max(r1, r2)
-
-    def test_streaming_path_reproduces_cached_path(self, monkeypatch):
-        params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02)
-        cached = empirical_eps_outage_capacity(UNIT, params, 50_000, 11)
-        monkeypatch.setattr("bafsim.montecarlo.CACHE_ELEMENT_LIMIT", 1)
-        streamed = empirical_eps_outage_capacity(UNIT, params, 50_000, 11, workers=2)
-        assert cached == streamed
 
     def test_linearized_mode_gives_higher_capacity_here(self):
         # the exact threshold is strictly above the linearized one at equal
@@ -214,16 +272,24 @@ class TestEmpiricalCapacity:
 
 
 class TestPlacementCurve:
-    def test_matches_bisection_estimator_at_grid_points(self):
+    def test_matches_capacity_estimator_at_grid_points(self):
         snr, eps, n, seed = 0.01, 0.05, 20_000, 13
         grid, caps = empirical_capacity_vs_position(3.0, snr, eps, n, seed, grid_points=101)
         for idx in (10, 50, 88):
             d = grid[idx]
             v = LinkVariances(1.0, (d**-3.0,), ((1.0 - d) ** -3.0,))
             params = SystemParams(snr=snr, rate=0.0, epsilon=eps)
-            res = empirical_eps_outage_capacity(v, params, n, seed)
-            lo, hi = res.bracketing
-            assert lo * (1.0 - 1e-9) <= caps[idx] <= hi * (1.0 + 1e-9)
+            assert caps[idx] == empirical_eps_outage_capacity(v, params, n, seed).rate
+
+    def test_high_snr_runs_under_the_clamp(self):
+        # 60 dB: the policy duty cycle sqrt(rate*snr) is clamped to 1
+        snr, eps, n, seed = 1e6, 0.05, 20_000, 13
+        grid, caps = empirical_capacity_vs_position(3.0, snr, eps, n, seed, grid_points=101)
+        v = LinkVariances(1.0, (grid[50] ** -3.0,), ((1.0 - grid[50]) ** -3.0,))
+        params = SystemParams(snr=snr, rate=0.0, epsilon=eps)
+        assert caps[50] * snr > 1.0
+        assert caps[50] == empirical_eps_outage_capacity(v, params, n, seed).rate
+        assert _outage_count(_gains(v, n, seed), params, caps[50], "exact") / n < eps
 
     def test_grid_is_shared_with_analytic_search(self):
         grid, _ = empirical_capacity_vs_position(3.0, 0.01, 0.05, 10_000, 1, grid_points=101)
