@@ -1,13 +1,10 @@
 """Outage-capacity analysis and simulation of bursty AF relaying with one-bit feedback."""
 
 from .capacity import (
-    CapacityReport,
-    c_eps_baf_incremental,
     c_eps_baf_ir_k,
     c_eps_baf_k,
     c_eps_baf_no_feedback,
     c_eps_cutset,
-    capacity_report,
     channel_aggregate,
     delta_ratio_upper,
     epsilon_feasible,
@@ -40,6 +37,6 @@ from .montecarlo import (
     lemma1_ratio_experiment,
     quadrature_outage_oracle,
 )
-from .protocol import BlockOutcome, relay_order, simulate_block
+from .protocol import BlockOutcome, simulate_block
 
 __version__ = "0.1.0"

@@ -9,12 +9,12 @@ which enters the instantaneous capacity (tau/(K+1)) * log2(1 + SNR/tau * alpha_K
 of a block split into K+1 equal sub-blocks.  The low-SNR outage capacity
 closed forms below are asymptotic in g -> 0 and carry a finite-size residual
 that the Monte Carlo layer quantifies (see README, "Closed-form accuracy").
+The target outage epsilon is taken as given; SystemParams and the CLI check it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,6 @@ EXPECTED_N_MODES = ("exact", "approx")
 def _check_mode(mode: str, allowed: tuple[str, ...]) -> None:
     if mode not in allowed:
         raise InvalidParameterError(f"mode must be one of {allowed}, got {mode!r}")
-
-
-def _check_epsilon(epsilon: float) -> None:
-    if not (math.isfinite(epsilon) and 0.0 <= epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in [0, 1), got {epsilon!r}")
 
 
 def relay_term(g_sr: float, g_rd: float, x: float) -> float:
@@ -60,13 +55,20 @@ def instantaneous_capacity(draw: ChannelDraw, params: SystemParams, tau: float) 
 def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str = "exact") -> float:
     """Aggregate level below which a block of K+1 sub-blocks is in outage.
 
-    "exact" inverts the capacity condition: tau*(2^((K+1)*rate/tau) - 1)/SNR.
-    "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).  Both are 0
-    at rate 0 and apply elementwise to arrays of rates and duty cycles.
+    "exact" inverts the capacity condition: tau*(2^((K+1)*rate/tau) - 1)/SNR,
+    inf where 2^((K+1)*rate/tau) exceeds the float range (every block is then
+    in outage).  "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).
+    Both are 0 at rate 0 and apply elementwise to arrays of rates and duty
+    cycles.
     """
     _check_mode(mode, THRESHOLD_MODES)
     if mode == "exact":
-        return tau * (2.0 ** ((k_relays + 1) * rate / tau) - 1.0) / snr
+        try:
+            with np.errstate(over="ignore"):
+                growth = 2.0 ** ((k_relays + 1) * rate / tau) - 1.0
+        except OverflowError:  # raised by float powers; arrays give inf
+            growth = math.inf
+        return tau * growth / snr
     return (k_relays + 1) * rate / (LOG2E * snr)
 
 
@@ -86,9 +88,7 @@ def lemma1_constant(sigma_u2: float, sigma_v2: float, sigma_w2: float) -> float:
     U, V, W are independent exponentials with the given means; the limit is
     (sigma_v2 + sigma_w2) / (2 * sigma_u2 * sigma_v2 * sigma_w2).
     """
-    for name, v in (("sigma_u2", sigma_u2), ("sigma_v2", sigma_v2), ("sigma_w2", sigma_w2)):
-        if not (math.isfinite(v) and v > 0.0):
-            raise InvalidParameterError(f"{name} must be positive and finite, got {v!r}")
+    LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,))  # rejects means that are not positive and finite
     return (sigma_v2 + sigma_w2) / (2.0 * sigma_u2 * sigma_v2 * sigma_w2)
 
 
@@ -119,7 +119,6 @@ def c_eps_baf_k(variances: LinkVariances, snr: float, epsilon: float) -> float:
     (1/(K+1)) * log2(1 + SNR * root) with the (K+1)-th root argument of
     ``_root_argument``.  For K=1 this is exactly the no-feedback closed form.
     """
-    _check_epsilon(epsilon)
     k = variances.k_relays
     return (1.0 / (k + 1)) * math.log2(1.0 + snr * _root_argument(variances, epsilon))
 
@@ -130,7 +129,6 @@ def c_eps_cutset(variances: LinkVariances, snr: float, epsilon: float) -> float:
     (1/(1+K*eps)) * log2(1 + SNR * root); only the broadcast and multiple
     access cuts enter, and E(N) >= 1 + K*eps is already applied.
     """
-    _check_epsilon(epsilon)
     k = variances.k_relays
     return (1.0 / (1.0 + k * epsilon)) * math.log2(1.0 + snr * _root_argument(variances, epsilon))
 
@@ -154,12 +152,6 @@ def expected_n_one_relay(variances: LinkVariances, params: SystemParams, mode: s
     return 1.0 + min(max(p, 0.0), 1.0)
 
 
-def c_eps_baf_incremental(variances: LinkVariances, params: SystemParams, en_mode: str = "exact") -> float:
-    """One-relay outage capacity with incremental relaying: (2/E(N)) * no-feedback value."""
-    en = expected_n_one_relay(variances, params, en_mode)
-    return (2.0 / en) * c_eps_baf_no_feedback(variances, params.snr, params.epsilon)
-
-
 def c_eps_baf_ir_k(variances: LinkVariances, params: SystemParams, expected_n_k: float) -> float:
     """K-relay incremental-relaying bound ((K+1)/E_K(N)) * c_eps_baf_k.
 
@@ -174,7 +166,6 @@ def c_eps_baf_ir_k(variances: LinkVariances, params: SystemParams, expected_n_k:
 
 def delta_ratio_upper(epsilon: float, expected_n: float, k_relays: int = 1) -> float:
     """Upper bound (1 + K*eps)/E_K(N) on the ratio to the cut-set bound."""
-    _check_epsilon(epsilon)
     if not (1.0 <= expected_n <= k_relays + 1):
         raise InvalidParameterError(f"expected_n must lie in [1, {k_relays + 1}], got {expected_n!r}")
     return (1.0 + k_relays * epsilon) / expected_n
@@ -223,35 +214,3 @@ def min_bound_check(x: float, y: float, delta: float) -> tuple[float, float, boo
     lhs = min(x, y)
     rhs = x * y / (x + y + delta)
     return lhs, rhs, lhs >= rhs
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    """Summary of the closed-form metrics at one operating point."""
-
-    c_baf_no_fb: float
-    c_baf_ir: float
-    c_csb_ir: float
-    delta_ratio_upper: float
-    expected_n: float
-
-
-def capacity_report(
-    variances: LinkVariances,
-    params: SystemParams,
-    expected_n: float | None = None,
-    en_mode: str = "exact",
-) -> CapacityReport:
-    """Assemble the standard metric set; K >= 2 requires an E_K(N) estimate."""
-    k = variances.k_relays
-    if expected_n is None:
-        if k != 1:
-            raise InvalidParameterError("expected_n must be supplied for K >= 2 (no closed form)")
-        expected_n = expected_n_one_relay(variances, params, en_mode)
-    return CapacityReport(
-        c_baf_no_fb=c_eps_baf_k(variances, params.snr, params.epsilon),
-        c_baf_ir=c_eps_baf_ir_k(variances, params, expected_n),
-        c_csb_ir=c_eps_cutset(variances, params.snr, params.epsilon),
-        delta_ratio_upper=delta_ratio_upper(params.epsilon, expected_n, k),
-        expected_n=expected_n,
-    )

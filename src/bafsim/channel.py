@@ -17,6 +17,7 @@ independent of how many workers consume the batches or in which order.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -102,7 +103,8 @@ class LinkVariances:
 class SystemParams:
     """Operating point of one experiment.
 
-    ``snr`` is the linear transmit power to noise ratio, ``rate`` the target
+    ``snr`` is the linear transmit power to noise ratio, within about
+    +-3076 dB so that snr and 1/snr are both normal floats, ``rate`` the target
     rate in bit/s/Hz (rate 0 is admitted as the degenerate never-in-outage
     case), ``epsilon`` the target outage probability.  ``tau`` is the burst
     duty cycle: ``None`` selects the policy min(sqrt(rate * snr), 1), a float
@@ -116,7 +118,10 @@ class SystemParams:
     tau: float | None = None
 
     def __post_init__(self):
-        _positive_finite("snr", self.snr)
+        _require(
+            sys.float_info.min <= self.snr <= 1.0 / sys.float_info.min,
+            f"snr must lie within about +-3076 dB (snr and 1/snr normal floats), got {self.snr!r}",
+        )
         _require(
             math.isfinite(self.rate) and self.rate >= 0.0,
             f"rate must be finite and >= 0, got {self.rate!r}",
@@ -156,33 +161,53 @@ class ChannelDraw:
 def variances_from_geometry(geom: NetworkGeometry) -> LinkVariances:
     """Map distances to link variances via the d^(-exponent) power law."""
     a = geom.pathloss_exponent
-    return LinkVariances(
-        sigma_sd2=geom.sd_distance ** (-a),
-        sigma_sr2=tuple(d ** (-a) for d in geom.relay_positions),
-        sigma_rd2=tuple((geom.sd_distance - d) ** (-a) for d in geom.relay_positions),
-    )
+    try:
+        return LinkVariances(
+            sigma_sd2=geom.sd_distance ** (-a),
+            sigma_sr2=tuple(d ** (-a) for d in geom.relay_positions),
+            sigma_rd2=tuple((geom.sd_distance - d) ** (-a) for d in geom.relay_positions),
+        )
+    except OverflowError:
+        raise InvalidParameterError(f"pathloss_exponent {a!r} overflows the link variances") from None
+
+
+def duty_cycle(rate, snr: float, fixed: float | None = None):
+    """Burst duty cycle: ``fixed`` if given, else the policy min(sqrt(rate * snr), 1).
+
+    Applies elementwise to an array of rates.  A scalar rate 0 resolves to
+    1.0 (the value is immaterial, every decode condition is then trivially
+    met).  The policy needs rate*snr in the normal float range: below it the
+    duty cycle loses its precision and reaches 0, so such an operating point
+    is rejected.
+    """
+    if fixed is not None:
+        return fixed
+    if np.ndim(rate) == 0 and rate == 0.0:
+        return 1.0
+    with np.errstate(over="ignore"):  # an infinite product clamps to 1
+        product = np.multiply(rate, snr)
+    if np.any(product < sys.float_info.min):
+        raise InvalidParameterError(
+            f"rate*snr = {float(np.min(product))!r} is below the normal float range, "
+            "where the duty cycle sqrt(rate*snr) cannot be resolved"
+        )
+    return np.minimum(np.sqrt(product), 1.0)
 
 
 def resolve_tau(params: SystemParams) -> float:
     """Return the duty cycle in (0, 1] for this operating point.
 
-    Under the default policy this is min(sqrt(rate * snr), 1); a
-    BurstClampWarning is emitted when the clamp engages.  rate 0 resolves to
-    1.0 (the value is immaterial, every decode condition is then trivially
-    met).
+    ``duty_cycle`` of the operating point as a float; a BurstClampWarning is
+    emitted when the policy's clamp engages.
     """
-    if params.tau is not None:
-        return params.tau
-    if params.rate == 0.0:
-        return 1.0
-    tau = math.sqrt(params.rate * params.snr)
-    if tau > 1.0:
+    tau = float(duty_cycle(params.rate, params.snr, params.tau))
+    if params.tau is None and params.rate * params.snr > 1.0:
         warnings.warn(
-            f"duty cycle sqrt(rate*snr) = {tau:.6g} clamped to 1; outside the bursty low-SNR regime",
+            f"duty cycle sqrt(rate*snr) clamped to 1 at rate*snr = {params.rate * params.snr:.6g}; "
+            "outside the bursty low-SNR regime",
             BurstClampWarning,
             stacklevel=2,
         )
-        return 1.0
     return tau
 
 

@@ -17,7 +17,12 @@ fields that do not apply to a row are left empty (CSV) or null (JSONL).
 Runs are deterministic: identical configuration and seed reproduce identical
 bytes, and BAF_WORKERS only changes the execution speed.
 
-Exit codes: 0 success, 1 invalid parameters, 2 convergence failure.
+Exit codes: 0 success, 1 invalid parameters (including an out-of-range
+operating point and an unwritable output path), 2 convergence failure.
+
+``_resolve_config`` checks the values only this front end sees (sweep and
+list syntax, epsilon, seed, mode, format); the library checks the rest where
+it receives them, in its dataclasses and estimators.
 """
 
 from __future__ import annotations
@@ -161,7 +166,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParameterError(f"cannot read config file {path!r}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(lines, 1):
@@ -191,9 +196,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--pathloss", help="path-loss exponent (0 gives unit variances)")
         p.add_argument("--trials", help="Monte Carlo trials")
         p.add_argument("--seed", help="64-bit master seed")
-        p.add_argument("--mode", choices=("exact", "linearized"), help="outage threshold mode")
+        p.add_argument("--mode", help="outage threshold mode: exact or linearized")
         p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--format", choices=("csv", "jsonl"), help="output format")
+        p.add_argument("--format", help="output format: csv or jsonl")
         p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
         p.add_argument("--config", help="flat key=value config file; flags override it")
         if name == "placement":
@@ -264,7 +269,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
     grid = _parse_int("grid", merged["grid"])
-    if merged["mode"] not in ("exact", "linearized"):
+    if merged["mode"] not in cap.THRESHOLD_MODES:
         raise InvalidParameterError(f"mode must be exact or linearized, got {merged['mode']!r}")
     if merged["format"] not in ("csv", "jsonl"):
         raise InvalidParameterError(f"format must be csv or jsonl, got {merged['format']!r}")
@@ -312,10 +317,10 @@ def cmd_analytic(cfg: ExperimentConfig) -> list[ResultRow]:
         snr = _db_to_linear(db)
         for rate in cfg.rates:
             metrics: list[tuple[str, float]] = []
+            # checks the operating point at every K; epsilon enters only the
+            # capacity formulas, so E(N) can be evaluated with a placeholder target
+            params_en = SystemParams(snr=snr, rate=rate, epsilon=0.5, k_relays=cfg.k)
             if cfg.k == 1:
-                # epsilon enters only the capacity formulas, so E(N) can be
-                # evaluated with a placeholder target
-                params_en = SystemParams(snr=snr, rate=rate, epsilon=0.5, k_relays=1)
                 en_exact = cap.expected_n_one_relay(cfg.variances, params_en, "exact")
                 en_approx = cap.expected_n_one_relay(cfg.variances, params_en, "approx")
                 c_no_fb = cap.c_eps_baf_no_feedback(cfg.variances, snr, cfg.epsilon)
@@ -379,10 +384,6 @@ def cmd_outage(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def cmd_capacity(cfg: ExperimentConfig) -> list[ResultRow]:
-    if not (0.0 < cfg.epsilon < 1.0) or cfg.epsilon * cfg.trials < 100:
-        raise InvalidParameterError(
-            f"epsilon*trials must be >= 100 for the capacity search, got {cfg.epsilon * cfg.trials:g}"
-        )
     rows = []
     for db in cfg.snr_db:
         snr = _db_to_linear(db)
@@ -468,9 +469,12 @@ def render_rows(rows: list[ResultRow], fmt: str) -> str:
 def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write output file {out!r}: {exc.strerror or exc}") from None
 
 
 def main(argv: list[str] | None = None) -> int:

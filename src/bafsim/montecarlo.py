@@ -30,11 +30,14 @@ from scipy import integrate, optimize
 from .capacity import c_eps_baf_k, position_grid, threshold_for
 from .channel import (
     LinkVariances,
+    NetworkGeometry,
     SystemParams,
     batch_plan,
     batch_stream,
+    duty_cycle,
     gains_batch,
     variance_row,
+    variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
 from .protocol import block_stats_batch
@@ -106,18 +109,12 @@ def _check_estimator_inputs(variances: LinkVariances, params: SystemParams, n_tr
         )
     if params.k_relays < 1:
         raise InvalidParameterError("protocol estimators require at least one relay")
+    _check_trials(n_trials)
+
+
+def _check_trials(n_trials: int) -> None:
     if n_trials < MIN_TRIALS:
         raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
-
-
-def _resolve_tau_quiet(rate: float, snr: float, fixed: float | None) -> float:
-    # Policy duty cycle without the clamp warning; used where candidate rates
-    # legitimately sweep across the clamp boundary.
-    if fixed is not None:
-        return fixed
-    if rate == 0.0:
-        return 1.0
-    return min(math.sqrt(rate * snr), 1.0)
 
 
 def _protocol_batch(task) -> tuple[int, int, int]:
@@ -135,7 +132,7 @@ def _protocol_totals(
     workers: int | None,
     threshold_mode: str,
 ) -> tuple[int, int, int]:
-    tau = _resolve_tau_quiet(params.rate, params.snr, params.tau)
+    tau = float(duty_cycle(params.rate, params.snr, params.tau))
     tasks = [
         (variances, master_seed, j, rows, params.snr, params.rate, tau, params.k_relays, threshold_mode)
         for j, rows in batch_plan(n_trials)
@@ -215,17 +212,17 @@ def lemma1_ratio_experiment(
 ) -> list[tuple[float, Estimate]]:
     """Estimate Pr(U + VW/(V+W+x) < g)/g^2 along a shrinking threshold sequence.
 
-    ``g_sequence`` must be strictly decreasing and positive.  The offset x is
-    tied to g through the duty-cycle policy by default; ``x_factor`` scales it
-    as x = x_factor*g, or pass explicit ``x_values``.  The ratio means
-    converge toward ``lemma1_constant`` as g -> 0.  Raises ConvergenceError
-    when the smallest threshold sees fewer than 100 events.
+    ``g_sequence`` must be strictly decreasing, positive and finite.  The
+    offset x is tied to g through the duty-cycle policy by default;
+    ``x_factor`` scales it as x = x_factor*g, or pass explicit ``x_values``.
+    The ratio means converge toward ``lemma1_constant`` as g -> 0.  Raises
+    ConvergenceError when the smallest threshold sees fewer than 100 events.
     """
+    sigmas = variance_row(LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,)))
     gs = [float(g) for g in g_sequence]
-    if not gs or any(g <= 0.0 for g in gs) or any(b >= a for a, b in zip(gs, gs[1:])):
-        raise InvalidParameterError("g_sequence must be strictly decreasing and positive")
-    if n_trials < MIN_TRIALS:
-        raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
+    if not gs or not all(0.0 < g < math.inf for g in gs) or any(b >= a for a, b in zip(gs, gs[1:])):
+        raise InvalidParameterError("g_sequence must be strictly decreasing, positive and finite")
+    _check_trials(n_trials)
     if x_values is not None and x_factor is not None:
         raise InvalidParameterError("give at most one of x_values and x_factor")
     if x_values is not None:
@@ -239,10 +236,6 @@ def lemma1_ratio_experiment(
     else:
         xs = [policy_x_for_threshold(g) for g in gs]
 
-    sigmas = (float(sigma_u2), float(sigma_v2), float(sigma_w2))
-    for v in sigmas:
-        if not (math.isfinite(v) and v > 0.0):
-            raise InvalidParameterError(f"variances must be positive, got {v!r}")
     tasks = [
         (sigmas, master_seed, j, rows, tuple(gs), tuple(xs))
         for j, rows in batch_plan(n_trials)
@@ -347,7 +340,14 @@ _BOUND_MARGIN = 1e-9
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
-    """Largest outage count c with c/n_trials < epsilon in float arithmetic."""
+    """Largest outage count c with c/n_trials < epsilon in float arithmetic.
+
+    Rejects epsilon*n_trials < 100: too few outage events to resolve epsilon.
+    """
+    if epsilon * n_trials < 100:
+        raise InvalidParameterError(
+            f"epsilon*n_trials must be >= 100 (got {epsilon * n_trials:g}); increase n_trials"
+        )
     c = min(int(epsilon * n_trials), n_trials)
     while c / n_trials >= epsilon:
         c -= 1
@@ -374,14 +374,14 @@ def _solve_increasing(f, target: float, start: float) -> float:
 
 
 def _capacity_order_statistic(
-    draw, plan: list[tuple[int, int]], snr: float, epsilon: float, k: int,
+    draw, plan: list[tuple[int, int]], snr: float, k0: int, k: int,
     tau: float | None, threshold_mode: str, start_rate: float,
 ) -> tuple[float, int]:
-    """Largest rate at which at most k0 = _max_allowed_count trials are in outage.
+    """Largest rate at which at most k0 (from ``_max_allowed_count``) trials are in outage.
 
     ``draw(j, rows, idx)`` returns rows ``idx`` (default all) of the gains of
     batch j of ``plan``.  A trial is in outage at rate r iff alpha(x(r)) <
-    thr(r), x = tau/SNR (``tau`` None: the clamped policy), thr from
+    thr(r), x = tau/SNR with tau from ``duty_cycle``, thr from
     ``threshold_for``; both move against it as r grows, so each trial has
     one boundary rate, and the answer is the boundary rate of order k0.
     One pass keeps each trial's aggregate a0 at ``start_rate``.  As
@@ -390,10 +390,8 @@ def _capacity_order_statistic(
     of it, or a candidate.  Only batches holding candidates are drawn again,
     and only candidates are bisected.  Returns (rate, outage count there).
     """
-    k0 = _max_allowed_count(epsilon, sum(rows for _, rows in plan))
-
     def offset_threshold(rate):
-        t = tau if tau is not None else np.minimum(np.sqrt(rate * snr), 1.0)
+        t = duty_cycle(rate, snr, tau)
         return t / snr, threshold_for(rate, snr, t, k, threshold_mode)
 
     x0, _ = offset_threshold(start_rate)
@@ -461,14 +459,10 @@ def empirical_eps_outage_capacity(
     """
     _check_estimator_inputs(variances, params, n_trials)
     eps = params.epsilon
-    if eps * n_trials < 100:
-        raise InvalidParameterError(
-            f"epsilon*n_trials must be >= 100 (got {eps * n_trials:g}); increase n_trials"
-        )
     rate, count = _capacity_order_statistic(
         lambda j, rows, idx=slice(None): gains_batch(variances, master_seed, j, rows)[idx],
-        batch_plan(n_trials), params.snr, eps, params.k_relays, params.tau, threshold_mode,
-        max(c_eps_baf_k(variances, params.snr, eps), 1e-6 * params.snr),
+        batch_plan(n_trials), params.snr, _max_allowed_count(eps, n_trials), params.k_relays,
+        params.tau, threshold_mode, c_eps_baf_k(variances, params.snr, eps) or 1e-6 * params.snr,
     )
     return RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=2)
 
@@ -499,23 +493,13 @@ def empirical_capacity_vs_position(
 
     Returns (positions, capacities).
     """
-    if not (math.isfinite(pathloss_exponent) and pathloss_exponent > 0.0):
-        raise InvalidParameterError(f"pathloss_exponent must be > 0, got {pathloss_exponent!r}")
-    if not (0.0 < epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if n_trials < MIN_TRIALS:
-        raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
+    SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
+    _check_trials(n_trials)
     if n_trials > PLACEMENT_TRIAL_LIMIT:
         raise InvalidParameterError(
             f"n_trials above {PLACEMENT_TRIAL_LIMIT} would exceed the in-memory draw cache"
         )
-    if epsilon * n_trials < 100:
-        raise InvalidParameterError(
-            f"epsilon*n_trials must be >= 100 (got {epsilon * n_trials:g}); increase n_trials"
-        )
-
-    if threshold_mode not in ("exact", "linearized"):
-        raise InvalidParameterError(f"unknown threshold_mode {threshold_mode!r}")
+    k0 = _max_allowed_count(epsilon, n_trials)
 
     unit = LinkVariances(1.0, (1.0,), (1.0,))
     plan = batch_plan(n_trials)
@@ -525,11 +509,11 @@ def empirical_capacity_vs_position(
     grid = position_grid(grid_points)
     caps = np.empty_like(grid)
     for i, d in enumerate(grid):
-        variances = LinkVariances(1.0, (d**-pathloss_exponent,), ((1.0 - d) ** -pathloss_exponent,))
+        variances = variances_from_geometry(NetworkGeometry((d,), pathloss_exponent))
         scale = variance_row(variances)
-        start = caps[i - 1] if i else max(c_eps_baf_k(variances, snr, epsilon), 1e-6 * snr)
+        start = caps[i - 1] if i else c_eps_baf_k(variances, snr, epsilon) or 1e-6 * snr
         caps[i], _ = _capacity_order_statistic(
             lambda j, rows, idx=slice(None): raw[j][idx] * scale,
-            plan, snr, epsilon, 1, None, threshold_mode, start,
+            plan, snr, k0, 1, None, threshold_mode, start,
         )
     return grid, caps

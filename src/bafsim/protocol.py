@@ -20,8 +20,6 @@ from .capacity import relay_term, threshold_for
 from .channel import ChannelDraw, SystemParams
 from .errors import InvalidParameterError
 
-ORDER_POLICIES = ("fixed", "best_first")
-
 
 @dataclass(frozen=True)
 class BlockOutcome:
@@ -37,42 +35,25 @@ class BlockOutcome:
     feedback_trace: tuple[int, ...]
 
 
-def relay_order(draw: ChannelDraw, policy: str = "fixed", x: float = 0.0) -> tuple[int, ...]:
-    """Transmission order of the relays.
-
-    "fixed" keeps index order; "best_first" sorts by descending aggregate
-    contribution g_rd*g_sr/(g_rd+g_sr+x), ties broken by lower index.
-    """
-    if policy not in ORDER_POLICIES:
-        raise InvalidParameterError(f"policy must be one of {ORDER_POLICIES}, got {policy!r}")
-    k = draw.k_relays
-    if policy == "fixed":
-        return tuple(range(k))
-    terms = [relay_term(draw.g_sr[i], draw.g_rd[i], x) for i in range(k)]
-    return tuple(sorted(range(k), key=lambda i: (-terms[i], i)))
-
-
 def simulate_block(
     draw: ChannelDraw,
     params: SystemParams,
     tau: float,
-    order_policy: str = "fixed",
     threshold_mode: str = "exact",
 ) -> BlockOutcome:
-    """Run the feedback protocol on one channel draw."""
+    """Run the feedback protocol on one channel draw, relays in index order."""
     if draw.k_relays < 1:
         raise InvalidParameterError("simulate_block requires at least one relay")
     k = draw.k_relays
     x = tau / params.snr
     thr = threshold_for(params.rate, params.snr, tau, k, threshold_mode)
-    order = relay_order(draw, order_policy, x)
 
     trace: list[int] = []
     agg = draw.g_sd
     if agg >= thr:
         return BlockOutcome(True, 1, agg, (1,))
     trace.append(0)
-    for i in order:
+    for i in range(k):
         agg += relay_term(draw.g_sr[i], draw.g_rd[i], x)
         if agg >= thr:
             trace.append(1)

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from bafsim.capacity import (
     LOG2E,
-    CapacityReport,
-    c_eps_baf_incremental,
     c_eps_baf_ir_k,
     c_eps_baf_k,
     c_eps_baf_no_feedback,
     c_eps_cutset,
-    capacity_report,
     channel_aggregate,
     delta_ratio_upper,
     epsilon_feasible,
@@ -186,7 +183,7 @@ class TestExpectedN:
     def test_incremental_capacity_between_one_and_two_times_base(self):
         params = SystemParams(snr=0.1, rate=0.007, epsilon=0.01)
         base = c_eps_baf_no_feedback(UNIT, 0.1, 0.01)
-        ir = c_eps_baf_incremental(UNIT, params)
+        ir = c_eps_baf_ir_k(UNIT, params, expected_n_one_relay(UNIT, params, "exact"))
         assert base < ir < 2.0 * base
 
     def test_forced_expected_n_scaling(self):
@@ -270,22 +267,3 @@ class TestMinBound:
     @settings(max_examples=300)
     def test_always_holds(self, x, y, delta):
         assert min_bound_check(x, y, delta)[2]
-
-
-class TestCapacityReport:
-    def test_one_relay_report_consistency(self):
-        params = SystemParams(snr=0.1, rate=0.01, epsilon=0.01)
-        report = capacity_report(UNIT, params)
-        assert isinstance(report, CapacityReport)
-        assert report.c_baf_no_fb == c_eps_baf_no_feedback(UNIT, 0.1, 0.01)
-        assert report.c_csb_ir == c_eps_cutset(UNIT, 0.1, 0.01)
-        assert 1.0 <= report.expected_n <= 2.0
-        assert report.delta_ratio_upper <= 1.0 + 1e-12
-
-    def test_multi_relay_report_needs_expected_n(self):
-        v = LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0))
-        params = SystemParams(snr=1.0, rate=0.01, epsilon=0.001, k_relays=2)
-        with pytest.raises(InvalidParameterError):
-            capacity_report(v, params)
-        report = capacity_report(v, params, expected_n=1.5)
-        assert report.c_baf_ir == pytest.approx(2.0 * report.c_baf_no_fb, rel=1e-15)

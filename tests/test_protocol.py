@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from bafsim.capacity import instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, block_stats_batch, relay_order, simulate_block
+from bafsim.protocol import BlockOutcome, block_stats_batch, simulate_block
 
 gain = st.floats(0.0, 50.0)
 
@@ -82,35 +82,6 @@ class TestSimulateBlock:
         boosted[which] += bump
         draw2 = ChannelDraw(boosted[0], (boosted[1], boosted[2]), (boosted[3], boosted[4]))
         assert simulate_block(draw2, params, 0.2).sub_blocks_used <= simulate_block(draw, params, 0.2).sub_blocks_used
-
-    @given(gains=st.tuples(gain, gain, gain, gain, gain), rate=st.floats(1e-4, 0.5))
-    @settings(max_examples=200, deadline=None)
-    def test_ordering_never_changes_the_outage_event(self, gains, rate):
-        draw = ChannelDraw(gains[0], (gains[1], gains[2]), (gains[3], gains[4]))
-        params = SystemParams(snr=1.0, rate=rate, k_relays=2)
-        fixed = simulate_block(draw, params, 0.2, order_policy="fixed")
-        best = simulate_block(draw, params, 0.2, order_policy="best_first")
-        assert fixed.decoded == best.decoded
-        assert best.sub_blocks_used <= fixed.sub_blocks_used
-
-
-class TestRelayOrder:
-    def test_single_relay_is_trivial(self):
-        draw = ChannelDraw(1.0, (1.0,), (1.0,))
-        assert relay_order(draw, "fixed") == (0,)
-        assert relay_order(draw, "best_first") == (0,)
-
-    def test_best_first_sorts_by_contribution(self):
-        draw = ChannelDraw(0.0, (0.1, 0.9), (10.0, 10.0))
-        assert relay_order(draw, "best_first", x=0.1) == (1, 0)
-
-    def test_ties_break_to_lower_index(self):
-        draw = ChannelDraw(0.0, (1.0, 1.0), (2.0, 2.0))
-        assert relay_order(draw, "best_first", x=0.1) == (0, 1)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            relay_order(ChannelDraw(1.0, (1.0,), (1.0,)), "fastest")
 
 
 class TestBatchAgreement:
