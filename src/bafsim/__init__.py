@@ -34,6 +34,7 @@ from .montecarlo import (
     empirical_eps_outage_capacity,
     estimate_expected_n,
     estimate_outage,
+    estimate_outage_sweep,
     lemma1_ratio_experiment,
     quadrature_outage_oracle,
 )

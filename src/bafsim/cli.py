@@ -311,7 +311,7 @@ def _require_one_relay(cfg: ExperimentConfig, what: str) -> None:
         raise InvalidParameterError(f"{what} is defined for exactly one relay, got k={cfg.k}")
 
 
-def cmd_analytic(cfg: ExperimentConfig) -> list[ResultRow]:
+def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows = []
     for db in cfg.snr_db:
         snr = _db_to_linear(db)
@@ -337,53 +337,50 @@ def cmd_analytic(cfg: ExperimentConfig) -> list[ResultRow]:
                 metrics += [("expected_n_exact", en_exact), ("expected_n_approx", en_approx)]
             for name, value in metrics:
                 rows.append(ResultRow(db, rate, cfg.epsilon, cfg.k, name, value, None, None, None))
-    return rows
+    return rows, []
 
 
-def cmd_ratio(cfg: ExperimentConfig) -> list[ResultRow]:
+def cmd_ratio(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     _require_one_relay(cfg, "the cut-set-bound ratio")
-    rows = []
-    infeasible = []
+    rows, notes = [], []
     for rate in cfg.rates:
         for db in cfg.snr_db:
             snr = _db_to_linear(db)
             params_en = SystemParams(snr=snr, rate=rate, epsilon=0.5, k_relays=1)
             en = cap.expected_n_one_relay(cfg.variances, params_en, "approx")
             if not cap.epsilon_feasible(cfg.epsilon, en, 1):
-                infeasible.append((db, rate))
+                notes.append(
+                    f"warning: epsilon={cfg.epsilon:g} exceeds the source outage probability "
+                    f"at snr_db={db:g}, rate={rate:g}; the ratio bound is not tight there"
+                )
             rows.append(
                 ResultRow(
                     db, rate, cfg.epsilon, 1, "delta_upper",
                     cap.delta_ratio_upper(cfg.epsilon, en, 1), None, None, None,
                 )
             )
-    for db, rate in infeasible:
-        print(
-            f"warning: epsilon={cfg.epsilon:g} exceeds the source outage probability "
-            f"at snr_db={db:g}, rate={rate:g}; the ratio bound is not tight there",
-            file=sys.stderr,
-        )
-    return rows
+    return rows, notes
 
 
-def cmd_outage(cfg: ExperimentConfig) -> list[ResultRow]:
+def cmd_outage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+    # build, and so check, every point before the draws: an invalid point exits 1
+    # even where an earlier point would run out of outage events
+    points = [(db, rate) for db in cfg.snr_db for rate in cfg.rates]
+    params = [SystemParams(snr=_db_to_linear(db), rate=rate, k_relays=cfg.k) for db, rate in points]
+    estimates = mc.estimate_outage_sweep(cfg.variances, params, cfg.trials, cfg.seed, threshold_mode=cfg.mode)
     rows = []
-    for db in cfg.snr_db:
-        snr = _db_to_linear(db)
-        for rate in cfg.rates:
-            params = SystemParams(snr=snr, rate=rate, k_relays=cfg.k)
-            est = mc.estimate_outage(cfg.variances, params, cfg.trials, cfg.seed, threshold_mode=cfg.mode)
-            events = round(est.mean * est.n_trials)
-            if rate > 0.0 and events < 100:
-                raise ConvergenceError(
-                    f"only {events} outage events at snr_db={db:g}, rate={rate:g}: "
-                    "rare-event regime; plain Monte Carlo refuses, increase --trials"
-                )
-            rows.append(ResultRow(db, rate, None, cfg.k, "outage_prob", est.mean, est.stderr, est.n_trials, cfg.seed))
-    return rows
+    for (db, rate), est in zip(points, estimates):
+        events = round(est.mean * est.n_trials)
+        if rate > 0.0 and events < 100:
+            raise ConvergenceError(
+                f"only {events} outage events at snr_db={db:g}, rate={rate:g}: "
+                "rare-event regime; plain Monte Carlo refuses, increase --trials"
+            )
+        rows.append(ResultRow(db, rate, None, cfg.k, "outage_prob", est.mean, est.stderr, est.n_trials, cfg.seed))
+    return rows, []
 
 
-def cmd_capacity(cfg: ExperimentConfig) -> list[ResultRow]:
+def cmd_capacity(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows = []
     for db in cfg.snr_db:
         snr = _db_to_linear(db)
@@ -395,10 +392,10 @@ def cmd_capacity(cfg: ExperimentConfig) -> list[ResultRow]:
         se = math.sqrt(p * (1.0 - p) / cfg.trials)
         rows.append(ResultRow(db, None, cfg.epsilon, cfg.k, "eps_outage_capacity", res.rate, None, cfg.trials, cfg.seed))
         rows.append(ResultRow(db, None, cfg.epsilon, cfg.k, "achieved_outage", p, se, cfg.trials, cfg.seed))
-    return rows
+    return rows, []
 
 
-def cmd_lemma1(cfg: ExperimentConfig) -> list[ResultRow]:
+def cmd_lemma1(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     _require_one_relay(cfg, "the small-threshold ratio experiment")
     v = cfg.variances
     results = mc.lemma1_ratio_experiment(
@@ -408,10 +405,10 @@ def cmd_lemma1(cfg: ExperimentConfig) -> list[ResultRow]:
     return [
         ResultRow(None, g, None, 1, "lemma1_ratio", est.mean, est.stderr, est.n_trials, cfg.seed)
         for g, est in results
-    ]
+    ], []
 
 
-def cmd_placement(cfg: ExperimentConfig) -> list[ResultRow]:
+def cmd_placement(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     _require_one_relay(cfg, "relay placement")
     if cfg.geometry is None:
         raise InvalidParameterError("placement sweeps positions, so it needs --pathloss, not explicit variances")
@@ -428,7 +425,7 @@ def cmd_placement(cfg: ExperimentConfig) -> list[ResultRow]:
     return [
         ResultRow(db, None, cfg.epsilon, 1, "placement_argmax_analytic", d_analytic, None, None, None),
         ResultRow(db, None, cfg.epsilon, 1, "placement_argmax_empirical", d_empirical, None, cfg.trials, cfg.seed),
-    ]
+    ], []
 
 
 _COMMANDS = {
@@ -485,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         cfg = _resolve_config(args)
-        rows = _COMMANDS[cfg.command](cfg)
+        rows, notes = _COMMANDS[cfg.command](cfg)
         _write_output(render_rows(rows, cfg.fmt), cfg.out)
     except InvalidParameterError as exc:
         print(f"bafsim: error: {exc}", file=sys.stderr)
@@ -493,6 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"bafsim: convergence failure: {exc}", file=sys.stderr)
         return 2
+    for note in notes:  # after the output, so that a failed run prints only its error
+        print(note, file=sys.stderr)
     return 0
 
 

@@ -10,6 +10,11 @@ The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
 deterministic cross-check of the simulation path.
 
+The protocol estimators run a whole sweep in one pass: each batch of gains is
+drawn once and evaluated at every (SNR, rate, duty cycle) point, since the
+draws depend only on (master_seed, batch index, link variances).
+``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps.
+
 The empirical outage capacity, at one operating point or across relay
 positions, comes from one order-statistic kernel: each trial has a single
 boundary rate, and the capacity is the boundary rate of order k0, the largest
@@ -117,31 +122,58 @@ def _check_trials(n_trials: int) -> None:
         raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
 
 
-def _protocol_batch(task) -> tuple[int, int, int]:
-    variances, master_seed, batch_index, rows, snr, rate, tau, k, mode = task
-    gains = gains_batch(variances, master_seed, batch_index, rows)
-    outage, n_used = block_stats_batch(gains, snr, rate, tau, k, mode)
-    return int(outage.sum()), int(n_used.sum()), int((n_used * n_used).sum())
+def _sweep_batch(task) -> list[tuple[int, int, int]]:
+    variances, master_seed, batch_index, rows, points, k, mode = task
+    # column-major, so that every point's kernel call reads whole columns
+    gains = np.asfortranarray(gains_batch(variances, master_seed, batch_index, rows))
+    totals = []
+    for snr, rate, tau in points:
+        outage, n_used = block_stats_batch(gains, snr, rate, tau, k, mode)
+        totals.append((int(outage.sum()), int(n_used.sum()), int((n_used * n_used).sum())))
+    return totals
 
 
 def _protocol_totals(
     variances: LinkVariances,
-    params: SystemParams,
+    params_seq,
     n_trials: int,
     master_seed: int,
     workers: int | None,
     threshold_mode: str,
-) -> tuple[int, int, int]:
-    tau = float(duty_cycle(params.rate, params.snr, params.tau))
+) -> list[tuple[int, int, int]]:
+    """(outages, sum of N, sum of N^2) at every operating point, from one pass over the draws.
+
+    Checks every point, and resolves its duty cycle, before the first draw.
+    """
+    points = []
+    for params in params_seq:
+        _check_estimator_inputs(variances, params, n_trials)
+        points.append((params.snr, params.rate, float(duty_cycle(params.rate, params.snr, params.tau))))
+    if not points:
+        raise InvalidParameterError("a sweep needs at least one operating point")
     tasks = [
-        (variances, master_seed, j, rows, params.snr, params.rate, tau, params.k_relays, threshold_mode)
+        (variances, master_seed, j, rows, points, variances.k_relays, threshold_mode)
         for j, rows in batch_plan(n_trials)
     ]
-    results = _run_batches(_protocol_batch, tasks, worker_count(workers))
-    outages = sum(r[0] for r in results)
-    total_n = sum(r[1] for r in results)
-    total_n_sq = sum(r[2] for r in results)
-    return outages, total_n, total_n_sq
+    results = _run_batches(_sweep_batch, tasks, worker_count(workers))
+    return [tuple(sum(column) for column in zip(*point)) for point in zip(*results)]
+
+
+def estimate_outage_sweep(
+    variances: LinkVariances,
+    params_seq,
+    n_trials: int,
+    master_seed: int,
+    workers: int | None = None,
+    threshold_mode: str = "exact",
+) -> list[Estimate]:
+    """``estimate_outage`` at every operating point of ``params_seq``, in order.
+
+    Each batch of gains is drawn once and serves every point, so a sweep
+    costs one pass over the draws; each estimate equals the one-point call's.
+    """
+    totals = _protocol_totals(variances, params_seq, n_trials, master_seed, workers, threshold_mode)
+    return [_bernoulli_estimate(outages, n_trials) for outages, _, _ in totals]
 
 
 def estimate_outage(
@@ -153,9 +185,7 @@ def estimate_outage(
     threshold_mode: str = "exact",
 ) -> Estimate:
     """Fraction of protocol blocks ending in outage, with binomial stderr."""
-    _check_estimator_inputs(variances, params, n_trials)
-    outages, _, _ = _protocol_totals(variances, params, n_trials, master_seed, workers, threshold_mode)
-    return _bernoulli_estimate(outages, n_trials)
+    return estimate_outage_sweep(variances, [params], n_trials, master_seed, workers, threshold_mode)[0]
 
 
 def estimate_expected_n(
@@ -167,8 +197,9 @@ def estimate_expected_n(
     threshold_mode: str = "exact",
 ) -> Estimate:
     """Sample mean of sub-blocks consumed per message (fixed relay order)."""
-    _check_estimator_inputs(variances, params, n_trials)
-    _, total_n, total_n_sq = _protocol_totals(variances, params, n_trials, master_seed, workers, threshold_mode)
+    [(_, total_n, total_n_sq)] = _protocol_totals(
+        variances, [params], n_trials, master_seed, workers, threshold_mode
+    )
     return _mean_estimate(total_n, total_n_sq, n_trials)
 
 

@@ -73,19 +73,24 @@ def block_stats_batch(
     """Vectorised protocol outcomes for a gain matrix from ``gains_batch``.
 
     Returns (outage flags, sub-blocks used) per row, with fixed relay order.
+    Runs the protocol as a running sum: the aggregate starts at the direct
+    link gain, each relay adds its term g_rd*g_sr/(g_rd+g_sr+tau/snr), and
+    after every stage a row is decoded once the aggregate reaches the
+    threshold.  A row counts one more sub-block for each relay stage it
+    enters undecoded, and stays decoded even if a later term is NaN.
     Row-for-row identical to ``simulate_block`` on the same gains.
     """
     if gains.ndim != 2 or gains.shape[1] != 1 + 2 * k_relays:
         raise InvalidParameterError(f"gains must have shape (n, {1 + 2 * k_relays})")
     x = tau / snr
     thr = threshold_for(rate, snr, tau, k_relays, threshold_mode)
-    g_sr = gains[:, 1 : 1 + k_relays]
-    g_rd = gains[:, 1 + k_relays :]
-    stages = np.empty((gains.shape[0], k_relays + 1))
-    stages[:, 0] = gains[:, 0]
-    stages[:, 1:] = g_rd * g_sr / (g_rd + g_sr + x)
-    agg = np.cumsum(stages, axis=1)
-    decoded_at = agg >= thr
-    any_decode = decoded_at.any(axis=1)
-    n_used = np.where(any_decode, decoded_at.argmax(axis=1) + 1, k_relays + 1).astype(np.int64)
-    return ~any_decode, n_used
+    agg = gains[:, 0].copy()
+    decoded = agg >= thr
+    n_used = np.ones(gains.shape[0], dtype=np.int64)
+    for i in range(k_relays):
+        n_used += ~decoded
+        g_sr = gains[:, 1 + i]
+        g_rd = gains[:, 1 + k_relays + i]
+        agg += g_rd * g_sr / (g_rd + g_sr + x)
+        decoded |= agg >= thr
+    return ~decoded, n_used

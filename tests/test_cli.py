@@ -320,6 +320,27 @@ class TestContractHoles:
         err = capsys.readouterr().err
         assert err.startswith("bafsim: error: cannot write") and err.count("\n") == 1
 
+    def test_ratio_warns_only_after_a_written_output(self, tmp_path, capsys):
+        # at rate 0 every point is infeasible, so each one has a warning to print
+        args = ["ratio", "--rate=0.0", "--snr-db=0:2:1", "--pathloss", "0"]
+        assert main(args + ["--out", str(tmp_path / "missing/x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bafsim: error: cannot write") and err.count("\n") == 1
+        _, rows = run_csv(tmp_path, args)
+        assert len(rows) == 3
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 3 and all(w.startswith("warning: epsilon=0.001 exceeds") for w in warnings)
+
+    def test_invalid_point_wins_over_a_convergence_failure(self, tmp_path, capsys):
+        # 60 dB sees no outage events at 10000 trials; 3100 dB is beyond the float range
+        code = main([
+            "outage", "--snr-db=60:3100:3040", "--rate", "0.01", "--trials", "10000", "--pathloss", "0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bafsim: error: snr_db") and err.count("\n") == 1
+
 
 # --- fuzzing main over every subcommand ---------------------------------------
 
@@ -386,7 +407,8 @@ class TestFuzz:
         capsys.readouterr()
         code = main(argv)
         assert code in (0, 1, 2)
-        # ratio's feasibility warnings may precede the one-line error
-        errors = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("warning: ")]
-        assert len(errors) == (code != 0), errors
-        assert all(line.startswith("bafsim") for line in errors), errors
+        lines = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(lines) == 1 and lines[0].startswith("bafsim"), lines
+        else:
+            assert all(line.startswith("warning: ") for line in lines), lines

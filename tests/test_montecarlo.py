@@ -6,13 +6,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bafsim.capacity import lemma1_constant, position_grid, threshold_for
-from bafsim.channel import LinkVariances, SystemParams, batch_plan, gains_batch
+from bafsim.channel import LinkVariances, SystemParams, batch_plan, duty_cycle, gains_batch
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
     estimate_expected_n,
     estimate_outage,
+    estimate_outage_sweep,
     lemma1_ratio_experiment,
     policy_x_for_threshold,
     quadrature_outage_oracle,
@@ -104,6 +105,53 @@ class TestExpectedNEstimator:
         params = SystemParams(snr=0.02, rate=0.01, k_relays=3)
         est = estimate_expected_n(v, params, 20_000, 6, workers=1)
         assert 1.0 <= est.mean <= 4.0
+
+
+class TestOutageSweep:
+    V2 = LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5))
+    GRID = [
+        SystemParams(snr=snr, rate=rate, k_relays=2)
+        for snr in (0.05, 0.2, 1.0)
+        for rate in (0.0, 0.01, 0.05)
+    ] + [SystemParams(snr=0.2, rate=0.02, k_relays=2, tau=0.3)]
+
+    @staticmethod
+    def per_point_counts(variances, params, n_trials, seed, mode):
+        tau = duty_cycle(params.rate, params.snr, params.tau)
+        outages = total_n = 0
+        for j, rows in batch_plan(n_trials):
+            outage, n_used = block_stats_batch(
+                gains_batch(variances, seed, j, rows), params.snr, params.rate, tau, params.k_relays, mode
+            )
+            outages += int(outage.sum())
+            total_n += int(n_used.sum())
+        return outages, total_n
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("mode", ["exact", "linearized"])
+    def test_one_pass_matches_every_one_point_call(self, workers, mode):
+        n = 150_000  # three batches, the last one short
+        sweep = estimate_outage_sweep(self.V2, self.GRID, n, 77, workers=workers, threshold_mode=mode)
+        assert len(sweep) == len(self.GRID)
+        for params, est in zip(self.GRID, sweep):
+            assert est == estimate_outage(self.V2, params, n, 77, workers=1, threshold_mode=mode)
+            outages, total_n = self.per_point_counts(self.V2, params, n, 77, mode)
+            assert est.mean == outages / n
+            expected_n = estimate_expected_n(self.V2, params, n, 77, workers=workers, threshold_mode=mode)
+            assert expected_n.mean == total_n / n
+
+    @pytest.mark.parametrize("bad", [
+        [SystemParams(snr=0.1, rate=0.01, k_relays=1)],  # one relay, the variances have two
+        [SystemParams(snr=1e-200, rate=1e-200, k_relays=2)],  # rate*snr underflows: no duty cycle
+        None,  # an empty sweep
+    ])
+    def test_every_point_is_checked_before_any_draw(self, monkeypatch, bad):
+        def no_draws(*args):
+            raise AssertionError("drew gains before rejecting the sweep")
+
+        monkeypatch.setattr("bafsim.montecarlo.gains_batch", no_draws)
+        with pytest.raises(InvalidParameterError):
+            estimate_outage_sweep(self.V2, [] if bad is None else self.GRID + bad, 10_000, 1, workers=1)
 
 
 class TestLemmaExperiment:

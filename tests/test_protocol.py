@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bafsim.capacity import instantaneous_capacity
-from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
+from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
 from bafsim.errors import InvalidParameterError
 from bafsim.protocol import BlockOutcome, block_stats_batch, simulate_block
 
@@ -84,6 +84,20 @@ class TestSimulateBlock:
         assert simulate_block(draw2, params, 0.2).sub_blocks_used <= simulate_block(draw, params, 0.2).sub_blocks_used
 
 
+_extreme_gain = st.one_of(st.just(0.0), st.just(1e308), gain)
+
+
+@st.composite
+def _batch_case(draw):
+    k = draw(st.integers(1, 4))
+    mode = draw(st.sampled_from(["exact", "linearized"]))
+    snr = draw(st.sampled_from([1e-6, 0.01, 0.5, 10.0]))
+    rate = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-4, 0.5)))
+    fixed_tau = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
+    rows = draw(st.lists(st.lists(_extreme_gain, min_size=1 + 2 * k, max_size=1 + 2 * k), min_size=1, max_size=12))
+    return k, mode, snr, rate, fixed_tau, rows
+
+
 class TestBatchAgreement:
     @pytest.mark.parametrize("k,rate,mode", [(1, 0.01, "exact"), (3, 0.05, "exact"), (2, 0.02, "linearized")])
     def test_vectorised_path_matches_scalar_state_machine(self, k, rate, mode):
@@ -95,6 +109,29 @@ class TestBatchAgreement:
         for row in range(500):
             draw = ChannelDraw(gains[row, 0], tuple(gains[row, 1 : 1 + k]), tuple(gains[row, 1 + k :]))
             out = simulate_block(draw, params, tau, threshold_mode=mode)
+            assert out.decoded == (not outage[row])
+            assert out.sub_blocks_used == n_used[row]
+
+    @given(case=_batch_case())
+    # a decoded direct link, then a relay term 1e308*1e308/(1e308+1e308+x) = inf/inf = NaN
+    @example(case=(2, "exact", 1.0, 0.01, None, [[5.0, 1e308, 0.1, 1e308, 0.1], [0.0, 1e308, 50.0, 1e308, 50.0]]))
+    # 2^2000 overflows, so the exact threshold is infinite
+    @example(case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]))
+    @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_running_sum_matches_scalar_state_machine(self, case):
+        k, mode, snr, rate, fixed_tau, rows = case
+        params = SystemParams(snr=snr, rate=rate, k_relays=k, tau=fixed_tau)
+        tau = float(duty_cycle(rate, snr, fixed_tau))
+        gains = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            outage, n_used = block_stats_batch(gains, snr, rate, tau, k, mode)
+            # the sweep passes column-major batches
+            outage_f, n_used_f = block_stats_batch(np.asfortranarray(gains), snr, rate, tau, k, mode)
+        assert np.array_equal(outage, outage_f) and np.array_equal(n_used, n_used_f)
+        assert n_used.dtype == np.int64
+        for row, g in enumerate(rows):
+            out = simulate_block(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), params, tau, threshold_mode=mode)
             assert out.decoded == (not outage[row])
             assert out.sub_blocks_used == n_used[row]
 
