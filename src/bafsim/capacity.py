@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .channel import ChannelDraw, LinkVariances, SystemParams, resolve_tau
+from .channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, resolve_tau
 from .errors import InvalidParameterError
 
 LOG2E = math.log2(math.e)
@@ -41,8 +41,11 @@ def relay_term(g_sr: float, g_rd: float, x: float) -> float:
 
 
 def channel_aggregate(draw: ChannelDraw, x: float) -> float:
-    """alpha_K of one block; x = tau/SNR is the noise-amplification offset."""
-    return draw.g_sd + sum(relay_term(s, r, x) for s, r in zip(draw.g_sr, draw.g_rd))
+    """alpha_K of one block, relay terms added in stage order; x = tau/SNR is the offset."""
+    agg = draw.g_sd
+    for s, r in zip(draw.g_sr, draw.g_rd):
+        agg += relay_term(s, r, x)
+    return agg
 
 
 def instantaneous_capacity(draw: ChannelDraw, params: SystemParams, tau: float) -> float:
@@ -70,6 +73,17 @@ def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str 
             growth = math.inf
         return tau * growth / snr
     return (k_relays + 1) * rate / (LOG2E * snr)
+
+
+def decode_condition(rate, snr: float, tau: float | None, k_relays: int, mode: str = "exact"):
+    """(x, thr) of the decode test alpha >= thr at ``rate``: x = t/SNR, thr = ``threshold_for``.
+
+    The duty cycle t is ``duty_cycle(rate, snr, tau)``, so ``tau`` None selects
+    the clamped policy.  Applies elementwise to an array of rates.
+    """
+    t = duty_cycle(rate, snr, tau)
+    t = float(t) if np.ndim(t) == 0 else t
+    return t / snr, threshold_for(rate, snr, t, k_relays, mode)
 
 
 def outage_threshold_g(params: SystemParams, mode: str = "exact") -> float:

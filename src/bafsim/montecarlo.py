@@ -10,15 +10,18 @@ The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
 deterministic cross-check of the simulation path.
 
-The protocol estimators run a whole sweep in one pass: each batch of gains is
-drawn once and evaluated at every (SNR, rate, duty cycle) point, since the
-draws depend only on (master_seed, batch index, link variances).
-``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps.
+One batch task serves the outage probability, E(N) and Lemma 1's ratio: it
+draws each batch of gains once and runs the protocol kernel
+``block_stats_batch`` at every decode condition (x, threshold) of a sweep,
+since the draws depend only on (master_seed, batch index, link variances).
+``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps, and
+``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
 The empirical outage capacity, at one operating point or across relay
-positions, comes from one order-statistic kernel: each trial has a single
-boundary rate, and the capacity is the boundary rate of order k0, the largest
-outage count below epsilon.
+positions, comes from one order-statistic kernel over the protocol's
+aggregate ``aggregate_batch``: each trial has a single boundary rate, and the
+capacity is the boundary rate of order k0, the largest outage count below
+epsilon.
 """
 
 from __future__ import annotations
@@ -32,20 +35,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, optimize
 
-from .capacity import c_eps_baf_k, position_grid, threshold_for
+from .capacity import c_eps_baf_k, decode_condition, position_grid
 from .channel import (
     LinkVariances,
     NetworkGeometry,
     SystemParams,
     batch_plan,
-    batch_stream,
-    duty_cycle,
     gains_batch,
     variance_row,
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import block_stats_batch
+from .protocol import aggregate_batch, block_stats_batch
 
 MIN_TRIALS = 10_000
 
@@ -123,38 +124,33 @@ def _check_trials(n_trials: int) -> None:
 
 
 def _sweep_batch(task) -> list[tuple[int, int, int]]:
-    variances, master_seed, batch_index, rows, points, k, mode = task
+    variances, master_seed, batch_index, rows, points = task
     # column-major, so that every point's kernel call reads whole columns
     gains = np.asfortranarray(gains_batch(variances, master_seed, batch_index, rows))
     totals = []
-    for snr, rate, tau in points:
-        outage, n_used = block_stats_batch(gains, snr, rate, tau, k, mode)
+    for x, thr in points:
+        outage, n_used = block_stats_batch(gains, x, thr, variances.k_relays)
         totals.append((int(outage.sum()), int(n_used.sum()), int((n_used * n_used).sum())))
     return totals
 
 
-def _protocol_totals(
-    variances: LinkVariances,
-    params_seq,
-    n_trials: int,
-    master_seed: int,
-    workers: int | None,
-    threshold_mode: str,
-) -> list[tuple[int, int, int]]:
-    """(outages, sum of N, sum of N^2) at every operating point, from one pass over the draws.
-
-    Checks every point, and resolves its duty cycle, before the first draw.
-    """
+def _decode_points(variances: LinkVariances, params_seq, n_trials: int, threshold_mode: str) -> list:
+    """The decode condition (x, thr) of every operating point, each checked before any draw."""
     points = []
     for params in params_seq:
         _check_estimator_inputs(variances, params, n_trials)
-        points.append((params.snr, params.rate, float(duty_cycle(params.rate, params.snr, params.tau))))
+        points.append(decode_condition(params.rate, params.snr, params.tau, params.k_relays, threshold_mode))
     if not points:
         raise InvalidParameterError("a sweep needs at least one operating point")
-    tasks = [
-        (variances, master_seed, j, rows, points, variances.k_relays, threshold_mode)
-        for j, rows in batch_plan(n_trials)
-    ]
+    return points
+
+
+def _outage_pass(variances: LinkVariances, points, n_trials: int, master_seed: int, workers: int | None) -> list:
+    """(outages, sum of N, sum of N^2) at every decode condition (x, thr) of ``points``.
+
+    One pass over the draws: each batch is drawn once and serves every point.
+    """
+    tasks = [(variances, master_seed, j, rows, points) for j, rows in batch_plan(n_trials)]
     results = _run_batches(_sweep_batch, tasks, worker_count(workers))
     return [tuple(sum(column) for column in zip(*point)) for point in zip(*results)]
 
@@ -172,7 +168,8 @@ def estimate_outage_sweep(
     Each batch of gains is drawn once and serves every point, so a sweep
     costs one pass over the draws; each estimate equals the one-point call's.
     """
-    totals = _protocol_totals(variances, params_seq, n_trials, master_seed, workers, threshold_mode)
+    points = _decode_points(variances, params_seq, n_trials, threshold_mode)
+    totals = _outage_pass(variances, points, n_trials, master_seed, workers)
     return [_bernoulli_estimate(outages, n_trials) for outages, _, _ in totals]
 
 
@@ -197,9 +194,8 @@ def estimate_expected_n(
     threshold_mode: str = "exact",
 ) -> Estimate:
     """Sample mean of sub-blocks consumed per message (fixed relay order)."""
-    [(_, total_n, total_n_sq)] = _protocol_totals(
-        variances, [params], n_trials, master_seed, workers, threshold_mode
-    )
+    points = _decode_points(variances, [params], n_trials, threshold_mode)
+    [(_, total_n, total_n_sq)] = _outage_pass(variances, points, n_trials, master_seed, workers)
     return _mean_estimate(total_n, total_n_sq, n_trials)
 
 
@@ -218,18 +214,6 @@ def policy_x_for_threshold(g: float) -> float:
     return float(optimize.brentq(lambda y: y * (2.0 ** (2.0 * y) - 1.0) - g, 1e-300, 64.0, rtol=1e-15))
 
 
-def _lemma_batch(task) -> tuple[int, ...]:
-    sigmas, master_seed, batch_index, rows, gs, xs = task
-    gen = batch_stream(master_seed, batch_index)
-    e = gen.standard_exponential((rows, 3)) * np.asarray(sigmas)
-    u, v, w = e[:, 0], e[:, 1], e[:, 2]
-    counts = []
-    for g, x in zip(gs, xs):
-        agg = u + v * w / (v + w + x)
-        counts.append(int(np.count_nonzero(agg < g)))
-    return tuple(counts)
-
-
 def lemma1_ratio_experiment(
     sigma_u2: float,
     sigma_v2: float,
@@ -246,10 +230,12 @@ def lemma1_ratio_experiment(
     ``g_sequence`` must be strictly decreasing, positive and finite.  The
     offset x is tied to g through the duty-cycle policy by default;
     ``x_factor`` scales it as x = x_factor*g, or pass explicit ``x_values``.
-    The ratio means converge toward ``lemma1_constant`` as g -> 0.  Raises
+    The event is the one-relay protocol's outage at the decode condition
+    (x, g) on direct, source-relay and relay-destination gains U, V, W.  The
+    ratio means converge toward ``lemma1_constant`` as g -> 0.  Raises
     ConvergenceError when the smallest threshold sees fewer than 100 events.
     """
-    sigmas = variance_row(LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,)))
+    variances = LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,))
     gs = [float(g) for g in g_sequence]
     if not gs or not all(0.0 < g < math.inf for g in gs) or any(b >= a for a, b in zip(gs, gs[1:])):
         raise InvalidParameterError("g_sequence must be strictly decreasing, positive and finite")
@@ -258,7 +244,7 @@ def lemma1_ratio_experiment(
         raise InvalidParameterError("give at most one of x_values and x_factor")
     if x_values is not None:
         xs = [float(x) for x in x_values]
-        if len(xs) != len(gs) or any(x < 0.0 for x in xs):
+        if len(xs) != len(gs) or not all(x >= 0.0 for x in xs):
             raise InvalidParameterError("x_values must be nonnegative, one per threshold")
     elif x_factor is not None:
         if not (math.isfinite(x_factor) and x_factor >= 0.0):
@@ -267,12 +253,8 @@ def lemma1_ratio_experiment(
     else:
         xs = [policy_x_for_threshold(g) for g in gs]
 
-    tasks = [
-        (sigmas, master_seed, j, rows, tuple(gs), tuple(xs))
-        for j, rows in batch_plan(n_trials)
-    ]
-    results = _run_batches(_lemma_batch, tasks, worker_count(workers))
-    counts = [sum(r[i] for r in results) for i in range(len(gs))]
+    totals = _outage_pass(variances, list(zip(xs, gs)), n_trials, master_seed, workers)
+    counts = [outages for outages, _, _ in totals]
 
     if counts[-1] < 100:
         need = math.ceil(n_trials * 100 / max(counts[-1], 1))
@@ -282,11 +264,9 @@ def lemma1_ratio_experiment(
         )
     out = []
     for g, c in zip(gs, counts):
-        p = _bernoulli_estimate(c, n_trials)
-        scale = 1.0 / (g * g)
-        out.append(
-            (g, Estimate(p.mean * scale, p.stderr * scale, n_trials, (p.ci95[0] * scale, p.ci95[1] * scale)))
-        )
+        p, scale = _bernoulli_estimate(c, n_trials), 1.0 / (g * g)
+        ci = (p.ci95[0] * scale, p.ci95[1] * scale)
+        out.append((g, Estimate(p.mean * scale, p.stderr * scale, n_trials, ci)))
     return out
 
 
@@ -387,20 +367,16 @@ def _max_allowed_count(epsilon: float, n_trials: int) -> int:
     return c
 
 
-def _aggregate(gains: np.ndarray, k: int, x) -> np.ndarray:
-    """alpha_K of every row of a ``gains_batch`` matrix; x is a scalar or a column."""
-    g_sr = gains[:, 1 : 1 + k]
-    g_rd = gains[:, 1 + k :]
-    return gains[:, 0] + (g_rd * g_sr / (g_rd + g_sr + x)).sum(axis=1)
-
-
 def _solve_increasing(f, target: float, start: float) -> float:
-    """Rate r > 0 with f(r) = target for an increasing f, searched outward from ``start``."""
+    """Rate r > 0 with f(r) = target for an increasing f, searched outward from ``start``.
+
+    The last two probes of the halving or doubling bracket the root.
+    """
     lo = hi = start
     while f(lo) > target:
-        lo *= 0.5
+        lo, hi = 0.5 * lo, lo
     while f(hi) < target:
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     return optimize.brentq(lambda r: f(r) - target, lo, hi, xtol=lo * 1e-14, rtol=1e-14)
 
 
@@ -411,30 +387,35 @@ def _capacity_order_statistic(
     """Largest rate at which at most k0 (from ``_max_allowed_count``) trials are in outage.
 
     ``draw(j, rows, idx)`` returns rows ``idx`` (default all) of the gains of
-    batch j of ``plan``.  A trial is in outage at rate r iff alpha(x(r)) <
-    thr(r), x = tau/SNR with tau from ``duty_cycle``, thr from
-    ``threshold_for``; both move against it as r grows, so each trial has
+    batch j of ``plan``.  A trial is in outage at rate r iff its aggregate
+    ``aggregate_batch`` at x(r) is below thr(r), with (x, thr) from
+    ``decode_condition``; both move against it as r grows, so each trial has
     one boundary rate, and the answer is the boundary rate of order k0.
-    One pass keeps each trial's aggregate a0 at ``start_rate``.  As
-    |d alpha/dx| = sum v*w/(v+w+x)^2 <= K/4, the k0-th smallest a0 brackets
-    the answer and marks each trial in outage on all of the bracket, on none
-    of it, or a candidate.  Only batches holding candidates are drawn again,
-    and only candidates are bisected.  Returns (rate, outage count there).
+    One pass keeps each trial's aggregate a0 at ``start_rate`` (1e-6*SNR if
+    that is not positive and finite).  As |d alpha/dx| = sum
+    v*w/(v+w+x)^2 <= K/4, the k0-th smallest a0 brackets the answer and marks
+    each trial in outage on all of the bracket, on none of it, or a
+    candidate.  Only batches holding candidates are drawn again, and only
+    candidates are bisected.  Returns (rate, outage count there).
     """
-    def offset_threshold(rate):
-        t = duty_cycle(rate, snr, tau)
-        return t / snr, threshold_for(rate, snr, t, k, threshold_mode)
+    def condition(rate):
+        return decode_condition(rate, snr, tau, k, threshold_mode)
 
-    x0, _ = offset_threshold(start_rate)
-    a0 = np.concatenate([_aggregate(draw(j, rows), k, x0) for j, rows in plan])
+    if not (math.isfinite(start_rate) and start_rate > 0.0):
+        start_rate = 1e-6 * snr
+    x0, _ = condition(start_rate)
+    starts = np.cumsum([0] + [rows for _, rows in plan])
+    a0 = np.empty(starts[-1])
+    for (j, rows), s in zip(plan, starts):
+        a0[s : s + rows] = aggregate_batch(draw(j, rows), k, x0)
     a_k0 = float(np.partition(a0, k0)[k0])
 
     def certain(rate):  # a0 below this: in outage at ``rate``
-        x, thr = offset_threshold(rate)
+        x, thr = condition(rate)
         return thr - k / 4.0 * max(x0 - x, 0.0)
 
     def possible(rate):  # a0 at or above this: not in outage at ``rate``
-        x, thr = offset_threshold(rate)
+        x, thr = condition(rate)
         return thr + k / 4.0 * max(x - x0, 0.0)
 
     r_lo = _solve_increasing(possible, a_k0, start_rate)
@@ -444,7 +425,6 @@ def _capacity_order_statistic(
     below = int(np.count_nonzero(a0 < a_below))
     keep = (a0 >= a_below) & (a0 < a_above)
 
-    starts = np.cumsum([0] + [rows for _, rows in plan])
     picks = [(j, rows, np.flatnonzero(keep[s : s + rows])) for (j, rows), s in zip(plan, starts)]
     cand = np.concatenate([draw(j, rows, idx) for j, rows, idx in picks if idx.size])
     lo = np.full(len(cand), r_lo * (1.0 - _BOUND_MARGIN))
@@ -453,15 +433,15 @@ def _capacity_order_statistic(
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):
             break
-        x, thr = offset_threshold(mid)
-        out = _aggregate(cand, k, np.reshape(x, (-1, 1))) < thr
+        x, thr = condition(mid)
+        out = aggregate_batch(cand, k, x) < thr
         hi = np.where(out, mid, hi)
         lo = np.where(out, lo, mid)
     rate = float(np.partition(lo, k0 - below)[k0 - below])
 
     def outages(r: float) -> int:
-        x, thr = offset_threshold(r)
-        return below + int(np.count_nonzero(_aggregate(cand, k, x) < thr))
+        x, thr = condition(r)
+        return below + int(np.count_nonzero(aggregate_batch(cand, k, x) < thr))
 
     # vectorised and scalar powers may differ in the last bit: settle the
     # rate on the scalar recount, which is what a caller would repeat
@@ -493,7 +473,7 @@ def empirical_eps_outage_capacity(
     rate, count = _capacity_order_statistic(
         lambda j, rows, idx=slice(None): gains_batch(variances, master_seed, j, rows)[idx],
         batch_plan(n_trials), params.snr, _max_allowed_count(eps, n_trials), params.k_relays,
-        params.tau, threshold_mode, c_eps_baf_k(variances, params.snr, eps) or 1e-6 * params.snr,
+        params.tau, threshold_mode, c_eps_baf_k(variances, params.snr, eps),
     )
     return RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=2)
 
@@ -542,7 +522,7 @@ def empirical_capacity_vs_position(
     for i, d in enumerate(grid):
         variances = variances_from_geometry(NetworkGeometry((d,), pathloss_exponent))
         scale = variance_row(variances)
-        start = caps[i - 1] if i else c_eps_baf_k(variances, snr, epsilon) or 1e-6 * snr
+        start = caps[i - 1] if i else c_eps_baf_k(variances, snr, epsilon)
         caps[i], _ = _capacity_order_statistic(
             lambda j, rows, idx=slice(None): raw[j][idx] * scale,
             plan, snr, k0, 1, None, threshold_mode, start,

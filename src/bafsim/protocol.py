@@ -1,5 +1,11 @@
 """Incremental-relaying state machine for one fading block.
 
+This module owns the aggregate alpha_n and its decode test alpha_n >=
+threshold, summed in stage order: the direct-link gain, then one relay term
+g_rd*g_sr/(g_rd+g_sr+x) per stage.  Every estimator evaluates them here, the
+capacity kernel through ``aggregate_batch`` and the others through
+``block_stats_batch``; ``simulate_block`` is the scalar reference.
+
 Sub-block 1 is the source burst.  After every sub-block the destination
 compares the capacity of the accumulated aggregate against the target rate
 and feeds back one bit: 1 stops the block, 0 asks the next relay to transmit.
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import relay_term, threshold_for
+from .capacity import decode_condition, relay_term
 from .channel import ChannelDraw, SystemParams
 from .errors import InvalidParameterError
 
@@ -45,52 +51,51 @@ def simulate_block(
     if draw.k_relays < 1:
         raise InvalidParameterError("simulate_block requires at least one relay")
     k = draw.k_relays
-    x = tau / params.snr
-    thr = threshold_for(params.rate, params.snr, tau, k, threshold_mode)
-
-    trace: list[int] = []
+    x, thr = decode_condition(params.rate, params.snr, tau, k, threshold_mode)
     agg = draw.g_sd
-    if agg >= thr:
-        return BlockOutcome(True, 1, agg, (1,))
-    trace.append(0)
-    for i in range(k):
-        agg += relay_term(draw.g_sr[i], draw.g_rd[i], x)
+    for n in range(k + 1):
+        if n:
+            agg += relay_term(draw.g_sr[n - 1], draw.g_rd[n - 1], x)
         if agg >= thr:
-            trace.append(1)
-            return BlockOutcome(True, len(trace), agg, tuple(trace))
-        trace.append(0)
-    return BlockOutcome(False, k + 1, agg, tuple(trace))
+            return BlockOutcome(True, n + 1, agg, (0,) * n + (1,))
+    return BlockOutcome(False, k + 1, agg, (0,) * (k + 1))
 
 
-def block_stats_batch(
-    gains: np.ndarray,
-    snr: float,
-    rate: float,
-    tau: float,
-    k_relays: int,
-    threshold_mode: str = "exact",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised protocol outcomes for a gain matrix from ``gains_batch``.
+def _running_sums(gains: np.ndarray, k_relays: int, x):
+    """Yield the aggregate of every row after each stage, as one array updated in place.
 
-    Returns (outage flags, sub-blocks used) per row, with fixed relay order.
-    Runs the protocol as a running sum: the aggregate starts at the direct
-    link gain, each relay adds its term g_rd*g_sr/(g_rd+g_sr+tau/snr), and
-    after every stage a row is decoded once the aggregate reaches the
-    threshold.  A row counts one more sub-block for each relay stage it
-    enters undecoded, and stays decoded even if a later term is NaN.
-    Row-for-row identical to ``simulate_block`` on the same gains.
+    ``x`` is a scalar or one value per row.
     """
     if gains.ndim != 2 or gains.shape[1] != 1 + 2 * k_relays:
         raise InvalidParameterError(f"gains must have shape (n, {1 + 2 * k_relays})")
-    x = tau / snr
-    thr = threshold_for(rate, snr, tau, k_relays, threshold_mode)
     agg = gains[:, 0].copy()
-    decoded = agg >= thr
-    n_used = np.ones(gains.shape[0], dtype=np.int64)
+    yield agg
     for i in range(k_relays):
-        n_used += ~decoded
         g_sr = gains[:, 1 + i]
         g_rd = gains[:, 1 + k_relays + i]
         agg += g_rd * g_sr / (g_rd + g_sr + x)
+        yield agg
+
+
+def aggregate_batch(gains: np.ndarray, k_relays: int, x) -> np.ndarray:
+    """alpha_K of every row of a ``gains_batch`` matrix; ``x`` is a scalar or one value per row."""
+    for agg in _running_sums(gains, k_relays, x):
+        pass
+    return agg
+
+
+def block_stats_batch(gains: np.ndarray, x: float, thr: float, k_relays: int) -> tuple[np.ndarray, np.ndarray]:
+    """Protocol outcomes (outage flags, sub-blocks used) of every row of a ``gains_batch`` matrix.
+
+    The decode test is alpha >= ``thr`` at offset ``x`` (see
+    ``decode_condition``), checked after every stage.  A row counts one more
+    sub-block for each relay stage it enters undecoded, and stays decoded
+    even if a later term is NaN.  Row-for-row identical to ``simulate_block``.
+    """
+    stages = _running_sums(gains, k_relays, x)
+    decoded = next(stages) >= thr
+    n_used = np.ones(gains.shape[0], dtype=np.int64)
+    for agg in stages:
+        n_used += ~decoded
         decoded |= agg >= thr
     return ~decoded, n_used

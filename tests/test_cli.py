@@ -331,6 +331,21 @@ class TestContractHoles:
         warnings = capsys.readouterr().err.splitlines()
         assert len(warnings) == 3 and all(w.startswith("warning: epsilon=0.001 exceeds") for w in warnings)
 
+    @pytest.mark.parametrize("sigmas", [
+        ("1e-100", "1e-100", "1"),  # the start rate was far above the answer
+        ("1e150", "1e150", "1e150"),  # the closed-form start rate overflows to inf
+    ])
+    def test_capacity_search_brackets_from_any_start(self, tmp_path, capsys, sigmas):
+        cfg = tmp_path / "variances.cfg"
+        cfg.write_text("sigma_sd2={}\nsigma_sr2={}\nsigma_rd2={}\n".format(*sigmas))
+        _, rows = run_csv(tmp_path, [
+            "capacity", "--config", str(cfg), "--snr-db=0", "--trials", "20000", "--epsilon", "0.01",
+        ])
+        metrics = {r["metric_name"]: float(r["value"]) for r in rows}
+        assert metrics["achieved_outage"] < 0.01
+        assert 0.0 < metrics["eps_outage_capacity"] < math.inf
+        assert capsys.readouterr().err == ""
+
     def test_invalid_point_wins_over_a_convergence_failure(self, tmp_path, capsys):
         # 60 dB sees no outage events at 10000 trials; 3100 dB is beyond the float range
         code = main([

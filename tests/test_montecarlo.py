@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bafsim.capacity import lemma1_constant, position_grid, threshold_for
-from bafsim.channel import LinkVariances, SystemParams, batch_plan, duty_cycle, gains_batch
+from bafsim.capacity import decode_condition, lemma1_constant, position_grid, threshold_for
+from bafsim.channel import LinkVariances, SystemParams, batch_plan, gains_batch
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
     empirical_capacity_vs_position,
@@ -91,7 +91,7 @@ class TestExpectedNEstimator:
         tau = math.sqrt(params.rate * params.snr)
         thr = threshold_for(params.rate, params.snr, tau, 1)
         gains = gains_batch(UNIT, 4, 0, 5_000)
-        _, n_used = block_stats_batch(gains, params.snr, params.rate, tau, 1)
+        _, n_used = block_stats_batch(gains, tau / params.snr, thr, 1)
         assert np.array_equal(n_used >= 2, gains[:, 0] < thr)
 
     def test_worker_count_never_changes_the_estimate(self):
@@ -117,12 +117,10 @@ class TestOutageSweep:
 
     @staticmethod
     def per_point_counts(variances, params, n_trials, seed, mode):
-        tau = duty_cycle(params.rate, params.snr, params.tau)
+        x, thr = decode_condition(params.rate, params.snr, params.tau, params.k_relays, mode)
         outages = total_n = 0
         for j, rows in batch_plan(n_trials):
-            outage, n_used = block_stats_batch(
-                gains_batch(variances, seed, j, rows), params.snr, params.rate, tau, params.k_relays, mode
-            )
+            outage, n_used = block_stats_batch(gains_batch(variances, seed, j, rows), x, thr, params.k_relays)
             outages += int(outage.sum())
             total_n += int(n_used.sum())
         return outages, total_n
@@ -179,6 +177,23 @@ class TestLemmaExperiment:
         with pytest.raises(InvalidParameterError):
             lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.01, 0.1], 10_000, 3)
 
+    # ratio means at g = 0.1, 0.05, 0.02, 0.01, 2M trials and seed 4242; any
+    # change to the draws or to how the event is counted moves them
+    FROZEN = {
+        ((1.0, 1.0, 1.0), 0.1): [1.0735999999999999, 1.0581999999999998, 1.0175, 0.9249999999999999],
+        ((1.0, 1.0, 1.0), None): [1.4158999999999997, 1.4262, 1.3587500000000001, 1.2],
+        ((2.0, 0.5, 3.0), 0.1): [0.5902, 0.6003999999999999, 0.56125, 0.5],
+        ((2.0, 0.5, 3.0), None): [0.7193499999999999, 0.7391999999999999, 0.67375, 0.5700000000000001],
+    }
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("sigmas,x_factor", list(FROZEN))
+    def test_frozen_ratios(self, sigmas, x_factor, workers):
+        res = lemma1_ratio_experiment(
+            *sigmas, [0.1, 0.05, 0.02, 0.01], 2_000_000, 4242, x_factor=x_factor, workers=workers
+        )
+        assert [est.mean for _, est in res] == self.FROZEN[sigmas, x_factor]
+
     def test_x_values_and_factor_are_exclusive(self):
         with pytest.raises(InvalidParameterError):
             lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.1], 10_000, 3, x_values=[0.01], x_factor=0.1)
@@ -217,13 +232,11 @@ def _gains(variances, n_trials, seed):
 
 
 def _outage_count(gains, params, rate, mode):
-    """Trials of ``gains`` in outage at ``rate``, counted directly."""
-    k, snr = params.k_relays, params.snr
-    tau = params.tau if params.tau is not None else min(math.sqrt(rate * snr), 1.0)
-    x = tau / snr
-    g_sr, g_rd = gains[:, 1 : 1 + k], gains[:, 1 + k :]
-    agg = gains[:, 0] + (g_rd * g_sr / (g_rd + g_sr + x)).sum(axis=1)
-    return int(np.count_nonzero(agg < threshold_for(rate, snr, tau, k, mode)))
+    """Trials of ``gains`` in outage at ``rate``, counted by the protocol kernel."""
+    k = params.k_relays
+    tau = params.tau if params.tau is not None else min(math.sqrt(rate * params.snr), 1.0)
+    outage, _ = block_stats_batch(gains, tau / params.snr, threshold_for(rate, params.snr, tau, k, mode), k)
+    return int(np.count_nonzero(outage))
 
 
 def _bisection_bracket(gains, params, mode, rel_tol=1e-9):
@@ -294,6 +307,27 @@ class TestEmpiricalCapacity:
         assert lo <= res.rate <= hi
         assert res.achieved_outage < epsilon
         assert res.achieved_outage == _outage_count(gains, params, res.rate, mode) / n
+
+    @given(
+        k=st.sampled_from([2, 3]),
+        mode=st.sampled_from(["exact", "linearized"]),
+        tau=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        snr=st.sampled_from([0.01, 0.1, 1.0]),
+        sigmas=st.lists(st.floats(0.25, 4.0), min_size=7, max_size=7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # a capacity kernel that adds the relay terms in another order than the
+    # protocol returns a rate one float too high here
+    @example(k=2, mode="exact", tau=None, snr=0.1, sigmas=[1.0, 0.7, 0.7, 1.0, 1.9, 1.9, 1.0], seed=27)
+    @settings(max_examples=40, deadline=None)
+    def test_outage_estimate_at_the_capacity_agrees(self, k, mode, tau, snr, sigmas, seed):
+        n, eps = 20_000, 0.01
+        v = LinkVariances(sigmas[0], sigmas[1 : 1 + k], sigmas[4 : 4 + k])
+        params = SystemParams(snr=snr, rate=0.0, epsilon=eps, k_relays=k, tau=tau)
+        res = empirical_eps_outage_capacity(v, params, n, seed, threshold_mode=mode)
+        at_capacity = SystemParams(snr=snr, rate=res.rate, epsilon=eps, k_relays=k, tau=tau)
+        est = estimate_outage(v, at_capacity, n, seed, workers=1, threshold_mode=mode)
+        assert est.mean == res.achieved_outage < eps
 
     def test_doubling_trials_is_stable(self):
         params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02)

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bafsim.capacity import instantaneous_capacity
+from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, block_stats_batch, simulate_block
+from bafsim.protocol import BlockOutcome, aggregate_batch, block_stats_batch, simulate_block
 
 gain = st.floats(0.0, 50.0)
 
@@ -105,7 +105,8 @@ class TestBatchAgreement:
         params = SystemParams(snr=0.5, rate=rate, k_relays=k)
         tau = min((rate * 0.5) ** 0.5, 1.0)
         gains = gains_batch(v, 31337, 0, 500)
-        outage, n_used = block_stats_batch(gains, 0.5, rate, tau, k, mode)
+        x, thr = decode_condition(rate, 0.5, tau, k, mode)
+        outage, n_used = block_stats_batch(gains, x, thr, k)
         for row in range(500):
             draw = ChannelDraw(gains[row, 0], tuple(gains[row, 1 : 1 + k]), tuple(gains[row, 1 + k :]))
             out = simulate_block(draw, params, tau, threshold_mode=mode)
@@ -123,11 +124,12 @@ class TestBatchAgreement:
         k, mode, snr, rate, fixed_tau, rows = case
         params = SystemParams(snr=snr, rate=rate, k_relays=k, tau=fixed_tau)
         tau = float(duty_cycle(rate, snr, fixed_tau))
+        x, thr = decode_condition(rate, snr, fixed_tau, k, mode)
         gains = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            outage, n_used = block_stats_batch(gains, snr, rate, tau, k, mode)
+            outage, n_used = block_stats_batch(gains, x, thr, k)
             # the sweep passes column-major batches
-            outage_f, n_used_f = block_stats_batch(np.asfortranarray(gains), snr, rate, tau, k, mode)
+            outage_f, n_used_f = block_stats_batch(np.asfortranarray(gains), x, thr, k)
         assert np.array_equal(outage, outage_f) and np.array_equal(n_used, n_used_f)
         assert n_used.dtype == np.int64
         for row, g in enumerate(rows):
@@ -138,16 +140,40 @@ class TestBatchAgreement:
     def test_zero_rate_batch(self):
         v = LinkVariances(1.0, (1.0,), (1.0,))
         gains = gains_batch(v, 1, 0, 100)
-        outage, n_used = block_stats_batch(gains, 1.0, 0.0, 1.0, 1)
+        outage, n_used = block_stats_batch(gains, *decode_condition(0.0, 1.0, 1.0, 1), 1)
         assert not outage.any()
         assert (n_used == 1).all()
 
     def test_all_zero_gains_consume_every_sub_block(self):
         gains = np.zeros((4, 7))
-        outage, n_used = block_stats_batch(gains, 1.0, 0.01, 0.1, 3)
+        outage, n_used = block_stats_batch(gains, *decode_condition(0.01, 1.0, 0.1, 3), 3)
         assert outage.all()
         assert (n_used == 4).all()
 
+    def test_threshold_given_directly_at_zero_offset(self):
+        # the Lemma 1 event U + VW/(V+W) < g, with no duty cycle behind x or g;
+        # the last row decodes on the direct link before its 0/0 relay term
+        gains = np.array([[0.05, 1.0, 1.0], [0.01, 0.05, 0.05], [0.0, 0.02, 0.03], [0.2, 0.0, 0.0]])
+        u, v, w = gains.T
+        with np.errstate(invalid="ignore"):
+            outage, n_used = block_stats_batch(gains, 0.0, 0.05, 1)
+            assert np.array_equal(outage, u + v * w / (v + w) < 0.05)
+        assert np.array_equal(n_used, [1, 2, 2, 1])
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
-            block_stats_batch(np.zeros((4, 3)), 1.0, 0.01, 0.1, 2)
+            block_stats_batch(np.zeros((4, 3)), 0.1, 0.01, 2)
+
+    @given(case=_batch_case(), x_per_row=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_aggregate_adds_in_stage_order(self, case, x_per_row):
+        k, _, snr, rate, fixed_tau, rows = case
+        x, _ = decode_condition(rate, snr, fixed_tau, k)
+        xs = x * (1.0 + np.arange(len(rows))) if x_per_row else np.full(len(rows), x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            agg = aggregate_batch(np.array(rows), k, xs if x_per_row else x)
+        expected = [
+            channel_aggregate(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), float(xs[row]))
+            for row, g in enumerate(rows)
+        ]
+        np.testing.assert_array_equal(agg, expected)
