@@ -12,7 +12,6 @@ from .capacity import (
     lemma1_constant,
     min_bound_check,
     optimal_relay_position,
-    outage_threshold_g,
     expected_n_one_relay,
 )
 from .channel import (
@@ -21,9 +20,7 @@ from .channel import (
     LinkVariances,
     NetworkGeometry,
     SystemParams,
-    draw_channels,
     resolve_tau,
-    trial_stream,
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError

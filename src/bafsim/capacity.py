@@ -86,23 +86,13 @@ def decode_condition(rate, snr: float, tau: float | None, k_relays: int, mode: s
     return t / snr, threshold_for(rate, snr, t, k_relays, mode)
 
 
-def outage_threshold_g(params: SystemParams, mode: str = "exact") -> float:
-    """Threshold g(R, SNR) for ``params`` under its resolved duty cycle.
-
-    For K=1 the exact form reduces to sqrt(R/SNR)*(2^(2*sqrt(R/SNR)) - 1)
-    under the default duty-cycle policy, and g*SNR/R -> 2*ln(2) as
-    R/SNR -> 0.
-    """
-    return threshold_for(params.rate, params.snr, resolve_tau(params), params.k_relays, mode)
-
-
 def lemma1_constant(sigma_u2: float, sigma_v2: float, sigma_w2: float) -> float:
     """Limit of Pr(U + VW/(V+W+x) < g)/g^2 for g, x -> 0.
 
     U, V, W are independent exponentials with the given means; the limit is
     (sigma_v2 + sigma_w2) / (2 * sigma_u2 * sigma_v2 * sigma_w2).
     """
-    LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,))  # rejects means that are not positive and finite
+    LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,))  # rejects means outside VARIANCE_RANGE
     return (sigma_v2 + sigma_w2) / (2.0 * sigma_u2 * sigma_v2 * sigma_w2)
 
 
@@ -166,16 +156,16 @@ def expected_n_one_relay(variances: LinkVariances, params: SystemParams, mode: s
     return 1.0 + min(max(p, 0.0), 1.0)
 
 
-def c_eps_baf_ir_k(variances: LinkVariances, params: SystemParams, expected_n_k: float) -> float:
+def c_eps_baf_ir_k(variances: LinkVariances, snr: float, epsilon: float, expected_n_k: float) -> float:
     """K-relay incremental-relaying bound ((K+1)/E_K(N)) * c_eps_baf_k.
 
-    E_K(N) has no closed form for K >= 2; pass an estimate (Monte Carlo or
-    quadrature).
+    For K=1 pass ``expected_n_one_relay``; E_K(N) has no closed form for
+    K >= 2, so pass an estimate (Monte Carlo or quadrature).
     """
     k = variances.k_relays
     if not (1.0 <= expected_n_k <= k + 1):
         raise InvalidParameterError(f"expected_n_k must lie in [1, {k + 1}], got {expected_n_k!r}")
-    return ((k + 1) / expected_n_k) * c_eps_baf_k(variances, params.snr, params.epsilon)
+    return ((k + 1) / expected_n_k) * c_eps_baf_k(variances, snr, epsilon)
 
 
 def delta_ratio_upper(epsilon: float, expected_n: float, k_relays: int = 1) -> float:

@@ -27,6 +27,10 @@ from .errors import InvalidParameterError
 
 TRIALS_PER_BATCH = 1 << 16
 
+# Beyond this range the product of two relay gains overflows or underflows;
+# only variance ratios matter, so no model needs a wider one.
+VARIANCE_RANGE = (1e-150, 1e150)
+
 
 class BurstClampWarning(UserWarning):
     """The duty-cycle policy sqrt(rate * snr) exceeded 1 and was clamped.
@@ -43,6 +47,11 @@ def _require(condition: bool, message: str) -> None:
 
 def _positive_finite(name: str, value: float) -> None:
     _require(math.isfinite(value) and value > 0.0, f"{name} must be positive and finite, got {value!r}")
+
+
+def _in_variance_range(name: str, value: float) -> None:
+    low, high = VARIANCE_RANGE
+    _require(low <= value <= high, f"{name} must lie in [{low:g}, {high:g}], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ class NetworkGeometry:
 
 @dataclass(frozen=True)
 class LinkVariances:
-    """Mean squared channel gains for the direct link and each relay hop."""
+    """Mean squared channel gains for the direct link and each relay hop, each in ``VARIANCE_RANGE``."""
 
     sigma_sd2: float
     sigma_sr2: tuple[float, ...]
@@ -86,13 +95,13 @@ class LinkVariances:
     def __post_init__(self):
         object.__setattr__(self, "sigma_sr2", tuple(float(v) for v in self.sigma_sr2))
         object.__setattr__(self, "sigma_rd2", tuple(float(v) for v in self.sigma_rd2))
-        _positive_finite("sigma_sd2", self.sigma_sd2)
+        _in_variance_range("sigma_sd2", self.sigma_sd2)
         _require(
             len(self.sigma_sr2) == len(self.sigma_rd2),
             "sigma_sr2 and sigma_rd2 must have one entry per relay",
         )
         for v in self.sigma_sr2 + self.sigma_rd2:
-            _positive_finite("relay link variance", v)
+            _in_variance_range("relay link variance", v)
 
     @property
     def k_relays(self) -> int:
@@ -230,32 +239,9 @@ def batch_stream(master_seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def trial_stream(master_seed: int, trial_index: int, k_relays: int = 1) -> np.random.Generator:
-    """Generator positioned at trial ``trial_index``'s draws.
-
-    The next 1 + 2*k_relays standard exponentials equal row
-    ``trial_index % TRIALS_PER_BATCH`` of the trial's batch.  Positioning
-    regenerates the batch prefix, so this is a debugging and testing path;
-    bulk simulation uses ``gains_batch``.
-    """
-    _require(trial_index >= 0, f"trial_index must be >= 0, got {trial_index!r}")
-    batch, local = divmod(int(trial_index), TRIALS_PER_BATCH)
-    gen = batch_stream(master_seed, batch)
-    if local:
-        gen.standard_exponential(local * (1 + 2 * k_relays))
-    return gen
-
-
 def variance_row(variances: LinkVariances) -> np.ndarray:
     """Column scaling [sigma_sd2, sigma_sr2..., sigma_rd2...] for gain matrices."""
     return np.array((variances.sigma_sd2,) + variances.sigma_sr2 + variances.sigma_rd2)
-
-
-def draw_channels(variances: LinkVariances, stream: np.random.Generator) -> ChannelDraw:
-    """Draw one block's squared gains, consuming 1 + 2K exponentials."""
-    k = variances.k_relays
-    g = stream.standard_exponential(1 + 2 * k) * variance_row(variances)
-    return ChannelDraw(g_sd=float(g[0]), g_sr=tuple(g[1 : 1 + k]), g_rd=tuple(g[1 + k :]))
 
 
 def gains_batch(

@@ -43,6 +43,10 @@ CSV_HEADER = ("snr_db", "rate", "epsilon", "k_relays", "metric_name", "value", "
 SUBCOMMANDS = ("analytic", "outage", "capacity", "ratio", "lemma1", "placement")
 
 MAX_SWEEP_POINTS = 100_000
+# each batch of 65 536 trials holds 1 + 2K gains per trial
+MAX_RELAYS = 32
+# placement runs one capacity search per grid point
+MAX_GRID_POINTS = 10_001
 
 _DEFAULTS = {
     "snr_db": "0:0:1",
@@ -241,24 +245,28 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raise InvalidParameterError("explicit variances need all of sigma_sd2, sigma_sr2, sigma_rd2")
 
     k_opt = merged.get("k")
-    geometry = None
+    k_flag = None if k_opt is None else _parse_int("k", k_opt)
     if sigma_given:
+        sd = _parse_float("sigma_sd2", merged["sigma_sd2"])
         sr = _parse_float_list("sigma_sr2", merged["sigma_sr2"])
         rd = _parse_float_list("sigma_rd2", merged["sigma_rd2"])
-        variances = LinkVariances(_parse_float("sigma_sd2", merged["sigma_sd2"]), sr, rd)
-        k = variances.k_relays
-        if k_opt is not None and _parse_int("k", k_opt) != k:
+        k = len(sr)
+        if k_flag is not None and k_flag != k:
             raise InvalidParameterError(f"--k {k_opt} conflicts with {k} explicit relay variance pairs")
     else:
         positions = _parse_float_list("relay_pos", merged["relay_pos"])
-        if k_opt is not None:
-            k = _parse_int("k", k_opt)
-            if len(positions) == 1 and k > 1:
-                positions = positions * k
-            elif len(positions) != k:
-                raise InvalidParameterError(f"--k {k} conflicts with {len(positions)} relay positions")
-        k = len(positions)
-        geometry = NetworkGeometry(positions, _parse_float("pathloss", merged["pathloss"]))
+        k = len(positions) if k_flag is None else k_flag
+        if len(positions) != k and not (len(positions) == 1 and k > 1):
+            raise InvalidParameterError(f"--k {k} conflicts with {len(positions)} relay positions")
+    # before the relay tuples and the per-batch gain matrices are allocated
+    if k > MAX_RELAYS:
+        raise InvalidParameterError(f"k must be at most {MAX_RELAYS}, got {k}")
+    if sigma_given:
+        variances = LinkVariances(sd, sr, rd)
+        geometry = None
+    else:
+        geometry = NetworkGeometry(positions * k if len(positions) == 1 else positions,
+                                   _parse_float("pathloss", merged["pathloss"]))
         variances = variances_from_geometry(geometry)
 
     epsilon = _parse_float("epsilon", merged["epsilon"])
@@ -269,6 +277,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     if not 0 <= seed < 2**64:
         raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
     grid = _parse_int("grid", merged["grid"])
+    if grid > MAX_GRID_POINTS:
+        raise InvalidParameterError(f"grid must be at most {MAX_GRID_POINTS} points, got {grid}")
     if merged["mode"] not in cap.THRESHOLD_MODES:
         raise InvalidParameterError(f"mode must be exact or linearized, got {merged['mode']!r}")
     if merged["format"] not in ("csv", "jsonl"):
@@ -323,10 +333,9 @@ def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             if cfg.k == 1:
                 en_exact = cap.expected_n_one_relay(cfg.variances, params_en, "exact")
                 en_approx = cap.expected_n_one_relay(cfg.variances, params_en, "approx")
-                c_no_fb = cap.c_eps_baf_no_feedback(cfg.variances, snr, cfg.epsilon)
                 metrics += [
-                    ("c_baf_no_fb", c_no_fb),
-                    ("c_baf_ir", (2.0 / en_exact) * c_no_fb),
+                    ("c_baf_no_fb", cap.c_eps_baf_no_feedback(cfg.variances, snr, cfg.epsilon)),
+                    ("c_baf_ir", cap.c_eps_baf_ir_k(cfg.variances, snr, cfg.epsilon, en_exact)),
                     ("c_csb", cap.c_eps_cutset(cfg.variances, snr, cfg.epsilon)),
                 ]
             metrics += [

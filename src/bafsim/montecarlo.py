@@ -8,7 +8,8 @@ worker count.  Workers default to ``os.cpu_count()`` capped by the
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
-deterministic cross-check of the simulation path.
+deterministic cross-check of the simulation path.  It is the only user of
+SciPy, which it imports when called, so the estimators need NumPy alone.
 
 One batch task serves the outage probability, E(N) and Lemma 1's ratio: it
 draws each batch of gains once and runs the protocol kernel
@@ -21,7 +22,8 @@ The empirical outage capacity, at one operating point or across relay
 positions, comes from one order-statistic kernel over the protocol's
 aggregate ``aggregate_batch``: each trial has a single boundary rate, and the
 capacity is the boundary rate of order k0, the largest outage count below
-epsilon.
+epsilon.  One float bisection, ``_solve_increasing``, finds every root the
+module needs: the kernel's rate bracket and lemma1's policy offset.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .capacity import c_eps_baf_k, decode_condition, position_grid
 from .channel import (
@@ -207,11 +208,13 @@ def policy_x_for_threshold(g: float) -> float:
 
     Under tau = sqrt(rate*snr), both the threshold and the offset are set by
     y = sqrt(rate/snr): g = y*(2^(2y) - 1) and x = y.  Inverts the first
-    relation for y.
+    relation for y, to adjacent floats.
     """
     if not (math.isfinite(g) and g > 0.0):
         raise InvalidParameterError(f"threshold must be positive, got {g!r}")
-    return float(optimize.brentq(lambda y: y * (2.0 ** (2.0 * y) - 1.0) - g, 1e-300, 64.0, rtol=1e-15))
+    # expm1, as 2^(2y) - 1 cancels for small y; from y = 511 on, y*2^(2y) is beyond every float
+    _, y = _solve_increasing(lambda y: y * math.expm1(2.0 * math.log(2.0) * min(y, 511.0)), g, math.sqrt(g))
+    return y
 
 
 def lemma1_ratio_experiment(
@@ -221,15 +224,14 @@ def lemma1_ratio_experiment(
     g_sequence,
     n_trials: int,
     master_seed: int,
-    x_values=None,
     x_factor: float | None = None,
     workers: int | None = None,
 ) -> list[tuple[float, Estimate]]:
     """Estimate Pr(U + VW/(V+W+x) < g)/g^2 along a shrinking threshold sequence.
 
     ``g_sequence`` must be strictly decreasing, positive and finite.  The
-    offset x is tied to g through the duty-cycle policy by default;
-    ``x_factor`` scales it as x = x_factor*g, or pass explicit ``x_values``.
+    offset x is tied to g through the duty-cycle policy by default
+    (``policy_x_for_threshold``), or set to x = x_factor*g.
     The event is the one-relay protocol's outage at the decode condition
     (x, g) on direct, source-relay and relay-destination gains U, V, W.  The
     ratio means converge toward ``lemma1_constant`` as g -> 0.  Raises
@@ -240,13 +242,7 @@ def lemma1_ratio_experiment(
     if not gs or not all(0.0 < g < math.inf for g in gs) or any(b >= a for a, b in zip(gs, gs[1:])):
         raise InvalidParameterError("g_sequence must be strictly decreasing, positive and finite")
     _check_trials(n_trials)
-    if x_values is not None and x_factor is not None:
-        raise InvalidParameterError("give at most one of x_values and x_factor")
-    if x_values is not None:
-        xs = [float(x) for x in x_values]
-        if len(xs) != len(gs) or not all(x >= 0.0 for x in xs):
-            raise InvalidParameterError("x_values must be nonnegative, one per threshold")
-    elif x_factor is not None:
+    if x_factor is not None:
         if not (math.isfinite(x_factor) and x_factor >= 0.0):
             raise InvalidParameterError(f"x_factor must be finite and >= 0, got {x_factor!r}")
         xs = [x_factor * g for g in gs]
@@ -292,6 +288,8 @@ def quadrature_outage_oracle(variances: LinkVariances, threshold: float, x: floa
     ConvergenceError reports the achieved tolerance if the combined error
     estimate exceeds ``ORACLE_REL_TOL`` relative to the result.
     """
+    from scipy import integrate  # the one SciPy use: kept off the import path of the CLI
+
     if variances.k_relays != 1:
         raise InvalidParameterError("the quadrature oracle covers the one-relay case only")
     if not (math.isfinite(threshold) and threshold >= 0.0):
@@ -367,17 +365,26 @@ def _max_allowed_count(epsilon: float, n_trials: int) -> int:
     return c
 
 
-def _solve_increasing(f, target: float, start: float) -> float:
-    """Rate r > 0 with f(r) = target for an increasing f, searched outward from ``start``.
+def _solve_increasing(f, target: float, start: float, rel_width: float = 0.0) -> tuple[float, float]:
+    """Bracket (lo, hi) with f(lo) < target <= f(hi) for an increasing f, searched outward from ``start``.
 
-    The last two probes of the halving or doubling bracket the root.
+    Halving or doubling finds a bracket, and bisection narrows it until
+    hi - lo <= rel_width*lo, or to adjacent floats.
     """
     lo = hi = start
-    while f(lo) > target:
+    while f(lo) >= target:
         lo, hi = 0.5 * lo, lo
     while f(hi) < target:
         lo, hi = hi, 2.0 * hi
-    return optimize.brentq(lambda r: f(r) - target, lo, hi, xtol=lo * 1e-14, rtol=1e-14)
+    while hi - lo > rel_width * lo:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if f(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 def _capacity_order_statistic(
@@ -418,8 +425,9 @@ def _capacity_order_statistic(
         x, thr = condition(rate)
         return thr + k / 4.0 * max(x - x0, 0.0)
 
-    r_lo = _solve_increasing(possible, a_k0, start_rate)
-    r_hi = _solve_increasing(certain, a_k0, start_rate)
+    # the outer ends: at most k0 trials are in outage at r_lo, more than k0 at r_hi
+    r_lo, _ = _solve_increasing(possible, a_k0, start_rate, _BOUND_MARGIN)
+    _, r_hi = _solve_increasing(certain, a_k0, start_rate, _BOUND_MARGIN)
     a_below = certain(r_lo) * (1.0 - _BOUND_MARGIN)  # a0 > 0, so a negative bound marks none
     a_above = possible(r_hi) * (1.0 + _BOUND_MARGIN)
     below = int(np.count_nonzero(a0 < a_below))
@@ -511,16 +519,17 @@ def empirical_capacity_vs_position(
             f"n_trials above {PLACEMENT_TRIAL_LIMIT} would exceed the in-memory draw cache"
         )
     k0 = _max_allowed_count(epsilon, n_trials)
+    grid = position_grid(grid_points)
+    # mapped before the draws, so that a position outside VARIANCE_RANGE is rejected first
+    per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
 
     unit = LinkVariances(1.0, (1.0,), (1.0,))
     plan = batch_plan(n_trials)
     # column-major, so that scaling by the variances runs down whole columns
     raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
 
-    grid = position_grid(grid_points)
     caps = np.empty_like(grid)
-    for i, d in enumerate(grid):
-        variances = variances_from_geometry(NetworkGeometry((d,), pathloss_exponent))
+    for i, variances in enumerate(per_position):
         scale = variance_row(variances)
         start = caps[i - 1] if i else c_eps_baf_k(variances, snr, epsilon)
         caps[i], _ = _capacity_order_statistic(

@@ -12,6 +12,7 @@ from bafsim.capacity import (
     c_eps_baf_no_feedback,
     c_eps_cutset,
     channel_aggregate,
+    decode_condition,
     delta_ratio_upper,
     epsilon_feasible,
     expected_n_one_relay,
@@ -19,7 +20,6 @@ from bafsim.capacity import (
     lemma1_constant,
     min_bound_check,
     optimal_relay_position,
-    outage_threshold_g,
     placement_objective,
     position_grid,
     threshold_for,
@@ -68,26 +68,30 @@ class TestInstantaneousCapacity:
         assert channel_aggregate(draw, x) == pytest.approx(expected, rel=1e-15)
 
 
+def _policy_threshold(rate, snr=1.0, k=1, mode="exact"):
+    """Decode threshold under the duty-cycle policy."""
+    return decode_condition(rate, snr, None, k, mode)[1]
+
+
 class TestOutageThreshold:
     def test_exact_one_relay(self):
-        g = outage_threshold_g(SystemParams(snr=1.0, rate=0.01))
-        assert g == pytest.approx(0.01486983549970351, rel=1e-12)
+        # sqrt(R/SNR)*(2^(2*sqrt(R/SNR)) - 1) at R/SNR = 0.01
+        assert _policy_threshold(0.01) == pytest.approx(0.01486983549970351, rel=1e-12)
 
     def test_linearized_two_relay(self):
-        g = outage_threshold_g(SystemParams(snr=1.0, rate=0.01, k_relays=2), mode="linearized")
+        g = _policy_threshold(0.01, k=2, mode="linearized")
         assert g == pytest.approx(0.02079441541679836, rel=1e-12)
 
     def test_low_snr_limit_constant(self):
         # g*SNR/R approaches 2*ln2 from above, monotonically in R/SNR
         errors = []
         for ratio in (1e-2, 1e-4, 1e-6):
-            g = outage_threshold_g(SystemParams(snr=1.0, rate=ratio))
-            errors.append(abs(g / ratio - 2.0 * math.log(2.0)))
+            errors.append(abs(_policy_threshold(ratio) / ratio - 2.0 * math.log(2.0)))
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 1e-3
 
     def test_zero_rate_threshold_is_zero(self):
-        assert outage_threshold_g(SystemParams(snr=1.0, rate=0.0)) == 0.0
+        assert _policy_threshold(0.0) == 0.0
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -183,24 +187,24 @@ class TestExpectedN:
     def test_incremental_capacity_between_one_and_two_times_base(self):
         params = SystemParams(snr=0.1, rate=0.007, epsilon=0.01)
         base = c_eps_baf_no_feedback(UNIT, 0.1, 0.01)
-        ir = c_eps_baf_ir_k(UNIT, params, expected_n_one_relay(UNIT, params, "exact"))
+        ir = c_eps_baf_ir_k(UNIT, 0.1, 0.01, expected_n_one_relay(UNIT, params, "exact"))
         assert base < ir < 2.0 * base
 
     def test_forced_expected_n_scaling(self):
-        params = SystemParams(snr=0.1, rate=0.01, epsilon=0.01)
         base = c_eps_baf_k(UNIT, 0.1, 0.01)
-        assert c_eps_baf_ir_k(UNIT, params, 1.0) == pytest.approx(2.0 * base, rel=1e-15)
-        assert c_eps_baf_ir_k(UNIT, params, 2.0) == pytest.approx(base, rel=1e-15)
+        assert c_eps_baf_ir_k(UNIT, 0.1, 0.01, 1.0) == pytest.approx(2.0 * base, rel=1e-15)
+        assert c_eps_baf_ir_k(UNIT, 0.1, 0.01, 2.0) == pytest.approx(base, rel=1e-15)
 
     def test_two_relay_forced_scaling(self):
         v = LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0))
-        params = SystemParams(snr=1.0, rate=0.01, epsilon=0.001, k_relays=2)
-        assert c_eps_baf_ir_k(v, params, 1.5) == pytest.approx(2.0 * c_eps_baf_k(v, 1.0, 0.001), rel=1e-15)
+        assert c_eps_baf_ir_k(v, 1.0, 0.001, 1.5) == pytest.approx(2.0 * c_eps_baf_k(v, 1.0, 0.001), rel=1e-15)
+
+    def test_zero_epsilon_gives_zero(self):
+        assert c_eps_baf_ir_k(UNIT, 0.1, 0.0, 1.5) == 0.0
 
     def test_expected_n_out_of_range_rejected(self):
-        params = SystemParams(snr=0.1, rate=0.01, epsilon=0.01)
         with pytest.raises(InvalidParameterError):
-            c_eps_baf_ir_k(UNIT, params, 2.5)
+            c_eps_baf_ir_k(UNIT, 0.1, 0.01, 2.5)
 
 
 class TestDeltaRatio:

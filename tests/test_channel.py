@@ -7,16 +7,15 @@ from hypothesis import strategies as st
 
 from bafsim.channel import (
     TRIALS_PER_BATCH,
+    VARIANCE_RANGE,
     BurstClampWarning,
     ChannelDraw,
     LinkVariances,
     NetworkGeometry,
     SystemParams,
     batch_plan,
-    draw_channels,
     gains_batch,
     resolve_tau,
-    trial_stream,
     variances_from_geometry,
 )
 from bafsim.errors import InvalidParameterError
@@ -60,6 +59,25 @@ class TestGeometry:
         assert left.sigma_rd2[0] == pytest.approx(right.sigma_sr2[0], rel=1e-12)
 
 
+class TestLinkVariances:
+    @pytest.mark.parametrize("value", VARIANCE_RANGE)
+    def test_range_ends_are_accepted(self, value):
+        LinkVariances(value, (value,), (value,))
+
+    @pytest.mark.parametrize("value", [0.0, 1e-151, 1e151, math.inf, math.nan])
+    @pytest.mark.parametrize("link", range(3))
+    def test_variance_outside_range_rejected(self, value, link):
+        sigmas = [1.0, 1.0, 1.0]
+        sigmas[link] = value
+        with pytest.raises(InvalidParameterError):
+            LinkVariances(sigmas[0], (sigmas[1],), (sigmas[2],))
+
+    def test_pathloss_beyond_range_rejected(self):
+        # 2**500 > 1e150 at the midpoint
+        with pytest.raises(InvalidParameterError):
+            variances_from_geometry(NetworkGeometry((0.5,), 500.0))
+
+
 class TestSystemParams:
     def test_sqrt_policy(self):
         assert resolve_tau(SystemParams(snr=1.0, rate=0.01)) == pytest.approx(0.1, rel=1e-15)
@@ -95,26 +113,26 @@ class TestSystemParams:
 class TestDraws:
     def test_same_seed_and_index_reproduce(self):
         v = LinkVariances(2.0, (1.0, 3.0), (0.5, 1.0))
-        a = draw_channels(v, trial_stream(99, 5, k_relays=2))
-        b = draw_channels(v, trial_stream(99, 5, k_relays=2))
-        assert a == b
+        assert np.array_equal(gains_batch(v, 99, 5, 8), gains_batch(v, 99, 5, 8))
 
-    def test_trial_stream_matches_batch_rows(self):
+    def test_trial_row_does_not_depend_on_rows_requested(self):
         v = LinkVariances(1.5, (2.0,), (0.25,))
         for idx in (0, 3, TRIALS_PER_BATCH - 1, TRIALS_PER_BATCH, TRIALS_PER_BATCH + 7):
             batch, local = divmod(idx, TRIALS_PER_BATCH)
-            rows = gains_batch(v, 1234, batch, local + 1)
-            d = draw_channels(v, trial_stream(1234, idx))
-            assert d.g_sd == rows[local, 0]
-            assert d.g_sr[0] == rows[local, 1]
-            assert d.g_rd[0] == rows[local, 2]
+            row = gains_batch(v, 1234, batch, local + 1)[local]
+            assert np.array_equal(row, gains_batch(v, 1234, batch)[local])
 
     def test_order_of_access_is_irrelevant(self):
         v = LinkVariances(1.0, (1.0,), (1.0,))
-        first = draw_channels(v, trial_stream(7, 11))
-        draw_channels(v, trial_stream(7, 200))
-        again = draw_channels(v, trial_stream(7, 11))
-        assert first == again
+        first = gains_batch(v, 7, 11, 4)
+        gains_batch(v, 7, 200, 4)
+        assert np.array_equal(first, gains_batch(v, 7, 11, 4))
+
+    def test_columns_scale_by_the_variances(self):
+        # the unit draws times [sigma_sd2, sigma_sr2..., sigma_rd2...]
+        v = LinkVariances(1.5, (2.0, 0.5), (0.25, 4.0))
+        unit = gains_batch(LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0)), 3, 2, 16)
+        assert np.array_equal(gains_batch(v, 3, 2, 16), unit * np.array([1.5, 2.0, 0.5, 0.25, 4.0]))
 
     def test_truncated_batch_is_prefix_of_full(self):
         v = LinkVariances(1.0, (1.0,), (1.0,))
@@ -164,4 +182,6 @@ class TestDraws:
     @settings(max_examples=25, deadline=None)
     def test_draws_are_pure_functions_of_seed_and_index(self, seed, idx):
         v = LinkVariances(1.0, (2.0,), (0.5,))
-        assert draw_channels(v, trial_stream(seed, idx)) == draw_channels(v, trial_stream(seed, idx))
+        batch, local = divmod(idx, TRIALS_PER_BATCH)
+        row = gains_batch(v, seed, batch, local + 1)[local]
+        assert np.array_equal(row, gains_batch(v, seed, batch)[local])

@@ -1,5 +1,10 @@
+import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,11 +12,13 @@ from hypothesis import strategies as st
 
 from bafsim.capacity import c_eps_baf_no_feedback, c_eps_cutset
 from bafsim.channel import LinkVariances
-from bafsim.cli import CSV_HEADER, SUBCOMMANDS, main
+from bafsim.cli import CSV_HEADER, MAX_GRID_POINTS, MAX_RELAYS, SUBCOMMANDS, main
 
 UNIT = LinkVariances(1.0, (1.0,), (1.0,))
 
 EXPECTED_HEADER = "snr_db,rate,epsilon,k_relays,metric_name,value,stderr,n_trials,seed"
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -310,6 +317,14 @@ class TestContractHoles:
         assert code == 1
         assert "g_sequence" in capsys.readouterr().err
 
+    def test_policy_offset_at_thresholds_beyond_the_old_bracket(self, tmp_path):
+        # the root of y*(2^(2y) - 1) = g lies above 64 for g above about 2e40
+        _, rows = run_csv(tmp_path, [
+            "lemma1", "--g-list", "1e150,1e50", "--x-factor", "policy", "--trials", "10000", "--pathloss", "0",
+        ])
+        # every trial is in outage, so each ratio is 1/g^2
+        assert [float(r["value"]) for r in rows] == [1.0 / (1e150 * 1e150), 1.0 / (1e50 * 1e50)]
+
     def test_overflowing_pathloss_exits_one(self, tmp_path, capsys):
         assert main(["analytic", "--pathloss", "1e308", "--out", str(tmp_path / "x.csv")]) == 1
         assert "pathloss_exponent" in capsys.readouterr().err
@@ -357,6 +372,75 @@ class TestContractHoles:
         assert err.startswith("bafsim: error: snr_db") and err.count("\n") == 1
 
 
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        # SciPy costs about 0.6 s of import; only the quadrature oracle needs it
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        code = "import bafsim.cli, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def _write_variances(path, sigmas):
+    path.write_text("sigma_sd2={!r}\nsigma_sr2={!r}\nsigma_rd2={!r}\n".format(*sigmas))
+    return str(path)
+
+
+class TestVarianceDomain:
+    @pytest.mark.parametrize("command", ["capacity", "outage"])
+    @pytest.mark.parametrize("sigmas", [
+        (1.0, 1e300, 1e300),  # the relay-gain product overflowed
+        (1e300, 1.0, 1.0),
+        (1e-300, 1e-300, 1e-300),
+        (1.0, 1.0, 1e-151),
+    ])
+    def test_variance_outside_range_exits_one(self, tmp_path, capsys, command, sigmas):
+        cfg = _write_variances(tmp_path / "v.cfg", sigmas)
+        argv = [command, "--config", cfg, "--trials", "20000", "--epsilon", "0.01", "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bafsim: error: ") and "must lie in [1e-150, 1e+150]" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--pathloss", "500"],  # 2**500 > 1e150 at the midpoint
+        ["placement", "--pathloss", "66", "--grid", "201", "--epsilon", "0.3"],  # 202**66 > 1e150 at the first grid point
+    ])
+    def test_pathloss_beyond_variance_range_exits_one(self, tmp_path, capsys, argv):
+        assert main(argv + ["--trials", "20000", "--out", str(tmp_path / "x.csv")]) == 1
+        assert "relay link variance must lie in" in capsys.readouterr().err
+
+    def test_range_corners_run_cleanly(self, tmp_path, capsys, monkeypatch):
+        # every corner of the range at -100, 0 and 100 dB: a result or a
+        # rare-event refusal, never a traceback or a NumPy warning
+        monkeypatch.setenv("BAF_WORKERS", "1")
+        cfg = tmp_path / "v.cfg"
+        for sigmas in itertools.product([1e-150, 1.0, 1e150], repeat=3):
+            _write_variances(cfg, sigmas)
+            for command, snr_db in itertools.product(["capacity", "outage"], ["-100", "0", "100"]):
+                code = main([command, "--config", str(cfg), f"--snr-db={snr_db}", "--trials", "20000",
+                             "--epsilon", "0.01", "--out", str(tmp_path / "x.csv")])
+                err = capsys.readouterr().err
+                assert code in (0, 2), (command, sigmas, snr_db, err)
+                assert err.count("\n") == (code == 2), (command, sigmas, snr_db, err)
+
+
+class TestCaps:
+    @pytest.mark.parametrize("argv", [
+        ["analytic", "--k", str(MAX_RELAYS + 1)],
+        ["analytic", "--k", "1000000000000"],
+        ["analytic", "--relay-pos", ",".join(["0.5"] * (MAX_RELAYS + 1))],
+        ["placement", "--grid", str(MAX_GRID_POINTS + 1)],
+        ["placement", "--grid", "1000000000000"],
+    ])
+    def test_over_cap_exits_one(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bafsim: error: ") and "at most" in err and err.count("\n") == 1
+
+    def test_relay_cap_is_inclusive(self, tmp_path):
+        _, rows = run_csv(tmp_path, ["analytic", "--k", str(MAX_RELAYS), "--snr-db", "0", "--pathloss", "0"])
+        assert {r["k_relays"] for r in rows} == {str(MAX_RELAYS)}
+
+
 # --- fuzzing main over every subcommand ---------------------------------------
 
 _BAD_NUMBERS = ["nan", "inf", "-inf", "-1", "0", "1e308", "-1e308", "1e-320", "x", ""]
@@ -383,7 +467,7 @@ _OPTIONS = {
     "--snr-db": _snr_db(),
     "--rate": _list_of(st.one_of(_number, st.sampled_from(["0.01", "1", "1e-300"]))),
     "--epsilon": st.one_of(_number, st.sampled_from(["0.001", "0.05", "0.3"])),
-    "--k": st.sampled_from(["1", "2", "3", "0", "-1", "x", "1.5"]),
+    "--k": st.sampled_from(["1", "2", "3", "0", "-1", "x", "1.5", str(MAX_RELAYS + 1)]),
     "--relay-pos": _list_of(st.one_of(_number, st.sampled_from(["0.5", "0.3"]))),
     "--pathloss": st.one_of(_number, st.sampled_from(["0", "2", "3"])),
     "--seed": st.sampled_from(["0", "1234", str(2**64 - 1), str(2**64), "-1", "x", "1.5"]),
@@ -392,7 +476,7 @@ _OPTIONS = {
     "--out": st.sampled_from(["out.csv", "missing/out.csv", ".", "-"]),
 }
 _EXTRA = {
-    "placement": {"--grid": st.sampled_from(["101", "51", "0", "x"])},
+    "placement": {"--grid": st.sampled_from(["101", "51", "0", "x", str(MAX_GRID_POINTS + 1)])},
     "lemma1": {
         "--g-list": _list_of(st.one_of(_number, st.sampled_from(["0.1", "0.05"]))),
         "--x-factor": st.one_of(_number, st.just("policy")),

@@ -154,9 +154,12 @@ class TestOutageSweep:
 
 class TestLemmaExperiment:
     def test_policy_offset_inverts_threshold_relation(self):
-        for g in (0.1, 0.02, 0.004):
+        for g in (0.1, 0.02, 0.004, 1e-12, 1e-30):
             y = policy_x_for_threshold(g)
-            assert y * (2.0 ** (2.0 * y) - 1.0) == pytest.approx(g, rel=1e-12)
+            # expm1: the float 2^(2y) - 1 is off by up to 20% at y = 8.5e-16
+            assert y * math.expm1(2.0 * y * math.log(2.0)) == pytest.approx(g, rel=1e-12, abs=0)
+        # g = 2*ln2*y^2*(1 + O(y)): an independent check at the smallest g
+        assert y == pytest.approx(math.sqrt(g / (2.0 * math.log(2.0))), rel=1e-12, abs=0)
 
     def test_ratios_match_oracle(self):
         res = lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.1, 0.05], 200_000, 31, x_factor=0.1, workers=1)
@@ -194,9 +197,10 @@ class TestLemmaExperiment:
         )
         assert [est.mean for _, est in res] == self.FROZEN[sigmas, x_factor]
 
-    def test_x_values_and_factor_are_exclusive(self):
-        with pytest.raises(InvalidParameterError):
-            lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.1], 10_000, 3, x_values=[0.01], x_factor=0.1)
+    @pytest.mark.parametrize("x_factor", [-0.1, math.inf, math.nan])
+    def test_x_factor_must_be_finite_and_nonnegative(self, x_factor):
+        with pytest.raises(InvalidParameterError, match="x_factor"):
+            lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.1], 10_000, 3, x_factor=x_factor)
 
 
 class TestQuadratureOracle:
