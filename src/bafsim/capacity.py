@@ -15,6 +15,7 @@ The target outage epsilon is taken as given; SystemParams and the CLI check it.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -66,11 +67,15 @@ def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str 
     """
     _check_mode(mode, THRESHOLD_MODES)
     if mode == "exact":
-        try:
-            with np.errstate(over="ignore"):
-                growth = 2.0 ** ((k_relays + 1) * rate / tau) - 1.0
-        except OverflowError:  # raised by float powers; arrays give inf
-            growth = math.inf
+        z = (k_relays + 1) * rate / tau
+        if type(z) is float:
+            try:
+                growth = 2.0**z - 1.0
+            except OverflowError:
+                growth = math.inf
+        else:
+            with np.errstate(over="ignore"):  # NumPy powers overflow to inf
+                growth = 2.0**z - 1.0
         return tau * growth / snr
     return (k_relays + 1) * rate / (LOG2E * snr)
 
@@ -96,15 +101,31 @@ def lemma1_constant(sigma_u2: float, sigma_v2: float, sigma_w2: float) -> float:
     return (sigma_v2 + sigma_w2) / (2.0 * sigma_u2 * sigma_v2 * sigma_w2)
 
 
+def _normal(v: float) -> bool:
+    return sys.float_info.min <= v <= sys.float_info.max
+
+
 def _root_argument(variances: LinkVariances, epsilon: float) -> float:
-    """(K+1)-th root of (K+1)! * sigma_sd2 * prod(sigma_rd2*sigma_sr2) * eps / prod(sigma_rd2+sigma_sr2)."""
+    """(K+1)-th root of (K+1)! * sigma_sd2 * prod(sigma_rd2*sigma_sr2) * eps / prod(sigma_rd2+sigma_sr2).
+
+    Where a product or the quotient leaves the normal float range (variances
+    near the ends of ``VARIANCE_RANGE``, many relays), the root is taken in
+    logarithms instead.
+    """
+    if epsilon == 0.0:
+        return 0.0
     k = variances.k_relays
     num = math.factorial(k + 1) * variances.sigma_sd2 * epsilon
     den = 1.0
     for s, r in zip(variances.sigma_sr2, variances.sigma_rd2):
         num *= r * s
         den *= r + s
-    return (num / den) ** (1.0 / (k + 1))
+    if _normal(num) and _normal(den) and _normal(num / den):
+        return (num / den) ** (1.0 / (k + 1))
+    log_q = math.log(math.factorial(k + 1)) + math.log(variances.sigma_sd2) + math.log(epsilon)
+    for s, r in zip(variances.sigma_sr2, variances.sigma_rd2):
+        log_q += math.log(r) + math.log(s) - math.log(r + s)
+    return math.exp(log_q / (k + 1))
 
 
 def c_eps_baf_no_feedback(variances: LinkVariances, snr: float, epsilon: float) -> float:

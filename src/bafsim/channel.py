@@ -193,14 +193,18 @@ def duty_cycle(rate, snr: float, fixed: float | None = None):
         return fixed
     if np.ndim(rate) == 0 and rate == 0.0:
         return 1.0
-    with np.errstate(over="ignore"):  # an infinite product clamps to 1
-        product = np.multiply(rate, snr)
-    if np.any(product < sys.float_info.min):
+    scalar = isinstance(rate, float)  # math.sqrt and min round as np.sqrt and np.minimum do
+    if scalar:
+        product = float(rate) * float(snr)
+    else:
+        with np.errstate(over="ignore"):  # an infinite product clamps to 1
+            product = np.multiply(rate, snr)
+    if product < sys.float_info.min if scalar else np.any(product < sys.float_info.min):
         raise InvalidParameterError(
             f"rate*snr = {float(np.min(product))!r} is below the normal float range, "
             "where the duty cycle sqrt(rate*snr) cannot be resolved"
         )
-    return np.minimum(np.sqrt(product), 1.0)
+    return min(math.sqrt(product), 1.0) if scalar else np.minimum(np.sqrt(product), 1.0)
 
 
 def resolve_tau(params: SystemParams) -> float:

@@ -22,14 +22,22 @@ The empirical outage capacity, at one operating point or across relay
 positions, comes from one order-statistic kernel over the protocol's
 aggregate ``aggregate_batch``: each trial has a single boundary rate, and the
 capacity is the boundary rate of order k0, the largest outage count below
-epsilon.  One float bisection, ``_solve_increasing``, finds every root the
-module needs: the kernel's rate bracket and lemma1's policy offset.
+epsilon.  The kernel, ``_window_stage``, runs on a window of trials: those
+whose aggregate can fall in the band that brackets the answer, plus a count
+of the trials surely below it.  A single operating point takes its window
+from one exact pass over the draws.  The placement sweep bounds each block of
+relay positions in one pass over its cached draws and solves every position
+of the block on that window; a position the window cannot hold falls back to
+the exact pass, so the curve is bit for bit the exact pass's.  One float
+bisection, ``_solve_increasing``, finds every root the module needs: the
+kernel's rate bracket and lemma1's policy offset.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -346,6 +354,11 @@ def quadrature_outage_oracle(variances: LinkVariances, threshold: float, x: floa
 # Relative widening of every bound the capacity kernel derives from
 # floating-point values; far above their rounding error.
 _BOUND_MARGIN = 1e-9
+# The placement sweep bounds this many relay positions in one pass over the
+# draws, and widens the start rates and aggregate band it predicts for them
+# by this relative margin.
+_BLOCK_POSITIONS = 8
+_PREDICTION_MARGIN = 0.02
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
@@ -387,68 +400,126 @@ def _solve_increasing(f, target: float, start: float, rel_width: float = 0.0) ->
     return lo, hi
 
 
-def _capacity_order_statistic(
-    draw, plan: list[tuple[int, int]], snr: float, k0: int, k: int,
-    tau: float | None, threshold_mode: str, start_rate: float,
-) -> tuple[float, int]:
-    """Largest rate at which at most k0 (from ``_max_allowed_count``) trials are in outage.
+class _RateSearch:
+    """The k0-th smallest boundary rate of the trials at one set of variances.
 
-    ``draw(j, rows, idx)`` returns rows ``idx`` (default all) of the gains of
-    batch j of ``plan``.  A trial is in outage at rate r iff its aggregate
-    ``aggregate_batch`` at x(r) is below thr(r), with (x, thr) from
-    ``decode_condition``; both move against it as r grows, so each trial has
-    one boundary rate, and the answer is the boundary rate of order k0.
-    One pass keeps each trial's aggregate a0 at ``start_rate`` (1e-6*SNR if
-    that is not positive and finite).  As |d alpha/dx| = sum
-    v*w/(v+w+x)^2 <= K/4, the k0-th smallest a0 brackets the answer and marks
-    each trial in outage on all of the bracket, on none of it, or a
-    candidate.  Only batches holding candidates are drawn again, and only
-    candidates are bisected.  Returns (rate, outage count there).
+    A trial is in outage at rate r iff its aggregate ``aggregate_batch`` at
+    x(r) is below thr(r), with (x, thr) from ``decode_condition``; both move
+    against it as r grows, so each trial has one boundary rate.  The search
+    keeps each trial's aggregate a0 at x0, the offset of ``start_rate``
+    (1e-6*SNR if that is not positive and finite), and brackets from there.
     """
-    def condition(rate):
-        return decode_condition(rate, snr, tau, k, threshold_mode)
 
-    if not (math.isfinite(start_rate) and start_rate > 0.0):
-        start_rate = 1e-6 * snr
-    x0, _ = condition(start_rate)
-    starts = np.cumsum([0] + [rows for _, rows in plan])
-    a0 = np.empty(starts[-1])
-    for (j, rows), s in zip(plan, starts):
-        a0[s : s + rows] = aggregate_batch(draw(j, rows), k, x0)
-    a_k0 = float(np.partition(a0, k0)[k0])
+    def __init__(self, snr: float, k0: int, k: int, tau: float | None, threshold_mode: str, start_rate: float):
+        self.snr, self.k0, self.k, self.tau, self.mode = snr, k0, k, tau, threshold_mode
+        self.start = start_rate if math.isfinite(start_rate) and start_rate > 0.0 else 1e-6 * snr
+        self.x0, _ = self.condition(self.start)
 
-    def certain(rate):  # a0 below this: in outage at ``rate``
-        x, thr = condition(rate)
-        return thr - k / 4.0 * max(x0 - x, 0.0)
+    def condition(self, rate):
+        return decode_condition(rate, self.snr, self.tau, self.k, self.mode)
 
-    def possible(rate):  # a0 at or above this: not in outage at ``rate``
-        x, thr = condition(rate)
-        return thr + k / 4.0 * max(x - x0, 0.0)
+    def bracket(self, a_k0: float) -> tuple[float, float, float, float]:
+        """(r_lo, r_hi, a_below, a_above) around ``a_k0``, the k0-th smallest a0.
 
-    # the outer ends: at most k0 trials are in outage at r_lo, more than k0 at r_hi
-    r_lo, _ = _solve_increasing(possible, a_k0, start_rate, _BOUND_MARGIN)
-    _, r_hi = _solve_increasing(certain, a_k0, start_rate, _BOUND_MARGIN)
-    a_below = certain(r_lo) * (1.0 - _BOUND_MARGIN)  # a0 > 0, so a negative bound marks none
-    a_above = possible(r_hi) * (1.0 + _BOUND_MARGIN)
-    below = int(np.count_nonzero(a0 < a_below))
-    keep = (a0 >= a_below) & (a0 < a_above)
+        As |d alpha/dx| = sum v*w/(v+w+x)^2 <= K/4, at most k0 trials are in
+        outage at r_lo and more than k0 at r_hi; a trial with a0 below
+        a_below is in outage on all of [r_lo, r_hi], one with a0 at or above
+        a_above on none of it.
+        """
+        def certain(rate):  # a0 below this: in outage at ``rate``
+            x, thr = self.condition(rate)
+            return thr - self.k / 4.0 * max(self.x0 - x, 0.0)
 
-    picks = [(j, rows, np.flatnonzero(keep[s : s + rows])) for (j, rows), s in zip(plan, starts)]
-    cand = np.concatenate([draw(j, rows, idx) for j, rows, idx in picks if idx.size])
+        def possible(rate):  # a0 at or above this: not in outage at ``rate``
+            x, thr = self.condition(rate)
+            return thr + self.k / 4.0 * max(x - self.x0, 0.0)
+
+        r_lo, _ = _solve_increasing(possible, a_k0, self.start, _BOUND_MARGIN)
+        _, r_hi = _solve_increasing(certain, a_k0, self.start, _BOUND_MARGIN)
+        # a0 > 0, so a negative a_below marks none
+        return r_lo, r_hi, certain(r_lo) * (1.0 - _BOUND_MARGIN), possible(r_hi) * (1.0 + _BOUND_MARGIN)
+
+
+@dataclass(frozen=True)
+class _Window:
+    """The trials that can hold the order statistic of a search whose bracket lies in [low, high).
+
+    ``gains`` holds their gains as drawn, in trial order.  Of the other trials,
+    ``below`` have a0 below ``low`` and the rest a0 at or above ``high``, at
+    every offset x0 in [x_lo, x_hi] and every variance row the window was
+    bounded for.
+    """
+
+    below: int
+    gains: np.ndarray
+    low: float
+    high: float
+    x_lo: float
+    x_hi: float
+
+
+def _window(draw, plan, bounds, low: float, high: float, x_lo: float, x_hi: float, k: int) -> _Window:
+    """Window of the trials whose bounds on a0 meet [low, high).
+
+    ``bounds`` yields a (lower, upper) pair per batch of ``plan``, and
+    ``draw(j, rows)`` returns the gains of batch j; only batches holding
+    window trials are drawn.
+    """
+    below, picks = 0, []
+    for (j, rows), (lower, upper) in zip(plan, bounds):
+        below += int(np.count_nonzero(upper < low))
+        picks.append((j, rows, np.flatnonzero((upper >= low) & (lower < high))))
+    # column-major, so that scaling by the variances runs down whole columns
+    gains = np.empty((sum(idx.size for _, _, idx in picks), 1 + 2 * k), order="F")
+    s = 0
+    for j, rows, idx in picks:
+        if idx.size:
+            gains[s : s + idx.size] = draw(j, rows)[idx]
+            s += idx.size
+    return _Window(below, gains, low, high, x_lo, x_hi)
+
+
+def _scaled(gains: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """``gains`` times the variance row ``scale``; None leaves them as drawn."""
+    return gains if scale is None else gains * scale
+
+
+def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None):
+    """(rate, outage count there, a_below, a_above) of ``search`` on the ``window`` gains times ``scale``.
+
+    Returns None when the window cannot hold the answer: x0 outside
+    [x_lo, x_hi], or the bracket not inside [low, high).  Otherwise a_k0,
+    the bracket and the candidates are those of the whole trial set.  Only
+    candidates are bisected, and the rate is settled on the scalar recount.
+    """
+    if not window.x_lo <= search.x0 <= window.x_hi:
+        return None
+    k, k0 = search.k, search.k0
+    gains = _scaled(window.gains, scale)
+    a0 = aggregate_batch(gains, k, search.x0)
+    i = k0 - window.below
+    if not 0 <= i < len(a0):
+        return None
+    r_lo, r_hi, a_below, a_above = search.bracket(float(np.partition(a0, i)[i]))
+    if not (window.low <= a_below and a_above <= window.high):
+        return None
+    below = window.below + int(np.count_nonzero(a0 < a_below))
+    cand = gains[(a0 >= a_below) & (a0 < a_above)]
+
     lo = np.full(len(cand), r_lo * (1.0 - _BOUND_MARGIN))
     hi = np.full(len(cand), r_hi * (1.0 + _BOUND_MARGIN))
     while True:
         mid = 0.5 * (lo + hi)
         if not np.any((lo < mid) & (mid < hi)):
             break
-        x, thr = condition(mid)
+        x, thr = search.condition(mid)
         out = aggregate_batch(cand, k, x) < thr
         hi = np.where(out, mid, hi)
         lo = np.where(out, lo, mid)
     rate = float(np.partition(lo, k0 - below)[k0 - below])
 
     def outages(r: float) -> int:
-        x, thr = condition(r)
+        x, thr = search.condition(r)
         return below + int(np.count_nonzero(aggregate_batch(cand, k, x) < thr))
 
     # vectorised and scalar powers may differ in the last bit: settle the
@@ -457,7 +528,32 @@ def _capacity_order_statistic(
     while count > k0:
         rate = math.nextafter(rate, 0.0)
         count = outages(rate)
-    return rate, count
+    return rate, count, a_below, a_above
+
+
+def _capacity_order_statistic(search: _RateSearch, draw, plan: list[tuple[int, int]], scale: np.ndarray | None):
+    """``_window_stage`` of ``search`` on the window of one exact pass over the trials.
+
+    ``draw(j, rows)`` returns the gains of batch j of ``plan``, to be scaled
+    by the variance row ``scale`` (None: ``draw`` scales them).  The pass
+    keeps every trial's a0 and brackets the k0-th smallest; its window is the
+    trials with a0 in [a_below, a_above), so the stage always succeeds.  Only
+    batches holding window trials are drawn again.
+
+    The answer is the k0-th smallest of the trials' bisected boundary rates.
+    The float threshold is not monotone in the rate at the ulp level
+    (z = (K+1)*rate/tau divides two rising floats), so a trial's bisected
+    boundary, and with it the answer, can move by an ulp with the bracket,
+    that is with the start rate.
+    """
+    starts = np.cumsum([0] + [rows for _, rows in plan])
+    a0 = np.empty(starts[-1])
+    for (j, rows), s in zip(plan, starts):
+        a0[s : s + rows] = aggregate_batch(_scaled(draw(j, rows), scale), search.k, search.x0)
+    _, _, a_below, a_above = search.bracket(float(np.partition(a0, search.k0)[search.k0]))
+    exact = ((a0[s : s + rows],) * 2 for (_, rows), s in zip(plan, starts))
+    window = _window(draw, plan, exact, a_below, a_above, search.x0, search.x0, search.k)
+    return _window_stage(search, window, scale)
 
 
 def empirical_eps_outage_capacity(
@@ -471,17 +567,19 @@ def empirical_eps_outage_capacity(
 
     The outage probability at a rate is the fraction of the seeded trials in
     outage there.  Each trial has one boundary rate, so the answer is an
-    order statistic of them, found exactly by ``_capacity_order_statistic``
-    from the closed form ``c_eps_baf_k``; ``iterations`` counts its two
-    passes over the draws.  ``params.tau`` fixes the duty cycle, None selects
-    the clamped policy; ``params.rate`` is ignored.
+    order statistic of them, found by ``_capacity_order_statistic`` from the
+    closed form ``c_eps_baf_k``; ``iterations`` counts its two passes over
+    the draws.  ``params.tau`` fixes the duty cycle, None selects the clamped
+    policy; ``params.rate`` is ignored.
     """
     _check_estimator_inputs(variances, params, n_trials)
     eps = params.epsilon
-    rate, count = _capacity_order_statistic(
-        lambda j, rows, idx=slice(None): gains_batch(variances, master_seed, j, rows)[idx],
-        batch_plan(n_trials), params.snr, _max_allowed_count(eps, n_trials), params.k_relays,
-        params.tau, threshold_mode, c_eps_baf_k(variances, params.snr, eps),
+    search = _RateSearch(
+        params.snr, _max_allowed_count(eps, n_trials), params.k_relays, params.tau, threshold_mode,
+        c_eps_baf_k(variances, params.snr, eps),
+    )
+    rate, count, _, _ = _capacity_order_statistic(
+        search, lambda j, rows: gains_batch(variances, master_seed, j, rows), batch_plan(n_trials), None
     )
     return RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=2)
 
@@ -489,6 +587,40 @@ def empirical_eps_outage_capacity(
 # --- empirical capacity across relay positions ------------------------------
 
 PLACEMENT_TRIAL_LIMIT = 20_000_000
+
+
+def _block_window(
+    search: _RateSearch, raw: list[np.ndarray], plan, scales: np.ndarray, recent_caps: np.ndarray, recent_bands: np.ndarray
+) -> _Window:
+    """Window for the positions with variance rows ``scales``, from one bounding pass over ``raw``.
+
+    The positions' start rates and (a_below, a_above) bands are extrapolated
+    from the last two positions solved, ``recent_caps`` and ``recent_bands``,
+    and widened by ``_PREDICTION_MARGIN``.  The aggregate rises in every gain
+    and falls in x, so a0 over the block lies between its value at the
+    smallest entry of each variance column and the largest x, and its value
+    at the largest entries and the smallest x.
+    """
+    steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
+    # a prediction that overflows (an infinite a_above far past the clamp) only
+    # leaves the window empty or fails its checks, so the exact pass takes over
+    with np.errstate(all="ignore"):
+        rates = recent_caps[1] * (recent_caps[1] / recent_caps[0]) ** steps
+        bands = recent_bands[1] + (steps + 1)[:, None] * (recent_bands[1] - recent_bands[0])
+    rate_lo = float(rates.min()) * (1.0 - _PREDICTION_MARGIN)
+    # below the duty cycle's domain, x0 > 0 is the only bound (every start rate is inside it)
+    x_lo = search.condition(rate_lo)[0] if rate_lo * search.snr >= sys.float_info.min else 0.0
+    x_hi, _ = search.condition(float(rates.max()) * (1.0 + _PREDICTION_MARGIN))
+    low, high = float(bands.min()), float(bands.max())
+    low, high = low - _PREDICTION_MARGIN * abs(low), high + _PREDICTION_MARGIN * abs(high)
+    row_lo, row_hi = scales.min(axis=0), scales.max(axis=0)
+    k = search.k
+    bounds = (
+        (aggregate_batch(g * row_lo, k, x_hi) * (1.0 - _BOUND_MARGIN),
+         aggregate_batch(g * row_hi, k, x_lo) * (1.0 + _BOUND_MARGIN))
+        for g in raw
+    )
+    return _window(lambda j, rows: raw[j], plan, bounds, low, high, x_lo, x_hi, k)
 
 
 def empirical_capacity_vs_position(
@@ -505,10 +637,18 @@ def empirical_capacity_vs_position(
     Uses the same trials (common random numbers) at every grid position: the
     raw exponentials are drawn once and rescaled by the position-dependent
     variances, so the capacity curve is smooth in the position and its argmax
-    is comparable across positions.  At each position the capacity is the
-    order statistic of ``_capacity_order_statistic`` under the clamped
-    duty-cycle policy, started from the previous position's capacity; it
-    equals ``empirical_eps_outage_capacity`` on the same variances and trials.
+    is comparable across positions.  Each position's capacity is the order
+    statistic of ``_capacity_order_statistic`` under the clamped duty-cycle
+    policy, started from the previous position's capacity, and equals
+    ``empirical_eps_outage_capacity`` on the same variances and trials.
+
+    Positions come in blocks of ``_BLOCK_POSITIONS``.  One bounding pass per
+    block (``_block_window``) keeps the few trials whose aggregate can lie in
+    the block's predicted band, and each position runs ``_window_stage`` on
+    them alone.  A position whose start offset or bracket falls outside what
+    the window was bounded for, and the first two, take an exact pass over
+    all trials instead, and the next block starts after it.  Either way the
+    result is bit for bit that of the exact pass.
 
     Returns (positions, capacities).
     """
@@ -522,6 +662,7 @@ def empirical_capacity_vs_position(
     grid = position_grid(grid_points)
     # mapped before the draws, so that a position outside VARIANCE_RANGE is rejected first
     per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
+    scales = np.array([variance_row(v) for v in per_position])
 
     unit = LinkVariances(1.0, (1.0,), (1.0,))
     plan = batch_plan(n_trials)
@@ -529,11 +670,18 @@ def empirical_capacity_vs_position(
     raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
 
     caps = np.empty_like(grid)
-    for i, variances in enumerate(per_position):
-        scale = variance_row(variances)
-        start = caps[i - 1] if i else c_eps_baf_k(variances, snr, epsilon)
-        caps[i], _ = _capacity_order_statistic(
-            lambda j, rows, idx=slice(None): raw[j][idx] * scale,
-            plan, snr, k0, 1, None, threshold_mode, start,
-        )
+    bands = np.empty((len(grid), 2))  # each position's (a_below, a_above)
+    window, block_end = None, 0
+    for i, scale in enumerate(scales):
+        start = caps[i - 1] if i else c_eps_baf_k(per_position[0], snr, epsilon)
+        search = _RateSearch(snr, k0, 1, None, threshold_mode, start)
+        if window is None and i >= 2:
+            block_end = min(i + _BLOCK_POSITIONS, len(grid))
+            window = _block_window(search, raw, plan, scales[i:block_end], caps[i - 2 : i], bands[i - 2 : i])
+        found = None if window is None else _window_stage(search, window, scale)
+        if found is None or i + 1 == block_end:
+            window = None
+        if found is None:
+            found = _capacity_order_statistic(search, lambda j, rows: raw[j], plan, scale)
+        caps[i], _, bands[i, 0], bands[i, 1] = found
     return grid, caps

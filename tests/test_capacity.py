@@ -1,12 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bafsim.capacity import (
     LOG2E,
+    _root_argument,
     c_eps_baf_ir_k,
     c_eps_baf_k,
     c_eps_baf_no_feedback,
@@ -165,6 +167,49 @@ class TestOutageCapacityClosedForms:
         lo = c_eps_baf_no_feedback(LinkVariances(min(sd), (1.0,), (1.0,)), min(snr), min(eps))
         hi = c_eps_baf_no_feedback(LinkVariances(max(sd), (1.0,), (1.0,)), max(snr), max(eps))
         assert lo <= hi
+
+
+def _log_space_root(variances, epsilon):
+    """``_root_argument`` summed in base-2 logarithms, exact-sum, then exponentiated."""
+    k = variances.k_relays
+    terms = [math.lgamma(k + 2) / math.log(2.0), math.log2(variances.sigma_sd2), math.log2(epsilon)]
+    for s, r in zip(variances.sigma_sr2, variances.sigma_rd2):
+        terms += [math.log2(s), math.log2(r), -math.log2(s + r)]
+    return 2.0 ** (math.fsum(terms) / (k + 1))
+
+
+class TestRootArgument:
+    @pytest.mark.parametrize("k", [1, 2, 8, 32])
+    @pytest.mark.parametrize("epsilon", [1e-9, 1e-3, 0.5])
+    @pytest.mark.parametrize("corner", [(a, b, c) for a in (1e-150, 1e150) for b in (1e-150, 1e150) for c in (1e-150, 1e150)])
+    def test_finite_at_the_variance_range_corners(self, corner, epsilon, k):
+        sd, sr, rd = corner
+        v = LinkVariances(sd, (sr,) * k, (rd,) * k)
+        root = _root_argument(v, epsilon)
+        assert root == pytest.approx(_log_space_root(v, epsilon), rel=1e-12, abs=0)
+        for c in (c_eps_baf_k(v, 1.0, epsilon), c_eps_cutset(v, 1.0, epsilon)):
+            assert math.isfinite(c) and c >= 0.0
+
+    def test_overflowing_point_prints_its_closed_form(self):
+        # sigma^2 = 1e150 on every link at 0 dB: the plain product reaches 2e447, the root argument is sqrt(1e297)
+        v = LinkVariances(1e150, (1e150,), (1e150,))
+        assert c_eps_baf_k(v, 1.0, 1e-3) == pytest.approx(0.5 * math.log2(1.0 + math.sqrt(1e297)), rel=1e-12)
+
+    @given(
+        k=st.integers(1, 32),
+        epsilon=st.floats(1e-12, 0.99),
+        sigmas=st.lists(st.floats(1e-6, 1e6), min_size=65, max_size=65),
+    )
+    @settings(max_examples=200)
+    def test_plain_product_is_kept_bit_for_bit(self, k, epsilon, sigmas):
+        v = LinkVariances(sigmas[0], tuple(sigmas[1 : 1 + k]), tuple(sigmas[33 : 33 + k]))
+        num = math.factorial(k + 1) * v.sigma_sd2 * epsilon
+        den = 1.0
+        for s, r in zip(v.sigma_sr2, v.sigma_rd2):
+            num *= r * s
+            den *= r + s
+        assume(all(sys.float_info.min <= t <= sys.float_info.max for t in (num, den, num / den)))
+        assert _root_argument(v, epsilon) == (num / den) ** (1.0 / (k + 1))
 
 
 class TestExpectedN:

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bafsim.channel import (
@@ -14,6 +15,7 @@ from bafsim.channel import (
     NetworkGeometry,
     SystemParams,
     batch_plan,
+    duty_cycle,
     gains_batch,
     resolve_tau,
     variances_from_geometry,
@@ -108,6 +110,33 @@ class TestSystemParams:
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
             SystemParams(**kwargs)
+
+
+class TestDutyCycle:
+    @given(rate_exp=st.floats(-330.0, 300.0), snr_db=st.floats(-3000.0, 3000.0), numpy_rate=st.booleans())
+    @example(rate_exp=1.0, snr_db=10.0, numpy_rate=False)  # rate*snr = 100: clamped to 1
+    @example(rate_exp=300.0, snr_db=3000.0, numpy_rate=False)  # rate*snr overflows: clamped to 1
+    @example(rate_exp=-400.0, snr_db=0.0, numpy_rate=False)  # rate 0
+    @example(rate_exp=-200.0, snr_db=-1100.0, numpy_rate=True)  # rate*snr below the normal range
+    @settings(max_examples=200, deadline=None)
+    def test_scalar_and_array_policies_agree_bit_for_bit(self, rate_exp, snr_db, numpy_rate):
+        rate, snr = 10.0**rate_exp, 10.0 ** (snr_db / 10.0)
+        rate = np.float64(rate) if numpy_rate else rate
+        if rate == 0.0:
+            # the value is immaterial at rate 0; an array of rates has no such case
+            assert duty_cycle(rate, snr) == 1.0
+            return
+        if float(rate) * snr < sys.float_info.min:
+            for r in (rate, np.array([rate, 1.0])):
+                with pytest.raises(InvalidParameterError, match="below the normal float range"):
+                    duty_cycle(r, snr)
+            return
+        scalar = duty_cycle(rate, snr)
+        array = duty_cycle(np.array([rate]), snr)
+        with np.errstate(over="ignore"):
+            reference = np.minimum(np.sqrt(np.multiply(rate, snr)), 1.0)
+        assert type(scalar) is float
+        assert scalar.hex() == float(array[0]).hex() == float(reference).hex()
 
 
 class TestDraws:

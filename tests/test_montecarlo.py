@@ -5,8 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bafsim.capacity import decode_condition, lemma1_constant, position_grid, threshold_for
-from bafsim.channel import LinkVariances, SystemParams, batch_plan, gains_batch
+from bafsim import montecarlo
+from bafsim.capacity import c_eps_baf_k, decode_condition, lemma1_constant, position_grid, threshold_for
+from bafsim.channel import (
+    LinkVariances,
+    NetworkGeometry,
+    SystemParams,
+    batch_plan,
+    gains_batch,
+    variance_row,
+    variances_from_geometry,
+)
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
     empirical_capacity_vs_position,
@@ -19,7 +28,7 @@ from bafsim.montecarlo import (
     quadrature_outage_oracle,
     worker_count,
 )
-from bafsim.protocol import block_stats_batch
+from bafsim.protocol import aggregate_batch, block_stats_batch
 
 UNIT = LinkVariances(1.0, (1.0,), (1.0,))
 
@@ -384,3 +393,112 @@ class TestPlacementCurve:
     def test_trial_limit_guard(self):
         with pytest.raises(InvalidParameterError):
             empirical_capacity_vs_position(3.0, 0.01, 0.05, 30_000_000, 1)
+
+
+def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mode):
+    """The placement curve with an exact pass over every trial at every position.
+
+    Each position runs ``_capacity_order_statistic`` on the unit draws scaled
+    by its variances, started from the previous position's capacity.
+    """
+    k0 = montecarlo._max_allowed_count(epsilon, n_trials)
+    plan = batch_plan(n_trials)
+    raw = [gains_batch(UNIT, seed, j, rows) for j, rows in plan]
+    grid = position_grid(grid_points)
+    caps = np.empty_like(grid)
+    for i, d in enumerate(grid):
+        v = variances_from_geometry(NetworkGeometry((d,), pathloss))
+        start = caps[i - 1] if i else c_eps_baf_k(v, snr, epsilon)
+        search = montecarlo._RateSearch(snr, k0, 1, None, mode, start)
+        caps[i] = montecarlo._capacity_order_statistic(search, lambda j, rows: raw[j], plan, variance_row(v))[0]
+    return caps
+
+
+def _counted_placement(*args, **kwargs):
+    """``empirical_capacity_vs_position`` and how often its window stage ran: block windows it
+    solved, block windows that failed their checks, and exact passes."""
+    counts = {"window": 0, "failed": 0, "exact": 0}
+    stage, exact = montecarlo._window_stage, montecarlo._capacity_order_statistic
+
+    def counted_exact(*a):
+        counts["exact"] += 1
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(montecarlo, "_window_stage", stage)  # not a block window
+            return exact(*a)
+
+    def counted_stage(*a):
+        found = stage(*a)
+        counts["window" if found is not None else "failed"] += 1
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_window_stage", counted_stage)
+        mp.setattr(montecarlo, "_capacity_order_statistic", counted_exact)
+        _, caps = empirical_capacity_vs_position(*args, **kwargs)
+    return caps, counts
+
+
+# (pathloss, snr, epsilon, n_trials, seed, grid_points, mode): a steep curve
+# whose band leaves some block windows, over two batches (the last one short),
+# and a flatter one past the clamp
+FALLBACK_CASE = (8.0, 0.01, 0.1, 70_000, 1, 101, "exact")
+CLAMPED_CASE = (5.0, 1e6, 0.05, 20_000, 2, 201, "linearized")
+
+
+class TestPlacementBlocks:
+    @given(
+        pathloss=st.sampled_from([0.0, 2.0, 3.0, 5.0, 8.0]),
+        snr_db=st.floats(-20.0, 60.0),
+        mode=st.sampled_from(["exact", "linearized"]),
+        epsilon=st.floats(0.05, 0.3),
+        grid_points=st.sampled_from([101, 201]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(pathloss=8.0, snr_db=-20.0, mode="exact", epsilon=0.1, grid_points=101, seed=1)
+    @example(pathloss=5.0, snr_db=60.0, mode="linearized", epsilon=0.05, grid_points=201, seed=2)
+    @settings(max_examples=6, deadline=None)
+    def test_curve_matches_per_position_oracle(self, pathloss, snr_db, mode, epsilon, grid_points, seed):
+        args = (pathloss, 10.0 ** (snr_db / 10.0), epsilon, 20_000, seed, grid_points, mode)
+        _, caps = empirical_capacity_vs_position(*args[:5], grid_points=grid_points, threshold_mode=mode)
+        assert np.array_equal(caps, _per_position_oracle(*args))
+
+    @pytest.mark.parametrize("case", [FALLBACK_CASE, CLAMPED_CASE])
+    def test_both_paths_run_and_agree_with_oracle(self, case):
+        caps, counts = _counted_placement(*case[:5], grid_points=case[5], threshold_mode=case[6])
+        assert np.array_equal(caps, _per_position_oracle(*case))
+        # every position is solved once, on a block window or by an exact pass
+        assert counts["window"] + counts["exact"] == case[5]
+        # the first two positions have no block window; every other exact pass follows a failed check
+        assert counts["failed"] == counts["exact"] - 2 > 0
+        assert counts["window"] > counts["exact"]
+
+    def test_block_window_holds_every_trial_its_band_can_hold(self):
+        # the window's contract: at every variance row of the block and offset in
+        # [x_lo, x_hi], each trial with a0 in [low, high) is in it, and ``below``
+        # counts the trials outside it with a0 < low
+        snr, n, seed = 0.01, 100_000, 4
+        k0 = montecarlo._max_allowed_count(0.2, n)
+        plan = batch_plan(n)
+        raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in plan]
+        scales = np.array([
+            variance_row(variances_from_geometry(NetworkGeometry((d,), 3.0))) for d in position_grid(101)[30:40]
+        ])
+        solved, start = [], 1e-3
+        for scale in scales[:3]:  # the first bracket is wide, as it starts far from the capacity
+            search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
+            solved.append(montecarlo._capacity_order_statistic(search, lambda j, rows: raw[j], plan, scale))
+            start = solved[-1][0]
+        search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
+        caps, bands = np.array([f[0] for f in solved[1:]]), np.array([f[2:] for f in solved[1:]])
+        window = montecarlo._block_window(search, raw, plan, scales[3:], caps, bands)
+        assert 0 < len(window.gains) < n // 5
+        assert window.x_lo < window.x_hi and window.low < window.high
+        kept = {tuple(row) for row in window.gains}
+        everything = np.concatenate(raw)
+        for scale in scales[3:]:
+            for x in (window.x_lo, window.x_hi):
+                a0 = aggregate_batch(everything * scale, 1, x)
+                in_band = everything[(a0 >= window.low) & (a0 < window.high)]
+                assert {tuple(row) for row in in_band} <= kept
+                kept_below = np.count_nonzero(aggregate_batch(window.gains * scale, 1, x) < window.low)
+                assert window.below + kept_below == np.count_nonzero(a0 < window.low)
