@@ -29,6 +29,7 @@ from .montecarlo import (
     RateSearchResult,
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
+    empirical_eps_outage_capacity_sweep,
     estimate_expected_n,
     estimate_outage,
     estimate_outage_sweep,

@@ -390,13 +390,15 @@ def cmd_outage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
 
 
 def cmd_capacity(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
+    # build, and so check, every point before the draws, as cmd_outage does
+    params = [
+        SystemParams(snr=_db_to_linear(db), rate=0.0, epsilon=cfg.epsilon, k_relays=cfg.k) for db in cfg.snr_db
+    ]
+    results = mc.empirical_eps_outage_capacity_sweep(
+        cfg.variances, params, cfg.trials, cfg.seed, threshold_mode=cfg.mode
+    )
     rows = []
-    for db in cfg.snr_db:
-        snr = _db_to_linear(db)
-        params = SystemParams(snr=snr, rate=0.0, epsilon=cfg.epsilon, k_relays=cfg.k)
-        res = mc.empirical_eps_outage_capacity(
-            cfg.variances, params, cfg.trials, cfg.seed, threshold_mode=cfg.mode
-        )
+    for db, res in zip(cfg.snr_db, results):
         p = res.achieved_outage
         se = math.sqrt(p * (1.0 - p) / cfg.trials)
         rows.append(ResultRow(db, None, cfg.epsilon, cfg.k, "eps_outage_capacity", res.rate, None, cfg.trials, cfg.seed))

@@ -18,17 +18,21 @@ since the draws depend only on (master_seed, batch index, link variances).
 ``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps, and
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
-The empirical outage capacity, at one operating point or across relay
+The empirical outage capacity, at operating points or across relay
 positions, comes from one order-statistic kernel over the protocol's
 aggregate ``aggregate_batch``: each trial has a single boundary rate, and the
 capacity is the boundary rate of order k0, the largest outage count below
 epsilon.  The kernel, ``_window_stage``, runs on a window of trials: those
 whose aggregate can fall in the band that brackets the answer, plus a count
-of the trials surely below it.  A single operating point takes its window
-from one exact pass over the draws.  The placement sweep bounds each block of
-relay positions in one pass over its cached draws and solves every position
-of the block on that window; a position the window cannot hold falls back to
-the exact pass, so the curve is bit for bit the exact pass's.  One float
+of the trials surely below it.  Operating points take their windows from the
+exact pass ``_exact_passes``: a capacity sweep draws each batch once for all
+its points, each keeping its k0+1 smallest aggregates and the rows below a
+running bound, and draws it a second time only for the points whose rows do
+not fit the memory of one array of n_trials aggregates, or whose kept rows
+miss the final bracket.  The placement sweep bounds each block of relay
+positions in one pass over its cached draws and solves every position of the
+block on that window; a position the window cannot hold falls back to the
+exact pass, so the curve is bit for bit the exact pass's.  One float
 bisection, ``_solve_increasing``, finds every root the module needs: the
 kernel's rate bracket and lemma1's policy offset.
 """
@@ -46,6 +50,7 @@ import numpy as np
 
 from .capacity import c_eps_baf_k, decode_condition, position_grid
 from .channel import (
+    TRIALS_PER_BATCH,
     LinkVariances,
     NetworkGeometry,
     SystemParams,
@@ -354,6 +359,11 @@ def quadrature_outage_oracle(variances: LinkVariances, threshold: float, x: floa
 # Relative widening of every bound the capacity kernel derives from
 # floating-point values; far above their rounding error.
 _BOUND_MARGIN = 1e-9
+# The exact pass widens its running bound on a window by this relative
+# margin: a bracket is found to a relative width only, so the bound from a
+# smaller k0-th a0 may lie a little above the one from a larger.  A bound
+# too tight only costs a second pass.
+_RUNNING_MARGIN = 1e-6
 # The placement sweep bounds this many relay positions in one pass over the
 # draws, and widens the start rates and aggregate band it predicts for them
 # by this relative margin.
@@ -479,6 +489,20 @@ def _window(draw, plan, bounds, low: float, high: float, x_lo: float, x_hi: floa
     return _Window(below, gains, low, high, x_lo, x_hi)
 
 
+def _stacked(chunks: list[np.ndarray], width: int) -> np.ndarray:
+    """The rows of ``chunks`` in order, in one column-major array as ``_window`` gathers them.
+
+    Each chunk leaves the list once copied, so that its memory can go.
+    """
+    gains = np.empty((sum(len(c) for c in chunks), width), order="F")
+    s = 0
+    while chunks:
+        chunk = chunks.pop(0)
+        gains[s : s + len(chunk)] = chunk
+        s += len(chunk)
+    return gains
+
+
 def _scaled(gains: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
     """``gains`` times the variance row ``scale``; None leaves them as drawn."""
     return gains if scale is None else gains * scale
@@ -531,14 +555,108 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
     return rate, count, a_below, a_above
 
 
-def _capacity_order_statistic(search: _RateSearch, draw, plan: list[tuple[int, int]], scale: np.ndarray | None):
-    """``_window_stage`` of ``search`` on the window of one exact pass over the trials.
+class _PassPoint:
+    """One search's share of a pass over the trials, as the window it gathers.
+
+    A first pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf``
+    and, unless ``rows`` is None, every drawn row whose a0 lies below the
+    running bound ``high`` when its batch comes (``size`` floats in all).
+    The k0-th smallest a0 seen so far only falls, so the rows kept are a
+    superset of the trials the final bracket needs.  A second pass gathers
+    the rows with a0 in the bracket's band [low, high) from the final k0-th
+    smallest a0, and counts the trials below it.
+    """
+
+    def __init__(self, search: _RateSearch, scale: np.ndarray | None, band: tuple[float, float] | None = None):
+        self.search, self.scale = search, scale
+        self.below, self.rows, self.size = 0, [], 0
+        if band is None:
+            self.low, self.high, self.bounded = -math.inf, math.inf, math.inf
+            # room for up to as many values again (at most a batch), partitioned only when full
+            spare = min(search.k0 + 1, TRIALS_PER_BATCH)
+            self.buf, self.filled, self.settled = np.empty(search.k0 + 1 + spare), 0, math.inf
+        else:
+            (self.low, self.high), self.buf = band, None
+
+    def _settle(self) -> float:
+        """The k0-th smallest a0 seen, or inf before k0+1 have been."""
+        k0 = self.search.k0
+        if self.filled > k0 and (self.filled > k0 + 1 or self.settled == math.inf):
+            self.buf[: self.filled].partition(k0)
+            self.filled, self.settled = k0 + 1, float(self.buf[k0])
+        return self.settled
+
+    def add(self, gains: np.ndarray) -> None:
+        """Take one batch of drawn gains."""
+        s = self.search
+        a0 = aggregate_batch(_scaled(gains, self.scale), s.k, s.x0)
+        if self.buf is not None:
+            new = a0 if self.settled == math.inf else a0[a0 < self.settled]
+            if new.size > s.k0 + 1:  # only the k0+1 smallest of a batch can count
+                new = np.partition(new, s.k0)[: s.k0 + 1]
+            if self.filled + new.size > self.buf.size:
+                new = new[new < self._settle()]
+            self.buf[self.filled : self.filled + new.size] = new
+            self.filled += new.size
+            if self.rows is None:
+                return
+            u = self._settle()
+            if u < self.bounded:
+                self.high, self.bounded = min(self.high, s.bracket(u)[3] * (1.0 + _RUNNING_MARGIN)), u
+            keep = a0 < self.high
+        else:
+            self.below += int(np.count_nonzero(a0 < self.low))
+            keep = (a0 >= self.low) & (a0 < self.high)
+        self.rows.append(gains[np.flatnonzero(keep)])  # faster than a boolean index on rows
+        self.size += self.rows[-1].size
+
+    def drop(self) -> None:
+        """Stop keeping rows."""
+        self.rows, self.size = None, 0
+
+    def close(self) -> tuple:
+        """The window stage's result, or the second pass to take instead; releases the point's arrays.
+
+        Returns (``_window_stage`` on the window gathered, None), or, after a
+        first pass whose window cannot hold the answer, (None, a second pass
+        over the bracket's band from the final k0-th smallest a0).
+        """
+        s, rows, self.rows = self.search, self.rows, None
+        found = None
+        if rows is not None:
+            window = _Window(self.below, _stacked(rows, 1 + 2 * s.k), self.low, self.high, s.x0, s.x0)
+            found = _window_stage(s, window, self.scale)
+        if found is not None or self.buf is None:
+            return found, None
+        _, _, a_below, a_above = s.bracket(self._settle())
+        self.buf = None
+        return None, _PassPoint(s, self.scale, (a_below, a_above))
+
+
+def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple, int]]:
+    """(``_window_stage`` result, passes over the trials taken) of every (search, scale) of ``points``.
 
     ``draw(j, rows)`` returns the gains of batch j of ``plan``, to be scaled
-    by the variance row ``scale`` (None: ``draw`` scales them).  The pass
-    keeps every trial's a0 and brackets the k0-th smallest; its window is the
-    trials with a0 in [a_below, a_above), so the stage always succeeds.  Only
-    batches holding window trials are drawn again.
+    by a point's variance row ``scale`` (None: ``draw`` scales them).  Each
+    pass draws every batch once and serves all its points.  A point's first
+    pass keeps its k0+1 smallest a0 and the rows below a running bound on
+    the window; where the final bracket lies inside that bound, the window
+    stage runs on those rows and the point is done in one pass.  Otherwise,
+    or where the point kept no rows, it takes a second pass over the exact
+    band [a_below, a_above) of its final k0-th a0, so the stage always
+    succeeds there.
+
+    The state of first passes, k0+1 buffered values and the kept rows per
+    point, stays within the n_trials floats one point's array of a0 would
+    take; a buffer's spare room, at most as large again, is not counted, as
+    the parent array's partitioned copy was not.  Points start their first
+    pass in order while they fit beside the points ahead of them, each with
+    its k0+1 values and, where it keeps rows, room for its k0+1 smallest
+    rows; a point whose k0+1 rows would not fit even alone keeps none, and
+    one whose rows outgrow the room left beside the buffers drops them.  A
+    later pass serves the second passes of the previous one.  Either way the window holds the trials with a0 in the
+    final [a_below, a_above) in trial order, so the answer does not depend
+    on the path.
 
     The answer is the k0-th smallest of the trials' bisected boundary rates.
     The float threshold is not monotone in the rate at the ulp level
@@ -546,14 +664,81 @@ def _capacity_order_statistic(search: _RateSearch, draw, plan: list[tuple[int, i
     boundary, and with it the answer, can move by an ulp with the bracket,
     that is with the start rate.
     """
-    starts = np.cumsum([0] + [rows for _, rows in plan])
-    a0 = np.empty(starts[-1])
-    for (j, rows), s in zip(plan, starts):
-        a0[s : s + rows] = aggregate_batch(_scaled(draw(j, rows), scale), search.k, search.x0)
-    _, _, a_below, a_above = search.bracket(float(np.partition(a0, search.k0)[search.k0]))
-    exact = ((a0[s : s + rows],) * 2 for (_, rows), s in zip(plan, starts))
-    window = _window(draw, plan, exact, a_below, a_above, search.x0, search.x0, search.k)
-    return _window_stage(search, window, scale)
+    n = sum(rows for _, rows in plan)
+    found: list = [None] * len(points)
+    start, second = 0, []
+    while start < len(points) or second:
+        first, used, room = [], 0, n
+        while start < len(points):
+            search = points[start][0]
+            buf, least = search.k0 + 1, (search.k0 + 1) * (1 + 2 * search.k)
+            keep = buf + least <= n
+            if first and used + buf + keep * least > n:
+                break
+            first.append((start, _PassPoint(*points[start])))
+            if not keep:
+                first[-1][1].drop()
+            used, room, start = used + buf + keep * least, room - buf, start + 1
+        for j, rows in plan:
+            gains = draw(j, rows)
+            for _, point in second:
+                point.add(gains)
+            for _, point in first:
+                point.add(gains)
+                if sum(p.size for _, p in first) > room:
+                    point.drop()
+        # first passes close first, to release their buffers before the second passes' stages
+        done, second = second, []
+        for i, point in first:
+            stage, again = point.close()
+            if again is None:
+                found[i] = (stage, 1)
+            else:
+                second.append((i, again))
+        for i, point in done:
+            found[i] = (point.close()[0], 2)
+    return found
+
+
+def _capacity_order_statistic(search: _RateSearch, draw, plan: list[tuple[int, int]], scale: np.ndarray | None):
+    """``_window_stage`` of ``search`` on the window of an exact pass over the trials (see ``_exact_passes``)."""
+    return _exact_passes([(search, scale)], draw, plan)[0][0]
+
+
+def empirical_eps_outage_capacity_sweep(
+    variances: LinkVariances,
+    params_seq,
+    n_trials: int,
+    master_seed: int,
+    threshold_mode: str = "exact",
+) -> list[RateSearchResult]:
+    """``empirical_eps_outage_capacity`` at every operating point of ``params_seq``, in order.
+
+    Every point is checked before any draw.  A pass over the draws serves
+    every point (see ``_exact_passes``): each batch is drawn once, and once
+    more only for the points whose state does not fit the memory of one
+    point's array of a0, or whose window misses the bracket.  Each result
+    equals the one-point call's.
+    """
+    params_seq = list(params_seq)
+    if not params_seq:
+        raise InvalidParameterError("a sweep needs at least one operating point")
+    searches = []
+    for params in params_seq:
+        _check_estimator_inputs(variances, params, n_trials)
+        searches.append(_RateSearch(
+            params.snr, _max_allowed_count(params.epsilon, n_trials), params.k_relays, params.tau,
+            threshold_mode, c_eps_baf_k(variances, params.snr, params.epsilon),
+        ))
+    found = _exact_passes(
+        [(search, None) for search in searches],
+        lambda j, rows: gains_batch(variances, master_seed, j, rows),
+        batch_plan(n_trials),
+    )
+    return [
+        RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
+        for (rate, count, _, _), passes in found
+    ]
 
 
 def empirical_eps_outage_capacity(
@@ -567,21 +752,12 @@ def empirical_eps_outage_capacity(
 
     The outage probability at a rate is the fraction of the seeded trials in
     outage there.  Each trial has one boundary rate, so the answer is an
-    order statistic of them, found by ``_capacity_order_statistic`` from the
-    closed form ``c_eps_baf_k``; ``iterations`` counts its two passes over
-    the draws.  ``params.tau`` fixes the duty cycle, None selects the clamped
-    policy; ``params.rate`` is ignored.
+    order statistic of them, found by ``_exact_passes`` from the closed form
+    ``c_eps_baf_k``; ``iterations`` counts its passes over the draws, 1, or
+    2 where the point needs the second pass.  ``params.tau`` fixes the duty
+    cycle, None selects the clamped policy; ``params.rate`` is ignored.
     """
-    _check_estimator_inputs(variances, params, n_trials)
-    eps = params.epsilon
-    search = _RateSearch(
-        params.snr, _max_allowed_count(eps, n_trials), params.k_relays, params.tau, threshold_mode,
-        c_eps_baf_k(variances, params.snr, eps),
-    )
-    rate, count, _, _ = _capacity_order_statistic(
-        search, lambda j, rows: gains_batch(variances, master_seed, j, rows), batch_plan(n_trials), None
-    )
-    return RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=2)
+    return empirical_eps_outage_capacity_sweep(variances, [params], n_trials, master_seed, threshold_mode)[0]
 
 
 # --- empirical capacity across relay positions ------------------------------

@@ -145,6 +145,19 @@ class TestCapacity:
         assert float(metrics["eps_outage_capacity"]["value"]) > 0.0
         assert metrics["eps_outage_capacity"]["rate"] == ""
 
+    def test_every_point_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        # -20 dB alone would run; 3100 dB is beyond the float range
+        draws = []
+        monkeypatch.setattr("bafsim.montecarlo.gains_batch", lambda *args: draws.append(args))
+        code = main([
+            "capacity", "--snr-db=-20:3100:3120", "--trials", "4000000", "--pathloss", "0",
+            "--out", str(tmp_path / "x.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bafsim: error: snr_db") and err.count("\n") == 1
+        assert draws == []
+
 
 class TestLemma:
     def test_rows_carry_threshold_in_rate_column(self, tmp_path):

@@ -20,6 +20,7 @@ from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
+    empirical_eps_outage_capacity_sweep,
     estimate_expected_n,
     estimate_outage,
     estimate_outage_sweep,
@@ -294,8 +295,11 @@ class TestEmpiricalCapacity:
         res = empirical_eps_outage_capacity(UNIT, params, 50_000, 11)
         assert res.rate > 0.0
         assert res.achieved_outage < 0.02
-        # the aggregate pass and the candidate pass
-        assert res.iterations == 2
+        # one pass: the rows kept below the running bound hold the bracket
+        assert res.iterations == 1
+        # too many rows below the bound to keep: a buffer-only pass, then the band's pass
+        wide = SystemParams(snr=0.05, rate=0.0, epsilon=0.5)
+        assert empirical_eps_outage_capacity(UNIT, wide, 50_000, 11).iterations == 2
 
     @given(
         k=st.sampled_from([1, 2, 3]),
@@ -364,6 +368,121 @@ class TestEmpiricalCapacity:
         res = empirical_eps_outage_capacity(v, params, 50_000, 23)
         assert res.rate > 0.0
         assert res.achieved_outage < 0.02
+
+
+def _two_pass_oracle(variances, params, n_trials, seed, mode):
+    """(rate, achieved outage) of an exact pass that keeps every trial's a0 in one array.
+
+    The first pass stores the n_trials aggregates at the start offset and
+    brackets their k0-th smallest; the second gathers the trials in the
+    bracket's band from the stored array and runs ``_window_stage`` on them.
+    """
+    k0 = montecarlo._max_allowed_count(params.epsilon, n_trials)
+    start = c_eps_baf_k(variances, params.snr, params.epsilon)
+    search = montecarlo._RateSearch(params.snr, k0, params.k_relays, params.tau, mode, start)
+    plan = batch_plan(n_trials)
+
+    def draw(j, rows):
+        return gains_batch(variances, seed, j, rows)
+
+    starts = np.cumsum([0] + [rows for _, rows in plan])
+    a0 = np.empty(starts[-1])
+    for (j, rows), s in zip(plan, starts):
+        a0[s : s + rows] = aggregate_batch(draw(j, rows), search.k, search.x0)
+    _, _, a_below, a_above = search.bracket(float(np.partition(a0, k0)[k0]))
+    exact = ((a0[s : s + rows],) * 2 for (_, rows), s in zip(plan, starts))
+    window = montecarlo._window(draw, plan, exact, a_below, a_above, search.x0, search.x0, search.k)
+    rate, count, _, _ = montecarlo._window_stage(search, window, None)
+    return rate, count / n_trials
+
+
+def _sweep_case(k, tau, snr_dbs, epsilon, sigmas):
+    v = LinkVariances(sigmas[0], tuple(sigmas[1 : 1 + k]), tuple(sigmas[4 : 4 + k]))
+    params = [
+        SystemParams(snr=10.0 ** (db / 10.0), rate=0.0, epsilon=epsilon, k_relays=k, tau=tau) for db in snr_dbs
+    ]
+    return v, params
+
+
+class TestCapacitySweep:
+    N = 140_000  # three batches, the last one short
+
+    @given(
+        k=st.sampled_from([1, 2, 3]),
+        mode=st.sampled_from(["exact", "linearized"]),
+        tau=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        snr_dbs=st.lists(st.floats(-20.0, 30.0), min_size=1, max_size=4),
+        epsilon=st.floats(0.01, 0.5),
+        sigmas=st.lists(st.floats(0.25, 4.0), min_size=7, max_size=7),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    # rows kept in the first pass; rows dropped mid-pass beside rows kept; buffers
+    # alone, in two rounds of first passes
+    @example(k=3, mode="exact", tau=None, snr_dbs=[-20.0, 30.0], epsilon=0.01, sigmas=[1.0] * 7, seed=1)
+    @example(k=2, mode="exact", tau=None, snr_dbs=[-20.0, 0.0], epsilon=0.08, sigmas=[1.0] * 7, seed=5)
+    @example(k=1, mode="linearized", tau=0.3, snr_dbs=[-20.0, -10.0, 0.0, 10.0], epsilon=0.5, sigmas=[2.0] * 7, seed=3)
+    @settings(max_examples=20, deadline=None)
+    def test_matches_two_pass_oracle(self, k, mode, tau, snr_dbs, epsilon, sigmas, seed):
+        v, params = _sweep_case(k, tau, snr_dbs, epsilon, sigmas)
+        results = empirical_eps_outage_capacity_sweep(v, params, self.N, seed, threshold_mode=mode)
+        assert len(results) == len(params)
+        for p, res in zip(params, results):
+            assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, seed, mode)
+            assert res.iterations in (1, 2)
+
+    def test_forced_second_pass_matches_oracle(self, monkeypatch):
+        # a running bound at half the bracket's a_above cuts through the band: no kept
+        # window can hold the answer
+        monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", -0.5)
+        v, params = _sweep_case(2, None, [-20.0, -10.0, 0.0], 0.02, [1.0, 0.5, 2.0, 1.0, 2.0, 0.5, 1.0])
+        results = empirical_eps_outage_capacity_sweep(v, params, self.N, 7)
+        for p, res in zip(params, results):
+            assert res.iterations == 2
+            assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, 7, "exact")
+
+    def test_small_epsilon_sweep_draws_each_batch_once(self, monkeypatch):
+        draws = []
+
+        def counted(*args):
+            draws.append(args[2])
+            return gains_batch(*args)
+
+        monkeypatch.setattr(montecarlo, "gains_batch", counted)
+        v, params = _sweep_case(2, None, [-30.0, -20.0, -10.0], 0.01, [1.0, 8.0, 8.0, 1.0, 8.0, 8.0, 1.0])
+        results = empirical_eps_outage_capacity_sweep(v, params, self.N, 11)
+        assert draws == [j for j, _ in batch_plan(self.N)]
+        assert [res.iterations for res in results] == [1, 1, 1]
+
+    def test_sweep_over_the_budget_shares_its_passes(self, monkeypatch):
+        # 14 points, each with k0+1 buffered values and room for its k0+1 smallest
+        # rows, fill more than one pass's budget of n floats: the second round of
+        # first passes also serves the first round's second passes
+        draws = []
+
+        def counted(*args):
+            draws.append(args[2])
+            return gains_batch(*args)
+
+        monkeypatch.setattr(montecarlo, "gains_batch", counted)
+        v, params = _sweep_case(3, None, [-30.0 + 2.0 * i for i in range(14)], 0.01, [1.0] * 7)
+        results = empirical_eps_outage_capacity_sweep(v, params, self.N, 9)
+        assert len(draws) == 2 * len(batch_plan(self.N))
+        for p, res in zip(params, results):
+            assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, 9, "exact")
+
+    @pytest.mark.parametrize("bad", [
+        [SystemParams(snr=0.1, rate=0.0, epsilon=0.02, k_relays=1)],  # one relay, the variances have two
+        [SystemParams(snr=0.1, rate=0.0, epsilon=1e-4, k_relays=2)],  # too few outage events to resolve epsilon
+        None,  # an empty sweep
+    ])
+    def test_every_point_is_checked_before_any_draw(self, monkeypatch, bad):
+        def no_draws(*args):
+            raise AssertionError("drew gains before rejecting the sweep")
+
+        monkeypatch.setattr(montecarlo, "gains_batch", no_draws)
+        v, params = _sweep_case(2, None, [-20.0], 0.02, [1.0] * 7)
+        with pytest.raises(InvalidParameterError):
+            empirical_eps_outage_capacity_sweep(v, [] if bad is None else params + bad, self.N, 1)
 
 
 class TestPlacementCurve:
