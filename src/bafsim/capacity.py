@@ -62,32 +62,27 @@ def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str 
     "exact" inverts the capacity condition: tau*(2^((K+1)*rate/tau) - 1)/SNR,
     inf where 2^((K+1)*rate/tau) exceeds the float range (every block is then
     in outage).  "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).
-    Both are 0 at rate 0 and apply elementwise to arrays of rates and duty
-    cycles.
+    Both are 0 at rate 0.  A NumPy float rate takes the same float arithmetic
+    as a Python float.
     """
     _check_mode(mode, THRESHOLD_MODES)
+    rate = float(rate)
     if mode == "exact":
-        z = (k_relays + 1) * rate / tau
-        if type(z) is float:
-            try:
-                growth = 2.0**z - 1.0
-            except OverflowError:
-                growth = math.inf
-        else:
-            with np.errstate(over="ignore"):  # NumPy powers overflow to inf
-                growth = 2.0**z - 1.0
+        try:
+            growth = 2.0 ** ((k_relays + 1) * rate / tau) - 1.0
+        except OverflowError:
+            growth = math.inf
         return tau * growth / snr
     return (k_relays + 1) * rate / (LOG2E * snr)
 
 
-def decode_condition(rate, snr: float, tau: float | None, k_relays: int, mode: str = "exact"):
+def decode_condition(rate: float, snr: float, tau: float | None, k_relays: int, mode: str = "exact") -> tuple[float, float]:
     """(x, thr) of the decode test alpha >= thr at ``rate``: x = t/SNR, thr = ``threshold_for``.
 
     The duty cycle t is ``duty_cycle(rate, snr, tau)``, so ``tau`` None selects
-    the clamped policy.  Applies elementwise to an array of rates.
+    the clamped policy.  Both are Python floats.
     """
     t = duty_cycle(rate, snr, tau)
-    t = float(t) if np.ndim(t) == 0 else t
     return t / snr, threshold_for(rate, snr, t, k_relays, mode)
 
 

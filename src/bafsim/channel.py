@@ -180,31 +180,27 @@ def variances_from_geometry(geom: NetworkGeometry) -> LinkVariances:
         raise InvalidParameterError(f"pathloss_exponent {a!r} overflows the link variances") from None
 
 
-def duty_cycle(rate, snr: float, fixed: float | None = None):
+def duty_cycle(rate: float, snr: float, fixed: float | None = None) -> float:
     """Burst duty cycle: ``fixed`` if given, else the policy min(sqrt(rate * snr), 1).
 
-    Applies elementwise to an array of rates.  A scalar rate 0 resolves to
-    1.0 (the value is immaterial, every decode condition is then trivially
-    met).  The policy needs rate*snr in the normal float range: below it the
-    duty cycle loses its precision and reaches 0, so such an operating point
-    is rejected.
+    A Python or NumPy float rate gives a Python float, through ``math.sqrt``
+    and ``min``, which round as ``np.sqrt`` and ``np.minimum`` do.  Rate 0
+    resolves to 1.0 (the value is immaterial, every decode condition is then
+    trivially met).  The policy needs rate*snr in the normal float range:
+    below it the duty cycle loses its precision and reaches 0, so such an
+    operating point is rejected.
     """
     if fixed is not None:
-        return fixed
-    if np.ndim(rate) == 0 and rate == 0.0:
+        return float(fixed)
+    if rate == 0.0:
         return 1.0
-    scalar = isinstance(rate, float)  # math.sqrt and min round as np.sqrt and np.minimum do
-    if scalar:
-        product = float(rate) * float(snr)
-    else:
-        with np.errstate(over="ignore"):  # an infinite product clamps to 1
-            product = np.multiply(rate, snr)
-    if product < sys.float_info.min if scalar else np.any(product < sys.float_info.min):
+    product = float(rate) * float(snr)  # an infinite product clamps to 1
+    if product < sys.float_info.min:
         raise InvalidParameterError(
-            f"rate*snr = {float(np.min(product))!r} is below the normal float range, "
+            f"rate*snr = {product!r} is below the normal float range, "
             "where the duty cycle sqrt(rate*snr) cannot be resolved"
         )
-    return min(math.sqrt(product), 1.0) if scalar else np.minimum(np.sqrt(product), 1.0)
+    return min(math.sqrt(product), 1.0)
 
 
 def resolve_tau(params: SystemParams) -> float:
@@ -213,7 +209,7 @@ def resolve_tau(params: SystemParams) -> float:
     ``duty_cycle`` of the operating point as a float; a BurstClampWarning is
     emitted when the policy's clamp engages.
     """
-    tau = float(duty_cycle(params.rate, params.snr, params.tau))
+    tau = duty_cycle(params.rate, params.snr, params.tau)
     if params.tau is None and params.rate * params.snr > 1.0:
         warnings.warn(
             f"duty cycle sqrt(rate*snr) clamped to 1 at rate*snr = {params.rate * params.snr:.6g}; "

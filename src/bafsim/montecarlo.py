@@ -19,10 +19,10 @@ since the draws depend only on (master_seed, batch index, link variances).
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
 The empirical outage capacity, at operating points or across relay
-positions, comes from one order-statistic kernel over the protocol's
-aggregate ``aggregate_batch``: each trial has a single boundary rate, and the
-capacity is the boundary rate of order k0, the largest outage count below
-epsilon.  The kernel, ``_window_stage``, runs on a window of trials: those
+positions, is the root of the outage count: the float rate at which at most
+k0 seeded trials, the largest outage count below epsilon, are in outage, and
+more are at the next float up.  The kernel, ``_window_stage``, counts with
+the protocol's aggregate ``aggregate_batch`` on a window of trials: those
 whose aggregate can fall in the band that brackets the answer, plus a count
 of the trials surely below it.  Operating points take their windows from the
 exact pass ``_exact_passes``: a capacity sweep draws each batch once for all
@@ -34,7 +34,7 @@ positions in one pass over its cached draws and solves every position of the
 block on that window; a position the window cannot hold falls back to the
 exact pass, so the curve is bit for bit the exact pass's.  One float
 bisection, ``_solve_increasing``, finds every root the module needs: the
-kernel's rate bracket and lemma1's policy offset.
+kernel's rate bracket, the capacity itself and lemma1's policy offset.
 """
 
 from __future__ import annotations
@@ -411,21 +411,21 @@ def _solve_increasing(f, target: float, start: float, rel_width: float = 0.0) ->
 
 
 class _RateSearch:
-    """The k0-th smallest boundary rate of the trials at one set of variances.
+    """The largest rate at which at most k0 of the trials at one set of variances are in outage.
 
     A trial is in outage at rate r iff its aggregate ``aggregate_batch`` at
     x(r) is below thr(r), with (x, thr) from ``decode_condition``; both move
-    against it as r grows, so each trial has one boundary rate.  The search
+    against it as r grows, so the outage count rises with r.  The search
     keeps each trial's aggregate a0 at x0, the offset of ``start_rate``
     (1e-6*SNR if that is not positive and finite), and brackets from there.
     """
 
     def __init__(self, snr: float, k0: int, k: int, tau: float | None, threshold_mode: str, start_rate: float):
         self.snr, self.k0, self.k, self.tau, self.mode = snr, k0, k, tau, threshold_mode
-        self.start = start_rate if math.isfinite(start_rate) and start_rate > 0.0 else 1e-6 * snr
+        self.start = float(start_rate) if math.isfinite(start_rate) and start_rate > 0.0 else 1e-6 * snr
         self.x0, _ = self.condition(self.start)
 
-    def condition(self, rate):
+    def condition(self, rate: float) -> tuple[float, float]:
         return decode_condition(rate, self.snr, self.tau, self.k, self.mode)
 
     def bracket(self, a_k0: float) -> tuple[float, float, float, float]:
@@ -513,8 +513,9 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
 
     Returns None when the window cannot hold the answer: x0 outside
     [x_lo, x_hi], or the bracket not inside [low, high).  Otherwise a_k0,
-    the bracket and the candidates are those of the whole trial set.  Only
-    candidates are bisected, and the rate is settled on the scalar recount.
+    the bracket and the candidates are those of the whole trial set.  The
+    rate is the root of the outage count, the trials below the band plus the
+    candidates in outage: at most k0 at the rate and more at the next float.
     """
     if not window.x_lo <= search.x0 <= window.x_hi:
         return None
@@ -524,35 +525,18 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
     i = k0 - window.below
     if not 0 <= i < len(a0):
         return None
-    r_lo, r_hi, a_below, a_above = search.bracket(float(np.partition(a0, i)[i]))
+    r_lo, _, a_below, a_above = search.bracket(float(np.partition(a0, i)[i]))
     if not (window.low <= a_below and a_above <= window.high):
         return None
     below = window.below + int(np.count_nonzero(a0 < a_below))
     cand = gains[(a0 >= a_below) & (a0 < a_above)]
 
-    lo = np.full(len(cand), r_lo * (1.0 - _BOUND_MARGIN))
-    hi = np.full(len(cand), r_hi * (1.0 + _BOUND_MARGIN))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            break
-        x, thr = search.condition(mid)
-        out = aggregate_batch(cand, k, x) < thr
-        hi = np.where(out, mid, hi)
-        lo = np.where(out, lo, mid)
-    rate = float(np.partition(lo, k0 - below)[k0 - below])
-
     def outages(r: float) -> int:
         x, thr = search.condition(r)
         return below + int(np.count_nonzero(aggregate_batch(cand, k, x) < thr))
 
-    # vectorised and scalar powers may differ in the last bit: settle the
-    # rate on the scalar recount, which is what a caller would repeat
-    count = outages(rate)
-    while count > k0:
-        rate = math.nextafter(rate, 0.0)
-        count = outages(rate)
-    return rate, count, a_below, a_above
+    rate, _ = _solve_increasing(outages, k0 + 1, r_lo * (1.0 - _BOUND_MARGIN))
+    return rate, outages(rate), a_below, a_above
 
 
 class _PassPoint:
@@ -560,11 +544,11 @@ class _PassPoint:
 
     A first pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf``
     and, unless ``rows`` is None, every drawn row whose a0 lies below the
-    running bound ``high`` when its batch comes (``size`` floats in all).
-    The k0-th smallest a0 seen so far only falls, so the rows kept are a
-    superset of the trials the final bracket needs.  A second pass gathers
-    the rows with a0 in the bracket's band [low, high) from the final k0-th
-    smallest a0, and counts the trials below it.
+    running bound ``high`` when its batch comes, or when the rows are pruned
+    (``size`` floats in all).  The k0-th smallest a0 seen so far only falls,
+    so the rows kept are a superset of the trials the final bracket needs.
+    A second pass gathers the rows with a0 in the bracket's band [low, high)
+    from the final k0-th smallest a0, and counts the trials below it.
     """
 
     def __init__(self, search: _RateSearch, scale: np.ndarray | None, band: tuple[float, float] | None = None):
@@ -610,6 +594,16 @@ class _PassPoint:
         self.rows.append(gains[np.flatnonzero(keep)])  # faster than a boolean index on rows
         self.size += self.rows[-1].size
 
+    def prune(self) -> None:
+        """Keep only the kept rows whose a0 lies below the current running bound."""
+        if self.rows is None:
+            return
+        s = self.search
+        for c, chunk in enumerate(self.rows):
+            a0 = aggregate_batch(_scaled(chunk, self.scale), s.k, s.x0)
+            self.rows[c] = chunk[np.flatnonzero(a0 < self.high)]
+        self.size = sum(chunk.size for chunk in self.rows)
+
     def drop(self) -> None:
         """Stop keeping rows."""
         self.rows, self.size = None, 0
@@ -652,17 +646,19 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
     the parent array's partitioned copy was not.  Points start their first
     pass in order while they fit beside the points ahead of them, each with
     its k0+1 values and, where it keeps rows, room for its k0+1 smallest
-    rows; a point whose k0+1 rows would not fit even alone keeps none, and
-    one whose rows outgrow the room left beside the buffers drops them.  A
-    later pass serves the second passes of the previous one.  Either way the window holds the trials with a0 in the
+    rows; a point whose k0+1 rows would not fit even alone keeps none.  When
+    the kept rows outgrow the room left beside the buffers, every point
+    prunes its rows to its current bound, and the point that grew drops its
+    rows if they still do not fit.  A later pass serves the second passes of
+    the previous one.  Either way the window holds the trials with a0 in the
     final [a_below, a_above) in trial order, so the answer does not depend
     on the path.
 
-    The answer is the k0-th smallest of the trials' bisected boundary rates.
-    The float threshold is not monotone in the rate at the ulp level
-    (z = (K+1)*rate/tau divides two rising floats), so a trial's bisected
-    boundary, and with it the answer, can move by an ulp with the bracket,
-    that is with the start rate.
+    The answer is a float rate with at most k0 trials in outage there and
+    more at the next float up.  The float threshold is not monotone in the
+    rate at the ulp level (z = (K+1)*rate/tau divides two rising floats), so
+    where the outage count crosses k0 more than once, the bisection's path,
+    and with it the start rate, picks the crossing.
     """
     n = sum(rows for _, rows in plan)
     found: list = [None] * len(points)
@@ -686,7 +682,10 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
             for _, point in first:
                 point.add(gains)
                 if sum(p.size for _, p in first) > room:
-                    point.drop()
+                    for _, p in first:
+                        p.prune()
+                    if sum(p.size for _, p in first) > room:
+                        point.drop()
         # first passes close first, to release their buffers before the second passes' stages
         done, second = second, []
         for i, point in first:
@@ -698,11 +697,6 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
         for i, point in done:
             found[i] = (point.close()[0], 2)
     return found
-
-
-def _capacity_order_statistic(search: _RateSearch, draw, plan: list[tuple[int, int]], scale: np.ndarray | None):
-    """``_window_stage`` of ``search`` on the window of an exact pass over the trials (see ``_exact_passes``)."""
-    return _exact_passes([(search, scale)], draw, plan)[0][0]
 
 
 def empirical_eps_outage_capacity_sweep(
@@ -751,8 +745,9 @@ def empirical_eps_outage_capacity(
     """Largest rate whose simulated outage probability stays below epsilon.
 
     The outage probability at a rate is the fraction of the seeded trials in
-    outage there.  Each trial has one boundary rate, so the answer is an
-    order statistic of them, found by ``_exact_passes`` from the closed form
+    outage there, so the answer is the root of the outage count: a rate with
+    at most k0 trials in outage, the largest count below epsilon, and more
+    at the next float up.  ``_exact_passes`` finds it from the closed form
     ``c_eps_baf_k``; ``iterations`` counts its passes over the draws, 1, or
     2 where the point needs the second pass.  ``params.tau`` fixes the duty
     cycle, None selects the clamped policy; ``params.rate`` is ignored.
@@ -813,9 +808,9 @@ def empirical_capacity_vs_position(
     Uses the same trials (common random numbers) at every grid position: the
     raw exponentials are drawn once and rescaled by the position-dependent
     variances, so the capacity curve is smooth in the position and its argmax
-    is comparable across positions.  Each position's capacity is the order
-    statistic of ``_capacity_order_statistic`` under the clamped duty-cycle
-    policy, started from the previous position's capacity, and equals
+    is comparable across positions.  Each position's capacity is that of an
+    exact pass, ``_exact_passes``, under the clamped duty-cycle policy,
+    started from the previous position's capacity, and equals
     ``empirical_eps_outage_capacity`` on the same variances and trials.
 
     Positions come in blocks of ``_BLOCK_POSITIONS``.  One bounding pass per
@@ -858,6 +853,6 @@ def empirical_capacity_vs_position(
         if found is None or i + 1 == block_end:
             window = None
         if found is None:
-            found = _capacity_order_statistic(search, lambda j, rows: raw[j], plan, scale)
+            found = _exact_passes([(search, scale)], lambda j, rows: raw[j], plan)[0][0]
         caps[i], _, bands[i, 0], bands[i, 1] = found
     return grid, caps

@@ -61,11 +61,8 @@ def simulate_block(
     return BlockOutcome(False, k + 1, agg, (0,) * (k + 1))
 
 
-def _running_sums(gains: np.ndarray, k_relays: int, x):
-    """Yield the aggregate of every row after each stage, as one array updated in place.
-
-    ``x`` is a scalar or one value per row.
-    """
+def _running_sums(gains: np.ndarray, k_relays: int, x: float):
+    """Yield the aggregate of every row at offset ``x`` after each stage, as one array updated in place."""
     if gains.ndim != 2 or gains.shape[1] != 1 + 2 * k_relays:
         raise InvalidParameterError(f"gains must have shape (n, {1 + 2 * k_relays})")
     agg = gains[:, 0].copy()
@@ -77,8 +74,8 @@ def _running_sums(gains: np.ndarray, k_relays: int, x):
         yield agg
 
 
-def aggregate_batch(gains: np.ndarray, k_relays: int, x) -> np.ndarray:
-    """alpha_K of every row of a ``gains_batch`` matrix; ``x`` is a scalar or one value per row."""
+def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
+    """alpha_K of every row of a ``gains_batch`` matrix at the offset ``x``."""
     for agg in _running_sums(gains, k_relays, x):
         pass
     return agg

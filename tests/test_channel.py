@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bafsim.capacity import decode_condition
 from bafsim.channel import (
     TRIALS_PER_BATCH,
     VARIANCE_RANGE,
@@ -119,24 +120,24 @@ class TestDutyCycle:
     @example(rate_exp=-400.0, snr_db=0.0, numpy_rate=False)  # rate 0
     @example(rate_exp=-200.0, snr_db=-1100.0, numpy_rate=True)  # rate*snr below the normal range
     @settings(max_examples=200, deadline=None)
-    def test_scalar_and_array_policies_agree_bit_for_bit(self, rate_exp, snr_db, numpy_rate):
+    def test_policy_is_a_correctly_rounded_float(self, rate_exp, snr_db, numpy_rate):
         rate, snr = 10.0**rate_exp, 10.0 ** (snr_db / 10.0)
         rate = np.float64(rate) if numpy_rate else rate
         if rate == 0.0:
-            # the value is immaterial at rate 0; an array of rates has no such case
+            # the value is immaterial at rate 0
             assert duty_cycle(rate, snr) == 1.0
             return
         if float(rate) * snr < sys.float_info.min:
-            for r in (rate, np.array([rate, 1.0])):
-                with pytest.raises(InvalidParameterError, match="below the normal float range"):
-                    duty_cycle(r, snr)
+            with pytest.raises(InvalidParameterError, match="below the normal float range"):
+                duty_cycle(rate, snr)
             return
-        scalar = duty_cycle(rate, snr)
-        array = duty_cycle(np.array([rate]), snr)
+        policy = duty_cycle(rate, snr)
         with np.errstate(over="ignore"):
             reference = np.minimum(np.sqrt(np.multiply(rate, snr)), 1.0)
-        assert type(scalar) is float
-        assert scalar.hex() == float(array[0]).hex() == float(reference).hex()
+        assert type(policy) is float
+        assert policy.hex() == float(reference).hex()
+        for mode in ("exact", "linearized"):
+            assert [type(v) for v in decode_condition(rate, snr, None, 1, mode)] == [float, float]
 
 
 class TestDraws:

@@ -345,6 +345,9 @@ class TestEmpiricalCapacity:
         at_capacity = SystemParams(snr=snr, rate=res.rate, epsilon=eps, k_relays=k, tau=tau)
         est = estimate_outage(v, at_capacity, n, seed, workers=1, threshold_mode=mode)
         assert est.mean == res.achieved_outage < eps
+        # the capacity is where the count crosses: one float up, epsilon is reached
+        above = SystemParams(snr=snr, rate=math.nextafter(res.rate, math.inf), epsilon=eps, k_relays=k, tau=tau)
+        assert estimate_outage(v, above, n, seed, workers=1, threshold_mode=mode).mean >= eps
 
     def test_doubling_trials_is_stable(self):
         params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02)
@@ -430,6 +433,15 @@ class TestCapacitySweep:
             assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, seed, mode)
             assert res.iterations in (1, 2)
 
+    def test_pruned_rows_keep_both_points_in_one_pass(self):
+        # the running bounds fall through the pass; the rows kept while they were
+        # high outgrow the room unless pruned, and one point would take a second pass
+        v, params = _sweep_case(1, None, [-10.0, 0.0], 0.1, [1.0] * 7)
+        results = empirical_eps_outage_capacity_sweep(v, params, self.N, 5)
+        assert [res.iterations for res in results] == [1, 1]
+        for p, res in zip(params, results):
+            assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, 5, "exact")
+
     def test_forced_second_pass_matches_oracle(self, monkeypatch):
         # a running bound at half the bracket's a_above cuts through the band: no kept
         # window can hold the answer
@@ -505,6 +517,17 @@ class TestPlacementCurve:
         assert caps[50] == empirical_eps_outage_capacity(v, params, n, seed).rate
         assert _outage_count(_gains(v, n, seed), params, caps[50], "exact") / n < eps
 
+    def test_outage_estimate_crosses_epsilon_at_the_capacity(self):
+        # the placement benchmark workload at seed 4: at grid index 49 the count
+        # reads k0 = 239 999 over two adjacent floats below the crossing, so a
+        # rate short of the crossing still reads below epsilon one float up
+        snr, eps, n, seed = 10.0 ** (-20.0 / 10.0), 0.3, 800_000, 4
+        grid, caps = empirical_capacity_vs_position(3.0, snr, eps, n, seed, grid_points=101)
+        v = variances_from_geometry(NetworkGeometry((grid[49],), 3.0))
+        for rate in (caps[49], math.nextafter(caps[49], math.inf)):
+            est = estimate_outage(v, SystemParams(snr=snr, rate=rate, epsilon=eps), n, seed, workers=1)
+            assert (est.mean < eps) == (rate == caps[49])
+
     def test_grid_is_shared_with_analytic_search(self):
         grid, _ = empirical_capacity_vs_position(3.0, 0.01, 0.05, 10_000, 1, grid_points=101)
         assert np.array_equal(grid, position_grid(101))
@@ -517,8 +540,8 @@ class TestPlacementCurve:
 def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mode):
     """The placement curve with an exact pass over every trial at every position.
 
-    Each position runs ``_capacity_order_statistic`` on the unit draws scaled
-    by its variances, started from the previous position's capacity.
+    Each position runs ``_exact_passes`` on the unit draws scaled by its
+    variances, started from the previous position's capacity.
     """
     k0 = montecarlo._max_allowed_count(epsilon, n_trials)
     plan = batch_plan(n_trials)
@@ -529,7 +552,7 @@ def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mo
         v = variances_from_geometry(NetworkGeometry((d,), pathloss))
         start = caps[i - 1] if i else c_eps_baf_k(v, snr, epsilon)
         search = montecarlo._RateSearch(snr, k0, 1, None, mode, start)
-        caps[i] = montecarlo._capacity_order_statistic(search, lambda j, rows: raw[j], plan, variance_row(v))[0]
+        caps[i] = montecarlo._exact_passes([(search, variance_row(v))], lambda j, rows: raw[j], plan)[0][0][0]
     return caps
 
 
@@ -537,7 +560,7 @@ def _counted_placement(*args, **kwargs):
     """``empirical_capacity_vs_position`` and how often its window stage ran: block windows it
     solved, block windows that failed their checks, and exact passes."""
     counts = {"window": 0, "failed": 0, "exact": 0}
-    stage, exact = montecarlo._window_stage, montecarlo._capacity_order_statistic
+    stage, exact = montecarlo._window_stage, montecarlo._exact_passes
 
     def counted_exact(*a):
         counts["exact"] += 1
@@ -552,7 +575,7 @@ def _counted_placement(*args, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(montecarlo, "_window_stage", counted_stage)
-        mp.setattr(montecarlo, "_capacity_order_statistic", counted_exact)
+        mp.setattr(montecarlo, "_exact_passes", counted_exact)
         _, caps = empirical_capacity_vs_position(*args, **kwargs)
     return caps, counts
 
@@ -605,7 +628,7 @@ class TestPlacementBlocks:
         solved, start = [], 1e-3
         for scale in scales[:3]:  # the first bracket is wide, as it starts far from the capacity
             search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
-            solved.append(montecarlo._capacity_order_statistic(search, lambda j, rows: raw[j], plan, scale))
+            solved.append(montecarlo._exact_passes([(search, scale)], lambda j, rows: raw[j], plan)[0][0])
             start = solved[-1][0]
         search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
         caps, bands = np.array([f[0] for f in solved[1:]]), np.array([f[2:] for f in solved[1:]])

@@ -164,16 +164,12 @@ class TestBatchAgreement:
         with pytest.raises(InvalidParameterError):
             block_stats_batch(np.zeros((4, 3)), 0.1, 0.01, 2)
 
-    @given(case=_batch_case(), x_per_row=st.booleans())
+    @given(case=_batch_case())
     @settings(max_examples=100, deadline=None)
-    def test_aggregate_adds_in_stage_order(self, case, x_per_row):
+    def test_aggregate_adds_in_stage_order(self, case):
         k, _, snr, rate, fixed_tau, rows = case
         x, _ = decode_condition(rate, snr, fixed_tau, k)
-        xs = x * (1.0 + np.arange(len(rows))) if x_per_row else np.full(len(rows), x)
         with np.errstate(over="ignore", invalid="ignore"):
-            agg = aggregate_batch(np.array(rows), k, xs if x_per_row else x)
-        expected = [
-            channel_aggregate(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), float(xs[row]))
-            for row, g in enumerate(rows)
-        ]
+            agg = aggregate_batch(np.array(rows), k, x)
+        expected = [channel_aggregate(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), x) for g in rows]
         np.testing.assert_array_equal(agg, expected)
