@@ -259,7 +259,8 @@ def gains_batch(
     _require(0 < n_rows <= TRIALS_PER_BATCH, f"n_rows must lie in [1, {TRIALS_PER_BATCH}], got {n_rows!r}")
     gen = batch_stream(master_seed, batch_index)
     e = gen.standard_exponential((n_rows, 1 + 2 * variances.k_relays))
-    return e * variance_row(variances)
+    e *= variance_row(variances)
+    return e
 
 
 def batch_plan(n_trials: int) -> list[tuple[int, int]]:

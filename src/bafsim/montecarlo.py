@@ -12,8 +12,9 @@ deterministic cross-check of the simulation path.  It is the only user of
 SciPy, which it imports when called, so the estimators need NumPy alone.
 
 One batch task serves the outage probability, E(N) and Lemma 1's ratio: it
-draws each batch of gains once and runs the protocol kernel
-``block_stats_batch`` at every decode condition (x, threshold) of a sweep,
+draws each batch of gains once, computes its relay-hop terms once with
+``hop_terms``, and counts the rows still undecoded after every stage with
+``undecoded_counts`` at every decode condition (x, threshold) of a sweep,
 since the draws depend only on (master_seed, batch index, link variances).
 ``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps, and
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
@@ -60,7 +61,7 @@ from .channel import (
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import aggregate_batch, block_stats_batch
+from .protocol import aggregate_batch, hop_terms, undecoded_counts
 
 MIN_TRIALS = 10_000
 
@@ -138,14 +139,19 @@ def _check_trials(n_trials: int) -> None:
 
 
 def _sweep_batch(task) -> list[tuple[int, int, int]]:
+    """(outages, sum of N, sum of N^2) of one batch at every decode condition of a sweep.
+
+    The hop terms are the same at every point, so each batch computes them
+    once.  With u_m the rows still undecoded after stage m, a row uses one
+    sub-block plus one for each u_m, m < K, that counts it: sum N = n + sum
+    u_m, and sum N^2 = n + sum (2m+3) u_m, as (m+2)^2 - (m+1)^2 = 2m+3.
+    """
     variances, master_seed, batch_index, rows, points = task
-    # column-major, so that every point's kernel call reads whole columns
-    gains = np.asfortranarray(gains_batch(variances, master_seed, batch_index, rows))
-    totals = []
-    for x, thr in points:
-        outage, n_used = block_stats_batch(gains, x, thr, variances.k_relays)
-        totals.append((int(outage.sum()), int(n_used.sum()), int((n_used * n_used).sum())))
-    return totals
+    terms = hop_terms(gains_batch(variances, master_seed, batch_index, rows), variances.k_relays)
+    return [
+        (outages, rows + sum(entered), rows + sum((2 * m + 3) * u for m, u in enumerate(entered)))
+        for *entered, outages in undecoded_counts(terms, points)
+    ]
 
 
 def _decode_points(variances: LinkVariances, params_seq, n_trials: int, threshold_mode: str) -> list:
@@ -388,13 +394,17 @@ def _max_allowed_count(epsilon: float, n_trials: int) -> int:
     return c
 
 
-def _solve_increasing(f, target: float, start: float, rel_width: float = 0.0) -> tuple[float, float]:
+def _solve_increasing(
+    f, target: float, start: float, rel_width: float = 0.0, upper: float | None = None
+) -> tuple[float, float]:
     """Bracket (lo, hi) with f(lo) < target <= f(hi) for an increasing f, searched outward from ``start``.
 
+    ``upper``, if given, is tried as the upper end before any doubling.
     Halving or doubling finds a bracket, and bisection narrows it until
     hi - lo <= rel_width*lo, or to adjacent floats.
     """
-    lo = hi = start
+    lo = start
+    hi = start if upper is None else upper
     while f(lo) >= target:
         lo, hi = 0.5 * lo, lo
     while f(hi) < target:
@@ -525,7 +535,7 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
     i = k0 - window.below
     if not 0 <= i < len(a0):
         return None
-    r_lo, _, a_below, a_above = search.bracket(float(np.partition(a0, i)[i]))
+    r_lo, r_hi, a_below, a_above = search.bracket(float(np.partition(a0, i)[i]))
     if not (window.low <= a_below and a_above <= window.high):
         return None
     below = window.below + int(np.count_nonzero(a0 < a_below))
@@ -535,7 +545,7 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
         x, thr = search.condition(r)
         return below + int(np.count_nonzero(aggregate_batch(cand, k, x) < thr))
 
-    rate, _ = _solve_increasing(outages, k0 + 1, r_lo * (1.0 - _BOUND_MARGIN))
+    rate, _ = _solve_increasing(outages, k0 + 1, r_lo * (1.0 - _BOUND_MARGIN), upper=r_hi * (1.0 + _BOUND_MARGIN))
     return rate, outages(rate), a_below, a_above
 
 
@@ -658,7 +668,8 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
     more at the next float up.  The float threshold is not monotone in the
     rate at the ulp level (z = (K+1)*rate/tau divides two rising floats), so
     where the outage count crosses k0 more than once, the bisection's path,
-    and with it the start rate, picks the crossing.
+    and with it the start rate and the bracket it starts from, picks the
+    crossing.
     """
     n = sum(rows for _, rows in plan)
     found: list = [None] * len(points)

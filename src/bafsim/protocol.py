@@ -2,9 +2,12 @@
 
 This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
-g_rd*g_sr/(g_rd+g_sr+x) per stage.  Every estimator evaluates them here, the
-capacity kernel through ``aggregate_batch`` and the others through
-``block_stats_batch``; ``simulate_block`` is the scalar reference.
+g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
+offset-free hop terms g_rd*g_sr and g_rd+g_sr.  Every estimator evaluates them
+here: the capacity kernel through ``aggregate_batch``, and the outage, E(N)
+and Lemma 1 sweep through ``hop_terms``, computed once per batch, and
+``undecoded_counts`` at each of its decode conditions.  ``block_stats_batch``
+gives per-row outcomes, and ``simulate_block`` is the scalar reference.
 
 Sub-block 1 is the source burst.  After every sub-block the destination
 compares the capacity of the accumulated aggregate against the target rate
@@ -61,22 +64,43 @@ def simulate_block(
     return BlockOutcome(False, k + 1, agg, (0,) * (k + 1))
 
 
-def _running_sums(gains: np.ndarray, k_relays: int, x: float):
-    """Yield the aggregate of every row at offset ``x`` after each stage, as one array updated in place."""
+def _check_shape(gains: np.ndarray, k_relays: int) -> None:
     if gains.ndim != 2 or gains.shape[1] != 1 + 2 * k_relays:
         raise InvalidParameterError(f"gains must have shape (n, {1 + 2 * k_relays})")
-    agg = gains[:, 0].copy()
-    yield agg
+
+
+def _hops(gains: np.ndarray, k_relays: int):
+    """Yield the offset-free terms (g_rd*g_sr, g_rd+g_sr) of every relay hop, one contiguous array each."""
     for i in range(k_relays):
         g_sr = gains[:, 1 + i]
         g_rd = gains[:, 1 + k_relays + i]
-        agg += g_rd * g_sr / (g_rd + g_sr + x)
-        yield agg
+        yield g_rd * g_sr, g_rd + g_sr
+
+
+def _running_sums(g_sd: np.ndarray, hops, x: float, agg: np.ndarray | None = None, term: np.ndarray | None = None):
+    """Yield the aggregate of every row at offset ``x`` after each stage.
+
+    Stage 0 is ``g_sd`` itself; each relay stage adds product/(sum + x) of
+    its hop terms, the same float as g_rd*g_sr/(g_rd+g_sr+x), into ``agg``,
+    one array updated in place.  The term goes to ``term``, or, if None,
+    over the stage's sum, which must then be an array of its own.
+    """
+    if agg is None:
+        agg = np.empty_like(g_sd)
+    yield g_sd
+    alpha = g_sd
+    for product, total in hops:
+        out = total if term is None else term
+        np.add(total, x, out=out)
+        np.divide(product, out, out=out)
+        alpha = np.add(alpha, out, out=agg)
+        yield alpha
 
 
 def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
     """alpha_K of every row of a ``gains_batch`` matrix at the offset ``x``."""
-    for agg in _running_sums(gains, k_relays, x):
+    _check_shape(gains, k_relays)
+    for agg in _running_sums(gains[:, 0], _hops(gains, k_relays), x):
         pass
     return agg
 
@@ -89,10 +113,47 @@ def block_stats_batch(gains: np.ndarray, x: float, thr: float, k_relays: int) ->
     sub-block for each relay stage it enters undecoded, and stays decoded
     even if a later term is NaN.  Row-for-row identical to ``simulate_block``.
     """
-    stages = _running_sums(gains, k_relays, x)
+    _check_shape(gains, k_relays)
+    stages = _running_sums(gains[:, 0], _hops(gains, k_relays), x)
     decoded = next(stages) >= thr
     n_used = np.ones(gains.shape[0], dtype=np.int64)
     for agg in stages:
         n_used += ~decoded
         decoded |= agg >= thr
     return ~decoded, n_used
+
+
+def hop_terms(gains: np.ndarray, k_relays: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The offset-free terms of the aggregate of every row of a ``gains_batch`` matrix.
+
+    Returns the direct gains g_sd and, per relay, (g_rd*g_sr, g_rd+g_sr), each
+    one contiguous array, so that the decode test at any offset x adds only
+    product/(sum + x) per stage (see ``undecoded_counts``).
+    """
+    _check_shape(gains, k_relays)
+    return np.ascontiguousarray(gains[:, 0]), list(_hops(gains, k_relays))
+
+
+def undecoded_counts(terms, points) -> list[list[int]]:
+    """u_0..u_K at every decode condition (x, thr) of ``points``: the rows still undecoded after each stage.
+
+    ``terms`` comes from ``hop_terms``, and every condition reuses the same
+    buffers.  A row stays decoded even if a later term is NaN, as in
+    ``block_stats_batch``: u_K rows are in outage, and a row uses one more
+    sub-block for each u_m, m < K, that counts it.
+    """
+    g_sd, hops = terms
+    n = len(g_sd)
+    agg, term = np.empty(n), np.empty(n)
+    hit, decoded = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    out = []
+    for x, thr in points:
+        stages = _running_sums(g_sd, hops, x, agg, term)
+        np.greater_equal(next(stages), thr, out=decoded)
+        counts = [n - int(np.count_nonzero(decoded))]
+        for alpha in stages:
+            np.greater_equal(alpha, thr, out=hit)
+            np.logical_or(decoded, hit, out=decoded)
+            counts.append(n - int(np.count_nonzero(decoded)))
+        out.append(counts)
+    return out

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import math
@@ -19,6 +20,16 @@ UNIT = LinkVariances(1.0, (1.0,), (1.0,))
 EXPECTED_HEADER = "snr_db,rate,epsilon,k_relays,metric_name,value,stderr,n_trials,seed"
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+PERFBENCH = SRC.parent / "perfbench"
+
+
+def benchmark_workloads() -> dict:
+    """The workloads of the benchmark script ``perfbench/run.py``, which is read, not run."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their module through sys.modules
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -116,6 +127,15 @@ class TestOutage:
         assert float(rows[0]["value"]) == 0.0
         assert float(rows[0]["stderr"]) == 0.0
         assert rows[0]["n_trials"] == "10000"
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_benchmark_sweep_bytes_equal_the_reference(self, tmp_path, monkeypatch, workers):
+        # the draws and counts are bit-reproducible, so the benchmark checks its outage output byte for byte
+        argv = list(benchmark_workloads()["outage-sweep"].argv)
+        references = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
+        monkeypatch.setenv("BAF_WORKERS", workers)
+        text, _ = run_csv(tmp_path, argv + ["--seed", "7"])
+        assert text == references["outage-sweep"]["7"]
 
     def test_rare_event_refusal_is_convergence_failure(self, tmp_path, capsys):
         code = main([

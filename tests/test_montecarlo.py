@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bafsim import montecarlo
 from bafsim.capacity import c_eps_baf_k, decode_condition, lemma1_constant, position_grid, threshold_for
 from bafsim.channel import (
+    TRIALS_PER_BATCH,
     LinkVariances,
     NetworkGeometry,
     SystemParams,
@@ -18,6 +19,7 @@ from bafsim.channel import (
 )
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
+    MIN_TRIALS,
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
     empirical_eps_outage_capacity_sweep,
@@ -160,6 +162,76 @@ class TestOutageSweep:
         monkeypatch.setattr("bafsim.montecarlo.gains_batch", no_draws)
         with pytest.raises(InvalidParameterError):
             estimate_outage_sweep(self.V2, [] if bad is None else self.GRID + bad, 10_000, 1, workers=1)
+
+
+@st.composite
+def _fused_case(draw):
+    """A sweep over 1-3 batches, the last one short, at K = 1-3 and 1-3 points of either duty cycle."""
+    k = draw(st.integers(1, 3))
+    sigma = st.sampled_from([0.3, 1.0, 4.0])
+    variances = LinkVariances(draw(sigma), tuple(draw(sigma) for _ in range(k)), tuple(draw(sigma) for _ in range(k)))
+    point = st.builds(
+        lambda snr, rate, tau: SystemParams(snr=snr, rate=rate, k_relays=k, tau=tau),
+        st.sampled_from([0.05, 0.3, 2.0]),
+        st.one_of(st.just(0.0), st.floats(1e-3, 0.1)),
+        st.one_of(st.none(), st.floats(0.05, 1.0)),
+    )
+    params_seq = draw(st.lists(point, min_size=1, max_size=3))
+    batches = draw(st.integers(1, 3))
+    n_trials = (batches - 1) * TRIALS_PER_BATCH + draw(st.integers(MIN_TRIALS if batches == 1 else 1, TRIALS_PER_BATCH - 1))
+    mode = draw(st.sampled_from(["exact", "linearized"]))
+    return variances, params_seq, n_trials, mode
+
+
+class TestFusedPass:
+    """Every estimator on the one-pass sweep equals per-point sums of the kernel ``block_stats_batch``."""
+
+    @staticmethod
+    def kernel_sums(variances, points, n_trials, seed):
+        totals = [[0, 0, 0] for _ in points]
+        for j, rows in batch_plan(n_trials):
+            gains = gains_batch(variances, seed, j, rows)
+            for total, (x, thr) in zip(totals, points):
+                outage, n_used = block_stats_batch(gains, x, thr, variances.k_relays)
+                total[0] += int(outage.sum())
+                total[1] += int(n_used.sum())
+                total[2] += int((n_used * n_used).sum())
+        return totals
+
+    @given(case=_fused_case(), seed=st.integers(0, 2**64 - 1), workers=st.sampled_from([1, 2]))
+    @settings(max_examples=40, deadline=None)
+    def test_outage_and_expected_n_equal_the_kernel_sums(self, case, seed, workers):
+        variances, params_seq, n_trials, mode = case
+        points = [decode_condition(p.rate, p.snr, p.tau, p.k_relays, mode) for p in params_seq]
+        sums = self.kernel_sums(variances, points, n_trials, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("BAF_WORKERS", str(workers))
+            sweep = estimate_outage_sweep(variances, params_seq, n_trials, seed, workers, mode)
+            expected_n = [estimate_expected_n(variances, p, n_trials, seed, workers, mode) for p in params_seq]
+        for est, mean_n, (outages, total_n, total_sq) in zip(sweep, expected_n, sums):
+            assert est == montecarlo._bernoulli_estimate(outages, n_trials)
+            assert mean_n == montecarlo._mean_estimate(total_n, total_sq, n_trials)
+
+    @given(
+        sigmas=st.tuples(*[st.sampled_from([0.5, 1.0, 2.0])] * 3),
+        # g >= 0.4 keeps about 400 events or more at the smallest threshold in 10 007 trials, far above lemma1's 100
+        gs=st.lists(st.floats(0.4, 1.0), min_size=1, max_size=3, unique=True),
+        x_factor=st.sampled_from([0.0, 0.1, None]),
+        batches=st.integers(1, 3),
+        seed=st.integers(0, 2**64 - 1),
+        workers=st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_lemma1_counts_equal_the_kernel_sums(self, sigmas, gs, x_factor, batches, seed, workers):
+        gs = sorted(gs, reverse=True)
+        n_trials = (batches - 1) * TRIALS_PER_BATCH + 10_007
+        xs = [policy_x_for_threshold(g) if x_factor is None else x_factor * g for g in gs]
+        sums = self.kernel_sums(LinkVariances(sigmas[0], (sigmas[1],), (sigmas[2],)), list(zip(xs, gs)), n_trials, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("BAF_WORKERS", str(workers))
+            res = lemma1_ratio_experiment(*sigmas, gs, n_trials, seed, x_factor, workers)
+        for (g, est), (outages, _, _) in zip(res, sums):
+            assert est.mean == outages / n_trials * (1.0 / (g * g))
 
 
 class TestLemmaExperiment:

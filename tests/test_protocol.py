@@ -6,7 +6,14 @@ from hypothesis import strategies as st
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, aggregate_batch, block_stats_batch, simulate_block
+from bafsim.protocol import (
+    BlockOutcome,
+    aggregate_batch,
+    block_stats_batch,
+    hop_terms,
+    simulate_block,
+    undecoded_counts,
+)
 
 gain = st.floats(0.0, 50.0)
 
@@ -173,3 +180,40 @@ class TestBatchAgreement:
             agg = aggregate_batch(np.array(rows), k, x)
         expected = [channel_aggregate(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), x) for g in rows]
         np.testing.assert_array_equal(agg, expected)
+
+
+def _counts_from_stats(outage, n_used, k):
+    """u_0..u_K from per-row outcomes: a row undecoded after stage m < K enters stage m + 1."""
+    return [int(np.count_nonzero(n_used > m + 1)) for m in range(k)] + [int(np.count_nonzero(outage))]
+
+
+class TestUndecodedCounts:
+    @given(case=_batch_case())
+    # a decoded direct link, then a relay term 1e308*1e308/(1e308+1e308+x) = inf/inf = NaN
+    @example(case=(2, "exact", 1.0, 0.01, None, [[5.0, 1e308, 0.1, 1e308, 0.1], [0.0, 1e308, 50.0, 1e308, 50.0]]))
+    @example(case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]))
+    @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]))
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_block_stats_at_every_condition(self, case):
+        k, mode, snr, rate, fixed_tau, rows = case
+        x, thr = decode_condition(rate, snr, fixed_tau, k, mode)
+        # the case's condition, then x = 0 (0/0 terms on zero gains) and a lower threshold, on one set of buffers
+        points = [(x, thr), (0.0, thr), (x, 0.5 * thr)]
+        gains = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = [_counts_from_stats(*block_stats_batch(gains, px, pt, k), k) for px, pt in points]
+            for layout in (gains, np.asfortranarray(gains)):
+                assert undecoded_counts(hop_terms(layout, k), points) == expected
+
+    def test_hop_terms_are_the_aggregate_subexpressions(self):
+        gains = gains_batch(LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 7, 0, 1000)
+        g_sd, hops = hop_terms(gains, 2)
+        assert g_sd.flags.c_contiguous and np.array_equal(g_sd, gains[:, 0])
+        for i, (product, total) in enumerate(hops):
+            assert product.flags.c_contiguous and total.flags.c_contiguous
+            g_sr, g_rd = gains[:, 1 + i], gains[:, 3 + i]
+            assert np.array_equal(product, g_rd * g_sr) and np.array_equal(total, g_rd + g_sr)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            hop_terms(np.zeros((4, 3)), 2)
