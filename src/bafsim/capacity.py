@@ -134,10 +134,14 @@ def c_eps_baf_no_feedback(variances: LinkVariances, snr: float, epsilon: float) 
 
 
 def c_eps_baf_k(variances: LinkVariances, snr: float, epsilon: float) -> float:
-    """K-relay outage-capacity upper bound without feedback.
+    """K-relay low-SNR closed form of the outage capacity without feedback.
 
     (1/(K+1)) * log2(1 + SNR * root) with the (K+1)-th root argument of
     ``_root_argument``.  For K=1 this is exactly the no-feedback closed form.
+    It approximates the capacity and does not bound it: at one relay,
+    pathloss 3, SNR -10 to -30 dB and epsilon 0.001 to 0.1, the empirical
+    capacity lies between about 5% below it, near the midpoint, and up to
+    19% above it, near the ends of the segment.
     """
     k = variances.k_relays
     return (1.0 / (k + 1)) * math.log2(1.0 + snr * _root_argument(variances, epsilon))

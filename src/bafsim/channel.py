@@ -26,6 +26,7 @@ import numpy as np
 from .errors import InvalidParameterError
 
 TRIALS_PER_BATCH = 1 << 16
+_SCALE_ROWS = 64
 
 # Beyond this range the product of two relay gains overflows or underflows;
 # only variance ratios matter, so no model needs a wider one.
@@ -259,7 +260,12 @@ def gains_batch(
     _require(0 < n_rows <= TRIALS_PER_BATCH, f"n_rows must lie in [1, {TRIALS_PER_BATCH}], got {n_rows!r}")
     gen = batch_stream(master_seed, batch_index)
     e = gen.standard_exponential((n_rows, 1 + 2 * variances.k_relays))
-    e *= variance_row(variances)
+    # blocks of _SCALE_ROWS rows times the tiled row: the same products as
+    # broadcasting the short row over every row, at about twice the speed
+    row, head = variance_row(variances), n_rows - n_rows % _SCALE_ROWS
+    block = e[:head].reshape(-1, _SCALE_ROWS * row.size)  # a view: ``e`` is C-contiguous
+    block *= np.tile(row, _SCALE_ROWS)
+    e[head:] *= row
     return e
 
 

@@ -4,7 +4,9 @@ Every estimator consumes trials through the fixed batch layout of
 :mod:`bafsim.channel`, reduces per-batch integer counts in batch order, and is
 therefore bit-identical for a given (master_seed, n_trials) regardless of the
 worker count.  Workers default to ``os.cpu_count()`` capped by the
-``BAF_WORKERS`` environment variable.
+``BAF_WORKERS`` environment variable, which every estimator checks before
+any draw.  Outage passes fan their batches out to a process pool; the
+capacity kernel runs on one thread at any worker count.
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
@@ -44,7 +46,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,6 +105,8 @@ def _run_batches(worker, tasks: list, workers: int) -> list:
     """Evaluate ``worker`` over ``tasks``, results in task order."""
     if workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
+
     n_workers = min(workers, len(tasks))
     chunk = max(1, len(tasks) // (4 * n_workers))
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -438,6 +441,14 @@ class _RateSearch:
     def condition(self, rate: float) -> tuple[float, float]:
         return decode_condition(rate, self.snr, self.tau, self.k, self.mode)
 
+    def _certain(self, rate: float) -> float:  # a0 below this: in outage at ``rate``
+        x, thr = self.condition(rate)
+        return thr - self.k / 4.0 * max(self.x0 - x, 0.0)
+
+    def _possible(self, rate: float) -> float:  # a0 at or above this: not in outage at ``rate``
+        x, thr = self.condition(rate)
+        return thr + self.k / 4.0 * max(x - self.x0, 0.0)
+
     def bracket(self, a_k0: float) -> tuple[float, float, float, float]:
         """(r_lo, r_hi, a_below, a_above) around ``a_k0``, the k0-th smallest a0.
 
@@ -446,18 +457,15 @@ class _RateSearch:
         a_below is in outage on all of [r_lo, r_hi], one with a0 at or above
         a_above on none of it.
         """
-        def certain(rate):  # a0 below this: in outage at ``rate``
-            x, thr = self.condition(rate)
-            return thr - self.k / 4.0 * max(self.x0 - x, 0.0)
-
-        def possible(rate):  # a0 at or above this: not in outage at ``rate``
-            x, thr = self.condition(rate)
-            return thr + self.k / 4.0 * max(x - self.x0, 0.0)
-
-        r_lo, _ = _solve_increasing(possible, a_k0, self.start, _BOUND_MARGIN)
-        _, r_hi = _solve_increasing(certain, a_k0, self.start, _BOUND_MARGIN)
+        r_lo, _ = _solve_increasing(self._possible, a_k0, self.start, _BOUND_MARGIN)
+        r_hi, a_above = self.upper(a_k0)
         # a0 > 0, so a negative a_below marks none
-        return r_lo, r_hi, certain(r_lo) * (1.0 - _BOUND_MARGIN), possible(r_hi) * (1.0 + _BOUND_MARGIN)
+        return r_lo, r_hi, self._certain(r_lo) * (1.0 - _BOUND_MARGIN), a_above
+
+    def upper(self, a_k0: float) -> tuple[float, float]:
+        """(r_hi, a_above) of ``bracket(a_k0)``, without solving for its lower end."""
+        _, r_hi = _solve_increasing(self._certain, a_k0, self.start, _BOUND_MARGIN)
+        return r_hi, self._possible(r_hi) * (1.0 + _BOUND_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -580,9 +588,17 @@ class _PassPoint:
             self.filled, self.settled = k0 + 1, float(self.buf[k0])
         return self.settled
 
-    def add(self, gains: np.ndarray) -> None:
-        """Take one batch of drawn gains."""
+    def cut(self) -> float:
+        """The a0 at or above which a row of the next batch adds nothing."""
+        if self.buf is None:
+            return self.high
+        return self.settled if self.rows is None else max(self.settled, self.high)
+
+    def add(self, gains: np.ndarray, floor: np.ndarray | None = None) -> None:
+        """Take one batch of drawn gains; ``floor``, if given, is a lower bound on each row's a0."""
         s = self.search
+        if floor is not None and self.cut() < math.inf:
+            gains = gains[np.flatnonzero(floor < self.cut())]
         a0 = aggregate_batch(_scaled(gains, self.scale), s.k, s.x0)
         if self.buf is not None:
             new = a0 if self.settled == math.inf else a0[a0 < self.settled]
@@ -596,7 +612,7 @@ class _PassPoint:
                 return
             u = self._settle()
             if u < self.bounded:
-                self.high, self.bounded = min(self.high, s.bracket(u)[3] * (1.0 + _RUNNING_MARGIN)), u
+                self.high, self.bounded = min(self.high, s.upper(u)[1] * (1.0 + _RUNNING_MARGIN)), u
             keep = a0 < self.high
         else:
             self.below += int(np.count_nonzero(a0 < self.low))
@@ -642,7 +658,12 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
 
     ``draw(j, rows)`` returns the gains of batch j of ``plan``, to be scaled
     by a point's variance row ``scale`` (None: ``draw`` scales them).  Each
-    pass draws every batch once and serves all its points.  A point's first
+    pass draws every batch once and serves all its points.  Where a pass
+    serves two or more points that all take the gains as drawn, each batch's
+    aggregate at their largest x0 bounds all their a0 from below (every term
+    falls as x grows, and so does its float), and each point computes its a0
+    only on the rows whose bound lies below its ``cut``, which changes no
+    result.  A point's first
     pass keeps its k0+1 smallest a0 and the rows below a running bound on
     the window; where the final bracket lies inside that bound, the window
     stage runs on those rows and the point is done in one pass.  Otherwise,
@@ -686,12 +707,19 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
             if not keep:
                 first[-1][1].drop()
             used, room, start = used + buf + keep * least, room - buf, start + 1
+        passing = [p for _, p in second + first]
+        x_floor = None
+        if len(passing) > 1 and all(p.scale is None for p in passing):
+            x_floor = max(p.search.x0 for p in passing)
         for j, rows in plan:
             gains = draw(j, rows)
+            floor = None
+            if x_floor is not None and min(p.cut() for p in passing) < math.inf:
+                floor = aggregate_batch(gains, passing[0].search.k, x_floor)
             for _, point in second:
-                point.add(gains)
+                point.add(gains, floor)
             for _, point in first:
-                point.add(gains)
+                point.add(gains, floor)
                 if sum(p.size for _, p in first) > room:
                     for _, p in first:
                         p.prune()
@@ -725,6 +753,7 @@ def empirical_eps_outage_capacity_sweep(
     point's array of a0, or whose window misses the bracket.  Each result
     equals the one-point call's.
     """
+    worker_count()  # rejects an invalid BAF_WORKERS before any draw
     params_seq = list(params_seq)
     if not params_seq:
         raise InvalidParameterError("a sweep needs at least one operating point")
@@ -834,6 +863,7 @@ def empirical_capacity_vs_position(
 
     Returns (positions, capacities).
     """
+    worker_count()  # rejects an invalid BAF_WORKERS before any draw
     SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
     _check_trials(n_trials)
     if n_trials > PLACEMENT_TRIAL_LIMIT:

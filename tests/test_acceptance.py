@@ -222,6 +222,10 @@ def test_criterion_7_property_suites():
 @pytest.mark.parametrize("args,name", [
     (["ratio", "--preset", "fig2"], "fig2"),
     (["outage", "--snr-db", "-5", "--rate", "0.05", "--trials", "200000", "--pathloss", "0", "--seed", "31"], "outage"),
+    (["capacity", "--snr-db=-20:-10:10", "--epsilon", "0.01", "--trials", "200000", "--pathloss", "0",
+      "--seed", "31"], "capacity"),
+    (["placement", "--snr-db", "-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101",
+      "--trials", "200000", "--seed", "31"], "placement"),
 ])
 def test_criterion_8_worker_determinism(tmp_path, args, name):
     outputs = []

@@ -16,9 +16,11 @@ from bafsim.channel import (
     NetworkGeometry,
     SystemParams,
     batch_plan,
+    batch_stream,
     duty_cycle,
     gains_batch,
     resolve_tau,
+    variance_row,
     variances_from_geometry,
 )
 from bafsim.errors import InvalidParameterError
@@ -163,6 +165,14 @@ class TestDraws:
         v = LinkVariances(1.5, (2.0, 0.5), (0.25, 4.0))
         unit = gains_batch(LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0)), 3, 2, 16)
         assert np.array_equal(gains_batch(v, 3, 2, 16), unit * np.array([1.5, 2.0, 0.5, 0.25, 4.0]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 63, 64, 65, 1000, TRIALS_PER_BATCH])
+    def test_every_row_scales_by_the_variances(self, k, rows):
+        # whole blocks of rows and the rows after the last block alike
+        v = LinkVariances(1.5, (2.0, 0.5, 3.0)[:k], (0.25, 4.0, 0.125)[:k])
+        drawn = batch_stream(3, 2).standard_exponential((rows, 1 + 2 * k))
+        assert np.array_equal(gains_batch(v, 3, 2, rows), drawn * variance_row(v))
 
     def test_truncated_batch_is_prefix_of_full(self):
         v = LinkVariances(1.0, (1.0,), (1.0,))

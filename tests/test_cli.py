@@ -405,11 +405,37 @@ class TestContractHoles:
         assert err.startswith("bafsim: error: snr_db") and err.count("\n") == 1
 
 
+class TestWorkersEnv:
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--snr-db", "-10", "--rate", "0.05"],
+        ["capacity", "--snr-db", "-10", "--epsilon", "0.01"],
+        ["lemma1", "--g-list", "0.1"],
+        ["placement", "--snr-db", "-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101"],
+    ])
+    def test_invalid_worker_cap_exits_one_before_any_draw(self, tmp_path, capsys, monkeypatch, argv, value):
+        draws = []
+        monkeypatch.setattr("bafsim.montecarlo.gains_batch", lambda *args: draws.append(args))
+        monkeypatch.setenv("BAF_WORKERS", value)
+        code = main(argv + ["--trials", "20000", "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"bafsim: error: BAF_WORKERS must be a positive integer, got {value!r}\n"
+        assert draws == []
+
+
 class TestImport:
     def test_cli_import_leaves_scipy_out(self):
         # SciPy costs about 0.6 s of import; only the quadrature oracle needs it
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         code = "import bafsim.cli, sys; assert 'scipy' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_cli_import_leaves_the_process_pool_out(self):
+        # concurrent.futures.process and multiprocessing cost about 0.02 s of import;
+        # only a multi-worker outage pass starts the pool
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        code = "import bafsim.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 

@@ -569,6 +569,102 @@ class TestCapacitySweep:
             empirical_eps_outage_capacity_sweep(v, [] if bad is None else params + bad, self.N, 1)
 
 
+# (sweep, n_trials, seed, _RUNNING_MARGIN or None): one batch; three batches, the
+# last one short, every point done in one pass; every point forced to a second
+# pass; and 14 points over one pass's budget, in two passes
+FLOOR_CASES = {
+    "one-batch": (_sweep_case(1, None, [-10.0, 0.0], 0.05, [1.0] * 7), 50_000, 3, None),
+    "short-last-batch": (
+        _sweep_case(2, None, [-30.0, -20.0, -10.0], 0.01, [1.0, 8.0, 8.0, 1.0, 8.0, 8.0, 1.0]), 140_000, 11, None
+    ),
+    "second-pass": (
+        _sweep_case(2, None, [-20.0, -10.0, 0.0], 0.02, [1.0, 0.5, 2.0, 1.0, 2.0, 0.5, 1.0]), 140_000, 7, -0.5
+    ),
+    "over-budget": (_sweep_case(3, None, [-30.0 + 2.0 * i for i in range(14)], 0.01, [1.0] * 7), 140_000, 9, None),
+}
+
+
+class TestSharedFloor:
+    @given(
+        k=st.sampled_from([1, 2, 3]),
+        sigmas=st.lists(st.sampled_from([1e-3, 0.5, 1.0, 8.0, 1e3]), min_size=7, max_size=7),
+        xs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e3)), min_size=2, max_size=2),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_the_aggregate_at_a_larger_offset_bounds_it_from_below(self, k, sigmas, xs, seed):
+        x_lo, x_hi = sorted(xs)
+        v, _ = _sweep_case(k, None, [0.0], 0.1, sigmas)
+        gains = gains_batch(v, seed, 0, 512)
+        gains[::5] = 0.0  # 0/0 relay terms at x = 0
+        gains[1::5, 1:] = 0.0
+        with np.errstate(invalid="ignore"):
+            lo, hi = aggregate_batch(gains, k, x_lo), aggregate_batch(gains, k, x_hi)
+        # in floats too, so no row whose floor lies at or above a bound can have its a0 below it
+        assert np.all((hi <= lo) | np.isnan(lo))
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_the_floor_changes_no_result(self, monkeypatch, case):
+        (v, params), n, seed, margin = FLOOR_CASES[case]
+        if margin is not None:
+            monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        rows, aggregate = [], montecarlo.aggregate_batch
+
+        def counted(gains, k, x):
+            rows.append(len(gains))
+            return aggregate(gains, k, x)
+
+        windows, stage = [], montecarlo._window_stage
+
+        def recorded(search, window, scale):
+            windows.append((window.below, window.gains.tobytes(), window.low, window.high))
+            return stage(search, window, scale)
+
+        monkeypatch.setattr(montecarlo, "aggregate_batch", counted)
+        monkeypatch.setattr(montecarlo, "_window_stage", recorded)
+        floored = empirical_eps_outage_capacity_sweep(v, params, n, seed)
+        floored_rows, floored_windows = sum(rows), windows[:]
+        rows.clear()
+        windows.clear()
+        add = montecarlo._PassPoint.add
+        monkeypatch.setattr(montecarlo._PassPoint, "add", lambda point, gains, floor=None: add(point, gains))
+        assert empirical_eps_outage_capacity_sweep(v, params, n, seed) == floored
+        # the same rows kept, so the same windows
+        assert windows == floored_windows
+        if margin is not None:
+            assert [res.iterations for res in floored] == [2] * len(params)
+        # with one batch every point needs all its rows; later batches skip some
+        if len(batch_plan(n)) == 1:
+            assert floored_rows == sum(rows)
+        else:
+            assert floored_rows < sum(rows)
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_sweep_results_do_not_depend_on_the_worker_count(self, monkeypatch, case):
+        (v, params), n, seed, margin = FLOOR_CASES[case]
+        if margin is not None:
+            monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setenv("BAF_WORKERS", str(workers))
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+            results.append(empirical_eps_outage_capacity_sweep(v, params, n, seed))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("case,passes", [("short-last-batch", 1), ("over-budget", 2)])
+    def test_each_pass_draws_the_batches_once_in_order(self, monkeypatch, case, passes):
+        draws = []
+
+        def counted(*args):
+            draws.append(args[2])
+            return gains_batch(*args)
+
+        monkeypatch.setattr(montecarlo, "gains_batch", counted)
+        (v, params), n, seed, _ = FLOOR_CASES[case]
+        empirical_eps_outage_capacity_sweep(v, params, n, seed)
+        assert draws == [j for j, _ in batch_plan(n)] * passes
+
+
 class TestPlacementCurve:
     def test_matches_capacity_estimator_at_grid_points(self):
         snr, eps, n, seed = 0.01, 0.05, 20_000, 13
