@@ -1,7 +1,7 @@
 """Network geometry, fading statistics, and reproducible channel draws.
 
 The model is block-Rayleigh fading on a one-dimensional network: one source,
-K relays on the open segment between source and destination, one destination.
+K relays on the open unit segment between source (0) and destination (1).
 Each link's channel gain is zero-mean circularly-symmetric complex Gaussian,
 so the squared magnitude is exponential with mean sigma^2, and sigma^2 follows
 the distance power law d^(-pathloss_exponent) with unit proportionality
@@ -46,10 +46,6 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidParameterError(message)
 
 
-def _positive_finite(name: str, value: float) -> None:
-    _require(math.isfinite(value) and value > 0.0, f"{name} must be positive and finite, got {value!r}")
-
-
 def _in_variance_range(name: str, value: float) -> None:
     low, high = VARIANCE_RANGE
     _require(low <= value <= high, f"{name} must lie in [{low:g}, {high:g}], got {value!r}")
@@ -57,27 +53,25 @@ def _in_variance_range(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class NetworkGeometry:
-    """Relay placement on the source-destination line.
+    """Relay placement on the unit source-destination segment.
 
-    Positions are distances from the source, strictly inside
-    (0, sd_distance); endpoints would give an infinite link variance.
+    Positions are distances from the source, strictly inside (0, 1);
+    endpoints would give an infinite link variance.
     """
 
     relay_positions: tuple[float, ...]
     pathloss_exponent: float
-    sd_distance: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "relay_positions", tuple(float(d) for d in self.relay_positions))
-        _positive_finite("sd_distance", self.sd_distance)
         _require(
             math.isfinite(self.pathloss_exponent) and self.pathloss_exponent >= 0.0,
             f"pathloss_exponent must be finite and >= 0, got {self.pathloss_exponent!r}",
         )
         for d in self.relay_positions:
             _require(
-                0.0 < d < self.sd_distance,
-                f"relay position {d!r} must lie strictly between source (0) and destination ({self.sd_distance!r})",
+                0.0 < d < 1.0,
+                f"relay position {d!r} must lie strictly between source (0) and destination (1.0)",
             )
 
     @property
@@ -173,9 +167,9 @@ def variances_from_geometry(geom: NetworkGeometry) -> LinkVariances:
     a = geom.pathloss_exponent
     try:
         return LinkVariances(
-            sigma_sd2=geom.sd_distance ** (-a),
+            sigma_sd2=1.0,
             sigma_sr2=tuple(d ** (-a) for d in geom.relay_positions),
-            sigma_rd2=tuple((geom.sd_distance - d) ** (-a) for d in geom.relay_positions),
+            sigma_rd2=tuple((1.0 - d) ** (-a) for d in geom.relay_positions),
         )
     except OverflowError:
         raise InvalidParameterError(f"pathloss_exponent {a!r} overflows the link variances") from None

@@ -33,9 +33,11 @@ its points, each keeping its k0+1 smallest aggregates and the rows below a
 running bound, and draws it a second time only for the points whose rows do
 not fit the memory of one array of n_trials aggregates, or whose kept rows
 miss the final bracket.  The placement sweep bounds each block of relay
-positions in one pass over its cached draws and solves every position of the
-block on that window; a position the window cannot hold falls back to the
-exact pass, so the curve is bit for bit the exact pass's.  One float
+positions in one pass over its cached unit draws and solves every position of
+the block on that window; a position the window cannot hold falls back to the
+exact pass, so the curve is bit for bit the exact pass's.  Every kernel
+function takes the gains as its search sees them: each position scales the
+unit draws by its variance row where it reads them.  One float
 bisection, ``_solve_increasing``, finds every root the module needs: the
 kernel's rate bracket, the capacity itself and lemma1's policy offset.
 """
@@ -46,7 +48,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -472,10 +474,11 @@ class _RateSearch:
 class _Window:
     """The trials that can hold the order statistic of a search whose bracket lies in [low, high).
 
-    ``gains`` holds their gains as drawn, in trial order.  Of the other trials,
-    ``below`` have a0 below ``low`` and the rest a0 at or above ``high``, at
-    every offset x0 in [x_lo, x_hi] and every variance row the window was
-    bounded for.
+    ``gains`` holds their gains as the search sees them, in trial order; a
+    placement block's window holds the unit draws, and each of its positions
+    scales them by its variance row.  Of the other trials, ``below`` have a0
+    below ``low`` and the rest a0 at or above ``high``, at every offset x0 in
+    [x_lo, x_hi] and, for a block, every variance row it was bounded for.
     """
 
     below: int
@@ -521,13 +524,8 @@ def _stacked(chunks: list[np.ndarray], width: int) -> np.ndarray:
     return gains
 
 
-def _scaled(gains: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
-    """``gains`` times the variance row ``scale``; None leaves them as drawn."""
-    return gains if scale is None else gains * scale
-
-
-def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None):
-    """(rate, outage count there, a_below, a_above) of ``search`` on the ``window`` gains times ``scale``.
+def _window_stage(search: _RateSearch, window: _Window):
+    """(rate, outage count there, a_below, a_above) of ``search`` on the ``window`` gains.
 
     Returns None when the window cannot hold the answer: x0 outside
     [x_lo, x_hi], or the bracket not inside [low, high).  Otherwise a_k0,
@@ -538,8 +536,7 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
     if not window.x_lo <= search.x0 <= window.x_hi:
         return None
     k, k0 = search.k, search.k0
-    gains = _scaled(window.gains, scale)
-    a0 = aggregate_batch(gains, k, search.x0)
+    a0 = aggregate_batch(window.gains, k, search.x0)
     i = k0 - window.below
     if not 0 <= i < len(a0):
         return None
@@ -547,7 +544,7 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
     if not (window.low <= a_below and a_above <= window.high):
         return None
     below = window.below + int(np.count_nonzero(a0 < a_below))
-    cand = gains[(a0 >= a_below) & (a0 < a_above)]
+    cand = window.gains[(a0 >= a_below) & (a0 < a_above)]
 
     def outages(r: float) -> int:
         x, thr = search.condition(r)
@@ -560,8 +557,9 @@ def _window_stage(search: _RateSearch, window: _Window, scale: np.ndarray | None
 class _PassPoint:
     """One search's share of a pass over the trials, as the window it gathers.
 
-    A first pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf``
-    and, unless ``rows`` is None, every drawn row whose a0 lies below the
+    ``add`` and ``prune`` take the gains as the search sees them.  A first
+    pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf`` and,
+    unless ``rows`` is None, every drawn row whose a0 lies below the
     running bound ``high`` when its batch comes, or when the rows are pruned
     (``size`` floats in all).  The k0-th smallest a0 seen so far only falls,
     so the rows kept are a superset of the trials the final bracket needs.
@@ -569,8 +567,8 @@ class _PassPoint:
     from the final k0-th smallest a0, and counts the trials below it.
     """
 
-    def __init__(self, search: _RateSearch, scale: np.ndarray | None, band: tuple[float, float] | None = None):
-        self.search, self.scale = search, scale
+    def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
+        self.search = search
         self.below, self.rows, self.size = 0, [], 0
         if band is None:
             self.low, self.high, self.bounded = -math.inf, math.inf, math.inf
@@ -599,7 +597,7 @@ class _PassPoint:
         s = self.search
         if floor is not None and self.cut() < math.inf:
             gains = gains[np.flatnonzero(floor < self.cut())]
-        a0 = aggregate_batch(_scaled(gains, self.scale), s.k, s.x0)
+        a0 = aggregate_batch(gains, s.k, s.x0)
         if self.buf is not None:
             new = a0 if self.settled == math.inf else a0[a0 < self.settled]
             if new.size > s.k0 + 1:  # only the k0+1 smallest of a batch can count
@@ -626,7 +624,7 @@ class _PassPoint:
             return
         s = self.search
         for c, chunk in enumerate(self.rows):
-            a0 = aggregate_batch(_scaled(chunk, self.scale), s.k, s.x0)
+            a0 = aggregate_batch(chunk, s.k, s.x0)
             self.rows[c] = chunk[np.flatnonzero(a0 < self.high)]
         self.size = sum(chunk.size for chunk in self.rows)
 
@@ -645,26 +643,24 @@ class _PassPoint:
         found = None
         if rows is not None:
             window = _Window(self.below, _stacked(rows, 1 + 2 * s.k), self.low, self.high, s.x0, s.x0)
-            found = _window_stage(s, window, self.scale)
+            found = _window_stage(s, window)
         if found is not None or self.buf is None:
             return found, None
         _, _, a_below, a_above = s.bracket(self._settle())
         self.buf = None
-        return None, _PassPoint(s, self.scale, (a_below, a_above))
+        return None, _PassPoint(s, (a_below, a_above))
 
 
-def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple, int]]:
-    """(``_window_stage`` result, passes over the trials taken) of every (search, scale) of ``points``.
+def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]) -> list[tuple[tuple, int]]:
+    """(``_window_stage`` result, passes over the trials taken) of every search of ``searches``.
 
-    ``draw(j, rows)`` returns the gains of batch j of ``plan``, to be scaled
-    by a point's variance row ``scale`` (None: ``draw`` scales them).  Each
-    pass draws every batch once and serves all its points.  Where a pass
-    serves two or more points that all take the gains as drawn, each batch's
-    aggregate at their largest x0 bounds all their a0 from below (every term
-    falls as x grows, and so does its float), and each point computes its a0
-    only on the rows whose bound lies below its ``cut``, which changes no
-    result.  A point's first
-    pass keeps its k0+1 smallest a0 and the rows below a running bound on
+    ``draw(j, rows)`` returns the gains of batch j of ``plan`` as the
+    searches see them.  Each pass draws every batch once and serves all its
+    points.  Where a pass serves two or more points, each batch's aggregate
+    at their largest x0 bounds all their a0 from below (every term falls as
+    x grows, and so does its float), and each point computes its a0 only on
+    the rows whose bound lies below its ``cut``, which changes no result.
+    A point's first pass keeps its k0+1 smallest a0 and the rows below a running bound on
     the window; where the final bracket lies inside that bound, the window
     stage runs on those rows and the point is done in one pass.  Otherwise,
     or where the point kept no rows, it takes a second pass over the exact
@@ -693,24 +689,22 @@ def _exact_passes(points, draw, plan: list[tuple[int, int]]) -> list[tuple[tuple
     crossing.
     """
     n = sum(rows for _, rows in plan)
-    found: list = [None] * len(points)
+    found: list = [None] * len(searches)
     start, second = 0, []
-    while start < len(points) or second:
+    while start < len(searches) or second:
         first, used, room = [], 0, n
-        while start < len(points):
-            search = points[start][0]
+        while start < len(searches):
+            search = searches[start]
             buf, least = search.k0 + 1, (search.k0 + 1) * (1 + 2 * search.k)
             keep = buf + least <= n
             if first and used + buf + keep * least > n:
                 break
-            first.append((start, _PassPoint(*points[start])))
+            first.append((start, _PassPoint(search)))
             if not keep:
                 first[-1][1].drop()
             used, room, start = used + buf + keep * least, room - buf, start + 1
         passing = [p for _, p in second + first]
-        x_floor = None
-        if len(passing) > 1 and all(p.scale is None for p in passing):
-            x_floor = max(p.search.x0 for p in passing)
+        x_floor = max(p.search.x0 for p in passing) if len(passing) > 1 else None
         for j, rows in plan:
             gains = draw(j, rows)
             floor = None
@@ -764,11 +758,7 @@ def empirical_eps_outage_capacity_sweep(
             params.snr, _max_allowed_count(params.epsilon, n_trials), params.k_relays, params.tau,
             threshold_mode, c_eps_baf_k(variances, params.snr, params.epsilon),
         ))
-    found = _exact_passes(
-        [(search, None) for search in searches],
-        lambda j, rows: gains_batch(variances, master_seed, j, rows),
-        batch_plan(n_trials),
-    )
+    found = _exact_passes(searches, lambda j, rows: gains_batch(variances, master_seed, j, rows), batch_plan(n_trials))
     return [
         RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
         for (rate, count, _, _), passes in found
@@ -856,9 +846,10 @@ def empirical_capacity_vs_position(
     Positions come in blocks of ``_BLOCK_POSITIONS``.  One bounding pass per
     block (``_block_window``) keeps the few trials whose aggregate can lie in
     the block's predicted band, and each position runs ``_window_stage`` on
-    them alone.  A position whose start offset or bracket falls outside what
-    the window was bounded for, and the first two, take an exact pass over
-    all trials instead, and the next block starts after it.  Either way the
+    them alone, scaled by its variance row.  A position whose start offset or
+    bracket falls outside what the window was bounded for, and the first
+    two, take an exact pass over all trials instead, on the draws scaled as
+    they are read, and the next block starts after it.  Either way the
     result is bit for bit that of the exact pass.
 
     Returns (positions, capacities).
@@ -890,10 +881,10 @@ def empirical_capacity_vs_position(
         if window is None and i >= 2:
             block_end = min(i + _BLOCK_POSITIONS, len(grid))
             window = _block_window(search, raw, plan, scales[i:block_end], caps[i - 2 : i], bands[i - 2 : i])
-        found = None if window is None else _window_stage(search, window, scale)
+        found = None if window is None else _window_stage(search, replace(window, gains=window.gains * scale))
         if found is None or i + 1 == block_end:
             window = None
         if found is None:
-            found = _exact_passes([(search, scale)], lambda j, rows: raw[j], plan)[0][0]
+            found = _exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0]
         caps[i], _, bands[i, 0], bands[i, 1] = found
     return grid, caps

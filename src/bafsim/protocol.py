@@ -6,8 +6,8 @@ g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
 offset-free hop terms g_rd*g_sr and g_rd+g_sr.  Every estimator evaluates them
 here: the capacity kernel through ``aggregate_batch``, and the outage, E(N)
 and Lemma 1 sweep through ``hop_terms``, computed once per batch, and
-``undecoded_counts`` at each of its decode conditions.  ``block_stats_batch``
-gives per-row outcomes, and ``simulate_block`` is the scalar reference.
+``undecoded_counts`` at each of its decode conditions.  ``simulate_block`` is
+the scalar reference.
 
 Sub-block 1 is the source burst.  After every sub-block the destination
 compares the capacity of the accumulated aggregate against the target rate
@@ -105,24 +105,6 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
     return agg
 
 
-def block_stats_batch(gains: np.ndarray, x: float, thr: float, k_relays: int) -> tuple[np.ndarray, np.ndarray]:
-    """Protocol outcomes (outage flags, sub-blocks used) of every row of a ``gains_batch`` matrix.
-
-    The decode test is alpha >= ``thr`` at offset ``x`` (see
-    ``decode_condition``), checked after every stage.  A row counts one more
-    sub-block for each relay stage it enters undecoded, and stays decoded
-    even if a later term is NaN.  Row-for-row identical to ``simulate_block``.
-    """
-    _check_shape(gains, k_relays)
-    stages = _running_sums(gains[:, 0], _hops(gains, k_relays), x)
-    decoded = next(stages) >= thr
-    n_used = np.ones(gains.shape[0], dtype=np.int64)
-    for agg in stages:
-        n_used += ~decoded
-        decoded |= agg >= thr
-    return ~decoded, n_used
-
-
 def hop_terms(gains: np.ndarray, k_relays: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The offset-free terms of the aggregate of every row of a ``gains_batch`` matrix.
 
@@ -139,7 +121,7 @@ def undecoded_counts(terms, points) -> list[list[int]]:
 
     ``terms`` comes from ``hop_terms``, and every condition reuses the same
     buffers.  A row stays decoded even if a later term is NaN, as in
-    ``block_stats_batch``: u_K rows are in outage, and a row uses one more
+    ``simulate_block``: u_K rows are in outage, and a row uses one more
     sub-block for each u_m, m < K, that counts it.
     """
     g_sd, hops = terms

@@ -44,7 +44,7 @@ class TestGeometry:
 
     @pytest.mark.parametrize("position", [0.0, 1.0, -0.2, 1.5])
     def test_relay_must_sit_strictly_inside(self, position):
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidParameterError, match=r"between source \(0\) and destination \(1\.0\)"):
             NetworkGeometry((position,), 3.0)
 
     def test_exact_swap_on_dyadic_positions(self):

@@ -23,13 +23,18 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PERFBENCH = SRC.parent / "perfbench"
 
 
-def benchmark_workloads() -> dict:
-    """The workloads of the benchmark script ``perfbench/run.py``, which is read, not run."""
+def benchmark_script():
+    """The benchmark script ``perfbench/run.py`` as a module; importing it runs no benchmark."""
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve their module through sys.modules
     spec.loader.exec_module(module)
-    return module.WORKLOADS
+    return module
+
+
+def benchmark_workloads() -> dict:
+    """The workloads of the benchmark script ``perfbench/run.py``."""
+    return benchmark_script().WORKLOADS
 
 
 def run_csv(tmp_path, args, name="out.csv"):
@@ -422,6 +427,31 @@ class TestWorkersEnv:
         err = capsys.readouterr().err
         assert err == f"bafsim: error: BAF_WORKERS must be a positive integer, got {value!r}\n"
         assert draws == []
+
+
+class TestBenchmarkChild:
+    """The benchmark's child interpreter (``perfbench/child.py``) runs against this package."""
+
+    def test_main_probe_and_tracer_run(self, tmp_path):
+        bench = benchmark_script()
+        seed = 7
+        out = tmp_path / "capacity.csv"
+        result = bench.spawn({"mode": "main", "argv": bench.bafsim_argv("capacity-sweep", seed, out)})
+        assert result["rc"] == 0 and result["wall_s"] > 0.0
+        references = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
+        assert bench.check_capacity(out.read_text(encoding="utf-8"), references["capacity-sweep"][str(seed)]) is None
+
+        spans_out = tmp_path / "spans.json"
+        argv = ["placement", "--snr-db=-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101",
+                "--trials", "20000", "--seed", str(seed), "--out", str(tmp_path / "placement.csv")]
+        result = bench.spawn({"mode": "main", "argv": argv, "trace": True, "spans_out": str(spans_out)})
+        assert result["rc"] == 0
+        names = {span[0] for span in json.loads(spans_out.read_text(encoding="utf-8"))}
+        assert {"cli.main", "channel.gains_batch", "montecarlo.empirical_capacity_vs_position"} <= names
+
+        result = bench.spawn({"mode": "probe", "trials": [20_000], "workers": [1, 2], "repeats": 1, "seed": seed})
+        assert sorted(result["times"]) == ["20000:1", "20000:2"]
+        assert all(t > 0.0 for t in result["times"].values())
 
 
 class TestImport:

@@ -31,7 +31,8 @@ from bafsim.montecarlo import (
     quadrature_outage_oracle,
     worker_count,
 )
-from bafsim.protocol import aggregate_batch, block_stats_batch
+from bafsim.protocol import aggregate_batch
+from protocol_reference import block_stats_batch
 
 UNIT = LinkVariances(1.0, (1.0,), (1.0,))
 
@@ -467,7 +468,7 @@ def _two_pass_oracle(variances, params, n_trials, seed, mode):
     _, _, a_below, a_above = search.bracket(float(np.partition(a0, k0)[k0]))
     exact = ((a0[s : s + rows],) * 2 for (_, rows), s in zip(plan, starts))
     window = montecarlo._window(draw, plan, exact, a_below, a_above, search.x0, search.x0, search.k)
-    rate, count, _, _ = montecarlo._window_stage(search, window, None)
+    rate, count, _, _ = montecarlo._window_stage(search, window)
     return rate, count / n_trials
 
 
@@ -616,9 +617,9 @@ class TestSharedFloor:
 
         windows, stage = [], montecarlo._window_stage
 
-        def recorded(search, window, scale):
+        def recorded(search, window):
             windows.append((window.below, window.gains.tobytes(), window.low, window.high))
-            return stage(search, window, scale)
+            return stage(search, window)
 
         monkeypatch.setattr(montecarlo, "aggregate_batch", counted)
         monkeypatch.setattr(montecarlo, "_window_stage", recorded)
@@ -719,8 +720,8 @@ def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mo
     for i, d in enumerate(grid):
         v = variances_from_geometry(NetworkGeometry((d,), pathloss))
         start = caps[i - 1] if i else c_eps_baf_k(v, snr, epsilon)
-        search = montecarlo._RateSearch(snr, k0, 1, None, mode, start)
-        caps[i] = montecarlo._exact_passes([(search, variance_row(v))], lambda j, rows: raw[j], plan)[0][0][0]
+        search, row = montecarlo._RateSearch(snr, k0, 1, None, mode, start), variance_row(v)
+        caps[i] = montecarlo._exact_passes([search], lambda j, rows: raw[j] * row, plan)[0][0][0]
     return caps
 
 
@@ -796,7 +797,7 @@ class TestPlacementBlocks:
         solved, start = [], 1e-3
         for scale in scales[:3]:  # the first bracket is wide, as it starts far from the capacity
             search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
-            solved.append(montecarlo._exact_passes([(search, scale)], lambda j, rows: raw[j], plan)[0][0])
+            solved.append(montecarlo._exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0])
             start = solved[-1][0]
         search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
         caps, bands = np.array([f[0] for f in solved[1:]]), np.array([f[2:] for f in solved[1:]])

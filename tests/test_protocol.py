@@ -6,14 +6,8 @@ from hypothesis import strategies as st
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import (
-    BlockOutcome,
-    aggregate_batch,
-    block_stats_batch,
-    hop_terms,
-    simulate_block,
-    undecoded_counts,
-)
+from bafsim.protocol import BlockOutcome, aggregate_batch, hop_terms, simulate_block, undecoded_counts
+from protocol_reference import block_stats_batch
 
 gain = st.floats(0.0, 50.0)
 
