@@ -60,7 +60,8 @@ def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str 
     """Aggregate level below which a block of K+1 sub-blocks is in outage.
 
     "exact" inverts the capacity condition: tau*(2^((K+1)*rate/tau) - 1)/SNR,
-    inf where 2^((K+1)*rate/tau) exceeds the float range (every block is then
+    with 2^z - 1 evaluated as expm1(z*ln 2) so that it keeps its precision at
+    small z, and inf where it exceeds the float range (every block is then
     in outage).  "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).
     Both are 0 at rate 0.  A NumPy float rate takes the same float arithmetic
     as a Python float.
@@ -69,7 +70,7 @@ def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str 
     rate = float(rate)
     if mode == "exact":
         try:
-            growth = 2.0 ** ((k_relays + 1) * rate / tau) - 1.0
+            growth = math.expm1((k_relays + 1) * rate / tau * math.log(2.0))
         except OverflowError:
             growth = math.inf
         return tau * growth / snr
@@ -123,6 +124,11 @@ def _root_argument(variances: LinkVariances, epsilon: float) -> float:
     return math.exp(log_q / (k + 1))
 
 
+def _log2_1p(v: float) -> float:
+    """log2(1 + v) as log1p(v)/ln 2, which does not round to 0 where v is below the float epsilon."""
+    return math.log1p(v) / math.log(2.0)
+
+
 def c_eps_baf_no_feedback(variances: LinkVariances, snr: float, epsilon: float) -> float:
     """One-relay outage capacity without feedback.
 
@@ -137,14 +143,15 @@ def c_eps_baf_k(variances: LinkVariances, snr: float, epsilon: float) -> float:
     """K-relay low-SNR closed form of the outage capacity without feedback.
 
     (1/(K+1)) * log2(1 + SNR * root) with the (K+1)-th root argument of
-    ``_root_argument``.  For K=1 this is exactly the no-feedback closed form.
-    It approximates the capacity and does not bound it: at one relay,
-    pathloss 3, SNR -10 to -30 dB and epsilon 0.001 to 0.1, the empirical
-    capacity lies between about 5% below it, near the midpoint, and up to
-    19% above it, near the ends of the segment.
+    ``_root_argument``, through ``_log2_1p`` so that it keeps its precision
+    where SNR * root is small.  For K=1 this is exactly the no-feedback
+    closed form.  It approximates the capacity and does not bound it: at one
+    relay, pathloss 3, SNR -10 to -30 dB and epsilon 0.001 to 0.1, the
+    empirical capacity lies between about 5% below it, near the midpoint,
+    and up to 19% above it, near the ends of the segment.
     """
     k = variances.k_relays
-    return (1.0 / (k + 1)) * math.log2(1.0 + snr * _root_argument(variances, epsilon))
+    return (1.0 / (k + 1)) * _log2_1p(snr * _root_argument(variances, epsilon))
 
 
 def c_eps_cutset(variances: LinkVariances, snr: float, epsilon: float) -> float:
@@ -154,7 +161,7 @@ def c_eps_cutset(variances: LinkVariances, snr: float, epsilon: float) -> float:
     access cuts enter, and E(N) >= 1 + K*eps is already applied.
     """
     k = variances.k_relays
-    return (1.0 / (1.0 + k * epsilon)) * math.log2(1.0 + snr * _root_argument(variances, epsilon))
+    return (1.0 / (1.0 + k * epsilon)) * _log2_1p(snr * _root_argument(variances, epsilon))
 
 
 def expected_n_one_relay(variances: LinkVariances, params: SystemParams, mode: str = "exact") -> float:

@@ -95,6 +95,12 @@ class TestOutageThreshold:
     def test_zero_rate_threshold_is_zero(self):
         assert _policy_threshold(0.0) == 0.0
 
+    def test_exact_threshold_keeps_its_precision_at_small_growth(self):
+        # tau*(2^z - 1)/SNR at z = 2e-10: 2^z - 1 = z*ln2*(1 + z*ln2/2) to far below 1e-15
+        z = 2.0 * 1e-20 / 1e-10
+        growth = z * math.log(2.0) * (1.0 + z * math.log(2.0) / 2.0)
+        assert threshold_for(1e-20, 1.0, 1e-10, 1) == pytest.approx(1e-10 * growth, rel=1e-15, abs=0)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
             threshold_for(0.01, 1.0, 0.1, 1, "bogus")
@@ -189,6 +195,13 @@ class TestRootArgument:
         assert root == pytest.approx(_log_space_root(v, epsilon), rel=1e-12, abs=0)
         for c in (c_eps_baf_k(v, 1.0, epsilon), c_eps_cutset(v, 1.0, epsilon)):
             assert math.isfinite(c) and c >= 0.0
+
+    def test_closed_forms_keep_their_leading_term_below_the_float_epsilon(self):
+        # SNR * root is about 3e-152, so log2(1 + SNR * root) rounds to 0 unless taken through log1p
+        v = LinkVariances(1e-150, (1e-150,), (1e-150,))
+        leading = 1.0 * _root_argument(v, 1e-3) / math.log(2.0)
+        assert c_eps_baf_k(v, 1.0, 1e-3) == pytest.approx(0.5 * leading, rel=1e-12, abs=0)
+        assert c_eps_cutset(v, 1.0, 1e-3) == pytest.approx(leading / (1.0 + 1e-3), rel=1e-12, abs=0)
 
     def test_overflowing_point_prints_its_closed_form(self):
         # sigma^2 = 1e150 on every link at 0 dB: the plain product reaches 2e447, the root argument is sqrt(1e297)

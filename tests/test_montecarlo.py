@@ -422,6 +422,16 @@ class TestEmpiricalCapacity:
         above = SystemParams(snr=snr, rate=math.nextafter(res.rate, math.inf), epsilon=eps, k_relays=k, tau=tau)
         assert estimate_outage(v, above, n, seed, workers=1, threshold_mode=mode).mean >= eps
 
+    def test_capacity_far_below_the_float_epsilon_crosses_epsilon(self):
+        # the capacity is about 1e-101 here, so the growth 2^z - 1 of the exact
+        # threshold must keep its precision at z near 1e-100, not round to 0
+        v = LinkVariances(1e-100, (1e-100,), (1.0,))
+        n, eps, seed = 20_000, 0.01, 1
+        res = empirical_eps_outage_capacity(v, SystemParams(snr=1.0, rate=0.0, epsilon=eps), n, seed)
+        assert 0.0 < res.achieved_outage < eps
+        above = SystemParams(snr=1.0, rate=math.nextafter(res.rate, math.inf), epsilon=eps)
+        assert estimate_outage(v, above, n, seed, workers=1).mean >= eps
+
     def test_doubling_trials_is_stable(self):
         params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02)
         r1 = empirical_eps_outage_capacity(UNIT, params, 50_000, 21).rate
