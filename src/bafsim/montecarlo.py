@@ -660,12 +660,12 @@ def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]
     at their largest x0 bounds all their a0 from below (every term falls as
     x grows, and so does its float), and each point computes its a0 only on
     the rows whose bound lies below its ``cut``, which changes no result.
-    A point's first pass keeps its k0+1 smallest a0 and the rows below a running bound on
-    the window; where the final bracket lies inside that bound, the window
-    stage runs on those rows and the point is done in one pass.  Otherwise,
-    or where the point kept no rows, it takes a second pass over the exact
-    band [a_below, a_above) of its final k0-th a0, so the stage always
-    succeeds there.
+    A point's first pass keeps its k0+1 smallest a0 and the rows below a
+    running bound on the window; where the final bracket lies inside that
+    bound, the window stage runs on those rows and the point is done in one
+    pass.  Otherwise, or where the point kept no rows, it takes a second
+    pass over the exact band [a_below, a_above) of its final k0-th a0, so
+    the stage always succeeds there.
 
     The state of first passes, k0+1 buffered values and the kept rows per
     point, stays within the n_trials floats one point's array of a0 would
