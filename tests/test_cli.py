@@ -32,11 +32,6 @@ def benchmark_script():
     return module
 
 
-def benchmark_workloads() -> dict:
-    """The workloads of the benchmark script ``perfbench/run.py``."""
-    return benchmark_script().WORKLOADS
-
-
 def run_csv(tmp_path, args, name="out.csv"):
     out = tmp_path / name
     code = main(args + ["--out", str(out)])
@@ -136,7 +131,7 @@ class TestOutage:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_benchmark_sweep_bytes_equal_the_reference(self, tmp_path, monkeypatch, workers):
         # the draws and counts are bit-reproducible, so the benchmark checks its outage output byte for byte
-        argv = list(benchmark_workloads()["outage-sweep"].argv)
+        argv = list(benchmark_script().WORKLOADS["outage-sweep"].argv)
         references = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
         monkeypatch.setenv("BAF_WORKERS", workers)
         text, _ = run_csv(tmp_path, argv + ["--seed", "7"])
