@@ -27,19 +27,21 @@ k0 seeded trials, the largest outage count below epsilon, are in outage, and
 more are at the next float up.  The kernel, ``_window_stage``, counts with
 the protocol's aggregate ``aggregate_batch`` on a window of trials: those
 whose aggregate can fall in the band that brackets the answer, plus a count
-of the trials surely below it.  Operating points take their windows from the
-exact pass ``_exact_passes``: a capacity sweep draws each batch once for all
-its points, each keeping its k0+1 smallest aggregates and the rows below a
-running bound, and draws it a second time only for the points whose rows do
-not fit the memory of one array of n_trials aggregates, or whose kept rows
-miss the final bracket.  The placement sweep bounds each block of relay
-positions in one pass over its cached unit draws and solves every position of
-the block on that window; a position the window cannot hold falls back to the
-exact pass, so the curve is bit for bit the exact pass's.  Every kernel
-function takes the gains as its search sees them: each position scales the
-unit draws by its variance row where it reads them.  One float
-bisection, ``_solve_increasing``, finds every root the module needs: the
-kernel's rate bracket, the capacity itself and lemma1's policy offset.
+of the trials surely below it.  One gatherer, ``_Rows``, builds every window
+from a lower and an upper bound on each trial's aggregate, in trial order.
+Operating points take their windows from the exact pass ``_exact_passes``: a
+capacity sweep draws each batch once for all its points, each keeping its
+k0+1 smallest aggregates and the rows below a running bound, and draws it a
+second time only for the points whose rows do not fit the memory of one
+array of n_trials aggregates, or whose kept rows miss the final bracket.
+The placement sweep bounds each block of relay positions in one pass over
+its cached unit draws and solves every position of the block on that window;
+a position the window cannot hold falls back to the exact pass, so the curve
+is bit for bit the exact pass's.  Every kernel function takes the gains as
+its search sees them: each position scales the unit draws by its variance
+row where it reads them.  One float bisection, ``_solve_increasing``, finds
+every root the module needs: the kernel's rate bracket, the capacity itself
+and lemma1's policy offset.
 """
 
 from __future__ import annotations
@@ -489,39 +491,44 @@ class _Window:
     x_hi: float
 
 
-def _window(draw, plan, bounds, low: float, high: float, x_lo: float, x_hi: float, k: int) -> _Window:
-    """Window of the trials whose bounds on a0 meet [low, high).
+class _Rows:
+    """The rows of a pass whose bounds on a0 meet the band [low, high), in trial order.
 
-    ``bounds`` yields a (lower, upper) pair per batch of ``plan``, and
-    ``draw(j, rows)`` returns the gains of batch j; only batches holding
-    window trials are drawn.
+    ``add`` takes a batch of gains with a lower and an upper bound on each
+    row's a0 (a0 itself for both, where it is computed): it counts the rows
+    surely below the band in ``below`` and keeps those that can lie in it.
+    ``size`` is the number of floats kept.
     """
-    below, picks = 0, []
-    for (j, rows), (lower, upper) in zip(plan, bounds):
-        below += int(np.count_nonzero(upper < low))
-        picks.append((j, rows, np.flatnonzero((upper >= low) & (lower < high))))
-    # column-major, so that scaling by the variances runs down whole columns
-    gains = np.empty((sum(idx.size for _, _, idx in picks), 1 + 2 * k), order="F")
-    s = 0
-    for j, rows, idx in picks:
-        if idx.size:
-            gains[s : s + idx.size] = draw(j, rows)[idx]
-            s += idx.size
-    return _Window(below, gains, low, high, x_lo, x_hi)
 
+    def __init__(self, low: float, high: float):
+        self.low, self.high = low, high
+        self.below, self.chunks, self.size = 0, [], 0
 
-def _stacked(chunks: list[np.ndarray], width: int) -> np.ndarray:
-    """The rows of ``chunks`` in order, in one column-major array as ``_window`` gathers them.
+    def add(self, gains: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
+        self.below += int(np.count_nonzero(upper < self.low))
+        # faster than a boolean index on rows
+        self.chunks.append(gains[np.flatnonzero((upper >= self.low) & (lower < self.high))])
+        self.size += self.chunks[-1].size
 
-    Each chunk leaves the list once copied, so that its memory can go.
-    """
-    gains = np.empty((sum(len(c) for c in chunks), width), order="F")
-    s = 0
-    while chunks:
-        chunk = chunks.pop(0)
-        gains[s : s + len(chunk)] = chunk
-        s += len(chunk)
-    return gains
+    def prune(self, a0_of) -> None:
+        """Keep only the rows whose a0, ``a0_of(rows)``, lies below ``high``."""
+        for c, chunk in enumerate(self.chunks):
+            self.chunks[c] = chunk[np.flatnonzero(a0_of(chunk) < self.high)]
+        self.size = sum(chunk.size for chunk in self.chunks)
+
+    def window(self, width: int, x_lo: float, x_hi: float) -> _Window:
+        """The kept rows as the window bounded for offsets in [x_lo, x_hi]; the rows leave ``self``.
+
+        Column-major, so that scaling by the variances runs down whole
+        columns.  Each chunk is released once copied, so that its memory can go.
+        """
+        gains = np.empty((sum(len(chunk) for chunk in self.chunks), width), order="F")
+        s = 0
+        while self.chunks:
+            chunk = self.chunks.pop(0)
+            gains[s : s + len(chunk)] = chunk
+            s += len(chunk)
+        return _Window(self.below, gains, self.low, self.high, x_lo, x_hi)
 
 
 def _window_stage(search: _RateSearch, window: _Window):
@@ -555,28 +562,24 @@ def _window_stage(search: _RateSearch, window: _Window):
 
 
 class _PassPoint:
-    """One search's share of a pass over the trials, as the window it gathers.
+    """One search's share of a pass over the trials, as the window its ``rows`` gather.
 
     ``add`` and ``prune`` take the gains as the search sees them.  A first
-    pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf`` and,
-    unless ``rows`` is None, every drawn row whose a0 lies below the
-    running bound ``high`` when its batch comes, or when the rows are pruned
-    (``size`` floats in all).  The k0-th smallest a0 seen so far only falls,
-    so the rows kept are a superset of the trials the final bracket needs.
-    A second pass gathers the rows with a0 in the bracket's band [low, high)
-    from the final k0-th smallest a0, and counts the trials below it.
+    pass keeps the k0+1 smallest a0 seen in ``buf`` and, unless ``rows`` is
+    None, every drawn row whose a0 lies below the running bound
+    ``rows.high`` when its batch comes, or when the rows are pruned.  The
+    k0-th smallest a0 seen so far only falls, so the rows kept are a
+    superset of the trials the final bracket needs.  A second pass, which
+    ``close`` arms on the same point, keeps the rows with a0 in the
+    bracket's band [a_below, a_above) from the final k0-th smallest a0, and
+    counts the trials below it.
     """
 
-    def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
-        self.search = search
-        self.below, self.rows, self.size = 0, [], 0
-        if band is None:
-            self.low, self.high, self.bounded = -math.inf, math.inf, math.inf
-            # room for up to as many values again (at most a batch), partitioned only when full
-            spare = min(search.k0 + 1, TRIALS_PER_BATCH)
-            self.buf, self.filled, self.settled = np.empty(search.k0 + 1 + spare), 0, math.inf
-        else:
-            (self.low, self.high), self.buf = band, None
+    def __init__(self, search: _RateSearch):
+        self.search, self.rows, self.bounded = search, _Rows(-math.inf, math.inf), math.inf
+        # room for up to as many values again (at most a batch), partitioned only when full
+        spare = min(search.k0 + 1, TRIALS_PER_BATCH)
+        self.buf, self.filled, self.settled = np.empty(search.k0 + 1 + spare), 0, math.inf
 
     def _settle(self) -> float:
         """The k0-th smallest a0 seen, or inf before k0+1 have been."""
@@ -589,8 +592,8 @@ class _PassPoint:
     def cut(self) -> float:
         """The a0 at or above which a row of the next batch adds nothing."""
         if self.buf is None:
-            return self.high
-        return self.settled if self.rows is None else max(self.settled, self.high)
+            return self.rows.high
+        return self.settled if self.rows is None else max(self.settled, self.rows.high)
 
     def add(self, gains: np.ndarray, floor: np.ndarray | None = None) -> None:
         """Take one batch of drawn gains; ``floor``, if given, is a lower bound on each row's a0."""
@@ -610,45 +613,35 @@ class _PassPoint:
                 return
             u = self._settle()
             if u < self.bounded:
-                self.high, self.bounded = min(self.high, s.upper(u)[1] * (1.0 + _RUNNING_MARGIN)), u
-            keep = a0 < self.high
-        else:
-            self.below += int(np.count_nonzero(a0 < self.low))
-            keep = (a0 >= self.low) & (a0 < self.high)
-        self.rows.append(gains[np.flatnonzero(keep)])  # faster than a boolean index on rows
-        self.size += self.rows[-1].size
+                self.rows.high = min(self.rows.high, s.upper(u)[1] * (1.0 + _RUNNING_MARGIN))
+                self.bounded = u
+        self.rows.add(gains, a0, a0)
 
     def prune(self) -> None:
         """Keep only the kept rows whose a0 lies below the current running bound."""
-        if self.rows is None:
-            return
-        s = self.search
-        for c, chunk in enumerate(self.rows):
-            a0 = aggregate_batch(chunk, s.k, s.x0)
-            self.rows[c] = chunk[np.flatnonzero(a0 < self.high)]
-        self.size = sum(chunk.size for chunk in self.rows)
+        if self.rows is not None:
+            s = self.search
+            self.rows.prune(lambda gains: aggregate_batch(gains, s.k, s.x0))
 
     def drop(self) -> None:
         """Stop keeping rows."""
-        self.rows, self.size = None, 0
+        self.rows = None
 
-    def close(self) -> tuple:
-        """The window stage's result, or the second pass to take instead; releases the point's arrays.
+    def close(self) -> tuple | None:
+        """The window stage's result on the rows kept; releases the point's arrays.
 
-        Returns (``_window_stage`` on the window gathered, None), or, after a
-        first pass whose window cannot hold the answer, (None, a second pass
-        over the bracket's band from the final k0-th smallest a0).
+        After a first pass whose window cannot hold the answer, or that kept
+        no rows, returns None and arms the point as the second pass over the
+        bracket's band from the final k0-th smallest a0.
         """
         s, rows, self.rows = self.search, self.rows, None
-        found = None
         if rows is not None:
-            window = _Window(self.below, _stacked(rows, 1 + 2 * s.k), self.low, self.high, s.x0, s.x0)
-            found = _window_stage(s, window)
-        if found is not None or self.buf is None:
-            return found, None
+            found = _window_stage(s, rows.window(1 + 2 * s.k, s.x0, s.x0))
+            if found is not None or self.buf is None:
+                return found
         _, _, a_below, a_above = s.bracket(self._settle())
-        self.buf = None
-        return None, _PassPoint(s, (a_below, a_above))
+        self.buf, self.rows = None, _Rows(a_below, a_above)
+        return None
 
 
 def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]) -> list[tuple[tuple, int]]:
@@ -660,12 +653,13 @@ def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]
     at their largest x0 bounds all their a0 from below (every term falls as
     x grows, and so does its float), and each point computes its a0 only on
     the rows whose bound lies below its ``cut``, which changes no result.
-    A point's first pass keeps its k0+1 smallest a0 and the rows below a
-    running bound on the window; where the final bracket lies inside that
-    bound, the window stage runs on those rows and the point is done in one
-    pass.  Otherwise, or where the point kept no rows, it takes a second
-    pass over the exact band [a_below, a_above) of its final k0-th a0, so
-    the stage always succeeds there.
+    A point's first pass keeps its k0+1 smallest a0 and, in a ``_Rows``,
+    the rows below a running bound on the window; where the final bracket
+    lies inside that bound, the window stage runs on those rows and the
+    point is done in one pass.  Otherwise, or where the point kept no rows,
+    ``close`` arms the same point as a second pass whose ``_Rows`` gathers
+    the exact band [a_below, a_above) of its final k0-th a0, so the stage
+    always succeeds there.
 
     The state of first passes, k0+1 buffered values and the kept rows per
     point, stays within the n_trials floats one point's array of a0 would
@@ -714,21 +708,21 @@ def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]
                 point.add(gains, floor)
             for _, point in first:
                 point.add(gains, floor)
-                if sum(p.size for _, p in first) > room:
+                if sum(p.rows.size for _, p in first if p.rows is not None) > room:
                     for _, p in first:
                         p.prune()
-                    if sum(p.size for _, p in first) > room:
+                    if sum(p.rows.size for _, p in first if p.rows is not None) > room:
                         point.drop()
         # first passes close first, to release their buffers before the second passes' stages
         done, second = second, []
         for i, point in first:
-            stage, again = point.close()
-            if again is None:
-                found[i] = (stage, 1)
+            stage = point.close()
+            if stage is None:
+                second.append((i, point))
             else:
-                second.append((i, again))
+                found[i] = (stage, 1)
         for i, point in done:
-            found[i] = (point.close()[0], 2)
+            found[i] = (point.close(), 2)
     return found
 
 
@@ -791,7 +785,7 @@ PLACEMENT_TRIAL_LIMIT = 20_000_000
 
 
 def _block_window(
-    search: _RateSearch, raw: list[np.ndarray], plan, scales: np.ndarray, recent_caps: np.ndarray, recent_bands: np.ndarray
+    search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray, recent_caps: np.ndarray, recent_bands: np.ndarray
 ) -> _Window:
     """Window for the positions with variance rows ``scales``, from one bounding pass over ``raw``.
 
@@ -800,7 +794,9 @@ def _block_window(
     and widened by ``_PREDICTION_MARGIN``.  The aggregate rises in every gain
     and falls in x, so a0 over the block lies between its value at the
     smallest entry of each variance column and the largest x, and its value
-    at the largest entries and the smallest x.
+    at the largest entries and the smallest x.  Each batch's two bounds go
+    to a ``_Rows`` over the predicted band, which keeps the unit draws of
+    the trials they cannot place outside it.
     """
     steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
     # a prediction that overflows (an infinite a_above far past the clamp) only
@@ -815,13 +811,11 @@ def _block_window(
     low, high = float(bands.min()), float(bands.max())
     low, high = low - _PREDICTION_MARGIN * abs(low), high + _PREDICTION_MARGIN * abs(high)
     row_lo, row_hi = scales.min(axis=0), scales.max(axis=0)
-    k = search.k
-    bounds = (
-        (aggregate_batch(g * row_lo, k, x_hi) * (1.0 - _BOUND_MARGIN),
-         aggregate_batch(g * row_hi, k, x_lo) * (1.0 + _BOUND_MARGIN))
-        for g in raw
-    )
-    return _window(lambda j, rows: raw[j], plan, bounds, low, high, x_lo, x_hi, k)
+    k, rows = search.k, _Rows(low, high)
+    for g in raw:
+        rows.add(g, aggregate_batch(g * row_lo, k, x_hi) * (1.0 - _BOUND_MARGIN),
+                 aggregate_batch(g * row_hi, k, x_lo) * (1.0 + _BOUND_MARGIN))
+    return rows.window(1 + 2 * k, x_lo, x_hi)
 
 
 def empirical_capacity_vs_position(
@@ -880,7 +874,7 @@ def empirical_capacity_vs_position(
         search = _RateSearch(snr, k0, 1, None, threshold_mode, start)
         if window is None and i >= 2:
             block_end = min(i + _BLOCK_POSITIONS, len(grid))
-            window = _block_window(search, raw, plan, scales[i:block_end], caps[i - 2 : i], bands[i - 2 : i])
+            window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i], bands[i - 2 : i])
         found = None if window is None else _window_stage(search, replace(window, gains=window.gains * scale))
         if found is None or i + 1 == block_end:
             window = None

@@ -456,28 +456,74 @@ class TestEmpiricalCapacity:
         assert res.achieved_outage < 0.02
 
 
-def _two_pass_oracle(variances, params, n_trials, seed, mode):
-    """(rate, achieved outage) of an exact pass that keeps every trial's a0 in one array.
+_BOUNDS = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf])
 
-    The first pass stores the n_trials aggregates at the start offset and
-    brackets their k0-th smallest; the second gathers the trials in the
-    bracket's band from the stored array and runs ``_window_stage`` on them.
+
+def _bounded_row(row):
+    """(lower, upper, a0) with lower <= upper, or NaN throughout where a bound is NaN."""
+    lower, upper, a0 = row
+    if math.isnan(lower) or math.isnan(upper):
+        return (math.nan,) * 3
+    return (min(lower, upper), max(lower, upper), a0)
+
+
+_ROW = st.tuples(*[st.one_of(_BOUNDS, st.just(math.nan))] * 3).map(_bounded_row)
+
+
+class TestRows:
+    @given(
+        batches=st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=4),
+        low=_BOUNDS,
+        high=_BOUNDS,
+        cut=_BOUNDS,
+    )
+    @example(batches=[[(0.0, 1.0, 0.5), (1.0, 1.0, 1.0)], [(-math.inf, math.inf, 2.0)]], low=1.0, high=1.0, cut=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_window_and_prune_follow_the_bound_masks(self, batches, low, high, cut):
+        # the contract of every window: ``below`` counts the rows whose upper bound
+        # lies below ``low``, the window keeps the rows whose bounds meet [low, high)
+        # in trial order, column-major, and ``prune`` keeps those with a0 below ``high``
+        bounds = [np.array(batch, dtype=float).reshape(-1, 3) for batch in batches]
+        starts = np.cumsum([0] + [len(b) for b in bounds])
+        # each row is (a0, trial index, -trial index), so the order of the rows shows
+        gains = [np.column_stack([b[:, 2], np.arange(s, s + len(b)), -np.arange(s, s + len(b))])
+                 for b, s in zip(bounds, starts)]
+        everything = np.concatenate(gains)
+        lower, upper, a0 = np.concatenate(bounds).T
+        kept = (upper >= low) & (lower < high)
+        for prune in (False, True):
+            rows = montecarlo._Rows(low, high)
+            for g, b in zip(gains, bounds):
+                rows.add(g, b[:, 0], b[:, 1])
+            assert rows.size == 3 * np.count_nonzero(kept)
+            if prune:
+                rows.high = cut
+                rows.prune(lambda chunk: chunk[:, 0])
+                kept &= a0 < cut
+                assert rows.size == 3 * np.count_nonzero(kept)
+            window = rows.window(3, 0.25, 0.5)
+            assert window.below == np.count_nonzero(upper < low)
+            assert np.array_equal(window.gains, everything[kept], equal_nan=True)
+            assert window.gains.flags.f_contiguous
+            assert (window.low, window.high, window.x_lo, window.x_hi) == (low, rows.high, 0.25, 0.5)
+
+
+def _two_pass_oracle(variances, params, n_trials, seed, mode):
+    """(rate, achieved outage) of an exact pass that keeps every trial's gains and a0 in one array.
+
+    The first pass computes the n_trials aggregates at the start offset and
+    brackets their k0-th smallest; the window is the trials in the bracket's
+    band, picked by a boolean mask, and ``_window_stage`` runs on it.
     """
     k0 = montecarlo._max_allowed_count(params.epsilon, n_trials)
     start = c_eps_baf_k(variances, params.snr, params.epsilon)
     search = montecarlo._RateSearch(params.snr, k0, params.k_relays, params.tau, mode, start)
-    plan = batch_plan(n_trials)
-
-    def draw(j, rows):
-        return gains_batch(variances, seed, j, rows)
-
-    starts = np.cumsum([0] + [rows for _, rows in plan])
-    a0 = np.empty(starts[-1])
-    for (j, rows), s in zip(plan, starts):
-        a0[s : s + rows] = aggregate_batch(draw(j, rows), search.k, search.x0)
+    gains = np.concatenate([gains_batch(variances, seed, j, rows) for j, rows in batch_plan(n_trials)])
+    a0 = aggregate_batch(gains, search.k, search.x0)
     _, _, a_below, a_above = search.bracket(float(np.partition(a0, k0)[k0]))
-    exact = ((a0[s : s + rows],) * 2 for (_, rows), s in zip(plan, starts))
-    window = montecarlo._window(draw, plan, exact, a_below, a_above, search.x0, search.x0, search.k)
+    band = (a0 >= a_below) & (a0 < a_above)
+    below = int(np.count_nonzero(a0 < a_below))
+    window = montecarlo._Window(below, gains[band], a_below, a_above, search.x0, search.x0)
     rate, count, _, _ = montecarlo._window_stage(search, window)
     return rate, count / n_trials
 
@@ -492,6 +538,12 @@ def _sweep_case(k, tau, snr_dbs, epsilon, sigmas):
 
 class TestCapacitySweep:
     N = 140_000  # three batches, the last one short
+    # the passes each point of the examples below takes
+    EXAMPLE_PASSES = {
+        (3, "exact", None, (-20.0, 30.0), 0.01, (1.0,) * 7, 1): [1, 1],
+        (2, "exact", None, (-20.0, 0.0), 0.08, (1.0,) * 7, 5): [2, 1],
+        (1, "linearized", 0.3, (-20.0, -10.0, 0.0, 10.0), 0.5, (2.0,) * 7, 3): [2, 2, 2, 2],
+    }
 
     @given(
         k=st.sampled_from([1, 2, 3]),
@@ -515,6 +567,8 @@ class TestCapacitySweep:
         for p, res in zip(params, results):
             assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, seed, mode)
             assert res.iterations in (1, 2)
+        passes = self.EXAMPLE_PASSES.get((k, mode, tau, tuple(snr_dbs), epsilon, tuple(sigmas), seed))
+        assert passes in (None, [res.iterations for res in results])
 
     def test_pruned_rows_keep_both_points_in_one_pass(self):
         # the running bounds fall through the pass; the rows kept while they were
@@ -562,6 +616,7 @@ class TestCapacitySweep:
         v, params = _sweep_case(3, None, [-30.0 + 2.0 * i for i in range(14)], 0.01, [1.0] * 7)
         results = empirical_eps_outage_capacity_sweep(v, params, self.N, 9)
         assert len(draws) == 2 * len(batch_plan(self.N))
+        assert [res.iterations for res in results] == FLOOR_PASSES["over-budget"]
         for p, res in zip(params, results):
             assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, 9, "exact")
 
@@ -592,6 +647,13 @@ FLOOR_CASES = {
         _sweep_case(2, None, [-20.0, -10.0, 0.0], 0.02, [1.0, 0.5, 2.0, 1.0, 2.0, 0.5, 1.0]), 140_000, 7, -0.5
     ),
     "over-budget": (_sweep_case(3, None, [-30.0 + 2.0 * i for i in range(14)], 0.01, [1.0] * 7), 140_000, 9, None),
+}
+# the passes each point of a FLOOR_CASES sweep takes
+FLOOR_PASSES = {
+    "one-batch": [1, 1],
+    "short-last-batch": [1, 1, 1],
+    "second-pass": [2, 2, 2],
+    "over-budget": [2, 1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 1, 1],
 }
 
 
@@ -642,8 +704,7 @@ class TestSharedFloor:
         assert empirical_eps_outage_capacity_sweep(v, params, n, seed) == floored
         # the same rows kept, so the same windows
         assert windows == floored_windows
-        if margin is not None:
-            assert [res.iterations for res in floored] == [2] * len(params)
+        assert [res.iterations for res in floored] == FLOOR_PASSES[case]
         # with one batch every point needs all its rows; later batches skip some
         if len(batch_plan(n)) == 1:
             assert floored_rows == sum(rows)
@@ -811,7 +872,7 @@ class TestPlacementBlocks:
             start = solved[-1][0]
         search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
         caps, bands = np.array([f[0] for f in solved[1:]]), np.array([f[2:] for f in solved[1:]])
-        window = montecarlo._block_window(search, raw, plan, scales[3:], caps, bands)
+        window = montecarlo._block_window(search, raw, scales[3:], caps, bands)
         assert 0 < len(window.gains) < n // 5
         assert window.x_lo < window.x_hi and window.low < window.high
         kept = {tuple(row) for row in window.gains}
