@@ -15,12 +15,10 @@ from .capacity import (
     expected_n_one_relay,
 )
 from .channel import (
-    BurstClampWarning,
     ChannelDraw,
     LinkVariances,
     NetworkGeometry,
     SystemParams,
-    resolve_tau,
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError

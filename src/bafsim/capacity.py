@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, resolve_tau
+from .channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle
 from .errors import InvalidParameterError
 
 LOG2E = math.log2(math.e)
@@ -177,7 +177,7 @@ def expected_n_one_relay(variances: LinkVariances, params: SystemParams, mode: s
     if variances.k_relays != 1 or params.k_relays != 1:
         raise InvalidParameterError("expected_n_one_relay requires exactly one relay")
     if mode == "exact":
-        t = threshold_for(params.rate, params.snr, resolve_tau(params), 1, "exact")
+        t = threshold_for(params.rate, params.snr, duty_cycle(params.rate, params.snr, params.tau), 1, "exact")
         return 1.0 + (1.0 - math.exp(-t / variances.sigma_sd2))
     p = LOG2E * params.rate / (variances.sigma_sd2 * params.snr)
     return 1.0 + min(max(p, 0.0), 1.0)

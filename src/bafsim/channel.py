@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,14 +30,6 @@ _SCALE_ROWS = 64
 # Beyond this range the product of two relay gains overflows or underflows;
 # only variance ratios matter, so no model needs a wider one.
 VARIANCE_RANGE = (1e-150, 1e150)
-
-
-class BurstClampWarning(UserWarning):
-    """The duty-cycle policy sqrt(rate * snr) exceeded 1 and was clamped.
-
-    Emitted because the bursty low-SNR operating assumption no longer holds
-    at the requested (rate, snr) point.
-    """
 
 
 def _require(condition: bool, message: str) -> None:
@@ -196,23 +187,6 @@ def duty_cycle(rate: float, snr: float, fixed: float | None = None) -> float:
             "where the duty cycle sqrt(rate*snr) cannot be resolved"
         )
     return min(math.sqrt(product), 1.0)
-
-
-def resolve_tau(params: SystemParams) -> float:
-    """Return the duty cycle in (0, 1] for this operating point.
-
-    ``duty_cycle`` of the operating point as a float; a BurstClampWarning is
-    emitted when the policy's clamp engages.
-    """
-    tau = duty_cycle(params.rate, params.snr, params.tau)
-    if params.tau is None and params.rate * params.snr > 1.0:
-        warnings.warn(
-            f"duty cycle sqrt(rate*snr) clamped to 1 at rate*snr = {params.rate * params.snr:.6g}; "
-            "outside the bursty low-SNR regime",
-            BurstClampWarning,
-            stacklevel=2,
-        )
-    return tau
 
 
 # --- reproducible random streams -------------------------------------------

@@ -322,7 +322,7 @@ def _require_one_relay(cfg: ExperimentConfig, what: str) -> None:
 
 
 def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
-    rows = []
+    rows, notes = [], []
     for db in cfg.snr_db:
         snr = _db_to_linear(db)
         for rate in cfg.rates:
@@ -331,6 +331,11 @@ def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             # capacity formulas, so E(N) can be evaluated with a placeholder target
             params_en = SystemParams(snr=snr, rate=rate, epsilon=0.5, k_relays=cfg.k)
             if cfg.k == 1:
+                if rate * snr > 1.0:  # E(N) is then taken at the clamped duty cycle
+                    notes.append(
+                        f"warning: duty cycle sqrt(rate*snr) clamped to 1 at snr_db={db:g}, rate={rate:g}; "
+                        "outside the bursty low-SNR regime"
+                    )
                 en_exact = cap.expected_n_one_relay(cfg.variances, params_en, "exact")
                 en_approx = cap.expected_n_one_relay(cfg.variances, params_en, "approx")
                 metrics += [
@@ -346,7 +351,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
                 metrics += [("expected_n_exact", en_exact), ("expected_n_approx", en_approx)]
             for name, value in metrics:
                 rows.append(ResultRow(db, rate, cfg.epsilon, cfg.k, name, value, None, None, None))
-    return rows, []
+    return rows, notes
 
 
 def cmd_ratio(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:

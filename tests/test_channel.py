@@ -10,7 +10,6 @@ from bafsim.capacity import decode_condition
 from bafsim.channel import (
     TRIALS_PER_BATCH,
     VARIANCE_RANGE,
-    BurstClampWarning,
     ChannelDraw,
     LinkVariances,
     NetworkGeometry,
@@ -19,7 +18,6 @@ from bafsim.channel import (
     batch_stream,
     duty_cycle,
     gains_batch,
-    resolve_tau,
     variance_row,
     variances_from_geometry,
 )
@@ -85,18 +83,16 @@ class TestLinkVariances:
 
 class TestSystemParams:
     def test_sqrt_policy(self):
-        assert resolve_tau(SystemParams(snr=1.0, rate=0.01)) == pytest.approx(0.1, rel=1e-15)
+        assert duty_cycle(0.01, 1.0) == pytest.approx(0.1, rel=1e-15)
 
-    def test_clamp_warns(self):
-        with pytest.warns(BurstClampWarning):
-            tau = resolve_tau(SystemParams(snr=1.0, rate=4.0))
-        assert tau == 1.0
+    def test_policy_clamps_to_one(self):
+        assert duty_cycle(4.0, 1.0) == 1.0
 
     def test_fixed_passthrough(self):
-        assert resolve_tau(SystemParams(snr=1.0, rate=0.01, tau=0.5)) == 0.5
+        assert duty_cycle(0.01, 1.0, 0.5) == 0.5
 
     def test_zero_rate_resolves(self):
-        assert resolve_tau(SystemParams(snr=1.0, rate=0.0)) == 1.0
+        assert duty_cycle(0.0, 1.0) == 1.0
 
     @pytest.mark.parametrize("tau", [0.0, -0.1, 1.5])
     def test_fixed_tau_outside_unit_interval_rejected(self, tau):

@@ -464,6 +464,40 @@ class TestImport:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m bafsim`` with ``args`` in a fresh interpreter, on the package under ``src/``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "bafsim", *args], env=env, capture_output=True, timeout=60)
+
+
+class TestModuleEntry:
+    def test_module_prints_the_bytes_main_prints(self, capsys):
+        args = ["analytic", "--snr-db=-20", "--rate", "0.01", "--pathloss", "0"]
+        run = _run_module(*args)
+        assert main(args) == 0
+        assert (run.returncode, run.stderr) == (0, b"")
+        assert run.stdout == capsys.readouterr().out.encode()
+
+    def test_invalid_seed_exits_one_with_one_line(self):
+        run = _run_module("analytic", "--seed", "-1")
+        assert run.returncode == 1
+        assert run.stderr.decode().splitlines() == ["bafsim: error: seed must be an unsigned 64-bit integer, got -1"]
+
+    def test_clamped_duty_cycle_is_a_note_not_a_python_warning(self):
+        # 20 dB at rate 1: the policy sqrt(rate*snr) = 10 is clamped to 1
+        run = _run_module("analytic", "--snr-db=20", "--rate", "1", "--pathloss", "0")
+        assert run.returncode == 0 and run.stdout.count(b"\n") == 8
+        assert run.stderr.decode().splitlines() == [
+            "warning: duty cycle sqrt(rate*snr) clamped to 1 at snr_db=20, rate=1; outside the bursty low-SNR regime"
+        ]
+
+    def test_failed_run_prints_only_its_error(self):
+        # two clamped points, then an SNR beyond the float range
+        run = _run_module("analytic", "--snr-db=20:4000:1990", "--rate", "1", "--pathloss", "0")
+        assert (run.returncode, run.stdout) == (1, b"")
+        assert run.stderr.decode().splitlines() == ["bafsim: error: snr_db 4000.0 is out of range"]
+
+
 def _write_variances(path, sigmas):
     path.write_text("sigma_sd2={!r}\nsigma_sr2={!r}\nsigma_rd2={!r}\n".format(*sigmas))
     return str(path)
@@ -580,8 +614,6 @@ def _argv(draw):
 
 
 class TestFuzz:
-    # the clamp warning is documented behaviour at high rate*snr, not a failure
-    @pytest.mark.filterwarnings("ignore::bafsim.channel.BurstClampWarning")
     @given(argv=_argv())
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_main_exits_cleanly(self, tmp_path, capsys, monkeypatch, argv):
