@@ -50,10 +50,10 @@ def channel_aggregate(draw: ChannelDraw, x: float) -> float:
 
 
 def instantaneous_capacity(draw: ChannelDraw, params: SystemParams, tau: float) -> float:
-    """Block capacity (tau/(K+1)) * log2(1 + SNR/tau * alpha_K) in bit/s/Hz."""
+    """Block capacity (tau/(K+1)) * log2(1 + SNR/tau * alpha_K) in bit/s/Hz, through ``_log2_1p``."""
     k = draw.k_relays
     agg = channel_aggregate(draw, tau / params.snr)
-    return (tau / (k + 1)) * math.log2(1.0 + (params.snr / tau) * agg)
+    return (tau / (k + 1)) * _log2_1p((params.snr / tau) * agg)
 
 
 def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str = "exact") -> float:

@@ -50,6 +50,12 @@ class TestInstantaneousCapacity:
         c = instantaneous_capacity(draw, SystemParams(snr=snr, rate=0.01), tau)
         assert c == (tau / 2.0) * math.log2(1.0 + 0.7 * snr / tau)
 
+    def test_capacity_keeps_its_leading_term_below_the_float_epsilon(self):
+        # log2(1 + v) rounds to 0 for v below about 1.1e-16; the capacity is about v/(2 ln 2)
+        draw = ChannelDraw(1e-150, (1e-150,), (1e-150,))
+        c = instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.0), 1.0)
+        assert c == pytest.approx(1e-150 / (2.0 * math.log(2.0)), rel=1e-12, abs=0)
+
     @given(
         g=st.tuples(positive, positive, positive),
         bump=st.floats(1e-3, 10.0),
