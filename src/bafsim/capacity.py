@@ -56,35 +56,32 @@ def instantaneous_capacity(draw: ChannelDraw, params: SystemParams, tau: float) 
     return (tau / (k + 1)) * _log2_1p((params.snr / tau) * agg)
 
 
-def threshold_for(rate: float, snr: float, tau: float, k_relays: int, mode: str = "exact") -> float:
-    """Aggregate level below which a block of K+1 sub-blocks is in outage.
-
-    "exact" inverts the capacity condition: tau*(2^((K+1)*rate/tau) - 1)/SNR,
-    with 2^z - 1 evaluated as expm1(z*ln 2) so that it keeps its precision at
-    small z, and inf where it exceeds the float range (every block is then
-    in outage).  "linearized" is the low-SNR form (K+1)*rate/(log2(e)*SNR).
-    Both are 0 at rate 0.  A NumPy float rate takes the same float arithmetic
-    as a Python float.
-    """
-    _check_mode(mode, THRESHOLD_MODES)
-    rate = float(rate)
-    if mode == "exact":
-        try:
-            growth = math.expm1((k_relays + 1) * rate / tau * math.log(2.0))
-        except OverflowError:
-            growth = math.inf
-        return tau * growth / snr
-    return (k_relays + 1) * rate / (LOG2E * snr)
+def _exp2m1(n: int, q: float) -> float:
+    """2^(n*q) - 1 as expm1(n*ln 2*q), which keeps its precision at small n*q; inf beyond the float range."""
+    try:
+        return math.expm1(n * math.log(2.0) * q)
+    except OverflowError:
+        return math.inf
 
 
 def decode_condition(rate: float, snr: float, tau: float | None, k_relays: int, mode: str = "exact") -> tuple[float, float]:
-    """(x, thr) of the decode test alpha >= thr at ``rate``: x = t/SNR, thr = ``threshold_for``.
+    """(x, thr) of the decode test alpha >= thr at ``rate``: x = t/SNR for the duty cycle t.
 
-    The duty cycle t is ``duty_cycle(rate, snr, tau)``, so ``tau`` None selects
-    the clamped policy.  Both are Python floats.
+    t is ``duty_cycle(rate, snr, tau)``, so ``tau`` None selects the clamped
+    policy.  "exact" inverts (t/(K+1))*log2(1 + thr/x) = rate: thr is
+    x*(2^((K+1)*q) - 1), inf beyond the float range, with q = rate/t, or x
+    under the unclamped policy, where the two are equal and only rate/t
+    falls at some ulp steps of the rate.  So neither x nor thr falls as the
+    rate rises.  "linearized" is (K+1)*rate/(log2(e)*SNR).  Both thresholds
+    are 0 at rate 0; a NumPy float rate gives Python floats as well.
     """
+    _check_mode(mode, THRESHOLD_MODES)
+    rate = float(rate)
     t = duty_cycle(rate, snr, tau)
-    return t / snr, threshold_for(rate, snr, t, k_relays, mode)
+    x = t / snr
+    if mode == "linearized":
+        return x, (k_relays + 1) * rate / (LOG2E * snr)
+    return x, x * _exp2m1(k_relays + 1, x if tau is None and t < 1.0 else rate / t)
 
 
 def lemma1_constant(sigma_u2: float, sigma_v2: float, sigma_w2: float) -> float:
@@ -168,16 +165,16 @@ def expected_n_one_relay(variances: LinkVariances, params: SystemParams, mode: s
     """Mean number of sub-blocks used per message, one relay.
 
     Decoding after the source burst depends only on the direct link, so
-    E(N) = 1 + Pr(g_sd < t) with t the one-relay exact threshold:
-    "exact" evaluates the exponential CDF 1 - exp(-t/sigma_sd2); "approx"
-    uses the low-SNR linearization log2(e)*R/(sigma_sd2*SNR), clamped so the
-    probability stays in [0, 1].
+    E(N) = 1 + Pr(g_sd < t) with t the one-relay exact threshold of
+    ``decode_condition``: "exact" evaluates the exponential CDF
+    1 - exp(-t/sigma_sd2); "approx" uses the low-SNR linearization
+    log2(e)*R/(sigma_sd2*SNR), clamped so the probability stays in [0, 1].
     """
     _check_mode(mode, EXPECTED_N_MODES)
     if variances.k_relays != 1 or params.k_relays != 1:
         raise InvalidParameterError("expected_n_one_relay requires exactly one relay")
     if mode == "exact":
-        t = threshold_for(params.rate, params.snr, duty_cycle(params.rate, params.snr, params.tau), 1, "exact")
+        _, t = decode_condition(params.rate, params.snr, params.tau, 1)
         return 1.0 + (1.0 - math.exp(-t / variances.sigma_sd2))
     p = LOG2E * params.rate / (variances.sigma_sd2 * params.snr)
     return 1.0 + min(max(p, 0.0), 1.0)

@@ -22,13 +22,14 @@ since the draws depend only on (master_seed, batch index, link variances).
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
 The empirical outage capacity, at operating points or across relay
-positions, is the root of the outage count: the float rate at which at most
-k0 seeded trials, the largest outage count below epsilon, are in outage, and
-more are at the next float up.  The kernel, ``_window_stage``, counts with
-the protocol's aggregate ``aggregate_batch`` on a window of trials: those
-whose aggregate can fall in the band that brackets the answer, plus a count
-of the trials surely below it.  One gatherer, ``_Rows``, builds every window
-from a lower and an upper bound on each trial's aggregate, in trial order.
+positions, is the unique root of the outage count: the float rate at which
+at most k0 seeded trials, the largest outage count below epsilon, are in
+outage, and more are at the next float up.  The kernel, ``_window_stage``,
+counts with the protocol's aggregate ``aggregate_batch`` on a window of
+trials: those whose aggregate can fall in the band that brackets the
+answer, plus a count of the trials surely below it.  One gatherer,
+``_Rows``, builds every window from a lower and an upper bound on each
+trial's aggregate, in trial order.
 Operating points take their windows from the exact pass ``_exact_passes``: a
 capacity sweep draws each batch once for all its points, each keeping its
 k0+1 smallest aggregates and the rows below a running bound, and draws it a
@@ -54,7 +55,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .capacity import c_eps_baf_k, decode_condition, position_grid
+from .capacity import _exp2m1, c_eps_baf_k, decode_condition, position_grid
 from .channel import (
     TRIALS_PER_BATCH,
     LinkVariances,
@@ -233,13 +234,13 @@ def policy_x_for_threshold(g: float) -> float:
     """x = tau/SNR consistent with the duty-cycle policy at threshold g.
 
     Under tau = sqrt(rate*snr), both the threshold and the offset are set by
-    y = sqrt(rate/snr): g = y*(2^(2y) - 1) and x = y.  Inverts the first
+    y = sqrt(rate/snr): g = y*(2^(2y) - 1) and x = y, the one-relay threshold
+    of ``decode_condition`` through the same ``_exp2m1``.  Inverts the first
     relation for y, to adjacent floats.
     """
     if not (math.isfinite(g) and g > 0.0):
         raise InvalidParameterError(f"threshold must be positive, got {g!r}")
-    # expm1, as 2^(2y) - 1 cancels for small y; from y = 511 on, y*2^(2y) is beyond every float
-    _, y = _solve_increasing(lambda y: y * math.expm1(2.0 * math.log(2.0) * min(y, 511.0)), g, math.sqrt(g))
+    _, y = _solve_increasing(lambda y: y * _exp2m1(2, y), g, math.sqrt(g))
     return y
 
 
@@ -431,8 +432,9 @@ class _RateSearch:
     """The largest rate at which at most k0 of the trials at one set of variances are in outage.
 
     A trial is in outage at rate r iff its aggregate ``aggregate_batch`` at
-    x(r) is below thr(r), with (x, thr) from ``decode_condition``; both move
-    against it as r grows, so the outage count rises with r.  The search
+    x(r) is below thr(r), with (x, thr) from ``decode_condition``; neither
+    falls as r grows, float for float, so the outage count never falls with r
+    and its root does not depend on where the search starts.  The search
     keeps each trial's aggregate a0 at x0, the offset of ``start_rate``
     (1e-6*SNR if that is not positive and finite), and brackets from there.
     """
@@ -675,12 +677,9 @@ def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]
     final [a_below, a_above) in trial order, so the answer does not depend
     on the path.
 
-    The answer is a float rate with at most k0 trials in outage there and
-    more at the next float up.  The float threshold is not monotone in the
-    rate at the ulp level (z = (K+1)*rate/tau divides two rising floats), so
-    where the outage count crosses k0 more than once, the bisection's path,
-    and with it the start rate and the bracket it starts from, picks the
-    crossing.
+    The answer is the unique root of the outage count: the float rate with
+    at most k0 trials in outage there and more at the next float up, the
+    same whatever the start rate or the bracket.
     """
     n = sum(rows for _, rows in plan)
     found: list = [None] * len(searches)
@@ -769,11 +768,11 @@ def empirical_eps_outage_capacity(
     """Largest rate whose simulated outage probability stays below epsilon.
 
     The outage probability at a rate is the fraction of the seeded trials in
-    outage there, so the answer is the root of the outage count: a rate with
-    at most k0 trials in outage, the largest count below epsilon, and more
-    at the next float up.  ``_exact_passes`` finds it from the closed form
-    ``c_eps_baf_k``; ``iterations`` counts its passes over the draws, 1, or
-    2 where the point needs the second pass.  ``params.tau`` fixes the duty
+    outage there, so the answer is the unique root of the outage count: the
+    rate with at most k0 trials in outage, the largest count below epsilon,
+    and more at the next float up.  ``_exact_passes`` finds it from the
+    closed form ``c_eps_baf_k``; ``iterations`` counts its passes over the
+    draws, 1, or 2 where the point needs the second pass.  ``params.tau`` fixes the duty
     cycle, None selects the clamped policy; ``params.rate`` is ignored.
     """
     return empirical_eps_outage_capacity_sweep(variances, [params], n_trials, master_seed, threshold_mode)[0]
@@ -832,10 +831,11 @@ def empirical_capacity_vs_position(
     Uses the same trials (common random numbers) at every grid position: the
     raw exponentials are drawn once and rescaled by the position-dependent
     variances, so the capacity curve is smooth in the position and its argmax
-    is comparable across positions.  Each position's capacity is that of an
-    exact pass, ``_exact_passes``, under the clamped duty-cycle policy,
-    started from the previous position's capacity, and equals
-    ``empirical_eps_outage_capacity`` on the same variances and trials.
+    is comparable across positions.  Each position's capacity is the unique
+    root of its outage count under the clamped duty-cycle policy, so the
+    exact pass ``_exact_passes`` started from the previous position's
+    capacity finds the rate that ``empirical_eps_outage_capacity``, started
+    from the closed form, finds on the same variances and trials.
 
     Positions come in blocks of ``_BLOCK_POSITIONS``.  One bounding pass per
     block (``_block_window``) keeps the few trials whose aggregate can lie in

@@ -20,7 +20,6 @@ from bafsim.capacity import (
     c_eps_baf_no_feedback,
     instantaneous_capacity,
     min_bound_check,
-    threshold_for,
 )
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
 from bafsim.cli import CSV_HEADER, main

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bafsim.capacity import (
@@ -24,7 +24,6 @@ from bafsim.capacity import (
     optimal_relay_position,
     placement_objective,
     position_grid,
-    threshold_for,
 )
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams
 from bafsim.errors import InvalidParameterError
@@ -105,11 +104,39 @@ class TestOutageThreshold:
         # tau*(2^z - 1)/SNR at z = 2e-10: 2^z - 1 = z*ln2*(1 + z*ln2/2) to far below 1e-15
         z = 2.0 * 1e-20 / 1e-10
         growth = z * math.log(2.0) * (1.0 + z * math.log(2.0) / 2.0)
-        assert threshold_for(1e-20, 1.0, 1e-10, 1) == pytest.approx(1e-10 * growth, rel=1e-15, abs=0)
+        assert decode_condition(1e-20, 1.0, 1e-10, 1)[1] == pytest.approx(1e-10 * growth, rel=1e-15, abs=0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidParameterError):
-            threshold_for(0.01, 1.0, 0.1, 1, "bogus")
+            decode_condition(0.01, 1.0, 0.1, 1, "bogus")
+
+    @given(
+        k=st.integers(1, 4),
+        mode=st.sampled_from(["exact", "linearized"]),
+        snr_db=st.floats(-30.0, 30.0),
+        tau=st.one_of(st.none(), st.floats(0.05, 1.0)),
+        rate=st.one_of(st.floats(1e-6, 1e3), st.just("clamp")),
+    )
+    # the spelling tau*(2^((K+1)*rate/tau) - 1)/SNR, whose rate/tau divides
+    # two rising floats, falls 11 times on the first and 8 times on the second
+    @example(k=1, mode="exact", snr_db=-20.0, tau=None, rate=0.0123456)
+    @example(k=2, mode="exact", snr_db=-20.0, tau=None, rate="clamp")
+    @settings(max_examples=60, deadline=None)
+    def test_condition_never_falls_as_the_rate_rises(self, k, mode, snr_db, tau, rate):
+        # over 600 consecutive floats of the rate, from 300 below 1/snr for "clamp",
+        # where the policy duty cycle sqrt(rate*snr) reaches 1
+        snr = 10.0 ** (snr_db / 10.0)
+        if rate == "clamp":
+            rate = 1.0 / snr
+            for _ in range(300):
+                rate = math.nextafter(rate, 0.0)
+        assert decode_condition(0.0, snr, tau, k, mode)[1] == 0.0
+        previous = decode_condition(rate, snr, tau, k, mode)
+        for _ in range(600):
+            rate = math.nextafter(rate, math.inf)
+            current = decode_condition(rate, snr, tau, k, mode)
+            assert current[0] >= previous[0] and current[1] >= previous[1], rate
+            previous = current
 
 
 class TestLemmaConstant:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bafsim import montecarlo
-from bafsim.capacity import c_eps_baf_k, decode_condition, lemma1_constant, position_grid, threshold_for
+from bafsim.capacity import c_eps_baf_k, decode_condition, lemma1_constant, position_grid
 from bafsim.channel import (
     TRIALS_PER_BATCH,
     LinkVariances,
@@ -77,8 +77,8 @@ class TestOutageEstimator:
     def test_matches_quadrature_oracle(self):
         params = SystemParams(snr=0.05, rate=0.002)
         est = estimate_outage(UNIT, params, 400_000, 2025, workers=1)
-        tau = math.sqrt(params.rate * params.snr)
-        p = quadrature_outage_oracle(UNIT, threshold_for(params.rate, params.snr, tau, 1), tau / params.snr)
+        x, thr = decode_condition(params.rate, params.snr, params.tau, 1)
+        p = quadrature_outage_oracle(UNIT, thr, x)
         assert abs(est.mean - p) < 3.0 * est.stderr
 
     def test_estimate_lies_in_its_interval(self):
@@ -101,10 +101,9 @@ class TestExpectedNEstimator:
 
     def test_retransmissions_match_direct_link_failures_trial_by_trial(self):
         params = SystemParams(snr=0.1, rate=0.01)
-        tau = math.sqrt(params.rate * params.snr)
-        thr = threshold_for(params.rate, params.snr, tau, 1)
+        x, thr = decode_condition(params.rate, params.snr, params.tau, 1)
         gains = gains_batch(UNIT, 4, 0, 5_000)
-        _, n_used = block_stats_batch(gains, tau / params.snr, thr, 1)
+        _, n_used = block_stats_batch(gains, x, thr, 1)
         assert np.array_equal(n_used >= 2, gains[:, 0] < thr)
 
     def test_worker_count_never_changes_the_estimate(self):
@@ -321,8 +320,7 @@ def _gains(variances, n_trials, seed):
 def _outage_count(gains, params, rate, mode):
     """Trials of ``gains`` in outage at ``rate``, counted by the protocol kernel."""
     k = params.k_relays
-    tau = params.tau if params.tau is not None else min(math.sqrt(rate * params.snr), 1.0)
-    outage, _ = block_stats_batch(gains, tau / params.snr, threshold_for(rate, params.snr, tau, k, mode), k)
+    outage, _ = block_stats_batch(gains, *decode_condition(rate, params.snr, params.tau, k, mode), k)
     return int(np.count_nonzero(outage))
 
 
@@ -757,16 +755,33 @@ class TestPlacementCurve:
         assert caps[50] == empirical_eps_outage_capacity(v, params, n, seed).rate
         assert _outage_count(_gains(v, n, seed), params, caps[50], "exact") / n < eps
 
-    def test_outage_estimate_crosses_epsilon_at_the_capacity(self):
-        # the placement benchmark workload at seed 4: at grid index 49 the count
-        # reads k0 = 239 999 over two adjacent floats below the crossing, so a
-        # rate short of the crossing still reads below epsilon one float up
-        snr, eps, n, seed = 10.0 ** (-20.0 / 10.0), 0.3, 800_000, 4
-        grid, caps = empirical_capacity_vs_position(3.0, snr, eps, n, seed, grid_points=101)
+    # the placement benchmark workload at seed 4: (snr, epsilon, n_trials, seed) and its curve
+    WORKLOAD = (10.0 ** (-20.0 / 10.0), 0.3, 800_000, 4)
+
+    @pytest.fixture(scope="class")
+    def workload_curve(self):
+        return empirical_capacity_vs_position(3.0, *self.WORKLOAD, grid_points=101)
+
+    def test_outage_estimate_crosses_epsilon_at_the_capacity(self, workload_curve):
+        # at grid index 49 the count reads k0 = 239 999 at the capacity and at the
+        # three floats below it, and 240 000 one float up: a rate short of the
+        # crossing would read below epsilon one float up too
+        snr, eps, n, seed = self.WORKLOAD
+        grid, caps = workload_curve
         v = variances_from_geometry(NetworkGeometry((grid[49],), 3.0))
         for rate in (caps[49], math.nextafter(caps[49], math.inf)):
             est = estimate_outage(v, SystemParams(snr=snr, rate=rate, epsilon=eps), n, seed, workers=1)
             assert (est.mean < eps) == (rate == caps[49])
+
+    def test_capacity_does_not_depend_on_the_start_rate(self, workload_curve):
+        # the curve starts each position from the previous capacity, the one-point
+        # call from the closed form; with a threshold that falls at some ulp steps
+        # of the rate, the two roots differed by 2 ulps at these indices
+        snr, eps, n, seed = self.WORKLOAD
+        grid, caps = workload_curve
+        for i in (46, 48, 57, 69):
+            v = variances_from_geometry(NetworkGeometry((grid[i],), 3.0))
+            assert caps[i] == empirical_eps_outage_capacity(v, SystemParams(snr=snr, rate=0.0, epsilon=eps), n, seed).rate
 
     def test_grid_is_shared_with_analytic_search(self):
         grid, _ = empirical_capacity_vs_position(3.0, 0.01, 0.05, 10_000, 1, grid_points=101)
@@ -778,22 +793,17 @@ class TestPlacementCurve:
 
 
 def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mode):
-    """The placement curve with an exact pass over every trial at every position.
+    """The placement curve as ``empirical_eps_outage_capacity`` at every position.
 
-    Each position runs ``_exact_passes`` on the unit draws scaled by its
-    variances, started from the previous position's capacity.
+    Each position draws its own gains at its variances and starts from the
+    closed form, so no state passes from one position to the next.
     """
-    k0 = montecarlo._max_allowed_count(epsilon, n_trials)
-    plan = batch_plan(n_trials)
-    raw = [gains_batch(UNIT, seed, j, rows) for j, rows in plan]
-    grid = position_grid(grid_points)
-    caps = np.empty_like(grid)
-    for i, d in enumerate(grid):
+    caps = []
+    for d in position_grid(grid_points):
         v = variances_from_geometry(NetworkGeometry((d,), pathloss))
-        start = caps[i - 1] if i else c_eps_baf_k(v, snr, epsilon)
-        search, row = montecarlo._RateSearch(snr, k0, 1, None, mode, start), variance_row(v)
-        caps[i] = montecarlo._exact_passes([search], lambda j, rows: raw[j] * row, plan)[0][0][0]
-    return caps
+        params = SystemParams(snr=snr, rate=0.0, epsilon=epsilon)
+        caps.append(empirical_eps_outage_capacity(v, params, n_trials, seed, threshold_mode=mode).rate)
+    return np.array(caps)
 
 
 def _counted_placement(*args, **kwargs):
