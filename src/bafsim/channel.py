@@ -103,7 +103,7 @@ class SystemParams:
     rate in bit/s/Hz (rate 0 is admitted as the degenerate never-in-outage
     case), ``epsilon`` the target outage probability.  ``tau`` is the burst
     duty cycle: ``None`` selects the policy min(sqrt(rate * snr), 1), a float
-    in (0, 1] fixes it.
+    in (0, 1] with tau/snr a normal float fixes it.
     """
 
     snr: float
@@ -130,6 +130,11 @@ class SystemParams:
             _require(
                 math.isfinite(self.tau) and 0.0 < self.tau <= 1.0,
                 f"fixed tau must lie in (0, 1], got {self.tau!r}",
+            )
+            _require(
+                self.tau / self.snr >= sys.float_info.min,
+                f"tau/snr = {self.tau / self.snr!r} is below the normal float range, "
+                "where the offset x = tau/snr cannot be resolved",
             )
 
 

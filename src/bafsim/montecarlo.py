@@ -14,10 +14,11 @@ deterministic cross-check of the simulation path.  It is the only user of
 SciPy, which it imports when called, so the estimators need NumPy alone.
 
 One batch task serves the outage probability, E(N) and Lemma 1's ratio: it
-draws each batch of gains once, computes its relay-hop terms once with
-``hop_terms``, and counts the rows still undecoded after every stage with
-``undecoded_counts`` at every decode condition (x, threshold) of a sweep,
-since the draws depend only on (master_seed, batch index, link variances).
+draws each batch of gains once, since the draws depend only on (master_seed,
+batch index, link variances), and counts the rows still undecoded after every
+stage with ``undecoded_counts`` at every decode condition (x, threshold) of a
+sweep.  Its relay stages run only on the rows each point's direct link leaves
+undecoded: one ordering of the batch by g_sd makes them a prefix.
 ``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps, and
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
@@ -67,7 +68,7 @@ from .channel import (
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import aggregate_batch, hop_terms, undecoded_counts
+from .protocol import aggregate_batch, undecoded_counts
 
 MIN_TRIALS = 10_000
 
@@ -149,16 +150,17 @@ def _check_trials(n_trials: int) -> None:
 def _sweep_batch(task) -> list[tuple[int, int, int]]:
     """(outages, sum of N, sum of N^2) of one batch at every decode condition of a sweep.
 
-    The hop terms are the same at every point, so each batch computes them
-    once.  With u_m the rows still undecoded after stage m, a row uses one
-    sub-block plus one for each u_m, m < K, that counts it: sum N = n + sum
-    u_m, and sum N^2 = n + sum (2m+3) u_m, as (m+2)^2 - (m+1)^2 = 2m+3.
+    The relay stages run only on the rows each point's direct link leaves
+    undecoded (see ``undecoded_counts``).  With u_m the rows still undecoded
+    after stage m, a row uses one sub-block plus one for each u_m, m < K,
+    that counts it: sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as
+    (m+2)^2 - (m+1)^2 = 2m+3.
     """
     variances, master_seed, batch_index, rows, points = task
-    terms = hop_terms(gains_batch(variances, master_seed, batch_index, rows), variances.k_relays)
+    counts = undecoded_counts(gains_batch(variances, master_seed, batch_index, rows), variances.k_relays, points)
     return [
         (outages, rows + sum(entered), rows + sum((2 * m + 3) * u for m, u in enumerate(entered)))
-        for *entered, outages in undecoded_counts(terms, points)
+        for *entered, outages in counts
     ]
 
 

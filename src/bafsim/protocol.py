@@ -5,9 +5,9 @@ threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
 offset-free hop terms g_rd*g_sr and g_rd+g_sr.  Every estimator evaluates them
 here: the capacity kernel through ``aggregate_batch``, and the outage, E(N)
-and Lemma 1 sweep through ``hop_terms``, computed once per batch, and
-``undecoded_counts`` at each of its decode conditions.  ``simulate_block`` is
-the scalar reference.
+and Lemma 1 sweep through ``undecoded_counts``, whose relay stages run only on
+the rows each point's direct link leaves undecoded.  ``simulate_block`` is the
+scalar reference.
 
 Sub-block 1 is the source burst.  After every sub-block the destination
 compares the capacity of the accumulated aggregate against the target rate
@@ -105,37 +105,64 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
     return agg
 
 
-def hop_terms(gains: np.ndarray, k_relays: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """The offset-free terms of the aggregate of every row of a ``gains_batch`` matrix.
+def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float]):
+    """g_sd and the hop terms of the kept rows and, per threshold, how many leading rows hold those it leaves undecoded.
 
-    Returns the direct gains g_sd and, per relay, (g_rd*g_sr, g_rd+g_sr), each
-    one contiguous array, so that the decode test at any offset x adds only
-    product/(sum + x) per stage (see ``undecoded_counts``).
+    The rows kept are those the largest threshold leaves undecoded at stage
+    0.  With two or more thresholds they are ordered by g_sd, so that the
+    rows each one leaves undecoded lead.  One threshold keeps every row, all
+    of them leading, unless at least half of them meet it: gathering most of
+    the rows costs more than the stages it saves.
     """
-    _check_shape(gains, k_relays)
-    return np.ascontiguousarray(gains[:, 0]), list(_hops(gains, k_relays))
+    if len(thresholds) == 1:
+        g_sd = np.ascontiguousarray(gains[:, 0])  # the stages read it whole if every row stays
+        undecoded = ~(g_sd >= thresholds[0])  # a NaN threshold keeps every row
+        if 2 * np.count_nonzero(undecoded) > len(undecoded):
+            return g_sd, list(_hops(gains, k_relays)), [len(g_sd)]
+        kept = np.flatnonzero(undecoded)
+    else:
+        g_sd = gains[:, 0]
+        kept = np.flatnonzero(~(g_sd >= np.max(thresholds)))  # so does a NaN among several
+        kept = kept[np.argsort(g_sd[kept])]
+    hops = []
+    for i in range(k_relays):
+        g_sr, g_rd = gains[:, 1 + i][kept], gains[:, 1 + k_relays + i][kept]
+        hops.append((g_rd * g_sr, np.add(g_rd, g_sr, out=g_rd)))  # the sum reuses g_rd's gathered copy
+    g_sd = g_sd[kept]
+    leading = np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [len(kept)]
+    return g_sd, hops, leading
 
 
-def undecoded_counts(terms, points) -> list[list[int]]:
-    """u_0..u_K at every decode condition (x, thr) of ``points``: the rows still undecoded after each stage.
+def undecoded_counts(gains: np.ndarray, k_relays: int, points) -> list[list[int]]:
+    """u_0..u_K at every decode condition (x, thr) of ``points``: the rows of a ``gains_batch`` matrix still undecoded after each stage.
 
-    ``terms`` comes from ``hop_terms``, and every condition reuses the same
-    buffers.  A row stays decoded even if a later term is NaN, as in
+    A row whose direct gain meets thr decodes at stage 0 whatever its relay
+    terms, so the relay stages run only on the rows each point's direct link
+    leaves undecoded: the leading rows of those ``_undecoded_rows`` keeps,
+    whose hop terms g_rd*g_sr and g_rd+g_sr it builds once per batch.  Every
+    condition reuses the same buffers.  A row's floats do not depend on its
+    position, so the counts are those of the whole batch.  The direct gains
+    must not be NaN, as no draw is.
+
+    A row stays decoded even if a later term is NaN, as in
     ``simulate_block``: u_K rows are in outage, and a row uses one more
     sub-block for each u_m, m < K, that counts it.
     """
-    g_sd, hops = terms
+    _check_shape(gains, k_relays)
+    g_sd, hops, leading = _undecoded_rows(gains, k_relays, [thr for _, thr in points])
+    del gains  # a batch passed as a temporary is freed before the buffers are allocated
     n = len(g_sd)
     agg, term = np.empty(n), np.empty(n)
     hit, decoded = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
     out = []
-    for x, thr in points:
-        stages = _running_sums(g_sd, hops, x, agg, term)
-        np.greater_equal(next(stages), thr, out=decoded)
-        counts = [n - int(np.count_nonzero(decoded))]
+    for (x, thr), u in zip(points, leading):
+        hit_u, decoded_u = hit[:u], decoded[:u]
+        stages = _running_sums(g_sd[:u], [(p[:u], s[:u]) for p, s in hops], x, agg[:u], term[:u])
+        np.greater_equal(next(stages), thr, out=decoded_u)
+        counts = [u - int(np.count_nonzero(decoded_u))]
         for alpha in stages:
-            np.greater_equal(alpha, thr, out=hit)
-            np.logical_or(decoded, hit, out=decoded)
-            counts.append(n - int(np.count_nonzero(decoded)))
+            np.greater_equal(alpha, thr, out=hit_u)
+            np.logical_or(decoded_u, hit_u, out=decoded_u)
+            counts.append(u - int(np.count_nonzero(decoded_u)))
         out.append(counts)
     return out

@@ -99,6 +99,32 @@ class TestSystemParams:
         with pytest.raises(InvalidParameterError):
             SystemParams(snr=1.0, rate=0.01, tau=tau)
 
+    @pytest.mark.parametrize("snr,tau", [(1e305, 1e-20), (1e305, 1e-3), (1.0, 5e-324), (1e300, 1e-10)])
+    def test_fixed_tau_with_an_offset_below_the_normal_range_rejected(self, snr, tau):
+        # x = tau/snr underflows, and x*(2^z - 1) reads 0*inf = NaN, a threshold every block meets
+        with pytest.raises(InvalidParameterError, match="tau/snr"):
+            SystemParams(snr=snr, rate=1.0, tau=tau)
+
+    @given(
+        snr_exp=st.floats(-1022.0, 1022.0),
+        tau_exp=st.floats(-1074.0, 0.0),
+        rate=st.one_of(st.just(0.0), st.floats(0.0, sys.float_info.max)),
+        k=st.integers(1, 32),
+        mode=st.sampled_from(["exact", "linearized"]),
+    )
+    @example(snr_exp=1011.9, tau_exp=-10.0, rate=1.0, k=1, mode="exact")  # tau/snr just above the normal range
+    @example(snr_exp=0.0, tau_exp=-1022.0, rate=sys.float_info.max, k=32, mode="exact")
+    @settings(max_examples=300, deadline=None)
+    def test_accepted_fixed_tau_gives_a_threshold(self, snr_exp, tau_exp, rate, k, mode):
+        snr, tau = 2.0**snr_exp, 2.0**tau_exp
+        try:
+            SystemParams(snr=snr, rate=0.0, k_relays=k, tau=tau)
+        except InvalidParameterError:
+            assert tau / snr < sys.float_info.min
+            return
+        x, thr = decode_condition(rate, snr, tau, k, mode)
+        assert x > 0.0 and not math.isnan(thr)
+
     @pytest.mark.parametrize("kwargs", [
         {"snr": 0.0, "rate": 0.01},
         {"snr": 1.0, "rate": -1.0},

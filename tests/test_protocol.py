@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, aggregate_batch, hop_terms, simulate_block, undecoded_counts
+from bafsim.protocol import BlockOutcome, aggregate_batch, simulate_block, undecoded_counts
 from protocol_reference import block_stats_batch
 
 gain = st.floats(0.0, 50.0)
@@ -181,33 +183,69 @@ def _counts_from_stats(outage, n_used, k):
     return [int(np.count_nonzero(n_used > m + 1)) for m in range(k)] + [int(np.count_nonzero(outage))]
 
 
+def _sweep_conditions(x, thr, rows, picks):
+    """Decode conditions picked, in the order drawn, from the case's offset or 0 and from its threshold, half of it,
+    0, inf, NaN or a row's direct gain."""
+    thresholds = [thr, 0.5 * thr, 0.0, math.inf, math.nan] + [row[0] for row in rows]
+    return [(x if keep_x else 0.0, thresholds[i % len(thresholds)]) for keep_x, i in picks]
+
+
+_PICKS = st.lists(st.tuples(st.booleans(), st.integers(0, 16)), min_size=1, max_size=6)
+# the case's condition, then x = 0 (0/0 terms on zero gains) and a lower threshold
+_OLD_POINTS = [(True, 0), (False, 0), (True, 1)]
+_DRAWS = gains_batch(LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 7, 0, 4000)
+
+
 class TestUndecodedCounts:
-    @given(case=_batch_case())
+    @given(case=_batch_case(), picks=_PICKS)
     # a decoded direct link, then a relay term 1e308*1e308/(1e308+1e308+x) = inf/inf = NaN
-    @example(case=(2, "exact", 1.0, 0.01, None, [[5.0, 1e308, 0.1, 1e308, 0.1], [0.0, 1e308, 50.0, 1e308, 50.0]]))
-    @example(case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]))
-    @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]))
+    @example(
+        case=(2, "exact", 1.0, 0.01, None, [[5.0, 1e308, 0.1, 1e308, 0.1], [0.0, 1e308, 50.0, 1e308, 50.0]]),
+        picks=_OLD_POINTS,
+    )
+    @example(case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]), picks=_OLD_POINTS)
+    @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]), picks=_OLD_POINTS)
+    @example(case=(1, "exact", 0.5, 0.01, None, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]), picks=[(True, 4), (True, 6), (False, 3)])
     @settings(max_examples=300, deadline=None)
-    def test_counts_match_block_stats_at_every_condition(self, case):
+    def test_counts_match_block_stats_at_every_condition(self, case, picks):
         k, mode, snr, rate, fixed_tau, rows = case
         x, thr = decode_condition(rate, snr, fixed_tau, k, mode)
-        # the case's condition, then x = 0 (0/0 terms on zero gains) and a lower threshold, on one set of buffers
-        points = [(x, thr), (0.0, thr), (x, 0.5 * thr)]
+        points = _sweep_conditions(x, thr, rows, picks)
         gains = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             expected = [_counts_from_stats(*block_stats_batch(gains, px, pt, k), k) for px, pt in points]
             for layout in (gains, np.asfortranarray(gains)):
-                assert undecoded_counts(hop_terms(layout, k), points) == expected
+                assert undecoded_counts(layout, k, points) == expected
 
-    def test_hop_terms_are_the_aggregate_subexpressions(self):
-        gains = gains_batch(LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 7, 0, 1000)
-        g_sd, hops = hop_terms(gains, 2)
-        assert g_sd.flags.c_contiguous and np.array_equal(g_sd, gains[:, 0])
-        for i, (product, total) in enumerate(hops):
-            assert product.flags.c_contiguous and total.flags.c_contiguous
-            g_sr, g_rd = gains[:, 1 + i], gains[:, 3 + i]
-            assert np.array_equal(product, g_rd * g_sr) and np.array_equal(total, g_rd + g_sr)
+    @pytest.mark.parametrize("thresholds", [
+        pytest.param([0.3, 0.01, 0.1, 0.03], id="unsorted"),
+        pytest.param([0.1, 0.03, 0.1, 0.03, 0.1], id="duplicates"),
+        pytest.param(_DRAWS[:3, 0].tolist(), id="equal-to-a-direct-gain"),
+        pytest.param([0.0, math.inf, math.nan, 0.05], id="zero-inf-nan"),
+        pytest.param([math.nan], id="one-point-nan"),
+        pytest.param([0.05], id="one-point-few-rows-left"),
+        pytest.param([5.0], id="one-point-most-rows-left"),
+        pytest.param([0.5 * _DRAWS[:, 0].min(), 0.0], id="no-rows-left"),
+    ])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_sweep_matches_block_stats(self, thresholds, order):
+        points = [(0.05 * (i % 3), thr) for i, thr in enumerate(thresholds)]
+        expected = [_counts_from_stats(*block_stats_batch(_DRAWS, x, thr, 2), 2) for x, thr in points]
+        assert undecoded_counts(np.asarray(_DRAWS, order=order), 2, points) == expected
+
+    def test_counts_are_those_of_the_stage_aggregates(self):
+        # u_m counts the rows whose aggregate after stage m, the float aggregate_batch gives on the first m relays,
+        # misses thr: draws are nonnegative, so the aggregate never falls; the gains are left as they were
+        gains, k = _DRAWS.copy(), 2
+        for points in ([(0.05, 0.1)], [(0.05, 5.0)], [(0.05, 0.3), (0.0, 0.01), (0.2, 0.1)]):
+            counts = undecoded_counts(gains, k, points)
+            for (x, thr), row in zip(points, counts):
+                stages = [gains[:, 0]] + [
+                    aggregate_batch(gains[:, [0, *range(1, 1 + m), *range(1 + k, 1 + k + m)]], m, x) for m in (1, 2)
+                ]
+                assert row == [int(np.count_nonzero(~(alpha >= thr))) for alpha in stages]
+        assert np.array_equal(gains, _DRAWS)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
-            hop_terms(np.zeros((4, 3)), 2)
+            undecoded_counts(np.zeros((4, 3)), 2, [(0.1, 0.01)])
