@@ -192,7 +192,7 @@ def _sweep_conditions(x, thr, rows, picks):
 
 _PICKS = st.lists(st.tuples(st.booleans(), st.integers(0, 16)), min_size=1, max_size=6)
 # the case's condition, then x = 0 (0/0 terms on zero gains) and a lower threshold
-_OLD_POINTS = [(True, 0), (False, 0), (True, 1)]
+_THREE_POINTS = [(True, 0), (False, 0), (True, 1)]
 _DRAWS = gains_batch(LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 7, 0, 4000)
 
 
@@ -201,11 +201,17 @@ class TestUndecodedCounts:
     # a decoded direct link, then a relay term 1e308*1e308/(1e308+1e308+x) = inf/inf = NaN
     @example(
         case=(2, "exact", 1.0, 0.01, None, [[5.0, 1e308, 0.1, 1e308, 0.1], [0.0, 1e308, 50.0, 1e308, 50.0]]),
-        picks=_OLD_POINTS,
+        picks=_THREE_POINTS,
     )
-    @example(case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]), picks=_OLD_POINTS)
-    @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]), picks=_OLD_POINTS)
-    @example(case=(1, "exact", 0.5, 0.01, None, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]), picks=[(True, 4), (True, 6), (False, 3)])
+    @example(
+        case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]),
+        picks=_THREE_POINTS,
+    )
+    @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]), picks=_THREE_POINTS)
+    # NaN, then the direct gain of the second row, then inf
+    @example(
+        case=(1, "exact", 0.5, 0.01, None, [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]]), picks=[(True, 4), (True, 6), (False, 3)]
+    )
     @settings(max_examples=300, deadline=None)
     def test_counts_match_block_stats_at_every_condition(self, case, picks):
         k, mode, snr, rate, fixed_tau, rows = case
