@@ -12,13 +12,18 @@ Subcommands and their metric vocabulary:
 - ``placement``  placement_argmax_analytic, placement_argmax_empirical
 
 Every output has the fixed header
-``snr_db,rate,epsilon,k_relays,metric_name,value,stderr,n_trials,seed``;
-fields that do not apply to a row are left empty (CSV) or null (JSONL).
+``snr_db,rate,epsilon,k_relays,metric_name,value,stderr,n_trials,seed``,
+the fields of ``ResultRow`` in order; fields that do not apply to a row are left empty (CSV) or null (JSONL).
 Runs are deterministic: identical configuration and seed reproduce identical
 bytes, and BAF_WORKERS only changes the execution speed.
 
 Exit codes: 0 success, 1 invalid parameters (including an out-of-range
 operating point and an unwritable output path), 2 convergence failure.
+
+Each option is declared once, in ``_OPTIONS``, with its default, its help
+text and the subcommands that take it as a flag; the parsers, the config-file
+keys and the defaults all read that table.  A flag overrides the config file,
+which overrides the ``ratio`` preset, which overrides the defaults.
 
 ``_resolve_config`` checks the values only this front end sees (sweep and
 list syntax, epsilon, seed, mode, format); the library checks the rest where
@@ -31,16 +36,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import capacity as cap
 from . import montecarlo as mc
 from .channel import LinkVariances, NetworkGeometry, SystemParams, variances_from_geometry
 from .errors import ConvergenceError, InvalidParameterError
-
-CSV_HEADER = ("snr_db", "rate", "epsilon", "k_relays", "metric_name", "value", "stderr", "n_trials", "seed")
-
-SUBCOMMANDS = ("analytic", "outage", "capacity", "ratio", "lemma1", "placement")
 
 MAX_SWEEP_POINTS = 100_000
 # each batch of 65 536 trials holds 1 + 2K gains per trial
@@ -48,24 +49,26 @@ MAX_RELAYS = 32
 # placement runs one capacity search per grid point
 MAX_GRID_POINTS = 10_001
 
-_DEFAULTS = {
-    "snr_db": "0:0:1",
-    "rate": "0.01",
-    "epsilon": "0.001",
-    "k": None,
-    "relay_pos": "0.5",
-    "pathloss": "3",
-    "trials": "1000000",
-    "seed": "1234",
-    "mode": "exact",
-    "out": "-",
-    "format": "csv",
-    "grid": "201",
-    "g_list": "0.1,0.05,0.02,0.01",
-    "x_factor": "0.1",
-    "sigma_sd2": None,
-    "sigma_sr2": None,
-    "sigma_rd2": None,
+# key: (default, help, the subcommands whose parser takes --key: None for
+# every one, () for a key only a config file sets)
+_OPTIONS = {
+    "snr_db": ("0:0:1", "sweep start:stop:step in dB, or a single value", None),
+    "rate": ("0.01", "comma-separated target rates in bit/s/Hz", None),
+    "epsilon": ("0.001", "target outage probability", None),
+    "k": (None, "number of relays", None),
+    "relay_pos": ("0.5", "comma-separated relay positions in (0, 1)", None),
+    "pathloss": ("3", "path-loss exponent (0 gives unit variances)", None),
+    "trials": ("1000000", "Monte Carlo trials", None),
+    "seed": ("1234", "64-bit master seed", None),
+    "mode": ("exact", "outage threshold mode: exact or linearized", None),
+    "out": ("-", "output path, '-' for stdout", None),
+    "format": ("csv", "output format: csv or jsonl", None),
+    "grid": ("201", "relay-position grid points (odd count contains 0.5)", ("placement",)),
+    "g_list": ("0.1,0.05,0.02,0.01", "strictly decreasing threshold list", ("lemma1",)),
+    "x_factor": ("0.1", "offset factor x = factor*g; 'policy' ties x to the duty cycle", ("lemma1",)),
+    "sigma_sd2": (None, None, ()),
+    "sigma_sr2": (None, None, ()),
+    "sigma_rd2": (None, None, ()),
 }
 
 PRESETS = {
@@ -113,6 +116,9 @@ class ResultRow:
     stderr: float | None
     n_trials: int | None
     seed: int | None
+
+
+CSV_HEADER = tuple(f.name for f in fields(ResultRow))
 
 
 # --- option parsing ----------------------------------------------------------
@@ -181,7 +187,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise InvalidParameterError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise InvalidParameterError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -192,46 +198,28 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(SUBCOMMANDS))
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, prog=f"bafsim {name}")
-        p.add_argument("--snr-db", dest="snr_db", help="sweep start:stop:step in dB, or a single value")
-        p.add_argument("--rate", help="comma-separated target rates in bit/s/Hz")
-        p.add_argument("--epsilon", help="target outage probability")
-        p.add_argument("--k", help="number of relays")
-        p.add_argument("--relay-pos", dest="relay_pos", help="comma-separated relay positions in (0, 1)")
-        p.add_argument("--pathloss", help="path-loss exponent (0 gives unit variances)")
-        p.add_argument("--trials", help="Monte Carlo trials")
-        p.add_argument("--seed", help="64-bit master seed")
-        p.add_argument("--mode", help="outage threshold mode: exact or linearized")
-        p.add_argument("--out", help="output path, '-' for stdout")
-        p.add_argument("--format", help="output format: csv or jsonl")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
+        for key, (_, help_text, commands) in _OPTIONS.items():
+            if commands is None or name in commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
+        if name == "ratio":
+            p.add_argument("--preset", choices=sorted(PRESETS), help="named parameter preset")
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        if name == "placement":
-            p.add_argument("--grid", help="relay-position grid points (odd count contains 0.5)")
-        if name == "lemma1":
-            p.add_argument("--g-list", dest="g_list", help="strictly decreasing threshold list")
-            p.add_argument(
-                "--x-factor",
-                dest="x_factor",
-                help="offset factor x = factor*g; 'policy' ties x to the duty cycle",
-            )
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _, _) in _OPTIONS.items()}
     explicit: set[str] = set()
 
     preset = getattr(args, "preset", None)
     if preset is not None:
-        if args.command != "ratio":
-            raise InvalidParameterError(f"preset {preset!r} applies to the ratio subcommand")
         merged.update(PRESETS[preset])
         explicit.update(PRESETS[preset])
     if getattr(args, "config", None) is not None:
         file_values = _read_config_file(args.config)
         merged.update(file_values)
         explicit.update(file_values)
-    for key in _DEFAULTS:
+    for key in _OPTIONS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -385,7 +373,7 @@ def cmd_outage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows = []
     for (db, rate), est in zip(points, estimates):
         events = round(est.mean * est.n_trials)
-        if rate > 0.0 and events < 100:
+        if rate > 0.0 and events < mc.MIN_EVENTS:
             raise ConvergenceError(
                 f"only {events} outage events at snr_db={db:g}, rate={rate:g}: "
                 "rare-event regime; plain Monte Carlo refuses, increase --trials"
@@ -446,12 +434,14 @@ def cmd_placement(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
 
 _COMMANDS = {
     "analytic": cmd_analytic,
-    "ratio": cmd_ratio,
     "outage": cmd_outage,
     "capacity": cmd_capacity,
+    "ratio": cmd_ratio,
     "lemma1": cmd_lemma1,
     "placement": cmd_placement,
 }
+
+SUBCOMMANDS = tuple(_COMMANDS)
 
 
 # --- output ------------------------------------------------------------------
@@ -465,17 +455,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _row_values(row: ResultRow):
-    return (row.snr_db, row.rate, row.epsilon, row.k_relays, row.metric_name,
-            row.value, row.stderr, row.n_trials, row.seed)
-
-
 def render_rows(rows: list[ResultRow], fmt: str) -> str:
     if fmt == "csv":
-        lines = [",".join(CSV_HEADER)]
-        lines += [",".join(_cell(v) for v in _row_values(r)) for r in rows]
-        return "\n".join(lines) + "\n"
-    lines = [json.dumps(dict(zip(CSV_HEADER, _row_values(r)))) for r in rows]
+        lines = [",".join(CSV_HEADER)] + [",".join(_cell(v) for v in vars(r).values()) for r in rows]
+    else:
+        lines = [json.dumps(vars(r)) for r in rows]
     return "\n".join(lines) + "\n"
 
 

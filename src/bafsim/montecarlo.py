@@ -71,6 +71,8 @@ from .errors import ConvergenceError, InvalidParameterError
 from .protocol import aggregate_batch, undecoded_counts
 
 MIN_TRIALS = 10_000
+# the fewest outage events a plain Monte Carlo estimate is trusted on
+MIN_EVENTS = 100
 
 
 @dataclass(frozen=True)
@@ -113,10 +115,8 @@ def _run_batches(worker, tasks: list, workers: int) -> list:
         return [worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
 
-    n_workers = min(workers, len(tasks))
-    chunk = max(1, len(tasks) // (4 * n_workers))
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def _bernoulli_estimate(count: int, n: int) -> Estimate:
@@ -264,7 +264,7 @@ def lemma1_ratio_experiment(
     The event is the one-relay protocol's outage at the decode condition
     (x, g) on direct, source-relay and relay-destination gains U, V, W.  The
     ratio means converge toward ``lemma1_constant`` as g -> 0.  Raises
-    ConvergenceError when the smallest threshold sees fewer than 100 events.
+    ConvergenceError when the smallest threshold sees fewer than MIN_EVENTS events.
     """
     variances = LinkVariances(sigma_u2, (sigma_v2,), (sigma_w2,))
     gs = [float(g) for g in g_sequence]
@@ -281,11 +281,11 @@ def lemma1_ratio_experiment(
     totals = _outage_pass(variances, list(zip(xs, gs)), n_trials, master_seed, workers)
     counts = [outages for outages, _, _ in totals]
 
-    if counts[-1] < 100:
-        need = math.ceil(n_trials * 100 / max(counts[-1], 1))
+    if counts[-1] < MIN_EVENTS:
+        need = math.ceil(n_trials * MIN_EVENTS / max(counts[-1], 1))
         raise ConvergenceError(
             f"only {counts[-1]} events at the smallest threshold g={gs[-1]:g}; "
-            f"increase n_trials (roughly {need} needed for 100 events)"
+            f"increase n_trials (roughly {need} needed for {MIN_EVENTS} events)"
         )
     out = []
     for g, c in zip(gs, counts):
@@ -390,11 +390,11 @@ _PREDICTION_MARGIN = 0.02
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
     """Largest outage count c with c/n_trials < epsilon in float arithmetic.
 
-    Rejects epsilon*n_trials < 100: too few outage events to resolve epsilon.
+    Rejects epsilon*n_trials < MIN_EVENTS: too few outage events to resolve epsilon.
     """
-    if epsilon * n_trials < 100:
+    if epsilon * n_trials < MIN_EVENTS:
         raise InvalidParameterError(
-            f"epsilon*n_trials must be >= 100 (got {epsilon * n_trials:g}); increase n_trials"
+            f"epsilon*n_trials must be >= {MIN_EVENTS} (got {epsilon * n_trials:g}); increase n_trials"
         )
     c = min(int(epsilon * n_trials), n_trials)
     while c / n_trials >= epsilon:
@@ -536,7 +536,7 @@ class _Rows:
 
 
 def _window_stage(search: _RateSearch, window: _Window):
-    """(rate, outage count there, a_below, a_above) of ``search`` on the ``window`` gains.
+    """(rate, outage count there) of ``search`` on the ``window`` gains.
 
     Returns None when the window cannot hold the answer: x0 outside
     [x_lo, x_hi], or the bracket not inside [low, high).  Otherwise a_k0,
@@ -562,7 +562,7 @@ def _window_stage(search: _RateSearch, window: _Window):
         return below + int(np.count_nonzero(aggregate_batch(cand, k, x) < thr))
 
     rate, _ = _solve_increasing(outages, k0 + 1, r_lo * (1.0 - _BOUND_MARGIN), upper=r_hi * (1.0 + _BOUND_MARGIN))
-    return rate, outages(rate), a_below, a_above
+    return rate, outages(rate)
 
 
 class _PassPoint:
@@ -756,7 +756,7 @@ def empirical_eps_outage_capacity_sweep(
     found = _exact_passes(searches, lambda j, rows: gains_batch(variances, master_seed, j, rows), batch_plan(n_trials))
     return [
         RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
-        for (rate, count, _, _), passes in found
+        for (rate, count), passes in found
     ]
 
 
@@ -785,32 +785,35 @@ def empirical_eps_outage_capacity(
 PLACEMENT_TRIAL_LIMIT = 20_000_000
 
 
-def _block_window(
-    search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray, recent_caps: np.ndarray, recent_bands: np.ndarray
-) -> _Window:
+def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray, recent_caps: np.ndarray) -> _Window:
     """Window for the positions with variance rows ``scales``, from one bounding pass over ``raw``.
 
-    The positions' start rates and (a_below, a_above) bands are extrapolated
-    from the last two positions solved, ``recent_caps`` and ``recent_bands``,
-    and widened by ``_PREDICTION_MARGIN``.  The aggregate rises in every gain
-    and falls in x, so a0 over the block lies between its value at the
-    smallest entry of each variance column and the largest x, and its value
-    at the largest entries and the smallest x.  Each batch's two bounds go
-    to a ``_Rows`` over the predicted band, which keeps the unit draws of
-    the trials they cannot place outside it.
+    The positions' start rates are extrapolated from the last two capacities
+    solved, ``recent_caps``, and widened by ``_PREDICTION_MARGIN`` to
+    [rate_lo, rate_hi], with offsets x_lo, x_hi and thresholds thr_lo,
+    thr_hi there.  The band is [thr_lo - K/4*(x_hi - x_lo), thr_hi +
+    K/4*(x_hi - x_lo)), from the slope bound K/4 that ``_RateSearch``
+    brackets with: a search whose start rate and bracket lie in
+    [rate_lo, rate_hi] has its (a_below, a_above) in the band, but for
+    ``_BOUND_MARGIN``.  The aggregate rises in every gain and falls in x, so
+    a0 over the block lies between its value at the smallest entry of each
+    variance column and the largest x, and its value at the largest entries
+    and the smallest x.  Each batch's two bounds go to a ``_Rows`` over the
+    band, which keeps the unit draws of the trials they cannot place outside
+    it.  ``_window_stage`` checks every window, so a prediction that misses
+    (or overflows, far past the clamp) only sends a position to the exact
+    pass.
     """
     steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
-    # a prediction that overflows (an infinite a_above far past the clamp) only
-    # leaves the window empty or fails its checks, so the exact pass takes over
     with np.errstate(all="ignore"):
         rates = recent_caps[1] * (recent_caps[1] / recent_caps[0]) ** steps
-        bands = recent_bands[1] + (steps + 1)[:, None] * (recent_bands[1] - recent_bands[0])
     rate_lo = float(rates.min()) * (1.0 - _PREDICTION_MARGIN)
-    # below the duty cycle's domain, x0 > 0 is the only bound (every start rate is inside it)
-    x_lo = search.condition(rate_lo)[0] if rate_lo * search.snr >= sys.float_info.min else 0.0
-    x_hi, _ = search.condition(float(rates.max()) * (1.0 + _PREDICTION_MARGIN))
-    low, high = float(bands.min()), float(bands.max())
-    low, high = low - _PREDICTION_MARGIN * abs(low), high + _PREDICTION_MARGIN * abs(high)
+    # below the duty cycle's domain, x0 > 0 and thr > 0 are the only bounds
+    # (every start rate is inside it)
+    x_lo, thr_lo = search.condition(rate_lo) if rate_lo * search.snr >= sys.float_info.min else (0.0, 0.0)
+    x_hi, thr_hi = search.condition(float(rates.max()) * (1.0 + _PREDICTION_MARGIN))
+    slack = search.k / 4.0 * (x_hi - x_lo)
+    low, high = thr_lo - slack, thr_hi + slack
     row_lo, row_hi = scales.min(axis=0), scales.max(axis=0)
     k, rows = search.k, _Rows(low, high)
     for g in raw:
@@ -869,18 +872,17 @@ def empirical_capacity_vs_position(
     raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
 
     caps = np.empty_like(grid)
-    bands = np.empty((len(grid), 2))  # each position's (a_below, a_above)
     window, block_end = None, 0
     for i, scale in enumerate(scales):
         start = caps[i - 1] if i else c_eps_baf_k(per_position[0], snr, epsilon)
         search = _RateSearch(snr, k0, 1, None, threshold_mode, start)
         if window is None and i >= 2:
             block_end = min(i + _BLOCK_POSITIONS, len(grid))
-            window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i], bands[i - 2 : i])
+            window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i])
         found = None if window is None else _window_stage(search, replace(window, gains=window.gains * scale))
         if found is None or i + 1 == block_end:
             window = None
         if found is None:
             found = _exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0]
-        caps[i], _, bands[i, 0], bands[i, 1] = found
+        caps[i], _ = found
     return grid, caps

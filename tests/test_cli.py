@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import itertools
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from bafsim.capacity import c_eps_baf_no_feedback, c_eps_cutset
 from bafsim.channel import LinkVariances
-from bafsim.cli import CSV_HEADER, MAX_GRID_POINTS, MAX_RELAYS, SUBCOMMANDS, main
+from bafsim.cli import CSV_HEADER, MAX_GRID_POINTS, MAX_RELAYS, SUBCOMMANDS, _build_parser, main
 
 UNIT = LinkVariances(1.0, (1.0,), (1.0,))
 
@@ -110,7 +111,11 @@ class TestRatio:
             assert float(r["value"]) <= 1.0
 
     def test_preset_is_ratio_only(self, tmp_path, capsys):
-        assert main(["analytic", "--preset", "fig2", "--out", str(tmp_path / "x.csv")]) == 1
+        for command in SUBCOMMANDS:
+            if command != "ratio":
+                capsys.readouterr()
+                assert main([command, "--preset", "fig2", "--out", str(tmp_path / "x.csv")]) == 1
+                assert len(capsys.readouterr().err.splitlines()) == 1, command
 
     def test_flags_override_preset(self, tmp_path):
         _, rows = run_csv(tmp_path, ["ratio", "--preset", "fig2", "--rate", "0.009"])
@@ -265,6 +270,73 @@ class TestConfigHandling:
             "analytic", "--snr-db", "0", "--rate", "0.01", "--k", "3", "--relay-pos", "0.5", "--pathloss", "3",
         ])
         assert all(r["k_relays"] == "3" for r in rows)
+
+
+def _flags(command):
+    """The flags the parser of ``command`` takes, without --help."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+_COMMON_FLAGS = {
+    "--snr-db", "--rate", "--epsilon", "--k", "--relay-pos", "--pathloss", "--trials", "--seed", "--mode",
+    "--out", "--format", "--config",
+}
+_EXTRA_FLAGS = {
+    "analytic": set(),
+    "outage": set(),
+    "capacity": set(),
+    "ratio": {"--preset"},
+    "lemma1": {"--g-list", "--x-factor"},
+    "placement": {"--grid"},
+}
+# a cheap run of every subcommand, as config keys and values
+_CHEAP = {
+    "analytic": {"snr_db": "-10", "pathloss": "2"},
+    "outage": {"snr_db": "-10", "rate": "0.05", "trials": "20000", "pathloss": "2"},
+    "capacity": {"snr_db": "-10", "epsilon": "0.05", "trials": "20000", "pathloss": "2"},
+    "ratio": {"snr_db": "0"},
+    "lemma1": {"g_list": "0.4,0.3", "trials": "20000", "pathloss": "2"},
+    "placement": {"snr_db": "-20", "epsilon": "0.3", "trials": "10000", "grid": "101", "pathloss": "2"},
+}
+# for every key a flag sets, a value that runs every subcommand and differs from the cheap run's
+_OTHER = {
+    "snr_db": "-5", "rate": "0.04", "epsilon": "0.2", "k": "1", "relay_pos": "0.3", "pathloss": "3",
+    "trials": "30000", "seed": "7", "mode": "linearized", "out": "out.txt", "format": "jsonl",
+    "grid": "103", "g_list": "0.5,0.35", "x_factor": "policy",
+}
+
+
+class TestOptionTable:
+    def test_flag_sets(self):
+        assert tuple(_EXTRA_FLAGS) == SUBCOMMANDS
+        for command, extra in _EXTRA_FLAGS.items():
+            assert _flags(command) == _COMMON_FLAGS | extra, command
+
+    def test_config_key_gives_the_bytes_of_its_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BAF_WORKERS", "1")
+        monkeypatch.chdir(tmp_path)
+        cfg, written = tmp_path / "run.cfg", tmp_path / _OTHER["out"]
+
+        def run(command, flags, file_values):
+            cfg.write_text("".join(f"{k}={v}\n" for k, v in file_values.items()))
+            argv = [command, "--config", str(cfg)] + [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+            capsys.readouterr()
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if written.exists():
+                out += written.read_text()
+                written.unlink()
+            return code, out, err
+
+        for command in SUBCOMMANDS:
+            for flag in sorted(_flags(command) - {"--config", "--preset"}):
+                key = flag[2:].replace("-", "_")
+                rest = {k: v for k, v in _CHEAP[command].items() if k != key}
+                from_flag = run(command, {**rest, key: _OTHER[key]}, {})
+                assert from_flag == run(command, rest, {key: _OTHER[key]}), (command, key)
+                assert from_flag[1], (command, key)
 
 
 class TestOutputFormats:

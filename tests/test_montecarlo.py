@@ -522,7 +522,7 @@ def _two_pass_oracle(variances, params, n_trials, seed, mode):
     band = (a0 >= a_below) & (a0 < a_above)
     below = int(np.count_nonzero(a0 < a_below))
     window = montecarlo._Window(below, gains[band], a_below, a_above, search.x0, search.x0)
-    rate, count, _, _ = montecarlo._window_stage(search, window)
+    rate, count = montecarlo._window_stage(search, window)
     return rate, count / n_trials
 
 
@@ -881,8 +881,8 @@ class TestPlacementBlocks:
             solved.append(montecarlo._exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0])
             start = solved[-1][0]
         search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
-        caps, bands = np.array([f[0] for f in solved[1:]]), np.array([f[2:] for f in solved[1:]])
-        window = montecarlo._block_window(search, raw, scales[3:], caps, bands)
+        caps = np.array([rate for rate, _ in solved[1:]])
+        window = montecarlo._block_window(search, raw, scales[3:], caps)
         assert 0 < len(window.gains) < n // 5
         assert window.x_lo < window.x_hi and window.low < window.high
         kept = {tuple(row) for row in window.gains}
