@@ -5,8 +5,9 @@ Every estimator consumes trials through the fixed batch layout of
 therefore bit-identical for a given (master_seed, n_trials) regardless of the
 worker count.  Workers default to ``os.cpu_count()`` capped by the
 ``BAF_WORKERS`` environment variable, which every estimator checks before
-any draw.  Outage passes fan their batches out to a process pool; the
-capacity kernel runs on one thread at any worker count.
+any draw.  Outage passes fan their batches out to a process pool, and the
+placement sweep its segments of relay positions; capacity sweeps at
+operating points run on one thread at any worker count.
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
@@ -36,14 +37,16 @@ capacity sweep draws each batch once for all its points, each keeping its
 k0+1 smallest aggregates and the rows below a running bound, and draws it a
 second time only for the points whose rows do not fit the memory of one
 array of n_trials aggregates, or whose kept rows miss the final bracket.
-The placement sweep bounds each block of relay positions in one pass over
-its cached unit draws and solves every position of the block on that window;
-a position the window cannot hold falls back to the exact pass, so the curve
-is bit for bit the exact pass's.  Every kernel function takes the gains as
-its search sees them: each position scales the unit draws by its variance
-row where it reads them.  One float bisection, ``_solve_increasing``, finds
-every root the module needs: the kernel's rate bracket, the capacity itself
-and lemma1's policy offset.
+The placement sweep splits its grid into contiguous segments, each of which
+draws the unit draws itself and restarts its chain of start rates from the
+closed form.  A segment bounds each block of relay positions in one pass over
+its unit draws and solves every position of the block on that window; a
+position the window cannot hold falls back to the exact pass, so the curve
+is bit for bit the exact pass's at any split.  Every kernel function takes
+the gains as its search sees them: each position scales the unit draws by
+its variance row where it reads them.  One float bisection,
+``_solve_increasing``, finds every root the module needs: the kernel's rate
+bracket, the capacity itself and lemma1's policy offset.
 """
 
 from __future__ import annotations
@@ -385,6 +388,10 @@ _RUNNING_MARGIN = 1e-6
 # by this relative margin.
 _BLOCK_POSITIONS = 8
 _PREDICTION_MARGIN = 0.02
+# The placement sweep solves its grid in contiguous segments of at least
+# this many positions: each segment draws the trials and takes two exact
+# passes of its own.
+_SEGMENT_POSITIONS = 4 * _BLOCK_POSITIONS
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
@@ -822,6 +829,41 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     return rows.window(1 + 2 * k, x_lo, x_hi)
 
 
+def _placement_segment(task) -> np.ndarray:
+    """Capacities at the contiguous run of positions with variance rows ``scales``.
+
+    ``task`` is (snr, k0, threshold_mode, master_seed, n_trials, scales,
+    start_rate).  The segment draws its own unit draws from (master_seed,
+    batch), so it reads nothing of the caller's memory, and starts its first
+    position's search from ``start_rate``.  Its first two positions take an
+    exact pass; after them, positions come in blocks of ``_BLOCK_POSITIONS``
+    on one ``_block_window`` each, and a position the window cannot hold
+    falls back to the exact pass, after which the next block starts.  Every
+    capacity is the unique root of its outage count, so it does not depend
+    on where its segment starts.
+    """
+    snr, k0, threshold_mode, master_seed, n_trials, scales, start_rate = task
+    unit = LinkVariances(1.0, (1.0,), (1.0,))
+    plan = batch_plan(n_trials)
+    # column-major, so that scaling by the variances runs down whole columns
+    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
+
+    caps = np.empty(len(scales))
+    window, block_end = None, 0
+    for i, scale in enumerate(scales):
+        search = _RateSearch(snr, k0, 1, None, threshold_mode, caps[i - 1] if i else start_rate)
+        if window is None and i >= 2:
+            block_end = min(i + _BLOCK_POSITIONS, len(scales))
+            window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i])
+        found = None if window is None else _window_stage(search, replace(window, gains=window.gains * scale))
+        if found is None or i + 1 == block_end:
+            window = None
+        if found is None:
+            found = _exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0]
+        caps[i], _ = found
+    return caps
+
+
 def empirical_capacity_vs_position(
     pathloss_exponent: float,
     snr: float,
@@ -834,26 +876,31 @@ def empirical_capacity_vs_position(
     """Empirical one-relay outage capacity across a relay-position grid.
 
     Uses the same trials (common random numbers) at every grid position: the
-    raw exponentials are drawn once and rescaled by the position-dependent
-    variances, so the capacity curve is smooth in the position and its argmax
-    is comparable across positions.  Each position's capacity is the unique
-    root of its outage count under the clamped duty-cycle policy, so the
-    exact pass ``_exact_passes`` started from the previous position's
-    capacity finds the rate that ``empirical_eps_outage_capacity``, started
-    from the closed form, finds on the same variances and trials.
+    raw exponentials are drawn from (master_seed, batch) and rescaled by the
+    position-dependent variances, so the capacity curve is smooth in the
+    position and its argmax is comparable across positions.  Each position's
+    capacity is the unique root of its outage count under the clamped
+    duty-cycle policy, so the exact pass ``_exact_passes``, from whatever
+    start rate, finds the rate that ``empirical_eps_outage_capacity``,
+    started from the closed form, finds on the same variances and trials.
 
-    Positions come in blocks of ``_BLOCK_POSITIONS``.  One bounding pass per
-    block (``_block_window``) keeps the few trials whose aggregate can lie in
-    the block's predicted band, and each position runs ``_window_stage`` on
-    them alone, scaled by its variance row.  A position whose start offset or
-    bracket falls outside what the window was bounded for, and the first
-    two, take an exact pass over all trials instead, on the draws scaled as
-    they are read, and the next block starts after it.  Either way the
-    result is bit for bit that of the exact pass.
+    The grid is split into contiguous segments, one per worker but at least
+    ``_SEGMENT_POSITIONS`` positions each, which ``_placement_segment``
+    solves on the process pool; one worker solves the whole grid in one
+    segment, in process.  Each segment draws the trials itself and starts
+    from the closed form ``c_eps_baf_k`` at its first position, then from
+    each capacity it solves.  Within a segment, positions come in blocks of
+    ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
+    keeps the few trials whose aggregate can lie in the block's predicted
+    band, and each position runs ``_window_stage`` on them alone, scaled by
+    its variance row.  A position whose start offset or bracket falls
+    outside what the window was bounded for, and a segment's first two,
+    take an exact pass over all trials instead.  Either way the result is
+    bit for bit that of the exact pass, at any split and worker count.
 
     Returns (positions, capacities).
     """
-    worker_count()  # rejects an invalid BAF_WORKERS before any draw
+    workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
     SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
     _check_trials(n_trials)
     if n_trials > PLACEMENT_TRIAL_LIMIT:
@@ -866,23 +913,10 @@ def empirical_capacity_vs_position(
     per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
     scales = np.array([variance_row(v) for v in per_position])
 
-    unit = LinkVariances(1.0, (1.0,), (1.0,))
-    plan = batch_plan(n_trials)
-    # column-major, so that scaling by the variances runs down whole columns
-    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
-
-    caps = np.empty_like(grid)
-    window, block_end = None, 0
-    for i, scale in enumerate(scales):
-        start = caps[i - 1] if i else c_eps_baf_k(per_position[0], snr, epsilon)
-        search = _RateSearch(snr, k0, 1, None, threshold_mode, start)
-        if window is None and i >= 2:
-            block_end = min(i + _BLOCK_POSITIONS, len(grid))
-            window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i])
-        found = None if window is None else _window_stage(search, replace(window, gains=window.gains * scale))
-        if found is None or i + 1 == block_end:
-            window = None
-        if found is None:
-            found = _exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0]
-        caps[i], _ = found
-    return grid, caps
+    segments = min(workers, max(1, len(grid) // _SEGMENT_POSITIONS))
+    cuts = [len(grid) * s // segments for s in range(segments + 1)]
+    tasks = [
+        (snr, k0, threshold_mode, master_seed, n_trials, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
+        for a, b in zip(cuts, cuts[1:])
+    ]
+    return grid, np.concatenate(_run_batches(_placement_segment, tasks, segments))

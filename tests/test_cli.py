@@ -511,7 +511,8 @@ class TestBenchmarkChild:
         spans_out = tmp_path / "spans.json"
         argv = ["placement", "--snr-db=-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101",
                 "--trials", "20000", "--seed", str(seed), "--out", str(tmp_path / "placement.csv")]
-        result = bench.spawn({"mode": "main", "argv": argv, "trace": True, "spans_out": str(spans_out)})
+        # the tracer sees no span inside a pool worker, so the traced run takes one worker
+        result = bench.spawn({"mode": "main", "argv": argv, "trace": True, "spans_out": str(spans_out)}, workers=1)
         assert result["rc"] == 0
         names = {span[0] for span in json.loads(spans_out.read_text(encoding="utf-8"))}
         assert {"cli.main", "channel.gains_batch", "montecarlo.empirical_capacity_vs_position"} <= names

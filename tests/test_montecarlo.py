@@ -1,4 +1,7 @@
+import functools
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -824,6 +827,7 @@ def _counted_placement(*args, **kwargs):
         return found
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("BAF_WORKERS", "1")  # the counters live in this process: one segment, no pool
         mp.setattr(montecarlo, "_window_stage", counted_stage)
         mp.setattr(montecarlo, "_exact_passes", counted_exact)
         _, caps = empirical_capacity_vs_position(*args, **kwargs)
@@ -894,3 +898,72 @@ class TestPlacementBlocks:
                 assert {tuple(row) for row in in_band} <= kept
                 kept_below = np.count_nonzero(aggregate_batch(window.gains * scale, 1, x) < window.low)
                 assert window.below + kept_below == np.count_nonzero(a0 < window.low)
+
+
+def _segment_tasks(pathloss, snr, epsilon, n_trials, seed, grid_points, mode, cuts):
+    """``_placement_segment`` tasks for the grid parts [cuts[s], cuts[s + 1]), each started from the closed form."""
+    k0 = montecarlo._max_allowed_count(epsilon, n_trials)
+    per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss)) for d in position_grid(grid_points)]
+    scales = np.array([variance_row(v) for v in per_position])
+    return [
+        (snr, k0, mode, seed, n_trials, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
+        for a, b in zip(cuts, cuts[1:])
+    ]
+
+
+# (snr, epsilon, n_trials, seed) of the segment tests: at pathloss 8 some block windows fail
+SEGMENT_CASE = (0.01, 0.1, 20_000, 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_segment_curve(pathloss, grid_points, mode):
+    (task,) = _segment_tasks(pathloss, *SEGMENT_CASE, grid_points, mode, [0, grid_points])
+    return montecarlo._placement_segment(task)
+
+
+@st.composite
+def _split_grid(draw):
+    grid_points = draw(st.sampled_from([101, 201]))
+    inner = draw(st.lists(st.integers(1, grid_points - 1), unique=True, max_size=12))
+    return grid_points, [0, *sorted(inner), grid_points]
+
+
+class TestPlacementSegments:
+    @given(
+        split=_split_grid(),
+        pathloss=st.sampled_from([3.0, 5.0, 8.0]),
+        mode=st.sampled_from(["exact", "linearized"]),
+    )
+    @example(split=(101, [0, 1, 2, 3, 50, 100, 101]), pathloss=8.0, mode="exact")
+    @settings(max_examples=20, deadline=None)
+    def test_any_split_gives_the_one_segment_curve(self, split, pathloss, mode):
+        grid_points, cuts = split
+        tasks = _segment_tasks(pathloss, *SEGMENT_CASE, grid_points, mode, cuts)
+        caps = np.concatenate([montecarlo._placement_segment(task) for task in tasks])
+        assert np.array_equal(caps, _one_segment_curve(pathloss, grid_points, mode))
+
+    def test_curve_does_not_depend_on_the_worker_count(self, monkeypatch):
+        segments = []
+        run_batches = montecarlo._run_batches
+
+        def counted(worker, tasks, workers):
+            segments.append(len(tasks))
+            return run_batches(worker, tasks, workers)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", counted)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        curves = []
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("BAF_WORKERS", str(workers))
+            curves.append(empirical_capacity_vs_position(8.0, *SEGMENT_CASE, grid_points=101)[1])
+        # 101 positions make at most 101 // _SEGMENT_POSITIONS = 3 segments
+        assert segments == [1, 2, 3]
+        assert np.array_equal(curves[0], curves[1]) and np.array_equal(curves[0], curves[2])
+        assert np.array_equal(curves[0], _one_segment_curve(8.0, 101, "exact"))
+
+    def test_segments_read_nothing_of_the_parent_process(self):
+        # forkserver workers start from a fresh import, not from a copy of this process
+        tasks = _segment_tasks(5.0, *SEGMENT_CASE, 101, "linearized", [0, 33, 67, 101])
+        with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("forkserver")) as pool:
+            caps = np.concatenate(list(pool.map(montecarlo._placement_segment, tasks)))
+        assert np.array_equal(caps, _one_segment_curve(5.0, 101, "linearized"))
