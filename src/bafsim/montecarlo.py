@@ -5,9 +5,9 @@ Every estimator consumes trials through the fixed batch layout of
 therefore bit-identical for a given (master_seed, n_trials) regardless of the
 worker count.  Workers default to ``os.cpu_count()`` capped by the
 ``BAF_WORKERS`` environment variable, which every estimator checks before
-any draw.  Outage passes fan their batches out to a process pool, and the
-placement sweep its segments of relay positions; capacity sweeps at
-operating points run on one thread at any worker count.
+any draw.  Outage passes fan their batches out to a process pool, capacity
+sweeps at operating points each pass's contiguous ranges of batches, and the
+placement sweep its segments of relay positions.
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
@@ -37,6 +37,9 @@ capacity sweep draws each batch once for all its points, each keeping its
 k0+1 smallest aggregates and the rows below a running bound, and draws it a
 second time only for the points whose rows do not fit the memory of one
 array of n_trials aggregates, or whose kept rows miss the final bracket.
+The sweep runs each pass in contiguous parts of its batches, one per
+worker, and merges the parts' states in batch order; every capacity is the
+unique root of its outage count, so it does not depend on the split.
 The placement sweep splits its grid into contiguous segments, each of which
 draws the unit draws itself and restarts its chain of start rates from the
 closed form.  A segment bounds each block of relay positions in one pass over
@@ -51,6 +54,7 @@ bracket, the capacity itself and lemma1's policy offset.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -71,7 +75,7 @@ from .channel import (
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import aggregate_batch, undecoded_counts
+from .protocol import _hops, _running_sums, aggregate_batch, undecoded_counts
 
 MIN_TRIALS = 10_000
 # the fewest outage events a plain Monte Carlo estimate is trusted on
@@ -392,6 +396,11 @@ _PREDICTION_MARGIN = 0.02
 # this many positions: each segment draws the trials and takes two exact
 # passes of its own.
 _SEGMENT_POSITIONS = 4 * _BLOCK_POSITIONS
+# A capacity sweep splits each pass into contiguous parts of at least this
+# many batches, one per worker.  Measured on 2 cores (Python 3.11), a K=2
+# batch costs about 10 ms in process and starting a pool about 50 ms, and
+# two parts first beat one at about 24 batches.
+MIN_BATCHES = 12
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
@@ -563,34 +572,68 @@ def _window_stage(search: _RateSearch, window: _Window):
         return None
     below = window.below + int(np.count_nonzero(a0 < a_below))
     cand = window.gains[(a0 >= a_below) & (a0 < a_above)]
+    # the candidates' hop terms do not depend on the rate: built once, and
+    # summed at each rate into the same buffers, to the floats of aggregate_batch
+    g_sd, hops = np.ascontiguousarray(cand[:, 0]), list(_hops(cand, k))
+    agg, term = np.empty(len(cand)), np.empty(len(cand))
 
     def outages(r: float) -> int:
         x, thr = search.condition(r)
-        return below + int(np.count_nonzero(aggregate_batch(cand, k, x) < thr))
+        *_, alpha = _running_sums(g_sd, hops, x, agg, term)
+        return below + int(np.count_nonzero(alpha < thr))
 
     rate, _ = _solve_increasing(outages, k0 + 1, r_lo * (1.0 - _BOUND_MARGIN), upper=r_hi * (1.0 + _BOUND_MARGIN))
     return rate, outages(rate)
 
 
 class _PassPoint:
-    """One search's share of a pass over the trials, as the window its ``rows`` gather.
+    """One search's share of a pass over the trials, or of a part of one, as the window its ``rows`` gather.
 
     ``add`` and ``prune`` take the gains as the search sees them.  A first
-    pass keeps the k0+1 smallest a0 seen in ``buf`` and, unless ``rows`` is
-    None, every drawn row whose a0 lies below the running bound
-    ``rows.high`` when its batch comes, or when the rows are pruned.  The
-    k0-th smallest a0 seen so far only falls, so the rows kept are a
-    superset of the trials the final bracket needs.  A second pass, which
-    ``close`` arms on the same point, keeps the rows with a0 in the
-    bracket's band [a_below, a_above) from the final k0-th smallest a0, and
+    pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf`` and,
+    unless ``rows`` is None, every drawn row whose a0 lies below the running
+    bound ``rows.high`` when its batch comes, or when the rows are pruned.
+    The k0-th smallest a0 seen so far only falls, so the rows kept are a
+    superset of the trials the final bracket needs.  A second pass keeps the
+    rows with a0 in ``band``, the bracket's band [a_below, a_above) from the
+    final k0-th smallest a0 that ``close`` sets after a first pass, and
     counts the trials below it.
     """
 
-    def __init__(self, search: _RateSearch):
-        self.search, self.rows, self.bounded = search, _Rows(-math.inf, math.inf), math.inf
+    def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
+        self.search, self.band, self.bounded = search, band, math.inf
+        if band is not None:
+            self.rows, self.buf = _Rows(*band), None
+            return
+        self.rows = _Rows(-math.inf, math.inf)
         # room for up to as many values again (at most a batch), partitioned only when full
         spare = min(search.k0 + 1, TRIALS_PER_BATCH)
         self.buf, self.filled, self.settled = np.empty(search.k0 + 1 + spare), 0, math.inf
+
+    @staticmethod
+    def merged(parts: list[_PassPoint]) -> _PassPoint:
+        """One point's state after a whole pass, from its states after the pass's parts, in part order.
+
+        The k0+1 smallest a0 of the pass are among those the parts buffered.
+        The rows and the counts below the band add up in trial order, under
+        the least of the parts' running bounds: every trial with a0 below it
+        is among them.  A point that a part kept no rows for keeps none.
+        """
+        point = parts[0]
+        if len(parts) == 1:
+            return point
+        if point.buf is not None:
+            point.buf = np.concatenate([p.buf[: p.filled] for p in parts])
+            point.filled, point.settled = len(point.buf), math.inf
+        if any(p.rows is None for p in parts):
+            point.rows = None
+            return point
+        for p in parts[1:]:
+            point.rows.below += p.rows.below
+            point.rows.chunks += p.rows.chunks
+            point.rows.size += p.rows.size
+            point.rows.high = min(point.rows.high, p.rows.high)
+        return point
 
     def _settle(self) -> float:
         """The k0-th smallest a0 seen, or inf before k0+1 have been."""
@@ -642,8 +685,7 @@ class _PassPoint:
         """The window stage's result on the rows kept; releases the point's arrays.
 
         After a first pass whose window cannot hold the answer, or that kept
-        no rows, returns None and arms the point as the second pass over the
-        bracket's band from the final k0-th smallest a0.
+        no rows, returns None and sets ``band`` for the second pass.
         """
         s, rows, self.rows = self.search, self.rows, None
         if rows is not None:
@@ -651,46 +693,90 @@ class _PassPoint:
             if found is not None or self.buf is None:
                 return found
         _, _, a_below, a_above = s.bracket(self._settle())
-        self.buf, self.rows = None, _Rows(a_below, a_above)
+        self.buf, self.band = None, (a_below, a_above)
         return None
 
 
-def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]) -> list[tuple[tuple, int]]:
+def _pass_part(task) -> list[_PassPoint]:
+    """The state of every point of a pass after one contiguous part of its batches.
+
+    ``task`` is (draw, plan, bands, keeps, room).  ``draw(j, rows)``
+    returns the gains of batch j as the searches see them, and ``plan``
+    holds the part's batches.  ``bands`` holds a (search, band) pair per
+    second pass and ``keeps`` a (search, keep) pair per first pass; the
+    states come back in that order.  The first passes that keep rows share
+    ``room`` floats for them.  Each batch is drawn once and serves every
+    point.  Where a part serves two or more points, its aggregate at their
+    largest x0 bounds all their a0 from below (every term falls as x grows,
+    and so does its float), and each point computes its a0 only on the rows
+    whose bound lies below its ``cut``, which changes no result.  When the
+    kept rows of the first passes outgrow the room, every point prunes its
+    rows to its current bound, and the point that grew drops its rows if
+    they still do not fit.
+    """
+    draw, plan, bands, keeps, room = task
+    first = [_PassPoint(search) for search, _ in keeps]
+    for point, (_, keep) in zip(first, keeps):
+        if not keep:
+            point.drop()
+    points = [_PassPoint(search, band) for search, band in bands] + first
+    x_floor = max(p.search.x0 for p in points) if len(points) > 1 else None
+    for j, rows in plan:
+        gains = draw(j, rows)
+        floor = None
+        if x_floor is not None and min(p.cut() for p in points) < math.inf:
+            floor = aggregate_batch(gains, points[0].search.k, x_floor)
+        for point in points:
+            point.add(gains, floor)
+            if point.buf is not None and sum(p.rows.size for p in first if p.rows is not None) > room:
+                for p in first:
+                    p.prune()
+                if sum(p.rows.size for p in first if p.rows is not None) > room:
+                    point.drop()
+    for point in first:  # a buffer leaves the part as its k0+1 smallest values alone
+        point._settle()
+        point.buf = point.buf[: point.filled]
+    return points
+
+
+def _exact_passes(
+    searches: list[_RateSearch], draw, plan: list[tuple[int, int]], cuts: list[int] | None = None
+) -> list[tuple[tuple, int]]:
     """(``_window_stage`` result, passes over the trials taken) of every search of ``searches``.
 
     ``draw(j, rows)`` returns the gains of batch j of ``plan`` as the
     searches see them.  Each pass draws every batch once and serves all its
-    points.  Where a pass serves two or more points, each batch's aggregate
-    at their largest x0 bounds all their a0 from below (every term falls as
-    x grows, and so does its float), and each point computes its a0 only on
-    the rows whose bound lies below its ``cut``, which changes no result.
-    A point's first pass keeps its k0+1 smallest a0 and, in a ``_Rows``,
-    the rows below a running bound on the window; where the final bracket
-    lies inside that bound, the window stage runs on those rows and the
-    point is done in one pass.  Otherwise, or where the point kept no rows,
-    ``close`` arms the same point as a second pass whose ``_Rows`` gathers
-    the exact band [a_below, a_above) of its final k0-th a0, so the stage
-    always succeeds there.
+    points (see ``_pass_part``).  It is split into the contiguous parts
+    plan[cuts[p]:cuts[p + 1]] (one part if ``cuts`` is None), run on the
+    process pool if there are two or more, and each point's states after
+    the parts are merged in part order (``_PassPoint.merged``).  A point's
+    first pass keeps its k0+1 smallest a0 and, in a ``_Rows``, the rows
+    below a running bound on the window; where the final bracket lies inside
+    that bound, the window stage runs on those rows and the point is done in
+    one pass.  Otherwise, or where a part kept no rows for the point,
+    ``close`` sets the exact band [a_below, a_above) of its final k0-th a0,
+    and a second pass gathers it, so the stage always succeeds there.
 
     The state of first passes, k0+1 buffered values and the kept rows per
     point, stays within the n_trials floats one point's array of a0 would
-    take; a buffer's spare room, at most as large again, is not counted, as
-    the parent array's partitioned copy was not.  Points start their first
-    pass in order while they fit beside the points ahead of them, each with
-    its k0+1 values and, where it keeps rows, room for its k0+1 smallest
-    rows; a point whose k0+1 rows would not fit even alone keeps none.  When
-    the kept rows outgrow the room left beside the buffers, every point
-    prunes its rows to its current bound, and the point that grew drops its
-    rows if they still do not fit.  A later pass serves the second passes of
-    the previous one.  Either way the window holds the trials with a0 in the
-    final [a_below, a_above) in trial order, so the answer does not depend
-    on the path.
+    take, across all parts: each part buffers its own k0+1 values per point
+    and keeps its rows within its own trials less its buffers.  A buffer's
+    spare room, at most as large again, is not counted, as the parent
+    array's partitioned copy was not.  Points start their first pass in
+    order while they fit beside the points ahead of them in n_trials floats,
+    each with its k0+1 values and, where it keeps rows, room for its k0+1
+    smallest rows; a point whose k0+1 rows would not fit even alone keeps
+    none.  A later pass serves the second passes of the previous one.
+    Either way the window holds the trials with a0 in the final [a_below,
+    a_above) in trial order, so the answer depends neither on the path nor
+    on the split: at one part, the passes are those of an unsplit pass.
 
     The answer is the unique root of the outage count: the float rate with
     at most k0 trials in outage there and more at the next float up, the
     same whatever the start rate or the bracket.
     """
     n = sum(rows for _, rows in plan)
+    cuts = cuts or [0, len(plan)]
     found: list = [None] * len(searches)
     start, second = 0, []
     while start < len(searches) or second:
@@ -701,35 +787,24 @@ def _exact_passes(searches: list[_RateSearch], draw, plan: list[tuple[int, int]]
             keep = buf + least <= n
             if first and used + buf + keep * least > n:
                 break
-            first.append((start, _PassPoint(search)))
-            if not keep:
-                first[-1][1].drop()
+            first.append((start, keep))
             used, room, start = used + buf + keep * least, room - buf, start + 1
-        passing = [p for _, p in second + first]
-        x_floor = max(p.search.x0 for p in passing) if len(passing) > 1 else None
-        for j, rows in plan:
-            gains = draw(j, rows)
-            floor = None
-            if x_floor is not None and min(p.cut() for p in passing) < math.inf:
-                floor = aggregate_batch(gains, passing[0].search.k, x_floor)
-            for _, point in second:
-                point.add(gains, floor)
-            for _, point in first:
-                point.add(gains, floor)
-                if sum(p.rows.size for _, p in first if p.rows is not None) > room:
-                    for _, p in first:
-                        p.prune()
-                    if sum(p.rows.size for _, p in first if p.rows is not None) > room:
-                        point.drop()
+        bands, keeps = [(p.search, p.band) for _, p in second], [(searches[i], keep) for i, keep in first]
+        # each part keeps its rows in its own trials less its buffers
+        tasks = [
+            (draw, plan[a:b], bands, keeps, room - n + sum(rows for _, rows in plan[a:b]))
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        states = [_PassPoint.merged(list(p)) for p in zip(*_run_batches(_pass_part, tasks, len(tasks)))]
         # first passes close first, to release their buffers before the second passes' stages
-        done, second = second, []
-        for i, point in first:
+        done, second = list(zip(second, states)), []
+        for (i, _), point in zip(first, states[len(done) :]):
             stage = point.close()
             if stage is None:
                 second.append((i, point))
             else:
                 found[i] = (stage, 1)
-        for i, point in done:
+        for (i, _), point in done:
             found[i] = (point.close(), 2)
     return found
 
@@ -746,10 +821,15 @@ def empirical_eps_outage_capacity_sweep(
     Every point is checked before any draw.  A pass over the draws serves
     every point (see ``_exact_passes``): each batch is drawn once, and once
     more only for the points whose state does not fit the memory of one
-    point's array of a0, or whose window misses the bracket.  Each result
-    equals the one-point call's.
+    point's array of a0, or whose window misses the bracket.  Each pass is
+    split into contiguous parts, one per worker but at least ``MIN_BATCHES``
+    batches each, which draw their own batches on the process pool and
+    together stay within that memory.  Each result's (rate,
+    achieved_outage) equals the one-point call's at any split; only
+    ``iterations`` may differ, as a part keeps its rows in its own share of
+    the memory.
     """
-    worker_count()  # rejects an invalid BAF_WORKERS before any draw
+    workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
     params_seq = list(params_seq)
     if not params_seq:
         raise InvalidParameterError("a sweep needs at least one operating point")
@@ -760,7 +840,10 @@ def empirical_eps_outage_capacity_sweep(
             params.snr, _max_allowed_count(params.epsilon, n_trials), params.k_relays, params.tau,
             threshold_mode, c_eps_baf_k(variances, params.snr, params.epsilon),
         ))
-    found = _exact_passes(searches, lambda j, rows: gains_batch(variances, master_seed, j, rows), batch_plan(n_trials))
+    plan = batch_plan(n_trials)
+    parts = max(1, min(workers, len(plan) // MIN_BATCHES))
+    cuts = [len(plan) * p // parts for p in range(parts + 1)]
+    found = _exact_passes(searches, functools.partial(gains_batch, variances, master_seed), plan, cuts)
     return [
         RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
         for (rate, count), passes in found

@@ -229,6 +229,9 @@ def test_criterion_7_property_suites():
     (["outage", "--snr-db=-10:0:5", "--rate", "0.02,0.05", "--k", "2", "--pathloss", "0", "--trials", "1000000"],
      "outage-sweep"),
     (["lemma1", "--g-list", "0.1,0.05,0.02", "--trials", "1000000", "--pathloss", "0", "--seed", "31"], "lemma1"),
+    # 25 batches: each pass splits into two parts on two or more cores
+    (["capacity", "--snr-db=-30:-10:10", "--epsilon", "0.001", "--k", "2", "--pathloss", "3", "--trials", "1600000",
+      "--seed", "31"], "capacity-split"),
 ])
 def test_criterion_8_worker_determinism(tmp_path, args, name):
     outputs = []

@@ -170,6 +170,19 @@ class TestCapacity:
         assert float(metrics["eps_outage_capacity"]["value"]) > 0.0
         assert metrics["eps_outage_capacity"]["rate"] == ""
 
+    def test_benchmark_sweep_is_split_invariant_and_passes_the_benchmark_check(self, tmp_path, monkeypatch):
+        # 31 batches: one part at one worker, two parts on the process pool at two
+        benchmark = benchmark_script()
+        argv = list(benchmark.WORKLOADS["capacity-sweep"].argv) + ["--seed", "7"]
+        references = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        texts = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("BAF_WORKERS", workers)
+            texts.append(run_csv(tmp_path, argv, name=f"w{workers}.csv")[0])
+        assert texts[0] == texts[1]
+        assert benchmark.check_capacity(texts[1], references["capacity-sweep"]["7"]) is None
+
     def test_every_point_is_checked_before_any_draw(self, tmp_path, capsys, monkeypatch):
         # -20 dB alone would run; 3100 dB is beyond the float range
         draws = []

@@ -738,6 +738,131 @@ class TestSharedFloor:
         assert draws == [j for j, _ in batch_plan(n)] * passes
 
 
+# FLOOR_CASES and a sweep of eight batches, the last one short, that splits into more than three parts
+SPLIT_CASES = {
+    **FLOOR_CASES,
+    "eight-batches": (
+        _sweep_case(2, None, [-20.0, -10.0, 0.0], 0.01, [1.0, 2.0, 0.5, 1.0, 0.5, 2.0, 1.0]), 500_000, 13, None
+    ),
+}
+
+
+def _in_process(worker, tasks, workers):
+    return [worker(t) for t in tasks]
+
+
+def _window_contract(gains):
+    """``_window_stage`` that first checks its window against all the trials ``gains``: the rows with a0 in
+    [low, high) are those of all the trials, in trial order, and ``below`` counts the trials below ``low``."""
+    stage = montecarlo._window_stage
+
+    def checked(search, window):
+        a0 = aggregate_batch(gains, search.k, search.x0)
+        kept = aggregate_batch(window.gains, search.k, search.x0)
+        assert window.below == np.count_nonzero(a0 < window.low)
+        in_band = window.gains[(kept >= window.low) & (kept < window.high)]
+        assert np.array_equal(in_band, gains[(a0 >= window.low) & (a0 < window.high)])
+        return stage(search, window)
+
+    return checked
+
+
+def _split_passes(case, cuts=None, run_batches=_in_process):
+    """``_exact_passes`` on a SPLIT_CASES sweep, split at ``cuts``, its parts run by ``run_batches``,
+    with the searches the sweep builds; every window is checked against all the trials."""
+    (v, params), n, seed, margin = SPLIT_CASES[case]
+    searches = [
+        montecarlo._RateSearch(
+            p.snr, montecarlo._max_allowed_count(p.epsilon, n), p.k_relays, p.tau, "exact",
+            c_eps_baf_k(v, p.snr, p.epsilon),
+        )
+        for p in params
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        if margin is not None:
+            mp.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        mp.setattr(montecarlo, "_run_batches", run_batches)
+        mp.setattr(montecarlo, "_window_stage", _window_contract(_case_gains(case)))
+        return montecarlo._exact_passes(searches, functools.partial(gains_batch, v, seed), batch_plan(n), cuts)
+
+
+@functools.lru_cache(maxsize=None)
+def _case_gains(case):
+    (v, _), n, seed, _ = SPLIT_CASES[case]
+    return _gains(v, n, seed)
+
+
+@functools.lru_cache(maxsize=None)
+def _one_part_stages(case):
+    return [stage for stage, _ in _split_passes(case)]
+
+
+@st.composite
+def _split_plan(draw):
+    case = draw(st.sampled_from(sorted(SPLIT_CASES)))
+    batches = len(batch_plan(SPLIT_CASES[case][1]))
+    inner = draw(st.lists(st.integers(1, batches - 1), unique=True)) if batches > 1 else []
+    return case, [0, *sorted(inner), batches]
+
+
+class TestPassParts:
+    @given(split=_split_plan())
+    # every point forced to a second pass; a part per batch
+    @example(split=("second-pass", [0, 2, 3]))
+    @example(split=("eight-batches", [0, 1, 2, 3, 4, 5, 6, 7, 8]))
+    @settings(max_examples=12, deadline=None)
+    def test_any_split_gives_the_one_part_result(self, split):
+        case, cuts = split
+        found = _split_passes(case, cuts)
+        assert [stage for stage, _ in found] == _one_part_stages(case)
+        assert all(passes in (1, 2) for _, passes in found)
+
+    def test_parts_that_drop_their_rows_send_points_to_the_second_pass(self):
+        # each part keeps its rows within its own trials less its buffers: one-batch
+        # parts cannot hold the rows that the whole pass keeps for its one-pass points
+        found = _split_passes("over-budget", [0, 1, 2, 3])
+        assert 1 in FLOOR_PASSES["over-budget"]
+        assert [passes for _, passes in found] == [2] * len(FLOOR_PASSES["over-budget"])
+        assert [stage for stage, _ in found] == _one_part_stages("over-budget")
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_sweep_results_do_not_depend_on_the_part_count(self, monkeypatch, case):
+        (v, params), n, seed, margin = FLOOR_CASES[case]
+        if margin is not None:
+            monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        monkeypatch.setattr(montecarlo, "MIN_BATCHES", 1)  # up to a part per batch
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        parts, run_batches = [], montecarlo._run_batches
+
+        def counted(worker, tasks, workers):
+            if worker is montecarlo._pass_part:
+                parts.append(len(tasks))
+            return run_batches(worker, tasks, workers)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", counted)
+        batches = len(batch_plan(n))
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("BAF_WORKERS", str(workers))
+            parts.clear()
+            results = empirical_eps_outage_capacity_sweep(v, params, n, seed)
+            assert parts and set(parts) == {min(workers, batches)}
+            assert [(res.rate, res.achieved_outage) for res in results] == [
+                (rate, count / n) for rate, count in _one_part_stages(case)
+            ]
+            if workers == 1:
+                assert [res.iterations for res in results] == FLOOR_PASSES[case]
+
+    def test_parts_read_nothing_of_the_parent_process(self):
+        # forkserver workers start from a fresh import, not from a copy of this process
+        def forkserver_batches(worker, tasks, workers):
+            context = multiprocessing.get_context("forkserver")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                return list(pool.map(worker, tasks))
+
+        found = _split_passes("over-budget", [0, 2, 3], forkserver_batches)
+        assert [stage for stage, _ in found] == _one_part_stages("over-budget")
+
+
 class TestPlacementCurve:
     def test_matches_capacity_estimator_at_grid_points(self):
         snr, eps, n, seed = 0.01, 0.05, 20_000, 13
@@ -947,7 +1072,8 @@ class TestPlacementSegments:
         run_batches = montecarlo._run_batches
 
         def counted(worker, tasks, workers):
-            segments.append(len(tasks))
+            if worker is montecarlo._placement_segment:  # not a segment's exact passes
+                segments.append(len(tasks))
             return run_batches(worker, tasks, workers)
 
         monkeypatch.setattr(montecarlo, "_run_batches", counted)
