@@ -1,25 +1,25 @@
 """Monte Carlo estimators with deterministic parallelism, plus a quadrature oracle.
 
 Every estimator consumes trials through the fixed batch layout of
-:mod:`bafsim.channel`, reduces per-batch integer counts in batch order, and is
-therefore bit-identical for a given (master_seed, n_trials) regardless of the
-worker count.  Workers default to ``os.cpu_count()`` capped by the
-``BAF_WORKERS`` environment variable, which every estimator checks before
-any draw.  Outage passes fan their batches out to a process pool, capacity
-sweeps at operating points each pass's contiguous ranges of batches, and the
-placement sweep its segments of relay positions.
+:mod:`bafsim.channel`.  Every pass splits into contiguous parts, ranges of
+its batches or of the placement grid's positions, one per worker but at least
+a measured floor each (``_ranges``), and runs two or more on a process pool
+(``_run_batches``).  No result depends on the split, so each is bit-identical
+for a given (master_seed, n_trials) at any worker count.  Workers default to
+``os.cpu_count()`` capped by ``BAF_WORKERS``, checked before any draw.
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
 deterministic cross-check of the simulation path.  It is the only user of
 SciPy, which it imports when called, so the estimators need NumPy alone.
 
-One batch task serves the outage probability, E(N) and Lemma 1's ratio: it
-draws each batch of gains once, since the draws depend only on (master_seed,
-batch index, link variances), and counts the rows still undecoded after every
-stage with ``undecoded_counts`` at every decode condition (x, threshold) of a
-sweep.  Its relay stages run only on the rows each point's direct link leaves
-undecoded: one ordering of the batch by g_sd makes them a prefix.
+One pass task serves the outage probability, E(N) and Lemma 1's ratio: it
+draws each batch of its range once for all points, since the draws depend
+only on (master_seed, batch index, link variances), and counts the rows still
+undecoded after every stage with ``undecoded_counts`` at every decode
+condition (x, threshold) of a sweep.  Its relay stages run only on the rows
+each point's direct link leaves undecoded: one ordering of the batch by g_sd
+makes them a prefix.  The parts' integer sums add up in part order.
 ``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps, and
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
@@ -37,15 +37,12 @@ capacity sweep draws each batch once for all its points, each keeping its
 k0+1 smallest aggregates and the rows below a running bound, and draws it a
 second time only for the points whose rows do not fit the memory of one
 array of n_trials aggregates, or whose kept rows miss the final bracket.
-The sweep runs each pass in contiguous parts of its batches, one per
-worker, and merges the parts' states in batch order; every capacity is the
-unique root of its outage count, so it does not depend on the split.
-The placement sweep splits its grid into contiguous segments, each of which
-draws the unit draws itself and restarts its chain of start rates from the
-closed form.  A segment bounds each block of relay positions in one pass over
-its unit draws and solves every position of the block on that window; a
-position the window cannot hold falls back to the exact pass, so the curve
-is bit for bit the exact pass's at any split.  Every kernel function takes
+The parts of a pass are merged in batch order.  A segment of the placement
+grid draws the unit draws itself, restarts its chain of start rates from the
+closed form, and bounds each block of relay positions in one pass over its
+unit draws, solving every position of the block on that window; a position
+the window cannot hold falls back to the exact pass.  Every capacity is the
+unique root of its outage count, whatever the split.  Every kernel function takes
 the gains as its search sees them: each position scales the unit draws by
 its variance row where it reads them.  One float bisection,
 ``_solve_increasing``, finds every root the module needs: the kernel's rate
@@ -56,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -102,27 +100,33 @@ class RateSearchResult:
 
 
 def worker_count(requested: int | None = None) -> int:
-    """Effective worker count: requested (or cpu count) capped by BAF_WORKERS."""
-    base = requested if requested is not None else (os.cpu_count() or 1)
+    """Effective worker count: requested (or cpu count) capped by BAF_WORKERS, both positive integers."""
+    if requested is not None and not (isinstance(requested, numbers.Integral) and requested >= 1):
+        raise InvalidParameterError(f"workers must be a positive integer, got {requested!r}")
     env = os.environ.get("BAF_WORKERS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise InvalidParameterError(f"BAF_WORKERS must be a positive integer, got {env!r}") from None
-        if cap < 1:
-            raise InvalidParameterError(f"BAF_WORKERS must be a positive integer, got {env!r}")
-        base = min(base, cap)
-    return max(1, int(base))
+    try:
+        cap = math.inf if env is None else int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InvalidParameterError(f"BAF_WORKERS must be a positive integer, got {env!r}")
+    return int(min(requested if requested is not None else (os.cpu_count() or 1), cap))
 
 
-def _run_batches(worker, tasks: list, workers: int) -> list:
-    """Evaluate ``worker`` over ``tasks``, results in task order."""
-    if workers <= 1 or len(tasks) <= 1:
+def _ranges(n_items: int, floor: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ranges [a, b) that split ``n_items`` items: one per worker, but at least ``floor`` items each."""
+    parts = max(1, min(workers, n_items // floor))
+    cuts = [n_items * p // parts for p in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def _run_batches(worker, tasks: list) -> list:
+    """Evaluate ``worker`` over ``tasks``, in task order: one task in process, more on a pool of a worker each."""
+    if len(tasks) <= 1:
         return [worker(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -154,29 +158,33 @@ def _check_trials(n_trials: int) -> None:
         raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
 
 
-def _sweep_batch(task) -> list[tuple[int, int, int]]:
-    """(outages, sum of N, sum of N^2) of one batch at every decode condition of a sweep.
+def _sweep_part(task) -> list[tuple[int, int, int]]:
+    """(outages, sum of N, sum of N^2) at every decode condition of a sweep, over one part of a pass's batches.
 
-    The relay stages run only on the rows each point's direct link leaves
-    undecoded (see ``undecoded_counts``).  With u_m the rows still undecoded
-    after stage m, a row uses one sub-block plus one for each u_m, m < K,
-    that counts it: sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as
-    (m+2)^2 - (m+1)^2 = 2m+3.
+    ``task`` is (variances, master_seed, plan, points).  The relay stages run
+    only on the rows each point's direct link leaves undecoded (see
+    ``undecoded_counts``).  With u_m the rows still undecoded after stage m,
+    a row uses one sub-block plus one for each u_m, m < K, that counts it:
+    sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as (m+2)^2 -
+    (m+1)^2 = 2m+3.
     """
-    variances, master_seed, batch_index, rows, points = task
-    counts = undecoded_counts(gains_batch(variances, master_seed, batch_index, rows), variances.k_relays, points)
-    return [
-        (outages, rows + sum(entered), rows + sum((2 * m + 3) * u for m, u in enumerate(entered)))
-        for *entered, outages in counts
-    ]
+    variances, master_seed, plan, points = task
+    n = sum(rows for _, rows in plan)
+    counts = [undecoded_counts(gains_batch(variances, master_seed, j, rows), variances.k_relays, points)
+              for j, rows in plan]
+    totals = []
+    for point in zip(*counts):
+        *entered, outages = (sum(column) for column in zip(*point))
+        totals.append((outages, n + sum(entered), n + sum((2 * m + 3) * u for m, u in enumerate(entered))))
+    return totals
 
 
-def _decode_points(variances: LinkVariances, params_seq, n_trials: int, threshold_mode: str) -> list:
-    """The decode condition (x, thr) of every operating point, each checked before any draw."""
+def _sweep_points(variances: LinkVariances, params_seq, n_trials: int, point_of) -> list:
+    """``point_of(params)`` for every operating point of a sweep, each point checked before it is built."""
     points = []
     for params in params_seq:
         _check_estimator_inputs(variances, params, n_trials)
-        points.append(decode_condition(params.rate, params.snr, params.tau, params.k_relays, threshold_mode))
+        points.append(point_of(params))
     if not points:
         raise InvalidParameterError("a sweep needs at least one operating point")
     return points
@@ -186,10 +194,12 @@ def _outage_pass(variances: LinkVariances, points, n_trials: int, master_seed: i
     """(outages, sum of N, sum of N^2) at every decode condition (x, thr) of ``points``.
 
     One pass over the draws: each batch is drawn once and serves every point.
+    Its parts, of at least ``_OUTAGE_BATCHES`` batches, add up in part order.
     """
-    tasks = [(variances, master_seed, j, rows, points) for j, rows in batch_plan(n_trials)]
-    results = _run_batches(_sweep_batch, tasks, worker_count(workers))
-    return [tuple(sum(column) for column in zip(*point)) for point in zip(*results)]
+    plan = batch_plan(n_trials)
+    ranges = _ranges(len(plan), _OUTAGE_BATCHES, worker_count(workers))
+    parts = _run_batches(_sweep_part, [(variances, master_seed, plan[a:b], points) for a, b in ranges])
+    return [tuple(sum(column) for column in zip(*point)) for point in zip(*parts)]
 
 
 def estimate_outage_sweep(
@@ -205,7 +215,8 @@ def estimate_outage_sweep(
     Each batch of gains is drawn once and serves every point, so a sweep
     costs one pass over the draws; each estimate equals the one-point call's.
     """
-    points = _decode_points(variances, params_seq, n_trials, threshold_mode)
+    points = _sweep_points(variances, params_seq, n_trials,
+                           lambda p: decode_condition(p.rate, p.snr, p.tau, p.k_relays, threshold_mode))
     totals = _outage_pass(variances, points, n_trials, master_seed, workers)
     return [_bernoulli_estimate(outages, n_trials) for outages, _, _ in totals]
 
@@ -231,7 +242,8 @@ def estimate_expected_n(
     threshold_mode: str = "exact",
 ) -> Estimate:
     """Sample mean of sub-blocks consumed per message (fixed relay order)."""
-    points = _decode_points(variances, [params], n_trials, threshold_mode)
+    points = _sweep_points(variances, [params], n_trials,
+                           lambda p: decode_condition(p.rate, p.snr, p.tau, p.k_relays, threshold_mode))
     [(_, total_n, total_n_sq)] = _outage_pass(variances, points, n_trials, master_seed, workers)
     return _mean_estimate(total_n, total_n_sq, n_trials)
 
@@ -392,15 +404,15 @@ _RUNNING_MARGIN = 1e-6
 # by this relative margin.
 _BLOCK_POSITIONS = 8
 _PREDICTION_MARGIN = 0.02
-# The placement sweep solves its grid in contiguous segments of at least
-# this many positions: each segment draws the trials and takes two exact
-# passes of its own.
-_SEGMENT_POSITIONS = 4 * _BLOCK_POSITIONS
-# A capacity sweep splits each pass into contiguous parts of at least this
-# many batches, one per worker.  Measured on 2 cores (Python 3.11), a K=2
-# batch costs about 10 ms in process and starting a pool about 50 ms, and
-# two parts first beat one at about 24 batches.
+# Every pass splits into contiguous parts, one per worker but at least this
+# many batches (outage and capacity passes) or grid positions (placement)
+# each; a placement segment draws the trials and takes two exact passes of its
+# own.  Measured on 2 cores (Python 3.11), two parts first beat one at 24
+# batches of a K=2 capacity sweep; on an outage pass, at 8 batches of 22
+# points at K=2 and 10 of 6, but only at 24-31 of 1-3 points at K=1.
+_OUTAGE_BATCHES = 4
 MIN_BATCHES = 12
+_SEGMENT_POSITIONS = 4 * _BLOCK_POSITIONS
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
@@ -740,15 +752,15 @@ def _pass_part(task) -> list[_PassPoint]:
 
 
 def _exact_passes(
-    searches: list[_RateSearch], draw, plan: list[tuple[int, int]], cuts: list[int] | None = None
+    searches: list[_RateSearch], draw, plan: list[tuple[int, int]], ranges: list[tuple[int, int]] | None = None
 ) -> list[tuple[tuple, int]]:
     """(``_window_stage`` result, passes over the trials taken) of every search of ``searches``.
 
     ``draw(j, rows)`` returns the gains of batch j of ``plan`` as the
     searches see them.  Each pass draws every batch once and serves all its
     points (see ``_pass_part``).  It is split into the contiguous parts
-    plan[cuts[p]:cuts[p + 1]] (one part if ``cuts`` is None), run on the
-    process pool if there are two or more, and each point's states after
+    plan[a:b] of ``ranges`` (one part if None), run on the process pool if
+    there are two or more, and each point's states after
     the parts are merged in part order (``_PassPoint.merged``).  A point's
     first pass keeps its k0+1 smallest a0 and, in a ``_Rows``, the rows
     below a running bound on the window; where the final bracket lies inside
@@ -776,7 +788,7 @@ def _exact_passes(
     same whatever the start rate or the bracket.
     """
     n = sum(rows for _, rows in plan)
-    cuts = cuts or [0, len(plan)]
+    ranges = ranges or [(0, len(plan))]
     found: list = [None] * len(searches)
     start, second = 0, []
     while start < len(searches) or second:
@@ -793,9 +805,9 @@ def _exact_passes(
         # each part keeps its rows in its own trials less its buffers
         tasks = [
             (draw, plan[a:b], bands, keeps, room - n + sum(rows for _, rows in plan[a:b]))
-            for a, b in zip(cuts, cuts[1:])
+            for a, b in ranges
         ]
-        states = [_PassPoint.merged(list(p)) for p in zip(*_run_batches(_pass_part, tasks, len(tasks)))]
+        states = [_PassPoint.merged(list(p)) for p in zip(*_run_batches(_pass_part, tasks))]
         # first passes close first, to release their buffers before the second passes' stages
         done, second = list(zip(second, states)), []
         for (i, _), point in zip(first, states[len(done) :]):
@@ -821,29 +833,21 @@ def empirical_eps_outage_capacity_sweep(
     Every point is checked before any draw.  A pass over the draws serves
     every point (see ``_exact_passes``): each batch is drawn once, and once
     more only for the points whose state does not fit the memory of one
-    point's array of a0, or whose window misses the bracket.  Each pass is
-    split into contiguous parts, one per worker but at least ``MIN_BATCHES``
-    batches each, which draw their own batches on the process pool and
-    together stay within that memory.  Each result's (rate,
+    point's array of a0, or whose window misses the bracket.  Each pass
+    splits into parts of at least ``MIN_BATCHES`` batches, which draw their
+    own batches and together stay within that memory.  Each result's (rate,
     achieved_outage) equals the one-point call's at any split; only
     ``iterations`` may differ, as a part keeps its rows in its own share of
     the memory.
     """
     workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
-    params_seq = list(params_seq)
-    if not params_seq:
-        raise InvalidParameterError("a sweep needs at least one operating point")
-    searches = []
-    for params in params_seq:
-        _check_estimator_inputs(variances, params, n_trials)
-        searches.append(_RateSearch(
-            params.snr, _max_allowed_count(params.epsilon, n_trials), params.k_relays, params.tau,
-            threshold_mode, c_eps_baf_k(variances, params.snr, params.epsilon),
-        ))
+    searches = _sweep_points(variances, params_seq, n_trials, lambda p: _RateSearch(
+        p.snr, _max_allowed_count(p.epsilon, n_trials), p.k_relays, p.tau,
+        threshold_mode, c_eps_baf_k(variances, p.snr, p.epsilon),
+    ))
     plan = batch_plan(n_trials)
-    parts = max(1, min(workers, len(plan) // MIN_BATCHES))
-    cuts = [len(plan) * p // parts for p in range(parts + 1)]
-    found = _exact_passes(searches, functools.partial(gains_batch, variances, master_seed), plan, cuts)
+    ranges = _ranges(len(plan), MIN_BATCHES, workers)
+    found = _exact_passes(searches, functools.partial(gains_batch, variances, master_seed), plan, ranges)
     return [
         RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
         for (rate, count), passes in found
@@ -967,19 +971,17 @@ def empirical_capacity_vs_position(
     start rate, finds the rate that ``empirical_eps_outage_capacity``,
     started from the closed form, finds on the same variances and trials.
 
-    The grid is split into contiguous segments, one per worker but at least
-    ``_SEGMENT_POSITIONS`` positions each, which ``_placement_segment``
-    solves on the process pool; one worker solves the whole grid in one
-    segment, in process.  Each segment draws the trials itself and starts
-    from the closed form ``c_eps_baf_k`` at its first position, then from
-    each capacity it solves.  Within a segment, positions come in blocks of
-    ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
-    keeps the few trials whose aggregate can lie in the block's predicted
-    band, and each position runs ``_window_stage`` on them alone, scaled by
-    its variance row.  A position whose start offset or bracket falls
-    outside what the window was bounded for, and a segment's first two,
-    take an exact pass over all trials instead.  Either way the result is
-    bit for bit that of the exact pass, at any split and worker count.
+    The grid splits into segments of at least ``_SEGMENT_POSITIONS``
+    positions, which ``_placement_segment`` solves.  Each segment draws the
+    trials itself and starts from the closed form ``c_eps_baf_k`` at its
+    first position, then from each capacity it solves.  Within a segment,
+    positions come in blocks of ``_BLOCK_POSITIONS``: one bounding pass per
+    block (``_block_window``) keeps the few trials whose aggregate can lie in
+    the block's predicted band, and each position runs ``_window_stage`` on
+    them alone, scaled by its variance row.  A position whose start offset or
+    bracket falls outside what the window was bounded for, and a segment's
+    first two, take an exact pass over all trials instead.  Either way the
+    result is bit for bit that of the exact pass, at any split and worker count.
 
     Returns (positions, capacities).
     """
@@ -996,10 +998,8 @@ def empirical_capacity_vs_position(
     per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
     scales = np.array([variance_row(v) for v in per_position])
 
-    segments = min(workers, max(1, len(grid) // _SEGMENT_POSITIONS))
-    cuts = [len(grid) * s // segments for s in range(segments + 1)]
     tasks = [
         (snr, k0, threshold_mode, master_seed, n_trials, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
-        for a, b in zip(cuts, cuts[1:])
+        for a, b in _ranges(len(grid), _SEGMENT_POSITIONS, workers)
     ]
-    return grid, np.concatenate(_run_batches(_placement_segment, tasks, segments))
+    return grid, np.concatenate(_run_batches(_placement_segment, tasks))

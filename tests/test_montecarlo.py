@@ -56,6 +56,22 @@ class TestWorkerCount:
         with pytest.raises(InvalidParameterError):
             worker_count(2)
 
+    @pytest.mark.parametrize("env", [None, "2"])
+    @pytest.mark.parametrize("requested", [0, -3, "2", 2.0])
+    def test_invalid_request_rejected_before_any_draw(self, requested, env, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew gains before rejecting the worker count")
+
+        if env is None:
+            monkeypatch.delenv("BAF_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("BAF_WORKERS", env)
+        monkeypatch.setattr(montecarlo, "gains_batch", no_draws)
+        with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
+            worker_count(requested)
+        with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
+            estimate_outage(UNIT, SystemParams(snr=0.1, rate=0.01), 10_000, 3, workers=requested)
+
 
 class TestOutageEstimator:
     def test_zero_rate_never_in_outage(self):
@@ -71,7 +87,8 @@ class TestOutageEstimator:
         with pytest.raises(InvalidParameterError):
             estimate_outage(UNIT, SystemParams(snr=1.0, rate=0.01, k_relays=2), 10_000, 3)
 
-    def test_worker_count_never_changes_the_estimate(self):
+    def test_worker_count_never_changes_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # four batches: three parts on the pool
         params = SystemParams(snr=0.1, rate=0.01)
         serial = estimate_outage(UNIT, params, 200_000, 17, workers=1)
         parallel = estimate_outage(UNIT, params, 200_000, 17, workers=3)
@@ -109,7 +126,8 @@ class TestExpectedNEstimator:
         _, n_used = block_stats_batch(gains, x, thr, 1)
         assert np.array_equal(n_used >= 2, gains[:, 0] < thr)
 
-    def test_worker_count_never_changes_the_estimate(self):
+    def test_worker_count_never_changes_the_estimate(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # three batches: three parts on the pool
         params = SystemParams(snr=0.1, rate=0.001)
         assert estimate_expected_n(UNIT, params, 150_000, 8, workers=1) == estimate_expected_n(
             UNIT, params, 150_000, 8, workers=4
@@ -142,7 +160,8 @@ class TestOutageSweep:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("mode", ["exact", "linearized"])
-    def test_one_pass_matches_every_one_point_call(self, workers, mode):
+    def test_one_pass_matches_every_one_point_call(self, monkeypatch, workers, mode):
+        monkeypatch.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # a part per batch at three workers
         n = 150_000  # three batches, the last one short
         sweep = estimate_outage_sweep(self.V2, self.GRID, n, 77, workers=workers, threshold_mode=mode)
         assert len(sweep) == len(self.GRID)
@@ -168,8 +187,8 @@ class TestOutageSweep:
 
 
 @st.composite
-def _fused_case(draw):
-    """A sweep over 1-3 batches, the last one short, at K = 1-3 and 1-3 points of either duty cycle."""
+def _fused_case(draw, max_batches=3):
+    """A sweep over 1-``max_batches`` batches, the last one short, at K = 1-3 and 1-3 points of either duty cycle."""
     k = draw(st.integers(1, 3))
     sigma = st.sampled_from([0.3, 1.0, 4.0])
     variances = LinkVariances(draw(sigma), tuple(draw(sigma) for _ in range(k)), tuple(draw(sigma) for _ in range(k)))
@@ -180,7 +199,7 @@ def _fused_case(draw):
         st.one_of(st.none(), st.floats(0.05, 1.0)),
     )
     params_seq = draw(st.lists(point, min_size=1, max_size=3))
-    batches = draw(st.integers(1, 3))
+    batches = draw(st.integers(1, max_batches))
     n_trials = (batches - 1) * TRIALS_PER_BATCH + draw(st.integers(MIN_TRIALS if batches == 1 else 1, TRIALS_PER_BATCH - 1))
     mode = draw(st.sampled_from(["exact", "linearized"]))
     return variances, params_seq, n_trials, mode
@@ -208,6 +227,7 @@ class TestFusedPass:
         points = [decode_condition(p.rate, p.snr, p.tau, p.k_relays, mode) for p in params_seq]
         sums = self.kernel_sums(variances, points, n_trials, seed)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # a part per batch at two workers
             mp.setenv("BAF_WORKERS", str(workers))
             sweep = estimate_outage_sweep(variances, params_seq, n_trials, seed, workers, mode)
             expected_n = [estimate_expected_n(variances, p, n_trials, seed, workers, mode) for p in params_seq]
@@ -231,10 +251,74 @@ class TestFusedPass:
         xs = [policy_x_for_threshold(g) if x_factor is None else x_factor * g for g in gs]
         sums = self.kernel_sums(LinkVariances(sigmas[0], (sigmas[1],), (sigmas[2],)), list(zip(xs, gs)), n_trials, seed)
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # a part per batch at two workers
             mp.setenv("BAF_WORKERS", str(workers))
             res = lemma1_ratio_experiment(*sigmas, gs, n_trials, seed, x_factor, workers)
         for (g, est), (outages, _, _) in zip(res, sums):
             assert est.mean == outages / n_trials * (1.0 / (g * g))
+
+
+@st.composite
+def _outage_split(draw):
+    """(variances, points, n_trials, cuts): the decode conditions of an outage sweep, or lemma1's points (x, g),
+    over 1-6 batches, the last one short, and the cuts of an arbitrary split of its batches into contiguous parts."""
+    if draw(st.booleans()):
+        variances, params_seq, n_trials, mode = draw(_fused_case(max_batches=6))
+        points = [decode_condition(p.rate, p.snr, p.tau, p.k_relays, mode) for p in params_seq]
+    else:
+        sigma = st.sampled_from([0.5, 1.0, 2.0])
+        variances = LinkVariances(draw(sigma), (draw(sigma),), (draw(sigma),))
+        gs = sorted(draw(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3, unique=True)), reverse=True)
+        x_factor = draw(st.sampled_from([0.0, 0.1, None]))
+        points = [(policy_x_for_threshold(g) if x_factor is None else x_factor * g, g) for g in gs]
+        n_trials = draw(st.integers(MIN_TRIALS, 6 * TRIALS_PER_BATCH - 1))
+    batches = len(batch_plan(n_trials))
+    inner = draw(st.lists(st.integers(1, batches - 1), unique=True)) if batches > 1 else []
+    return variances, points, n_trials, [0, *sorted(inner), batches]
+
+
+# a part per batch of five, the last one short: a K=2 sweep of two points, and lemma1's points at one relay
+PER_BATCH_SPLITS = {
+    "fused": (
+        LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)),
+        [decode_condition(0.05, 0.1, None, 2, "exact"), decode_condition(0.02, 1.0, 0.3, 2, "linearized")],
+        5 * TRIALS_PER_BATCH - 7,
+        [0, 1, 2, 3, 4, 5],
+    ),
+    "lemma1": (UNIT, [(0.01, 0.1), (policy_x_for_threshold(0.05), 0.05)], 5 * TRIALS_PER_BATCH - 7, [0, 1, 2, 3, 4, 5]),
+}
+
+
+def _outage_totals(case, seed, run_batches=None):
+    """``_outage_pass`` totals of an ``_outage_split`` case, its parts run by ``run_batches`` (one part if None)."""
+    variances, points, n_trials, cuts = case
+    with pytest.MonkeyPatch.context() as mp:
+        if run_batches is not None:
+            mp.setattr(montecarlo, "_ranges", lambda n_items, floor, workers: list(zip(cuts, cuts[1:])))
+            mp.setattr(montecarlo, "_run_batches", run_batches)
+        return montecarlo._outage_pass(variances, points, n_trials, seed, 1)
+
+
+class TestOutageParts:
+    """The outage pass's integer totals, for the fused outage/E(N) sweep and lemma1 alike, do not depend on its split."""
+
+    @given(case=_outage_split(), seed=st.integers(0, 2**64 - 1))
+    @example(case=PER_BATCH_SPLITS["fused"], seed=11)
+    @example(case=PER_BATCH_SPLITS["lemma1"], seed=31)
+    @settings(max_examples=25, deadline=None)
+    def test_any_split_gives_the_one_part_totals(self, case, seed):
+        assert _outage_totals(case, seed, _in_process) == _outage_totals(case, seed)
+
+    @given(n_items=st.integers(1, 300), floor=st.integers(1, 40), workers=st.integers(1, 16))
+    def test_ranges_split_the_items_in_order_one_per_worker_above_the_floor(self, n_items, floor, workers):
+        ranges = montecarlo._ranges(n_items, floor, workers)
+        assert [a for a, _ in ranges] + [n_items] == [0] + [b for _, b in ranges]
+        assert len(ranges) == max(1, min(workers, n_items // floor))
+        assert len(ranges) == 1 or min(b - a for a, b in ranges) >= floor
+
+    def test_parts_read_nothing_of_the_parent_process(self):
+        case = PER_BATCH_SPLITS["fused"][:3] + ([0, 2, 3, 5],)
+        assert _outage_totals(case, 11, _forkserver_batches) == _outage_totals(case, 11)
 
 
 class TestLemmaExperiment:
@@ -747,8 +831,14 @@ SPLIT_CASES = {
 }
 
 
-def _in_process(worker, tasks, workers):
+def _in_process(worker, tasks):
     return [worker(t) for t in tasks]
+
+
+def _forkserver_batches(worker, tasks):
+    # forkserver workers start from a fresh import, not from a copy of this process
+    with ProcessPoolExecutor(max_workers=len(tasks), mp_context=multiprocessing.get_context("forkserver")) as pool:
+        return list(pool.map(worker, tasks))
 
 
 def _window_contract(gains):
@@ -783,7 +873,8 @@ def _split_passes(case, cuts=None, run_batches=_in_process):
             mp.setattr(montecarlo, "_RUNNING_MARGIN", margin)
         mp.setattr(montecarlo, "_run_batches", run_batches)
         mp.setattr(montecarlo, "_window_stage", _window_contract(_case_gains(case)))
-        return montecarlo._exact_passes(searches, functools.partial(gains_batch, v, seed), batch_plan(n), cuts)
+        ranges = None if cuts is None else list(zip(cuts, cuts[1:]))
+        return montecarlo._exact_passes(searches, functools.partial(gains_batch, v, seed), batch_plan(n), ranges)
 
 
 @functools.lru_cache(maxsize=None)
@@ -834,10 +925,10 @@ class TestPassParts:
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         parts, run_batches = [], montecarlo._run_batches
 
-        def counted(worker, tasks, workers):
+        def counted(worker, tasks):
             if worker is montecarlo._pass_part:
                 parts.append(len(tasks))
-            return run_batches(worker, tasks, workers)
+            return run_batches(worker, tasks)
 
         monkeypatch.setattr(montecarlo, "_run_batches", counted)
         batches = len(batch_plan(n))
@@ -853,13 +944,7 @@ class TestPassParts:
                 assert [res.iterations for res in results] == FLOOR_PASSES[case]
 
     def test_parts_read_nothing_of_the_parent_process(self):
-        # forkserver workers start from a fresh import, not from a copy of this process
-        def forkserver_batches(worker, tasks, workers):
-            context = multiprocessing.get_context("forkserver")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                return list(pool.map(worker, tasks))
-
-        found = _split_passes("over-budget", [0, 2, 3], forkserver_batches)
+        found = _split_passes("over-budget", [0, 2, 3], _forkserver_batches)
         assert [stage for stage, _ in found] == _one_part_stages("over-budget")
 
 
@@ -1071,10 +1156,10 @@ class TestPlacementSegments:
         segments = []
         run_batches = montecarlo._run_batches
 
-        def counted(worker, tasks, workers):
+        def counted(worker, tasks):
             if worker is montecarlo._placement_segment:  # not a segment's exact passes
                 segments.append(len(tasks))
-            return run_batches(worker, tasks, workers)
+            return run_batches(worker, tasks)
 
         monkeypatch.setattr(montecarlo, "_run_batches", counted)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
