@@ -20,14 +20,19 @@ bytes, and BAF_WORKERS only changes the execution speed.
 Exit codes: 0 success, 1 invalid parameters (including an out-of-range
 operating point and an unwritable output path), 2 convergence failure.
 
-Each option is declared once, in ``_OPTIONS``, with its default, its help
-text and the subcommands that take it as a flag; the parsers, the config-file
-keys and the defaults all read that table.  A flag overrides the config file,
+Each option is one row of ``_OPTIONS``: its default, its help text, the
+subcommands that take it as a flag, and the parser of its text, which gives
+the ``ExperimentConfig`` field of the option's name.  The relay options have
+no parser: ``_resolve_config`` resolves them together into ``k``,
+``variances`` and ``geometry``, and checks the relay rules (variances or a
+geometry, ``--k`` against the positions or variance pairs, ``MAX_RELAYS``)
+before it runs the parsers in table order.  A flag overrides the config file,
 which overrides the ``ratio`` preset, which overrides the defaults.
 
-``_resolve_config`` checks the values only this front end sees (sweep and
-list syntax, epsilon, seed, mode, format); the library checks the rest where
-it receives them, in its dataclasses and estimators.
+The parsers check what only this front end sees (sweep and list syntax, the
+ranges of epsilon, seed and grid, mode and format); the library checks the
+rest where it receives them.  Of several invalid values, the error names the
+first relay rule broken, else the first invalid value in ``_OPTIONS`` order.
 """
 
 from __future__ import annotations
@@ -49,57 +54,22 @@ MAX_RELAYS = 32
 # placement runs one capacity search per grid point
 MAX_GRID_POINTS = 10_001
 
-# key: (default, help, the subcommands whose parser takes --key: None for
-# every one, () for a key only a config file sets)
-_OPTIONS = {
-    "snr_db": ("0:0:1", "sweep start:stop:step in dB, or a single value", None),
-    "rate": ("0.01", "comma-separated target rates in bit/s/Hz", None),
-    "epsilon": ("0.001", "target outage probability", None),
-    "k": (None, "number of relays", None),
-    "relay_pos": ("0.5", "comma-separated relay positions in (0, 1)", None),
-    "pathloss": ("3", "path-loss exponent (0 gives unit variances)", None),
-    "trials": ("1000000", "Monte Carlo trials", None),
-    "seed": ("1234", "64-bit master seed", None),
-    "mode": ("exact", "outage threshold mode: exact or linearized", None),
-    "out": ("-", "output path, '-' for stdout", None),
-    "format": ("csv", "output format: csv or jsonl", None),
-    "grid": ("201", "relay-position grid points (odd count contains 0.5)", ("placement",)),
-    "g_list": ("0.1,0.05,0.02,0.01", "strictly decreasing threshold list", ("lemma1",)),
-    "x_factor": ("0.1", "offset factor x = factor*g; 'policy' ties x to the duty cycle", ("lemma1",)),
-    "sigma_sd2": (None, None, ()),
-    "sigma_sr2": (None, None, ()),
-    "sigma_rd2": (None, None, ()),
-}
-
-PRESETS = {
-    "fig2": {
-        "snr_db": "-10:10:1",
-        "rate": "0.009,0.05,0.1",
-        "epsilon": "0.001",
-        "relay_pos": "0.5",
-        "pathloss": "3",
-        "k": "1",
-    },
-}
-
-_GEOMETRY_KEYS = ("relay_pos", "pathloss")
-_SIGMA_KEYS = ("sigma_sd2", "sigma_sr2", "sigma_rd2")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     command: str
-    snr_db: tuple[float, ...]
-    rates: tuple[float, ...]
-    epsilon: float
     k: int
     variances: LinkVariances
     geometry: NetworkGeometry | None
+    # one field per option with a parser, named by its key in _OPTIONS
+    snr_db: tuple[float, ...]
+    rate: tuple[float, ...]
+    epsilon: float
     trials: int
     seed: int
     mode: str
     out: str
-    fmt: str
+    format: str
     grid: int
     g_list: tuple[float, ...]
     x_factor: float | None
@@ -130,6 +100,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _parse_text(name: str, text: str) -> str:
+    return text
+
+
 def _parse_float(name: str, text: str) -> float:
     try:
         return float(text)
@@ -151,25 +125,78 @@ def _parse_float_list(name: str, text: str) -> tuple[float, ...]:
     return tuple(_parse_float(name, s.strip()) for s in items)
 
 
-def _parse_sweep(text: str) -> tuple[float, ...]:
+def _parse_sweep(name: str, text: str) -> tuple[float, ...]:
     """Parse "start:stop:step" (inclusive) or a single value."""
     parts = text.split(":")
     if len(parts) == 1:
-        return (_parse_float("snr_db", parts[0]),)
+        return (_parse_float(name, parts[0]),)
     if len(parts) != 3:
-        raise InvalidParameterError(f"snr_db sweep must be start:stop:step, got {text!r}")
-    start = _parse_float("snr_db start", parts[0])
-    stop = _parse_float("snr_db stop", parts[1])
-    step = _parse_float("snr_db step", parts[2])
+        raise InvalidParameterError(f"{name} sweep must be start:stop:step, got {text!r}")
+    start = _parse_float(f"{name} start", parts[0])
+    stop = _parse_float(f"{name} stop", parts[1])
+    step = _parse_float(f"{name} step", parts[2])
     if step <= 0.0:
-        raise InvalidParameterError(f"snr_db step must be > 0, got {step!r}")
+        raise InvalidParameterError(f"{name} step must be > 0, got {step!r}")
     if stop < start:
-        raise InvalidParameterError(f"snr_db stop must be >= start, got {text!r}")
+        raise InvalidParameterError(f"{name} stop must be >= start, got {text!r}")
     span = (stop - start) / step
     if not span < MAX_SWEEP_POINTS:
-        raise InvalidParameterError(f"snr_db sweep {text!r} exceeds {MAX_SWEEP_POINTS} points")
+        raise InvalidParameterError(f"{name} sweep {text!r} exceeds {MAX_SWEEP_POINTS} points")
     count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
+
+
+def _checked(parse, ok, requirement: str):
+    """``parse``, then a check that fails as "<name> must <requirement>, got <value>"."""
+    def parse_checked(name: str, text: str):
+        value = parse(name, text)
+        if not ok(value):
+            raise InvalidParameterError(f"{name} must {requirement}, got {value!r}")
+        return value
+    return parse_checked
+
+
+# key: (default, help, the subcommands whose parser takes --key (None: every
+# one, (): a config file only), parse(key, text) or None for the relay keys)
+_OPTIONS = {
+    "snr_db": ("0:0:1", "sweep start:stop:step in dB, or a single value", None, _parse_sweep),
+    "rate": ("0.01", "comma-separated target rates in bit/s/Hz", None, _parse_float_list),
+    "epsilon": ("0.001", "target outage probability", None,
+                _checked(_parse_float, lambda e: 0.0 <= e < 1.0, "lie in [0, 1)")),
+    "k": (None, "number of relays", None, None),
+    "relay_pos": ("0.5", "comma-separated relay positions in (0, 1)", None, None),
+    "pathloss": ("3", "path-loss exponent (0 gives unit variances)", None, None),
+    "trials": ("1000000", "Monte Carlo trials", None, _parse_int),
+    "seed": ("1234", "64-bit master seed", None,
+             _checked(_parse_int, lambda s: 0 <= s < 2**64, "be an unsigned 64-bit integer")),
+    "mode": ("exact", "outage threshold mode: exact or linearized", None,
+             _checked(_parse_text, lambda m: m in cap.THRESHOLD_MODES, "be exact or linearized")),
+    "out": ("-", "output path, '-' for stdout", None, _parse_text),
+    "format": ("csv", "output format: csv or jsonl", None,
+               _checked(_parse_text, lambda f: f in ("csv", "jsonl"), "be csv or jsonl")),
+    "grid": ("201", "relay-position grid points (odd count contains 0.5)", ("placement",),
+             _checked(_parse_int, lambda g: g <= MAX_GRID_POINTS, f"be at most {MAX_GRID_POINTS} points")),
+    "g_list": ("0.1,0.05,0.02,0.01", "strictly decreasing threshold list", ("lemma1",), _parse_float_list),
+    "x_factor": ("0.1", "offset factor x = factor*g; 'policy' ties x to the duty cycle", ("lemma1",),
+                 lambda name, text: None if text == "policy" else _parse_float(name, text)),
+    "sigma_sd2": (None, None, (), None),
+    "sigma_sr2": (None, None, (), None),
+    "sigma_rd2": (None, None, (), None),
+}
+
+PRESETS = {
+    "fig2": {
+        "snr_db": "-10:10:1",
+        "rate": "0.009,0.05,0.1",
+        "epsilon": "0.001",
+        "relay_pos": "0.5",
+        "pathloss": "3",
+        "k": "1",
+    },
+}
+
+_GEOMETRY_KEYS = ("relay_pos", "pathloss")
+_SIGMA_KEYS = ("sigma_sd2", "sigma_sr2", "sigma_rd2")
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -198,7 +225,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(SUBCOMMANDS))
     for name in SUBCOMMANDS:
         p = sub.add_parser(name, prog=f"bafsim {name}")
-        for key, (_, help_text, commands) in _OPTIONS.items():
+        for key, (_, help_text, commands, _) in _OPTIONS.items():
             if commands is None or name in commands:
                 p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
         if name == "ratio":
@@ -208,22 +235,15 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    merged = {key: default for key, (default, _, _) in _OPTIONS.items()}
-    explicit: set[str] = set()
-
-    preset = getattr(args, "preset", None)
-    if preset is not None:
-        merged.update(PRESETS[preset])
-        explicit.update(PRESETS[preset])
+    # in rising precedence over the defaults: the preset, the config file, the flags
+    layers = [PRESETS.get(getattr(args, "preset", None), {})]
     if getattr(args, "config", None) is not None:
-        file_values = _read_config_file(args.config)
-        merged.update(file_values)
-        explicit.update(file_values)
-    for key in _OPTIONS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-            explicit.add(key)
+        layers.append(_read_config_file(args.config))
+    layers.append({key: getattr(args, key) for key in _OPTIONS if getattr(args, key, None) is not None})
+    merged = {key: default for key, (default, *_) in _OPTIONS.items()}
+    for layer in layers:
+        merged.update(layer)
+    explicit = set().union(*layers)
 
     sigma_given = [k for k in _SIGMA_KEYS if merged.get(k) is not None]
     geometry_given = [k for k in _GEOMETRY_KEYS if k in explicit]
@@ -257,41 +277,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                                    _parse_float("pathloss", merged["pathloss"]))
         variances = variances_from_geometry(geometry)
 
-    epsilon = _parse_float("epsilon", merged["epsilon"])
-    if not (0.0 <= epsilon < 1.0):
-        raise InvalidParameterError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    trials = _parse_int("trials", merged["trials"])
-    seed = _parse_int("seed", merged["seed"])
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
-    grid = _parse_int("grid", merged["grid"])
-    if grid > MAX_GRID_POINTS:
-        raise InvalidParameterError(f"grid must be at most {MAX_GRID_POINTS} points, got {grid}")
-    if merged["mode"] not in cap.THRESHOLD_MODES:
-        raise InvalidParameterError(f"mode must be exact or linearized, got {merged['mode']!r}")
-    if merged["format"] not in ("csv", "jsonl"):
-        raise InvalidParameterError(f"format must be csv or jsonl, got {merged['format']!r}")
-
-    x_factor_text = merged["x_factor"]
-    x_factor = None if x_factor_text == "policy" else _parse_float("x_factor", x_factor_text)
-
-    return ExperimentConfig(
-        command=args.command,
-        snr_db=_parse_sweep(merged["snr_db"]),
-        rates=_parse_float_list("rate", merged["rate"]),
-        epsilon=epsilon,
-        k=k,
-        variances=variances,
-        geometry=geometry,
-        trials=trials,
-        seed=seed,
-        mode=merged["mode"],
-        out=merged["out"],
-        fmt=merged["format"],
-        grid=grid,
-        g_list=_parse_float_list("g_list", merged["g_list"]),
-        x_factor=x_factor,
-    )
+    parsed = {key: parse(key, merged[key]) for key, (*_, parse) in _OPTIONS.items() if parse is not None}
+    return ExperimentConfig(command=args.command, k=k, variances=variances, geometry=geometry, **parsed)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -313,7 +300,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     rows, notes = [], []
     for db in cfg.snr_db:
         snr = _db_to_linear(db)
-        for rate in cfg.rates:
+        for rate in cfg.rate:
             metrics: list[tuple[str, float]] = []
             # checks the operating point at every K; epsilon enters only the
             # capacity formulas, so E(N) can be evaluated with a placeholder target
@@ -345,7 +332,7 @@ def cmd_analytic(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
 def cmd_ratio(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     _require_one_relay(cfg, "the cut-set-bound ratio")
     rows, notes = [], []
-    for rate in cfg.rates:
+    for rate in cfg.rate:
         for db in cfg.snr_db:
             snr = _db_to_linear(db)
             params_en = SystemParams(snr=snr, rate=rate, epsilon=0.5, k_relays=1)
@@ -367,7 +354,7 @@ def cmd_ratio(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
 def cmd_outage(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     # build, and so check, every point before the draws: an invalid point exits 1
     # even where an earlier point would run out of outage events
-    points = [(db, rate) for db in cfg.snr_db for rate in cfg.rates]
+    points = [(db, rate) for db in cfg.snr_db for rate in cfg.rate]
     params = [SystemParams(snr=_db_to_linear(db), rate=rate, k_relays=cfg.k) for db, rate in points]
     estimates = mc.estimate_outage_sweep(cfg.variances, params, cfg.trials, cfg.seed, threshold_mode=cfg.mode)
     rows = []
@@ -483,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         rows, notes = _COMMANDS[cfg.command](cfg)
-        _write_output(render_rows(rows, cfg.fmt), cfg.out)
+        _write_output(render_rows(rows, cfg.format), cfg.out)
     except InvalidParameterError as exc:
         print(f"bafsim: error: {exc}", file=sys.stderr)
         return 1

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from bafsim import cli
 from bafsim.capacity import c_eps_baf_no_feedback, c_eps_cutset
 from bafsim.channel import LinkVariances
 from bafsim.cli import CSV_HEADER, MAX_GRID_POINTS, MAX_RELAYS, SUBCOMMANDS, _build_parser, main
@@ -350,6 +352,62 @@ class TestOptionTable:
                 from_flag = run(command, {**rest, key: _OTHER[key]}, {})
                 assert from_flag == run(command, rest, {key: _OTHER[key]}), (command, key)
                 assert from_flag[1], (command, key)
+
+    def test_config_fields_are_the_parsed_options(self):
+        # an option with a parser and its ExperimentConfig field are added and removed together
+        resolved = ("command", "k", "variances", "geometry")
+        fields = [f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.name not in resolved]
+        assert fields == [key for key, (*_, parse) in cli._OPTIONS.items() if parse is not None]
+
+
+_VARIANCES = "sigma_sd2=1\nsigma_sr2=1\nsigma_rd2=1\n"
+# argv, the config file's text (None for no file), the message; "{cfg}" stands for the file's path
+_MESSAGES = [
+    (["analytic", "--snr-db=5:0:1"], None, "snr_db stop must be >= start, got '5:0:1'"),
+    (["analytic", "--snr-db=0:1:0"], None, "snr_db step must be > 0, got 0.0"),
+    (["analytic", "--snr-db=1:2"], None, "snr_db sweep must be start:stop:step, got '1:2'"),
+    (["analytic", "--snr-db=0:1e9:1"], None, "snr_db sweep '0:1e9:1' exceeds 100000 points"),
+    (["analytic", "--rate=,"], None, "rate must be a comma-separated list of numbers"),
+    (["analytic", "--rate=x"], None, "rate must be a number, got 'x'"),
+    (["analytic", "--epsilon=1.5"], None, "epsilon must lie in [0, 1), got 1.5"),
+    (["outage", "--trials=x"], None, "trials must be an integer, got 'x'"),
+    (["outage", "--seed=-1"], None, "seed must be an unsigned 64-bit integer, got -1"),
+    (["outage", f"--seed={2**64}"], None, f"seed must be an unsigned 64-bit integer, got {2**64}"),
+    (["outage", "--mode=bogus"], None, "mode must be exact or linearized, got 'bogus'"),
+    (["analytic", "--format=xml"], None, "format must be csv or jsonl, got 'xml'"),
+    (["placement", "--grid=10002"], None, "grid must be at most 10001 points, got 10002"),
+    (["lemma1", "--g-list=x"], None, "g_list must be a number, got 'x'"),
+    (["lemma1", "--x-factor=x"], None, "x_factor must be a number, got 'x'"),
+    (["analytic", "--k=x"], None, "k must be an integer, got 'x'"),
+    (["analytic", "--k=33"], None, "k must be at most 32, got 33"),
+    (["analytic", "--k=2", "--relay-pos=0.3,0.5,0.7"], None, "--k 2 conflicts with 3 relay positions"),
+    (["analytic"], "noequals\n", "{cfg}:1: expected key=value, got 'noequals'"),
+    (["analytic"], "bogus=1\n", "{cfg}:1: unknown config key 'bogus'"),
+    (["analytic"], "sigma_sd2=1\n", "explicit variances need all of sigma_sd2, sigma_sr2, sigma_rd2"),
+    (["analytic", "--pathloss=3"], _VARIANCES,
+     "give either geometry (--relay-pos/--pathloss) or explicit variances, not both"),
+    (["analytic", "--k=2"], _VARIANCES, "--k 2 conflicts with 1 explicit relay variance pairs"),
+    (["placement"], _VARIANCES, "placement sweeps positions, so it needs --pathloss, not explicit variances"),
+    (["placement", "--snr-db=0:1:1"], None, "placement takes a single --snr-db point, not a sweep"),
+    (["ratio", "--k=2"], None, "the cut-set-bound ratio is defined for exactly one relay, got k=2"),
+    (["lemma1", "--k=2"], None, "the small-threshold ratio experiment is defined for exactly one relay, got k=2"),
+    (["placement", "--k=2"], None, "relay placement is defined for exactly one relay, got k=2"),
+    # several invalid values: the relay rules first, then the first invalid value in option order
+    (["outage", "--epsilon=1.5", "--seed=-1", "--k=33"], None, "k must be at most 32, got 33"),
+    (["outage", "--epsilon=1.5", "--seed=-1", "--mode=bogus"], None, "epsilon must lie in [0, 1), got 1.5"),
+]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("argv, config, message", _MESSAGES)
+    def test_exact_message(self, tmp_path, capsys, argv, config, message):
+        cfg = tmp_path / "run.cfg"
+        if config is not None:
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr() == ("", f"bafsim: error: {message.replace('{cfg}', str(cfg))}\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestOutputFormats:
