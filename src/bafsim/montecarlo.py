@@ -3,10 +3,13 @@
 Every estimator consumes trials through the fixed batch layout of
 :mod:`bafsim.channel`.  Every pass splits into contiguous parts, ranges of
 its batches or of the placement grid's positions, one per worker but at least
-a measured floor each (``_ranges``), and runs two or more on a process pool
-(``_run_batches``).  No result depends on the split, so each is bit-identical
-for a given (master_seed, n_trials) at any worker count.  Workers default to
-``os.cpu_count()`` capped by ``BAF_WORKERS``, checked before any draw.
+``_PART_WORK`` of work each (``_ranges``), and runs two or more on a process
+pool (``_run_batches``).  A pass's work is n_trials * (1 + 2K + points): the
+exponentials drawn per trial plus one read per operating point (placement's
+are its grid positions, at K = 1).  No result depends on the split, so each
+is bit-identical for a given (master_seed, n_trials) at any worker count.
+Workers default to ``os.cpu_count()`` capped by ``BAF_WORKERS``, checked
+before any draw.
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
@@ -113,9 +116,14 @@ def worker_count(requested: int | None = None) -> int:
     return int(min(requested if requested is not None else (os.cpu_count() or 1), cap))
 
 
-def _ranges(n_items: int, floor: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ranges [a, b) that split ``n_items`` items: one per worker, but at least ``floor`` items each."""
-    parts = max(1, min(workers, n_items // floor))
+# Measured on 2 cores (Python 3.11), two parts lose to one up to 10.5 M work
+# (a K=2 capacity sweep, 20 batches) and win at 14.2 M (22 K=2 outage points, 8).
+_PART_WORK = 6_000_000
+
+
+def _ranges(n_items: int, work: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ranges [a, b) that split ``n_items`` items of ``work``: one per worker, ``_PART_WORK`` or more each."""
+    parts = max(1, min(workers, n_items, work // _PART_WORK))
     cuts = [n_items * p // parts for p in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))
 
@@ -194,10 +202,10 @@ def _outage_pass(variances: LinkVariances, points, n_trials: int, master_seed: i
     """(outages, sum of N, sum of N^2) at every decode condition (x, thr) of ``points``.
 
     One pass over the draws: each batch is drawn once and serves every point.
-    Its parts, of at least ``_OUTAGE_BATCHES`` batches, add up in part order.
+    Its parts add up in part order.
     """
     plan = batch_plan(n_trials)
-    ranges = _ranges(len(plan), _OUTAGE_BATCHES, worker_count(workers))
+    ranges = _ranges(len(plan), n_trials * (1 + 2 * variances.k_relays + len(points)), worker_count(workers))
     parts = _run_batches(_sweep_part, [(variances, master_seed, plan[a:b], points) for a, b in ranges])
     return [tuple(sum(column) for column in zip(*point)) for point in zip(*parts)]
 
@@ -404,15 +412,6 @@ _RUNNING_MARGIN = 1e-6
 # by this relative margin.
 _BLOCK_POSITIONS = 8
 _PREDICTION_MARGIN = 0.02
-# Every pass splits into contiguous parts, one per worker but at least this
-# many batches (outage and capacity passes) or grid positions (placement)
-# each; a placement segment draws the trials and takes two exact passes of its
-# own.  Measured on 2 cores (Python 3.11), two parts first beat one at 24
-# batches of a K=2 capacity sweep; on an outage pass, at 8 batches of 22
-# points at K=2 and 10 of 6, but only at 24-31 of 1-3 points at K=1.
-_OUTAGE_BATCHES = 4
-MIN_BATCHES = 12
-_SEGMENT_POSITIONS = 4 * _BLOCK_POSITIONS
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
@@ -834,11 +833,10 @@ def empirical_eps_outage_capacity_sweep(
     every point (see ``_exact_passes``): each batch is drawn once, and once
     more only for the points whose state does not fit the memory of one
     point's array of a0, or whose window misses the bracket.  Each pass
-    splits into parts of at least ``MIN_BATCHES`` batches, which draw their
-    own batches and together stay within that memory.  Each result's (rate,
-    achieved_outage) equals the one-point call's at any split; only
-    ``iterations`` may differ, as a part keeps its rows in its own share of
-    the memory.
+    splits into parts (``_ranges``), which draw their own batches and
+    together stay within that memory.  Each result's (rate, achieved_outage)
+    equals the one-point call's at any split; only ``iterations`` may
+    differ, as a part keeps its rows in its own share of the memory.
     """
     workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
     searches = _sweep_points(variances, params_seq, n_trials, lambda p: _RateSearch(
@@ -846,7 +844,7 @@ def empirical_eps_outage_capacity_sweep(
         threshold_mode, c_eps_baf_k(variances, p.snr, p.epsilon),
     ))
     plan = batch_plan(n_trials)
-    ranges = _ranges(len(plan), MIN_BATCHES, workers)
+    ranges = _ranges(len(plan), n_trials * (1 + 2 * variances.k_relays + len(searches)), workers)
     found = _exact_passes(searches, functools.partial(gains_batch, variances, master_seed), plan, ranges)
     return [
         RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
@@ -971,10 +969,10 @@ def empirical_capacity_vs_position(
     start rate, finds the rate that ``empirical_eps_outage_capacity``,
     started from the closed form, finds on the same variances and trials.
 
-    The grid splits into segments of at least ``_SEGMENT_POSITIONS``
-    positions, which ``_placement_segment`` solves.  Each segment draws the
-    trials itself and starts from the closed form ``c_eps_baf_k`` at its
-    first position, then from each capacity it solves.  Within a segment,
+    The grid splits into segments (``_ranges``), which ``_placement_segment``
+    solves.  Each segment draws the trials itself and starts from the closed
+    form ``c_eps_baf_k`` at its first position, then from each capacity it
+    solves.  Within a segment,
     positions come in blocks of ``_BLOCK_POSITIONS``: one bounding pass per
     block (``_block_window``) keeps the few trials whose aggregate can lie in
     the block's predicted band, and each position runs ``_window_stage`` on
@@ -1000,6 +998,6 @@ def empirical_capacity_vs_position(
 
     tasks = [
         (snr, k0, threshold_mode, master_seed, n_trials, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
-        for a, b in _ranges(len(grid), _SEGMENT_POSITIONS, workers)
+        for a, b in _ranges(len(grid), n_trials * (3 + len(grid)), workers)
     ]
     return grid, np.concatenate(_run_batches(_placement_segment, tasks))

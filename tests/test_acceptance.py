@@ -232,9 +232,9 @@ def test_criterion_7_property_suites():
     # 25 batches: each pass splits into two parts on two or more cores
     (["capacity", "--snr-db=-30:-10:10", "--epsilon", "0.001", "--k", "2", "--pathloss", "3", "--trials", "1600000",
       "--seed", "31"], "capacity-split"),
-    # 8 batches: an outage pass splits into two parts of at least 4 batches each
-    (["outage", "--snr-db", "-5", "--rate", "0.05", "--trials", "524288", "--pathloss", "0", "--seed", "31"],
-     "outage-split"),
+    # 16 batches of 22 points at K=2, 28 M work: an outage pass splits into parts on two or more cores
+    (["outage", "--snr-db=-10:0:1", "--rate", "0.02,0.05", "--k", "2", "--pathloss", "0", "--trials", "1048576",
+      "--seed", "31"], "outage-split"),
 ])
 def test_criterion_8_worker_determinism(tmp_path, args, name):
     outputs = []

@@ -88,7 +88,7 @@ class TestOutageEstimator:
             estimate_outage(UNIT, SystemParams(snr=1.0, rate=0.01, k_relays=2), 10_000, 3)
 
     def test_worker_count_never_changes_the_estimate(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # four batches: three parts on the pool
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # four batches: three parts on the pool
         params = SystemParams(snr=0.1, rate=0.01)
         serial = estimate_outage(UNIT, params, 200_000, 17, workers=1)
         parallel = estimate_outage(UNIT, params, 200_000, 17, workers=3)
@@ -127,7 +127,7 @@ class TestExpectedNEstimator:
         assert np.array_equal(n_used >= 2, gains[:, 0] < thr)
 
     def test_worker_count_never_changes_the_estimate(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # three batches: three parts on the pool
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # three batches: three parts on the pool
         params = SystemParams(snr=0.1, rate=0.001)
         assert estimate_expected_n(UNIT, params, 150_000, 8, workers=1) == estimate_expected_n(
             UNIT, params, 150_000, 8, workers=4
@@ -161,7 +161,7 @@ class TestOutageSweep:
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("mode", ["exact", "linearized"])
     def test_one_pass_matches_every_one_point_call(self, monkeypatch, workers, mode):
-        monkeypatch.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # a part per batch at three workers
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # a part per batch at three workers
         n = 150_000  # three batches, the last one short
         sweep = estimate_outage_sweep(self.V2, self.GRID, n, 77, workers=workers, threshold_mode=mode)
         assert len(sweep) == len(self.GRID)
@@ -227,7 +227,7 @@ class TestFusedPass:
         points = [decode_condition(p.rate, p.snr, p.tau, p.k_relays, mode) for p in params_seq]
         sums = self.kernel_sums(variances, points, n_trials, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # a part per batch at two workers
+            mp.setattr(montecarlo, "_PART_WORK", 1)  # a part per batch at two workers
             mp.setenv("BAF_WORKERS", str(workers))
             sweep = estimate_outage_sweep(variances, params_seq, n_trials, seed, workers, mode)
             expected_n = [estimate_expected_n(variances, p, n_trials, seed, workers, mode) for p in params_seq]
@@ -251,7 +251,7 @@ class TestFusedPass:
         xs = [policy_x_for_threshold(g) if x_factor is None else x_factor * g for g in gs]
         sums = self.kernel_sums(LinkVariances(sigmas[0], (sigmas[1],), (sigmas[2],)), list(zip(xs, gs)), n_trials, seed)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "_OUTAGE_BATCHES", 1)  # a part per batch at two workers
+            mp.setattr(montecarlo, "_PART_WORK", 1)  # a part per batch at two workers
             mp.setenv("BAF_WORKERS", str(workers))
             res = lemma1_ratio_experiment(*sigmas, gs, n_trials, seed, x_factor, workers)
         for (g, est), (outages, _, _) in zip(res, sums):
@@ -294,7 +294,7 @@ def _outage_totals(case, seed, run_batches=None):
     variances, points, n_trials, cuts = case
     with pytest.MonkeyPatch.context() as mp:
         if run_batches is not None:
-            mp.setattr(montecarlo, "_ranges", lambda n_items, floor, workers: list(zip(cuts, cuts[1:])))
+            mp.setattr(montecarlo, "_ranges", lambda n_items, work, workers: list(zip(cuts, cuts[1:])))
             mp.setattr(montecarlo, "_run_batches", run_batches)
         return montecarlo._outage_pass(variances, points, n_trials, seed, 1)
 
@@ -309,12 +309,23 @@ class TestOutageParts:
     def test_any_split_gives_the_one_part_totals(self, case, seed):
         assert _outage_totals(case, seed, _in_process) == _outage_totals(case, seed)
 
-    @given(n_items=st.integers(1, 300), floor=st.integers(1, 40), workers=st.integers(1, 16))
-    def test_ranges_split_the_items_in_order_one_per_worker_above_the_floor(self, n_items, floor, workers):
-        ranges = montecarlo._ranges(n_items, floor, workers)
+    @given(n_items=st.integers(1, 300), work=st.integers(1, 200 * montecarlo._PART_WORK), workers=st.integers(1, 16))
+    def test_ranges_split_the_items_in_order_one_per_worker_above_the_floor(self, n_items, work, workers):
+        ranges = montecarlo._ranges(n_items, work, workers)
         assert [a for a, _ in ranges] + [n_items] == [0] + [b for _, b in ranges]
-        assert len(ranges) == max(1, min(workers, n_items // floor))
-        assert len(ranges) == 1 or min(b - a for a, b in ranges) >= floor
+        assert 1 <= len(ranges) <= min(workers, n_items)
+        assert max(b - a for a, b in ranges) - min(b - a for a, b in ranges) <= 1
+        # each part's share of the work, the work over the parts
+        assert len(ranges) == 1 or work // len(ranges) >= montecarlo._PART_WORK
+
+    @pytest.mark.parametrize("n_items, n_trials, k, points, parts", [
+        (31, 2_000_000, 2, 22, 2),  # outage-sweep: 54 M
+        (31, 2_000_000, 2, 3, 2),  # capacity-sweep: 16 M
+        (101, 800_000, 1, 101, 2),  # placement: 83 M, the grid positions at K = 1
+        (16, 1_000_000, 1, 1, 1),  # criterion 4's one-point E(N): 4 M
+    ])
+    def test_benchmark_passes_split_in_two_at_two_workers(self, n_items, n_trials, k, points, parts):
+        assert len(montecarlo._ranges(n_items, n_trials * (1 + 2 * k + points), 2)) == parts
 
     def test_parts_read_nothing_of_the_parent_process(self):
         case = PER_BATCH_SPLITS["fused"][:3] + ([0, 2, 3, 5],)
@@ -921,7 +932,7 @@ class TestPassParts:
         (v, params), n, seed, margin = FLOOR_CASES[case]
         if margin is not None:
             monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
-        monkeypatch.setattr(montecarlo, "MIN_BATCHES", 1)  # up to a part per batch
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # up to a part per batch
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         parts, run_batches = [], montecarlo._run_batches
 
@@ -1162,12 +1173,13 @@ class TestPlacementSegments:
             return run_batches(worker, tasks)
 
         monkeypatch.setattr(montecarlo, "_run_batches", counted)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         curves = []
         for workers in (1, 2, 3):
             monkeypatch.setenv("BAF_WORKERS", str(workers))
             curves.append(empirical_capacity_vs_position(8.0, *SEGMENT_CASE, grid_points=101)[1])
-        # 101 positions make at most 101 // _SEGMENT_POSITIONS = 3 segments
+        # a segment per worker, at any trial count
         assert segments == [1, 2, 3]
         assert np.array_equal(curves[0], curves[1]) and np.array_equal(curves[0], curves[2])
         assert np.array_equal(curves[0], _one_segment_curve(8.0, 101, "exact"))
