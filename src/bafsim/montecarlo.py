@@ -612,7 +612,7 @@ class _PassPoint:
     """
 
     def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
-        self.search, self.band, self.bounded = search, band, math.inf
+        self.search, self.band, self.bounded, self.pruned = search, band, math.inf, math.inf
         if band is not None:
             self.rows, self.buf = _Rows(*band), None
             return
@@ -682,15 +682,24 @@ class _PassPoint:
                 self.bounded = u
         self.rows.add(gains, a0, a0)
 
-    def prune(self) -> None:
-        """Keep only the kept rows whose a0 lies below the current running bound."""
-        if self.rows is not None:
-            s = self.search
-            self.rows.prune(lambda gains: aggregate_batch(gains, s.k, s.x0))
+    def prune(self) -> int:
+        """Keep only the kept rows whose a0 lies below the current running bound; returns the floats freed.
+
+        Rows kept since the last prune lie below the bound, unless it has fallen since.
+        """
+        if self.rows is None or self.rows.high == self.pruned:
+            return 0
+        s, size, self.pruned = self.search, self.rows.size, self.rows.high
+        self.rows.prune(lambda gains: aggregate_batch(gains, s.k, s.x0))
+        return size - self.rows.size
 
     def drop(self) -> None:
         """Stop keeping rows."""
         self.rows = None
+
+    def size(self) -> int:
+        """The floats of the rows kept."""
+        return 0 if self.rows is None else self.rows.size
 
     def close(self) -> tuple | None:
         """The window stage's result on the rows kept; releases the point's arrays.
@@ -721,9 +730,9 @@ def _pass_part(task) -> list[_PassPoint]:
     largest x0 bounds all their a0 from below (every term falls as x grows,
     and so does its float), and each point computes its a0 only on the rows
     whose bound lies below its ``cut``, which changes no result.  When the
-    kept rows of the first passes outgrow the room, every point prunes its
-    rows to its current bound, and the point that grew drops its rows if
-    they still do not fit.
+    kept rows of the first passes outgrow the room, points prune their rows
+    to their current bounds, in order, until the rows fit; the point that
+    grew drops its rows if they do not fit with every point pruned.
     """
     draw, plan, bands, keeps, room = task
     first = [_PassPoint(search) for search, _ in keeps]
@@ -732,18 +741,25 @@ def _pass_part(task) -> list[_PassPoint]:
             point.drop()
     points = [_PassPoint(search, band) for search, band in bands] + first
     x_floor = max(p.search.x0 for p in points) if len(points) > 1 else None
+    kept = 0  # the floats the first passes keep
     for j, rows in plan:
         gains = draw(j, rows)
         floor = None
         if x_floor is not None and min(p.cut() for p in points) < math.inf:
             floor = aggregate_batch(gains, points[0].search.k, x_floor)
         for point in points:
+            size = point.size()
             point.add(gains, floor)
-            if point.buf is not None and sum(p.rows.size for p in first if p.rows is not None) > room:
-                for p in first:
-                    p.prune()
-                if sum(p.rows.size for p in first if p.rows is not None) > room:
-                    point.drop()
+            if point.buf is None:
+                continue
+            kept += point.size() - size
+            for p in first:  # prune only until the rows fit
+                if kept <= room:
+                    break
+                kept -= p.prune()
+            if kept > room:
+                kept -= point.size()
+                point.drop()
     for point in first:  # a buffer leaves the part as its k0+1 smallest values alone
         point._settle()
         point.buf = point.buf[: point.filled]
