@@ -132,9 +132,8 @@ def _parse_sweep(name: str, text: str) -> tuple[float, ...]:
         return (_parse_float(name, parts[0]),)
     if len(parts) != 3:
         raise InvalidParameterError(f"{name} sweep must be start:stop:step, got {text!r}")
-    start = _parse_float(f"{name} start", parts[0])
-    stop = _parse_float(f"{name} stop", parts[1])
-    step = _parse_float(f"{name} step", parts[2])
+    finite = _checked(_parse_float, math.isfinite, "be a finite number")
+    start, stop, step = (finite(f"{name} {bound}", part) for bound, part in zip(("start", "stop", "step"), parts))
     if step <= 0.0:
         raise InvalidParameterError(f"{name} step must be > 0, got {step!r}")
     if stop < start:
