@@ -116,13 +116,13 @@ def worker_count(requested: int | None = None) -> int:
     return int(min(requested if requested is not None else (os.cpu_count() or 1), cap))
 
 
-# Measured on 2 cores (Python 3.11), two parts lose to one up to 10.5 M work
-# (a K=2 capacity sweep, 20 batches) and win at 14.2 M (22 K=2 outage points, 8).
+# Measured on 2 cores (Python 3.11), two parts lose to one up to 10.5 M work (a
+# K=2 capacity sweep at 20 batches) and win at 14.2 M (22 K=2 outage points at 8).
 _PART_WORK = 6_000_000
 
 
 def _ranges(n_items: int, work: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ranges [a, b) that split ``n_items`` items of ``work``: one per worker, ``_PART_WORK`` or more each."""
+    """Contiguous ranges [a, b) splitting ``n_items`` items of ``work``: one per worker, ``_PART_WORK`` or more each."""
     parts = max(1, min(workers, n_items, work // _PART_WORK))
     cuts = [n_items * p // parts for p in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))
@@ -988,14 +988,14 @@ def empirical_capacity_vs_position(
     The grid splits into segments (``_ranges``), which ``_placement_segment``
     solves.  Each segment draws the trials itself and starts from the closed
     form ``c_eps_baf_k`` at its first position, then from each capacity it
-    solves.  Within a segment,
-    positions come in blocks of ``_BLOCK_POSITIONS``: one bounding pass per
-    block (``_block_window``) keeps the few trials whose aggregate can lie in
-    the block's predicted band, and each position runs ``_window_stage`` on
-    them alone, scaled by its variance row.  A position whose start offset or
-    bracket falls outside what the window was bounded for, and a segment's
-    first two, take an exact pass over all trials instead.  Either way the
-    result is bit for bit that of the exact pass, at any split and worker count.
+    solves.  Within a segment, positions come in blocks of
+    ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
+    keeps the few trials whose aggregate can lie in the block's predicted
+    band, and each position runs ``_window_stage`` on them alone, scaled by
+    its variance row.  A position whose start offset or bracket falls outside
+    what the window was bounded for, and a segment's first two, take an exact
+    pass over all trials instead.  Either way the result is bit for bit that
+    of the exact pass, at any split and worker count.
 
     Returns (positions, capacities).
     """
