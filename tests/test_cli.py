@@ -367,10 +367,6 @@ _MESSAGES = [
     (["analytic", "--snr-db=0:1:0"], None, "snr_db step must be > 0, got 0.0"),
     (["analytic", "--snr-db=1:2"], None, "snr_db sweep must be start:stop:step, got '1:2'"),
     (["analytic", "--snr-db=0:1e9:1"], None, "snr_db sweep '0:1e9:1' exceeds 100000 points"),
-    (["analytic", "--snr-db=nan:0:1"], None, "snr_db start must be a finite number, got nan"),
-    (["analytic", "--snr-db=0:nan:1"], None, "snr_db stop must be a finite number, got nan"),
-    (["analytic", "--snr-db=0:1:nan"], None, "snr_db step must be a finite number, got nan"),
-    (["analytic", "--snr-db=-inf:0:1"], None, "snr_db start must be a finite number, got -inf"),
     (["analytic", "--rate=,"], None, "rate must be a comma-separated list of numbers"),
     (["analytic", "--rate=x"], None, "rate must be a number, got 'x'"),
     (["analytic", "--epsilon=1.5"], None, "epsilon must lie in [0, 1), got 1.5"),
@@ -399,6 +395,11 @@ _MESSAGES = [
     # several invalid values: the relay rules first, then the first invalid value in option order
     (["outage", "--epsilon=1.5", "--seed=-1", "--k=33"], None, "k must be at most 32, got 33"),
     (["outage", "--epsilon=1.5", "--seed=-1", "--mode=bogus"], None, "epsilon must lie in [0, 1), got 1.5"),
+    # a sweep bound that is not a finite number
+    (["analytic", "--snr-db=nan:0:1"], None, "snr_db start must be a finite number, got nan"),
+    (["analytic", "--snr-db=0:nan:1"], None, "snr_db stop must be a finite number, got nan"),
+    (["analytic", "--snr-db=0:1:nan"], None, "snr_db step must be a finite number, got nan"),
+    (["analytic", "--snr-db=-inf:0:1"], None, "snr_db start must be a finite number, got -inf"),
 ]
 
 

@@ -324,7 +324,7 @@ class TestOutageParts:
         (101, 800_000, 1, 101, 2),  # placement: 83 M, the grid positions at K = 1
         (16, 1_000_000, 1, 1, 1),  # criterion 4's one-point E(N): 4 M
     ])
-    def test_benchmark_passes_split_in_two_at_two_workers(self, n_items, n_trials, k, points, parts):
+    def test_part_counts_of_the_benchmark_passes_at_two_workers(self, n_items, n_trials, k, points, parts):
         assert len(montecarlo._ranges(n_items, n_trials * (1 + 2 * k + points), 2)) == parts
 
     def test_parts_read_nothing_of_the_parent_process(self):
