@@ -79,6 +79,9 @@ from .errors import ConvergenceError, InvalidParameterError
 from .protocol import _hops, _running_sums, aggregate_batch, undecoded_counts
 
 MIN_TRIALS = 10_000
+# 65 536 batches, a plan of about 6 MB: 200 times the 20 M trials that the
+# largest example or benchmark run draws
+MAX_TRIALS = 2**32
 # the fewest outage events a plain Monte Carlo estimate is trusted on
 MIN_EVENTS = 100
 
@@ -164,6 +167,8 @@ def _check_estimator_inputs(variances: LinkVariances, params: SystemParams, n_tr
 def _check_trials(n_trials: int) -> None:
     if n_trials < MIN_TRIALS:
         raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
+    if n_trials > MAX_TRIALS:
+        raise InvalidParameterError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials!r}")
 
 
 def _sweep_part(task) -> list[tuple[int, int, int]]:
@@ -582,10 +587,10 @@ def _window_stage(search: _RateSearch, window: _Window):
     if not (window.low <= a_below and a_above <= window.high):
         return None
     below = window.below + int(np.count_nonzero(a0 < a_below))
-    cand = window.gains[(a0 >= a_below) & (a0 < a_above)]
+    cand = np.flatnonzero((a0 >= a_below) & (a0 < a_above))
     # the candidates' hop terms do not depend on the rate: built once, and
     # summed at each rate into the same buffers, to the floats of aggregate_batch
-    g_sd, hops = np.ascontiguousarray(cand[:, 0]), list(_hops(cand, k))
+    g_sd, hops = window.gains[:, 0][cand], list(_hops(window.gains, k, cand))
     agg, term = np.empty(len(cand)), np.empty(len(cand))
 
     def outages(r: float) -> int:

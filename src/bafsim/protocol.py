@@ -3,11 +3,12 @@
 This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
-offset-free hop terms g_rd*g_sr and g_rd+g_sr.  Every estimator evaluates them
-here: the capacity kernel through ``aggregate_batch``, and the outage, E(N)
-and Lemma 1 sweep through ``undecoded_counts``, whose relay stages run only on
-the rows each point's direct link leaves undecoded.  ``simulate_block`` is the
-scalar reference.
+offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` alone builds
+for a batch.  Every estimator evaluates them here: the capacity kernel through
+``aggregate_batch``, and the outage, E(N) and Lemma 1 sweep through
+``undecoded_counts``, whose relay stages run only on the rows each point's
+direct link leaves undecoded, unless every point leaves most rows.
+``simulate_block`` is the scalar reference.
 
 Sub-block 1 is the source burst.  After every sub-block the destination
 compares the capacity of the accumulated aggregate against the target rate
@@ -69,12 +70,11 @@ def _check_shape(gains: np.ndarray, k_relays: int) -> None:
         raise InvalidParameterError(f"gains must have shape (n, {1 + 2 * k_relays})")
 
 
-def _hops(gains: np.ndarray, k_relays: int):
-    """Yield the offset-free terms (g_rd*g_sr, g_rd+g_sr) of every relay hop, one contiguous array each."""
+def _hops(gains: np.ndarray, k_relays: int, rows=slice(None)):
+    """Yield the offset-free terms (g_rd*g_sr, g_rd+g_sr) of every relay hop on ``rows``, every row by default, one contiguous array each."""
     for i in range(k_relays):
-        g_sr = gains[:, 1 + i]
-        g_rd = gains[:, 1 + k_relays + i]
-        yield g_rd * g_sr, g_rd + g_sr
+        g_sr, g_rd = gains[:, 1 + i][rows], gains[:, 1 + k_relays + i][rows]  # 1-D gathers, or views of every row
+        yield g_rd * g_sr, np.add(g_rd, g_sr, out=g_rd if g_rd.flags.owndata else None)  # the sum reuses a gathered g_rd
 
 
 def _running_sums(g_sd: np.ndarray, hops, x: float, agg: np.ndarray | None = None, term: np.ndarray | None = None):
@@ -106,31 +106,28 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
 
 
 def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float]):
-    """g_sd and the hop terms of the kept rows and, per threshold, how many leading rows hold those it leaves undecoded.
+    """g_sd and the hop terms of the rows kept and, per threshold, how many leading rows hold those it leaves undecoded.
 
-    The rows kept are those the largest threshold leaves undecoded at stage
-    0.  With two or more thresholds they are ordered by g_sd, so that the
-    rows each one leaves undecoded lead.  One threshold keeps every row, all
-    of them leading, unless at least half of them meet it: gathering most of
-    the rows costs more than the stages it saves.
+    If the smallest threshold leaves more than half of the rows undecoded at
+    stage 0, every row is kept and leads at every threshold: gathering most
+    of the rows costs more than the stages it saves.  Otherwise the rows kept
+    are those the largest threshold leaves undecoded, ordered by g_sd if
+    there are two or more thresholds, so that the rows each one leaves
+    undecoded lead.  A NaN threshold keeps every row.
     """
-    if len(thresholds) == 1:
-        g_sd = np.ascontiguousarray(gains[:, 0])  # the stages read it whole if every row stays
-        undecoded = ~(g_sd >= thresholds[0])  # a NaN threshold keeps every row
-        if 2 * np.count_nonzero(undecoded) > len(undecoded):
-            return g_sd, list(_hops(gains, k_relays)), [len(g_sd)]
-        kept = np.flatnonzero(undecoded)
-    else:
-        g_sd = gains[:, 0]
-        kept = np.flatnonzero(~(g_sd >= np.max(thresholds)))  # so does a NaN among several
+    g_sd = np.ascontiguousarray(gains[:, 0])  # the stages read it whole if every row stays
+    hi, lo = max(thresholds, key=lambda t: (t != t, t)), min(thresholds)  # cheaper than numpy's; NaN is the largest
+    undecoded = ~(g_sd >= hi)
+    left = np.count_nonzero(undecoded)
+    # lo leaves no more rows than hi: counted only if hi leaves most
+    if 2 * left > len(g_sd) and 2 * (left if lo == hi else np.count_nonzero(~(g_sd >= lo))) > len(g_sd):
+        return g_sd, list(_hops(gains, k_relays)), [len(g_sd)] * len(thresholds)
+    kept = np.flatnonzero(undecoded)
+    if len(thresholds) > 1:
         kept = kept[np.argsort(g_sd[kept])]
-    hops = []
-    for i in range(k_relays):
-        g_sr, g_rd = gains[:, 1 + i][kept], gains[:, 1 + k_relays + i][kept]
-        hops.append((g_rd * g_sr, np.add(g_rd, g_sr, out=g_rd)))  # the sum reuses g_rd's gathered copy
-    g_sd = g_sd[kept]
+    g_sd = g_sd[kept]  # the whole column is freed before the hop terms are gathered
     leading = np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [len(kept)]
-    return g_sd, hops, leading
+    return g_sd, list(_hops(gains, k_relays, kept)), leading
 
 
 def undecoded_counts(gains: np.ndarray, k_relays: int, points) -> list[list[int]]:
@@ -139,10 +136,10 @@ def undecoded_counts(gains: np.ndarray, k_relays: int, points) -> list[list[int]
     A row whose direct gain meets thr decodes at stage 0 whatever its relay
     terms, so the relay stages run only on the rows each point's direct link
     leaves undecoded: the leading rows of those ``_undecoded_rows`` keeps,
-    whose hop terms g_rd*g_sr and g_rd+g_sr it builds once per batch.  Every
-    condition reuses the same buffers.  A row's floats do not depend on its
-    position, so the counts are those of the whole batch.  The direct gains
-    must not be NaN, as no draw is.
+    every row if each point leaves most of them, whose hop terms g_rd*g_sr and
+    g_rd+g_sr it builds once per batch.  Every condition reuses the same
+    buffers.  A row's floats do not depend on its position, so the counts are
+    those of the whole batch.  The direct gains must not be NaN, as no draw is.
 
     A row stays decoded even if a later term is NaN, as in
     ``simulate_block``: u_K rows are in outage, and a row uses one more

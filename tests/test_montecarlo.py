@@ -22,6 +22,7 @@ from bafsim.channel import (
 )
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
+    MAX_TRIALS,
     MIN_TRIALS,
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
@@ -105,6 +106,35 @@ class TestOutageEstimator:
         est = estimate_outage(UNIT, SystemParams(snr=0.1, rate=0.02), 50_000, 5, workers=1)
         assert est.ci95[0] <= est.mean <= est.ci95[1]
         assert est.stderr >= 0.0
+
+
+class TestTrialCap:
+    _CALLS = {
+        "outage": lambda n: estimate_outage(UNIT, SystemParams(snr=1.0, rate=0.01), n, 3),
+        "expected-n": lambda n: estimate_expected_n(UNIT, SystemParams(snr=1.0, rate=0.01), n, 3),
+        "capacity": lambda n: empirical_eps_outage_capacity(UNIT, SystemParams(snr=1.0, rate=0.0, epsilon=0.01), n, 3),
+        "lemma1": lambda n: lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.1], n, 3),
+        "placement": lambda n: empirical_capacity_vs_position(2.0, 1.0, 0.01, n, 3, grid_points=3),
+    }
+
+    @pytest.mark.parametrize("name", _CALLS)
+    @pytest.mark.parametrize("n_trials", [MAX_TRIALS + 1, 10**20])
+    def test_over_cap_rejected_before_the_plan(self, monkeypatch, name, n_trials):
+        def no_plan(n):
+            raise AssertionError("batch plan built")
+
+        monkeypatch.setattr(montecarlo, "batch_plan", no_plan)
+        with pytest.raises(InvalidParameterError, match=f"n_trials must be at most {MAX_TRIALS}"):
+            self._CALLS[name](n_trials)
+
+    @pytest.mark.parametrize("name", ["outage", "expected-n", "capacity", "lemma1"])
+    def test_cap_is_inclusive(self, monkeypatch, name):
+        def planned(n):
+            raise AssertionError(f"batch plan of {n}")
+
+        monkeypatch.setattr(montecarlo, "batch_plan", planned)
+        with pytest.raises(AssertionError, match=f"batch plan of {MAX_TRIALS}"):
+            self._CALLS[name](MAX_TRIALS)
 
 
 class TestExpectedNEstimator:
@@ -622,6 +652,30 @@ def _two_pass_oracle(variances, params, n_trials, seed, mode):
     window = montecarlo._Window(below, gains[band], a_below, a_above, search.x0, search.x0)
     rate, count = montecarlo._window_stage(search, window)
     return rate, count / n_trials
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_window_stage_without_candidates_counts_the_trials_below(monkeypatch, k):
+    # a bracket whose band [a, a) holds no row of the window: the hop terms are built on no row,
+    # and the count at every rate is the trials below the band
+    variances = LinkVariances(1.0, (1.0,) * k, (1.0,) * k)
+    search = montecarlo._RateSearch(1.0, 20, k, None, "exact", 0.01)
+    gains = np.asfortranarray(gains_batch(variances, 3, 0, 1000))
+    a0 = aggregate_batch(gains, k, search.x0)
+    a = float(np.median(a0))
+    below = 2 + int(np.count_nonzero(a0 < a))
+    monkeypatch.setattr(search, "bracket", lambda a_k0: (0.01, 0.02, a, a))
+    counts = []
+
+    def solve(f, target, start, rel_width=0.0, upper=None):
+        counts.extend([f(start), f(upper)])
+        return start, upper
+
+    monkeypatch.setattr(montecarlo, "_solve_increasing", solve)
+    window = montecarlo._Window(2, gains, -math.inf, math.inf, search.x0, search.x0)
+    rate, count = montecarlo._window_stage(search, window)
+    assert rate == 0.01 * (1.0 - montecarlo._BOUND_MARGIN)
+    assert counts == [below, below] and count == below
 
 
 def _sweep_case(k, tau, snr_dbs, epsilon, sigmas):

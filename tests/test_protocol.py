@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, aggregate_batch, simulate_block, undecoded_counts
+from bafsim.protocol import BlockOutcome, _hops, _undecoded_rows, aggregate_batch, simulate_block, undecoded_counts
 from protocol_reference import block_stats_batch
 
 gain = st.floats(0.0, 50.0)
@@ -178,6 +178,23 @@ class TestBatchAgreement:
         np.testing.assert_array_equal(agg, expected)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", ["empty", "full", "shuffled"])
+def test_hops_on_rows_are_those_of_the_gathered_rows(k, order, rows):
+    gains = np.asarray(gains_batch(LinkVariances(1.0, (0.5,) * k, (2.0,) * k), 5, 0, 500), order=order)
+    index = {
+        "empty": np.array([], dtype=np.intp),
+        "full": np.arange(500),
+        "shuffled": np.random.default_rng(1).permutation(500)[:300],
+    }[rows]
+    gathered = list(_hops(gains, k, index))
+    assert len(gathered) == k
+    for (p, s), (p_ref, s_ref) in zip(gathered, _hops(gains[index], k)):
+        assert p.flags.c_contiguous and s.flags.c_contiguous
+        assert np.array_equal(p, p_ref) and np.array_equal(s, s_ref)
+
+
 def _counts_from_stats(outage, n_used, k):
     """u_0..u_K from per-row outcomes: a row undecoded after stage m < K enters stage m + 1."""
     return [int(np.count_nonzero(n_used > m + 1)) for m in range(k)] + [int(np.count_nonzero(outage))]
@@ -231,6 +248,8 @@ class TestUndecodedCounts:
         pytest.param([math.nan], id="one-point-nan"),
         pytest.param([0.05], id="one-point-few-rows-left"),
         pytest.param([5.0], id="one-point-most-rows-left"),
+        pytest.param([5.0, 4.0], id="two-points-most-rows-left"),
+        pytest.param([5.0, 0.05], id="most-rows-left-by-one-point"),
         pytest.param([0.5 * _DRAWS[:, 0].min(), 0.0], id="no-rows-left"),
     ])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -238,6 +257,19 @@ class TestUndecodedCounts:
         points = [(0.05 * (i % 3), thr) for i, thr in enumerate(thresholds)]
         expected = [_counts_from_stats(*block_stats_batch(_DRAWS, x, thr, 2), 2) for x, thr in points]
         assert undecoded_counts(np.asarray(_DRAWS, order=order), 2, points) == expected
+
+    def test_rows_are_all_rows_when_the_smallest_threshold_leaves_most(self):
+        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, [5.0, 4.0])
+        assert leading == [4000, 4000] and np.array_equal(g_sd, _DRAWS[:, 0])  # unsorted
+        assert [(len(p), len(s)) for p, s in hops] == [(4000, 4000)] * 2
+
+    def test_rows_are_sorted_when_the_smallest_threshold_leaves_few(self):
+        thresholds = [0.3, 0.01]
+        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, thresholds)
+        assert np.array_equal(g_sd, np.sort(_DRAWS[_DRAWS[:, 0] < 0.3, 0]))
+        assert leading == np.searchsorted(g_sd, thresholds, "left").tolist()
+        assert leading == [int(np.count_nonzero(_DRAWS[:, 0] < thr)) for thr in thresholds]
+        assert [(len(p), len(s)) for p, s in hops] == [(len(g_sd), len(g_sd))] * 2
 
     def test_counts_are_those_of_the_stage_aggregates(self):
         # u_m counts the rows whose aggregate after stage m, the float aggregate_batch gives on the first m relays,
