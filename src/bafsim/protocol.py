@@ -125,9 +125,10 @@ def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float]):
     kept = np.flatnonzero(undecoded)
     if len(thresholds) > 1:
         kept = kept[np.argsort(g_sd[kept])]
-    g_sd = g_sd[kept]  # the whole column is freed before the hop terms are gathered
+    del g_sd  # the whole column goes before the hop terms are gathered, and g_sd is gathered after them
+    hops, g_sd = list(_hops(gains, k_relays, kept)), gains[:, 0][kept]
     leading = np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [len(kept)]
-    return g_sd, list(_hops(gains, k_relays, kept)), leading
+    return g_sd, hops, leading
 
 
 def undecoded_counts(gains: np.ndarray, k_relays: int, points) -> list[list[int]]:
