@@ -125,7 +125,7 @@ def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float]):
     kept = np.flatnonzero(undecoded)
     if len(thresholds) > 1:
         kept = kept[np.argsort(g_sd[kept])]
-    del g_sd  # the whole column goes before the hop terms are gathered, and g_sd is gathered after them
+    del g_sd  # so that neither the whole column nor the kept g_sd sits beside the hop terms as they are gathered
     hops, g_sd = list(_hops(gains, k_relays, kept)), gains[:, 0][kept]
     leading = np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [len(kept)]
     return g_sd, hops, leading
