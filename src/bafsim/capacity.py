@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle
+from .channel import ChannelDraw, LinkVariances, SystemParams, _check_relay_count, duty_cycle
 from .errors import InvalidParameterError
 
 LOG2E = math.log2(math.e)
@@ -49,9 +49,10 @@ def channel_aggregate(draw: ChannelDraw, x: float) -> float:
     return agg
 
 
-def instantaneous_capacity(draw: ChannelDraw, params: SystemParams, tau: float) -> float:
-    """Block capacity (tau/(K+1)) * log2(1 + SNR/tau * alpha_K) in bit/s/Hz, through ``_log2_1p``."""
-    k = draw.k_relays
+def instantaneous_capacity(draw: ChannelDraw, params: SystemParams) -> float:
+    """Block capacity (tau/(K+1)) * log2(1 + SNR/tau * alpha_K) in bit/s/Hz at the duty cycle and K of ``params``, through ``_log2_1p``."""
+    _check_relay_count(draw, params)
+    k, tau = draw.k_relays, duty_cycle(params.rate, params.snr, params.tau)
     agg = channel_aggregate(draw, tau / params.snr)
     return (tau / (k + 1)) * _log2_1p((params.snr / tau) * agg)
 

@@ -158,6 +158,10 @@ class ChannelDraw:
         return len(self.g_sr)
 
 
+def _check_relay_count(draw: ChannelDraw, params: SystemParams) -> None:
+    _require(draw.k_relays == params.k_relays, f"draw describes {draw.k_relays} relays but params.k_relays={params.k_relays}")
+
+
 def variances_from_geometry(geom: NetworkGeometry) -> LinkVariances:
     """Map distances to link variances via the d^(-exponent) power law."""
     a = geom.pathloss_exponent

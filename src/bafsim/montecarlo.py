@@ -428,11 +428,9 @@ def _max_allowed_count(epsilon: float, n_trials: int) -> int:
         raise InvalidParameterError(
             f"epsilon*n_trials must be >= {MIN_EVENTS} (got {epsilon * n_trials:g}); increase n_trials"
         )
-    c = min(int(epsilon * n_trials), n_trials)
+    c = min(int(epsilon * n_trials), n_trials)  # never below the answer: only a step down can be needed
     while c / n_trials >= epsilon:
         c -= 1
-    while (c + 1) / n_trials < epsilon:
-        c += 1
     return c
 
 

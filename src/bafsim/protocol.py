@@ -8,7 +8,8 @@ for a batch.  Every estimator evaluates them here: the capacity kernel through
 ``aggregate_batch``, and the outage, E(N) and Lemma 1 sweep through
 ``undecoded_counts``, whose relay stages run only on the rows each point's
 direct link leaves undecoded, unless every point leaves most rows.
-``simulate_block`` is the scalar reference.
+``simulate_block`` is the scalar reference: it evaluates the estimators'
+decode condition, that of its ``SystemParams``.
 
 Sub-block 1 is the source burst.  After every sub-block the destination
 compares the capacity of the accumulated aggregate against the target rate
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import decode_condition, relay_term
-from .channel import ChannelDraw, SystemParams
+from .channel import ChannelDraw, SystemParams, _check_relay_count
 from .errors import InvalidParameterError
 
 
@@ -45,17 +46,13 @@ class BlockOutcome:
     feedback_trace: tuple[int, ...]
 
 
-def simulate_block(
-    draw: ChannelDraw,
-    params: SystemParams,
-    tau: float,
-    threshold_mode: str = "exact",
-) -> BlockOutcome:
-    """Run the feedback protocol on one channel draw, relays in index order."""
+def simulate_block(draw: ChannelDraw, params: SystemParams, threshold_mode: str = "exact") -> BlockOutcome:
+    """Run the feedback protocol on one channel draw, relays in index order, at the duty cycle and K of ``params``."""
+    _check_relay_count(draw, params)
     if draw.k_relays < 1:
         raise InvalidParameterError("simulate_block requires at least one relay")
     k = draw.k_relays
-    x, thr = decode_condition(params.rate, params.snr, tau, k, threshold_mode)
+    x, thr = decode_condition(params.rate, params.snr, params.tau, k, threshold_mode)
     agg = draw.g_sd
     for n in range(k + 1):
         if n:

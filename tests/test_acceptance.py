@@ -182,7 +182,6 @@ def test_criterion_7_property_suites():
     # protocol outage equals the one-shot capacity comparison on 1e5 draws
     k, snr, rate = 2, 0.5, 0.02
     params = SystemParams(snr=snr, rate=rate, k_relays=k)
-    tau = math.sqrt(rate * snr)
     variances = LinkVariances(1.0, (2.0, 0.5), (1.0, 1.5))
     disagreements = 0
     checked = 0
@@ -190,8 +189,8 @@ def test_criterion_7_property_suites():
         gains = gains_batch(variances, 321 + batch, 0, 50_000)
         for row in gains:
             draw = ChannelDraw(row[0], (row[1], row[2]), (row[3], row[4]))
-            out = simulate_block(draw, params, tau)
-            one_shot_outage = instantaneous_capacity(draw, params, tau) < rate
+            out = simulate_block(draw, params)
+            one_shot_outage = instantaneous_capacity(draw, params) < rate
             disagreements += (not out.decoded) != one_shot_outage
             trace = out.feedback_trace
             ok_trace = (

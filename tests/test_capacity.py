@@ -36,23 +36,23 @@ positive = st.floats(1e-3, 1e3)
 class TestInstantaneousCapacity:
     def test_zero_gains_give_zero(self):
         draw = ChannelDraw(0.0, (0.0,), (0.0,))
-        assert instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.01), 0.1) == 0.0
+        assert instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.01)) == 0.0
 
     def test_worked_one_relay_example(self):
         draw = ChannelDraw(0.0, (1.0,), (1.0,))
-        c = instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.01), 0.1)
+        c = instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.01, tau=0.1))
         assert c == pytest.approx(0.12632729072479174, rel=1e-12)
 
     def test_dead_relay_reduces_to_direct_link(self):
         draw = ChannelDraw(0.7, (0.0,), (2.0,))
         tau, snr = 0.2, 0.5
-        c = instantaneous_capacity(draw, SystemParams(snr=snr, rate=0.01), tau)
+        c = instantaneous_capacity(draw, SystemParams(snr=snr, rate=0.01, tau=tau))
         assert c == (tau / 2.0) * math.log2(1.0 + 0.7 * snr / tau)
 
     def test_capacity_keeps_its_leading_term_below_the_float_epsilon(self):
         # log2(1 + v) rounds to 0 for v below about 1.1e-16; the capacity is about v/(2 ln 2)
         draw = ChannelDraw(1e-150, (1e-150,), (1e-150,))
-        c = instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.0), 1.0)
+        c = instantaneous_capacity(draw, SystemParams(snr=1.0, rate=0.0))
         assert c == pytest.approx(1e-150 / (2.0 * math.log(2.0)), rel=1e-12, abs=0)
 
     @given(
@@ -61,12 +61,12 @@ class TestInstantaneousCapacity:
         which=st.integers(0, 2),
     )
     def test_monotone_in_every_gain(self, g, bump, which):
-        params = SystemParams(snr=0.5, rate=0.01)
+        params = SystemParams(snr=0.5, rate=0.01, tau=0.1)
         base = ChannelDraw(g[0], (g[1],), (g[2],))
         bumped = list(g)
         bumped[which] += bump
         more = ChannelDraw(bumped[0], (bumped[1],), (bumped[2],))
-        assert instantaneous_capacity(more, params, 0.1) >= instantaneous_capacity(base, params, 0.1)
+        assert instantaneous_capacity(more, params) >= instantaneous_capacity(base, params)
 
     def test_aggregate_sums_relay_terms(self):
         draw = ChannelDraw(0.5, (1.0, 2.0), (3.0, 4.0))
@@ -362,3 +362,30 @@ class TestMinBound:
     @settings(max_examples=300)
     def test_always_holds(self, x, y, delta):
         assert min_bound_check(x, y, delta)[2]
+
+
+TWO_RELAYS = LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(
+        lambda: c_eps_baf_no_feedback(TWO_RELAYS, 0.1, 0.01), "c_eps_baf_no_feedback is the one-relay closed form",
+        id="no-feedback-two-relays",
+    ),
+    pytest.param(
+        lambda: expected_n_one_relay(TWO_RELAYS, SystemParams(snr=0.1, rate=0.001, k_relays=2)),
+        "expected_n_one_relay requires exactly one relay", id="expected-n-two-relays",
+    ),
+    pytest.param(
+        lambda: expected_n_one_relay(UNIT, SystemParams(snr=0.1, rate=0.001), "bogus"),
+        "mode must be one of ('exact', 'approx'), got 'bogus'", id="expected-n-mode",
+    ),
+    pytest.param(lambda: delta_ratio_upper(0.01, 0.5, 1), "expected_n must lie in [1, 2], got 0.5", id="ratio-below-one"),
+    pytest.param(lambda: delta_ratio_upper(0.01, 3.5, 2), "expected_n must lie in [1, 3], got 3.5", id="ratio-above-k-plus-one"),
+    pytest.param(lambda: min_bound_check(0.0, 1.0, 0.1), "x must be positive and finite, got 0.0", id="min-bound-zero"),
+    pytest.param(lambda: min_bound_check(1.0, 1.0, math.nan), "delta must be positive and finite, got nan", id="min-bound-nan"),
+])
+def test_rejected_with_its_message(call, message):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message

@@ -1,3 +1,4 @@
+import inspect
 import math
 import sys
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bafsim
 from bafsim.capacity import decode_condition
 from bafsim.channel import (
     TRIALS_PER_BATCH,
@@ -247,3 +249,16 @@ class TestDraws:
         batch, local = divmod(idx, TRIALS_PER_BATCH)
         row = gains_batch(v, seed, batch, local + 1)[local]
         assert np.array_equal(row, gains_batch(v, seed, batch)[local])
+
+
+def test_no_public_function_takes_params_beside_one_of_its_fields():
+    # an operating point has one source: a function given ``params`` reads them there
+    fields = {"tau", "rate", "snr", "epsilon", "k_relays"}
+    functions = {name: f for name, f in vars(bafsim).items() if not name.startswith("_") and inspect.isfunction(f)}
+    assert "simulate_block" in functions and "estimate_outage" in functions
+    doubled = {}
+    for name, f in functions.items():
+        arguments = set(inspect.signature(f).parameters)
+        if "params" in arguments and arguments & fields:
+            doubled[name] = sorted(arguments & fields)
+    assert doubled == {}

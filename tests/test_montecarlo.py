@@ -5,7 +5,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bafsim import montecarlo
@@ -23,6 +23,7 @@ from bafsim.channel import (
 from bafsim.errors import ConvergenceError, InvalidParameterError
 from bafsim.montecarlo import (
     MAX_TRIALS,
+    MIN_EVENTS,
     MIN_TRIALS,
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
@@ -363,6 +364,12 @@ class TestOutageParts:
 
 
 class TestLemmaExperiment:
+    @pytest.mark.parametrize("g", [0.0, math.inf])
+    def test_policy_offset_needs_a_positive_finite_threshold(self, g):
+        with pytest.raises(InvalidParameterError) as info:
+            policy_x_for_threshold(g)
+        assert str(info.value) == f"threshold must be positive, got {g!r}"
+
     def test_policy_offset_inverts_threshold_relation(self):
         for g in (0.1, 0.02, 0.004, 1e-12, 1e-30):
             y = policy_x_for_threshold(g)
@@ -480,6 +487,33 @@ def _bisection_bracket(gains, params, mode, rel_tol=1e-9):
 
 
 class TestEmpiricalCapacity:
+    @given(case=st.integers(MIN_TRIALS, MAX_TRIALS).flatmap(
+        lambda n: st.tuples(st.floats(MIN_EVENTS / n, 1.0, exclude_max=True), st.just(n))
+    ))
+    @example(case=(0.01, MIN_TRIALS))  # epsilon*n_trials = MIN_EVENTS exactly
+    @example(case=(0.5, 10_001))
+    @example(case=(math.nextafter(1.0, 0.0), MAX_TRIALS))  # the largest epsilon at the trial cap
+    @settings(max_examples=500, deadline=None)
+    def test_max_allowed_count_is_the_largest_count_below_epsilon(self, case):
+        epsilon, n_trials = case
+        assume(epsilon * n_trials >= MIN_EVENTS)
+        c = montecarlo._max_allowed_count(epsilon, n_trials)
+        assert c / n_trials < epsilon <= (c + 1) / n_trials
+
+    @pytest.mark.parametrize("estimator", [
+        lambda v, p: estimate_outage(v, p, 10_000, 1, workers=1),
+        lambda v, p: empirical_eps_outage_capacity_sweep(v, [p], 10_000, 1),
+    ])
+    def test_relayless_point_is_rejected_before_any_draw(self, monkeypatch, estimator):
+        def no_draws(*args):
+            raise AssertionError("drew gains before rejecting the point")
+
+        monkeypatch.setattr(montecarlo, "gains_batch", no_draws)
+        params = SystemParams(snr=0.1, rate=0.01, epsilon=0.02, k_relays=0)
+        with pytest.raises(InvalidParameterError) as info:
+            estimator(LinkVariances(1.0, (), ()), params)
+        assert str(info.value) == "protocol estimators require at least one relay"
+
     def test_requires_enough_expected_events(self):
         params = SystemParams(snr=0.01, rate=0.0, epsilon=1e-3)
         with pytest.raises(InvalidParameterError, match="epsilon"):

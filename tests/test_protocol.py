@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
-from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, duty_cycle, gains_batch
+from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
 from bafsim.errors import InvalidParameterError
 from bafsim.protocol import BlockOutcome, _hops, _undecoded_rows, aggregate_batch, simulate_block, undecoded_counts
 from protocol_reference import block_stats_batch
@@ -20,11 +20,11 @@ def one_relay_params(snr=1.0, rate=0.01):
 
 class TestSimulateBlock:
     def test_strong_direct_link_decodes_first(self):
-        out = simulate_block(ChannelDraw(100.0, (1.0,), (1.0,)), one_relay_params(), 0.1)
+        out = simulate_block(ChannelDraw(100.0, (1.0,), (1.0,)), one_relay_params())
         assert out == BlockOutcome(True, 1, 100.0, (1,))
 
     def test_dead_channel_is_outage(self):
-        out = simulate_block(ChannelDraw(0.0, (0.0,), (0.0,)), one_relay_params(), 0.1)
+        out = simulate_block(ChannelDraw(0.0, (0.0,), (0.0,)), one_relay_params())
         assert not out.decoded
         assert out.sub_blocks_used == 2
         assert out.feedback_trace == (0, 0)
@@ -32,19 +32,24 @@ class TestSimulateBlock:
 
     def test_worked_relay_rescue(self):
         # direct link below the 0.0148698 threshold, relay pushes it across
-        out = simulate_block(ChannelDraw(0.01, (1.0,), (1.0,)), one_relay_params(), 0.1)
+        out = simulate_block(ChannelDraw(0.01, (1.0,), (1.0,)), one_relay_params())
         assert out.decoded
         assert out.sub_blocks_used == 2
         assert out.feedback_trace == (0, 1)
         assert out.final_aggregate == pytest.approx(0.01 + 1.0 / 2.1, rel=1e-15)
 
     def test_zero_rate_always_decodes_immediately(self):
-        out = simulate_block(ChannelDraw(0.0, (0.0,), (0.0,)), SystemParams(snr=1.0, rate=0.0), 1.0)
+        out = simulate_block(ChannelDraw(0.0, (0.0,), (0.0,)), SystemParams(snr=1.0, rate=0.0))
         assert out.decoded and out.sub_blocks_used == 1
 
     def test_requires_a_relay(self):
-        with pytest.raises(InvalidParameterError):
-            simulate_block(ChannelDraw(1.0, (), ()), one_relay_params(), 0.1)
+        with pytest.raises(InvalidParameterError, match="requires at least one relay"):
+            simulate_block(ChannelDraw(1.0, (), ()), SystemParams(snr=1.0, rate=0.01, k_relays=0))
+
+    @pytest.mark.parametrize("call", [simulate_block, instantaneous_capacity])
+    def test_relay_count_must_match(self, call):
+        with pytest.raises(InvalidParameterError, match=r"^draw describes 2 relays but params\.k_relays=1$"):
+            call(ChannelDraw(0.01, (1.0, 1.0), (1.0, 1.0)), one_relay_params())
 
     @given(
         gains=st.tuples(gain, gain, gain, gain, gain),
@@ -55,16 +60,15 @@ class TestSimulateBlock:
     def test_outage_iff_full_capacity_below_rate(self, gains, rate, snr):
         draw = ChannelDraw(gains[0], (gains[1], gains[2]), (gains[3], gains[4]))
         params = SystemParams(snr=snr, rate=rate, k_relays=2)
-        tau = min((rate * snr) ** 0.5, 1.0)
-        out = simulate_block(draw, params, tau)
-        assert (not out.decoded) == (instantaneous_capacity(draw, params, tau) < rate)
+        out = simulate_block(draw, params)
+        assert (not out.decoded) == (instantaneous_capacity(draw, params) < rate)
 
     @given(gains=st.tuples(gain, gain, gain, gain, gain), rate=st.floats(1e-4, 0.5))
     @settings(max_examples=200, deadline=None)
     def test_trace_is_zeros_then_one(self, gains, rate):
         draw = ChannelDraw(gains[0], (gains[1], gains[2]), (gains[3], gains[4]))
-        params = SystemParams(snr=1.0, rate=rate, k_relays=2)
-        out = simulate_block(draw, params, 0.3)
+        params = SystemParams(snr=1.0, rate=rate, k_relays=2, tau=0.3)
+        out = simulate_block(draw, params)
         trace = out.feedback_trace
         assert len(trace) == out.sub_blocks_used
         assert all(b == 0 for b in trace[:-1])
@@ -79,12 +83,12 @@ class TestSimulateBlock:
     )
     @settings(max_examples=200, deadline=None)
     def test_more_gain_never_needs_more_sub_blocks(self, gains, bump, which):
-        params = SystemParams(snr=1.0, rate=0.02, k_relays=2)
+        params = SystemParams(snr=1.0, rate=0.02, k_relays=2, tau=0.2)
         draw = ChannelDraw(gains[0], (gains[1], gains[2]), (gains[3], gains[4]))
         boosted = list(gains)
         boosted[which] += bump
         draw2 = ChannelDraw(boosted[0], (boosted[1], boosted[2]), (boosted[3], boosted[4]))
-        assert simulate_block(draw2, params, 0.2).sub_blocks_used <= simulate_block(draw, params, 0.2).sub_blocks_used
+        assert simulate_block(draw2, params).sub_blocks_used <= simulate_block(draw, params).sub_blocks_used
 
 
 _extreme_gain = st.one_of(st.just(0.0), st.just(1e308), gain)
@@ -106,13 +110,12 @@ class TestBatchAgreement:
     def test_vectorised_path_matches_scalar_state_machine(self, k, rate, mode):
         v = LinkVariances(1.0, (0.5,) * k, (2.0,) * k)
         params = SystemParams(snr=0.5, rate=rate, k_relays=k)
-        tau = min((rate * 0.5) ** 0.5, 1.0)
         gains = gains_batch(v, 31337, 0, 500)
-        x, thr = decode_condition(rate, 0.5, tau, k, mode)
+        x, thr = decode_condition(rate, 0.5, params.tau, k, mode)
         outage, n_used = block_stats_batch(gains, x, thr, k)
         for row in range(500):
             draw = ChannelDraw(gains[row, 0], tuple(gains[row, 1 : 1 + k]), tuple(gains[row, 1 + k :]))
-            out = simulate_block(draw, params, tau, threshold_mode=mode)
+            out = simulate_block(draw, params, threshold_mode=mode)
             assert out.decoded == (not outage[row])
             assert out.sub_blocks_used == n_used[row]
 
@@ -122,11 +125,13 @@ class TestBatchAgreement:
     # 2^2000 overflows, so the exact threshold is infinite
     @example(case=(1, "exact", 1e-6, 1.0, None, [[0.0, 0.0, 0.0], [50.0, 50.0, 50.0], [1e308, 1e308, 1e308]]))
     @example(case=(3, "linearized", 0.5, 0.0, None, [[0.0] * 7, [1.0] * 7]))
+    # a direct gain on the policy threshold x*expm1(2 ln2 x), which the fixed-tau spelling
+    # x*expm1(2 ln2 rate/tau) at tau = sqrt(rate*snr) puts one ulp above it
+    @example(case=(1, "exact", 0.7, 0.013, None, [[0.02833804573544846, 0.0, 0.0]]))
     @settings(max_examples=300, deadline=None)
     def test_running_sum_matches_scalar_state_machine(self, case):
         k, mode, snr, rate, fixed_tau, rows = case
         params = SystemParams(snr=snr, rate=rate, k_relays=k, tau=fixed_tau)
-        tau = float(duty_cycle(rate, snr, fixed_tau))
         x, thr = decode_condition(rate, snr, fixed_tau, k, mode)
         gains = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -136,7 +141,7 @@ class TestBatchAgreement:
         assert np.array_equal(outage, outage_f) and np.array_equal(n_used, n_used_f)
         assert n_used.dtype == np.int64
         for row, g in enumerate(rows):
-            out = simulate_block(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), params, tau, threshold_mode=mode)
+            out = simulate_block(ChannelDraw(g[0], g[1 : 1 + k], g[1 + k :]), params, threshold_mode=mode)
             assert out.decoded == (not outage[row])
             assert out.sub_blocks_used == n_used[row]
 
