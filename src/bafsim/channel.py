@@ -227,16 +227,28 @@ def gains_batch(
     master_seed: int,
     batch_index: int,
     n_rows: int = TRIALS_PER_BATCH,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gains of ``n_rows`` consecutive trials of one batch, shape (n_rows, 1+2K).
 
     Row r holds trial ``batch_index * TRIALS_PER_BATCH + r`` in the column
     order of ``variance_row``.  A truncated batch is a row prefix of the full
-    one, so per-trial values never depend on the requested row count.
+    one, so per-trial values never depend on the requested row count.  Given
+    ``out``, a C-contiguous float64 array of n_rows or more rows of 1+2K
+    columns, the gains are drawn into its leading rows, which are returned:
+    the same bytes as a fresh draw.
     """
     _require(0 < n_rows <= TRIALS_PER_BATCH, f"n_rows must lie in [1, {TRIALS_PER_BATCH}], got {n_rows!r}")
+    columns = 1 + 2 * variances.k_relays
+    if out is not None:
+        _require(
+            isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.ndim == 2 and out.shape[0] >= n_rows and out.shape[1] == columns,
+            f"out must be a C-contiguous float64 array of at least {n_rows} rows of {columns} columns",
+        )
+        out = out[:n_rows]
     gen = batch_stream(master_seed, batch_index)
-    e = gen.standard_exponential((n_rows, 1 + 2 * variances.k_relays))
+    e = gen.standard_exponential((n_rows, columns), out=out)
     # blocks of _SCALE_ROWS rows times the tiled row: the same products as
     # broadcasting the short row over every row, at about twice the speed
     row, head = variance_row(variances), n_rows - n_rows % _SCALE_ROWS

@@ -76,7 +76,7 @@ from .channel import (
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import _hops, _running_sums, aggregate_batch, undecoded_counts
+from .protocol import _hops, _running_sums, _Workspace, aggregate_batch, undecoded_counts
 
 MIN_TRIALS = 10_000
 # 65 536 batches, a plan of about 6 MB: 200 times the 20 M trials that the
@@ -176,14 +176,15 @@ def _sweep_part(task) -> list[tuple[int, int, int]]:
 
     ``task`` is (variances, master_seed, plan, points).  The relay stages run
     only on the rows each point's direct link leaves undecoded (see
-    ``undecoded_counts``).  With u_m the rows still undecoded after stage m,
-    a row uses one sub-block plus one for each u_m, m < K, that counts it:
-    sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as (m+2)^2 -
-    (m+1)^2 = 2m+3.
+    ``undecoded_counts``).  Every batch is drawn into the part's one
+    ``_Workspace`` and counted in it.  With u_m the rows still undecoded after
+    stage m, a row uses one sub-block plus one for each u_m, m < K, that
+    counts it: sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as
+    (m+2)^2 - (m+1)^2 = 2m+3.
     """
     variances, master_seed, plan, points = task
-    n = sum(rows for _, rows in plan)
-    counts = [undecoded_counts(gains_batch(variances, master_seed, j, rows), variances.k_relays, points)
+    k, n, ws = variances.k_relays, sum(rows for _, rows in plan), _Workspace(variances.k_relays)
+    counts = [undecoded_counts(gains_batch(variances, master_seed, j, rows, out=ws.gains), k, points, ws)
               for j, rows in plan]
     totals = []
     for point in zip(*counts):
@@ -428,7 +429,7 @@ def _max_allowed_count(epsilon: float, n_trials: int) -> int:
         raise InvalidParameterError(
             f"epsilon*n_trials must be >= {MIN_EVENTS} (got {epsilon * n_trials:g}); increase n_trials"
         )
-    c = min(int(epsilon * n_trials), n_trials)  # never below the answer: only a step down can be needed
+    c = int(epsilon * n_trials)  # never below the answer, nor above n_trials: only a step down can be needed
     while c / n_trials >= epsilon:
         c -= 1
     return c

@@ -3,11 +3,14 @@
 This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
-offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` alone builds
-for a batch.  Every estimator evaluates them here: the capacity kernel through
-``aggregate_batch``, and the outage, E(N) and Lemma 1 sweep through
-``undecoded_counts``, whose relay stages run only on the rows each point's
-direct link leaves undecoded, unless every point leaves most rows.
+offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` builds for a
+batch as new arrays and ``_undecoded_rows`` in a workspace.  Every estimator
+evaluates them here: the capacity kernel through ``aggregate_batch``, and the
+outage, E(N) and Lemma 1 sweep through ``undecoded_counts``, whose relay
+stages run only on the rows each point's direct link leaves undecoded, unless
+every point leaves most rows.  A pass part draws each of its batches into one
+``_Workspace``, which also holds every array of that kernel, so the part maps
+its memory once, not once per batch.
 ``simulate_block`` is the scalar reference: it evaluates the estimators'
 decode condition, that of its ``SystemParams``.
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import decode_condition, relay_term
-from .channel import ChannelDraw, SystemParams, _check_relay_count
+from .channel import TRIALS_PER_BATCH, ChannelDraw, SystemParams, _check_relay_count
 from .errors import InvalidParameterError
 
 
@@ -102,7 +105,27 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
     return agg
 
 
-def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float]):
+class _Workspace:
+    """The buffers of ``undecoded_counts`` for batches of up to ``n_rows`` rows, reused batch after batch.
+
+    ``gains`` takes a batch's draw (``gains_batch(..., out=)``).  The kernel
+    writes the leading rows of the others: the contiguous g_sd, one (product,
+    sum) pair per relay hop, and the stages' ``agg``, ``term``, ``hit`` and
+    ``decoded``.  The row rule's scratch lives in the stage buffers, which are
+    free until the stages start: the stage-0 masks in ``hit`` and
+    ``decoded``, the sort key and each gathered g_sr in ``agg``, and the
+    sorted row indices in ``term`` viewed as int64, sorted from a copy in
+    ``g_sd``'s buffer, which g_sd's gather fills last.
+    """
+
+    def __init__(self, k_relays: int, n_rows: int = TRIALS_PER_BATCH):
+        self.gains = np.empty((n_rows, 1 + 2 * k_relays))
+        self.g_sd, self.agg, self.term = np.empty(n_rows), np.empty(n_rows), np.empty(n_rows)
+        self.hit, self.decoded = np.empty(n_rows, dtype=bool), np.empty(n_rows, dtype=bool)
+        self.hops = [(np.empty(n_rows), np.empty(n_rows)) for _ in range(k_relays)]
+
+
+def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float], ws: _Workspace):
     """g_sd and the hop terms of the rows kept and, per threshold, how many leading rows hold those it leaves undecoded.
 
     If the smallest threshold leaves more than half of the rows undecoded at
@@ -110,49 +133,77 @@ def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float]):
     of the rows costs more than the stages it saves.  Otherwise the rows kept
     are those the largest threshold leaves undecoded, ordered by g_sd if
     there are two or more thresholds, so that the rows each one leaves
-    undecoded lead.  A NaN threshold keeps every row.
+    undecoded lead.  A NaN threshold keeps every row.  The arrays returned
+    are leading rows of the buffers of ``ws``.
     """
-    g_sd = np.ascontiguousarray(gains[:, 0])  # the stages read it whole if every row stays
+    n, width = gains.shape
+    g_sd = ws.g_sd[:n]
+    np.copyto(g_sd, gains[:, 0])  # the stages read it whole if every row stays
     hi, lo = max(thresholds, key=lambda t: (t != t, t)), min(thresholds)  # cheaper than numpy's; NaN is the largest
-    undecoded = ~(g_sd >= hi)
+    undecoded = np.logical_not(np.greater_equal(g_sd, hi, out=ws.hit[:n]), out=ws.hit[:n])
     left = np.count_nonzero(undecoded)
     # lo leaves no more rows than hi: counted only if hi leaves most
-    if 2 * left > len(g_sd) and 2 * (left if lo == hi else np.count_nonzero(~(g_sd >= lo))) > len(g_sd):
-        return g_sd, list(_hops(gains, k_relays)), [len(g_sd)] * len(thresholds)
-    kept = np.flatnonzero(undecoded)
-    if len(thresholds) > 1:
-        kept = kept[np.argsort(g_sd[kept])]
-    del g_sd  # so that neither the whole column nor the kept g_sd sits beside the hop terms as they are gathered
-    hops, g_sd = list(_hops(gains, k_relays, kept)), gains[:, 0][kept]
-    leading = np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [len(kept)]
-    return g_sd, hops, leading
+    every_row = 2 * left > n and 2 * (
+        left if lo == hi else n - np.count_nonzero(np.greater_equal(g_sd, lo, out=ws.decoded[:n]))
+    ) > n
+    if every_row:
+        m = n
+
+        def column(c, out):
+            return gains[:, c]  # read in place
+    else:
+        rows = np.flatnonzero(undecoded)
+        m = len(rows)
+        if len(thresholds) > 1:
+            key = np.take(g_sd, rows, out=ws.agg[:m], mode="clip")
+            unsorted = ws.g_sd.view(np.int64)[:m]  # the column copy is read no more, and g_sd is gathered last
+            np.copyto(unsorted, rows)
+            del rows  # so that argsort's result is the only index array allocated
+            rows = np.take(unsorted, np.argsort(key), out=ws.term.view(np.int64)[:m], mode="clip")
+        flat, offset = gains.ravel(), 0  # a view of a C-contiguous batch (a copy of any other), gathered without a copy
+        np.multiply(rows, width, out=rows)  # the flat index of each kept row's g_sd
+
+        def column(c, out):
+            nonlocal offset
+            np.add(rows, c - offset, out=rows)  # now the flat index of column c
+            offset = c
+            # mode="clip" writes into out directly (the indices are valid); "raise" would go through a temporary
+            return np.take(flat, rows, out=out[:m], mode="clip")
+    hops = []
+    for i, (product, total) in enumerate(ws.hops):
+        g_sr, g_rd = column(1 + i, ws.agg), column(1 + k_relays + i, total)  # a gathered g_rd is summed in place
+        hops.append((np.multiply(g_rd, g_sr, out=product[:m]), np.add(g_rd, g_sr, out=total[:m])))
+    if every_row:
+        return g_sd, hops, [n] * len(thresholds)
+    g_sd = column(0, ws.g_sd)
+    return g_sd, hops, np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [m]
 
 
-def undecoded_counts(gains: np.ndarray, k_relays: int, points) -> list[list[int]]:
+def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace | None = None) -> list[list[int]]:
     """u_0..u_K at every decode condition (x, thr) of ``points``: the rows of a ``gains_batch`` matrix still undecoded after each stage.
 
     A row whose direct gain meets thr decodes at stage 0 whatever its relay
     terms, so the relay stages run only on the rows each point's direct link
     leaves undecoded: the leading rows of those ``_undecoded_rows`` keeps,
     every row if each point leaves most of them, whose hop terms g_rd*g_sr and
-    g_rd+g_sr it builds once per batch.  Every condition reuses the same
-    buffers.  A row's floats do not depend on its position, so the counts are
-    those of the whole batch.  The direct gains must not be NaN, as no draw is.
+    g_rd+g_sr it builds once per batch.  Every array lives in the workspace
+    ``ws``, new if None, which a pass reuses for each of its batches: a
+    condition reads only the leading rows this batch wrote.  A row's floats
+    do not depend on its position, so the counts are those of the whole
+    batch.  The direct gains must not be NaN, as no draw is.
 
     A row stays decoded even if a later term is NaN, as in
     ``simulate_block``: u_K rows are in outage, and a row uses one more
     sub-block for each u_m, m < K, that counts it.
     """
     _check_shape(gains, k_relays)
-    g_sd, hops, leading = _undecoded_rows(gains, k_relays, [thr for _, thr in points])
-    del gains  # a batch passed as a temporary is freed before the buffers are allocated
-    n = len(g_sd)
-    agg, term = np.empty(n), np.empty(n)
-    hit, decoded = np.empty(n, dtype=bool), np.empty(n, dtype=bool)
+    if ws is None:
+        ws = _Workspace(k_relays, len(gains))
+    g_sd, hops, leading = _undecoded_rows(gains, k_relays, [thr for _, thr in points], ws)
     out = []
     for (x, thr), u in zip(points, leading):
-        hit_u, decoded_u = hit[:u], decoded[:u]
-        stages = _running_sums(g_sd[:u], [(p[:u], s[:u]) for p, s in hops], x, agg[:u], term[:u])
+        hit_u, decoded_u = ws.hit[:u], ws.decoded[:u]
+        stages = _running_sums(g_sd[:u], [(p[:u], s[:u]) for p, s in hops], x, ws.agg[:u], ws.term[:u])
         np.greater_equal(next(stages), thr, out=decoded_u)
         counts = [u - int(np.count_nonzero(decoded_u))]
         for alpha in stages:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bafsim
+from bafsim import channel
 from bafsim.capacity import decode_condition
 from bafsim.channel import (
     TRIALS_PER_BATCH,
@@ -203,6 +204,33 @@ class TestDraws:
         full = gains_batch(v, 5, 0, 4096)
         part = gains_batch(v, 5, 0, 100)
         assert np.array_equal(full[:100], part)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [1, 63, 12_345, TRIALS_PER_BATCH])
+    def test_draw_into_a_buffer_gives_the_bytes_of_a_fresh_draw(self, k, rows):
+        v = LinkVariances(1.5, (2.0, 0.5, 3.0)[:k], (0.25, 4.0, 0.125)[:k])
+        buf = np.full((TRIALS_PER_BATCH, 1 + 2 * k), np.nan)
+        drawn = gains_batch(v, 3, 2, rows, out=buf)
+        assert drawn.base is buf and drawn.shape == (rows, 1 + 2 * k)
+        assert drawn.tobytes() == gains_batch(v, 3, 2, rows).tobytes()
+        assert np.isnan(buf[rows:]).all()  # the rows after the batch are left as they were
+
+    @pytest.mark.parametrize("buf", [
+        pytest.param(np.full((TRIALS_PER_BATCH, 4), np.nan), id="columns"),
+        pytest.param(np.full((99, 5), np.nan), id="too-few-rows"),
+        pytest.param(np.full(100 * 5, np.nan), id="one-dimensional"),
+        pytest.param(np.full((100, 5), np.nan, dtype=np.float32), id="float32"),
+        pytest.param(np.full((100, 5), np.nan, order="F"), id="fortran-order"),
+        pytest.param(np.full((100, 10), np.nan)[:, ::2], id="strided"),
+    ])
+    def test_a_buffer_that_cannot_hold_the_batch_is_rejected_before_any_draw(self, monkeypatch, buf):
+        def no_stream(*args):
+            raise AssertionError("drew gains before rejecting the buffer")
+
+        monkeypatch.setattr(channel, "batch_stream", no_stream)
+        with pytest.raises(InvalidParameterError, match="out must be"):
+            gains_batch(LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0)), 3, 2, 100, out=buf)
+        assert np.isnan(buf).all()
 
     def test_sample_mean_matches_variance(self):
         # law of large numbers at 1e6 draws: tolerance is 5 standard errors

@@ -36,7 +36,7 @@ from bafsim.montecarlo import (
     quadrature_outage_oracle,
     worker_count,
 )
-from bafsim.protocol import aggregate_batch
+from bafsim.protocol import aggregate_batch, undecoded_counts
 from protocol_reference import block_stats_batch
 
 UNIT = LinkVariances(1.0, (1.0,), (1.0,))
@@ -215,6 +215,37 @@ class TestOutageSweep:
         monkeypatch.setattr("bafsim.montecarlo.gains_batch", no_draws)
         with pytest.raises(InvalidParameterError):
             estimate_outage_sweep(self.V2, [] if bad is None else self.GRID + bad, 10_000, 1, workers=1)
+
+
+@pytest.mark.parametrize("spread", [(1.0,), (1.0, 2.0, 1.5)], ids=["one-point", "three-points"])
+def test_a_part_reuses_one_workspace_and_counts_as_fresh_arrays(monkeypatch, spread):
+    # at the smallest threshold the row rule keeps every row of the first batch, sorts the next two, and keeps
+    # every row of the last, short one, which must not read the rows the full batches left; every batch is drawn
+    # into one buffer
+    v, seed, plan, thr = LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 3, batch_plan(3 * TRIALS_PER_BATCH + 1000), 0.69
+    g_sd = [gains_batch(v, seed, j, rows)[:, 0] for j, rows in plan]
+    assert [2 * np.count_nonzero(column < thr) > len(column) for column in g_sd] == [True, False, False, True]
+    points = [(0.1 * i, s * thr) for i, s in enumerate(spread)]
+    buffers, seen = [], []
+
+    def draw(*args, out=None):
+        buffers.append(out)
+        return gains_batch(*args, out=out)
+
+    def counts(gains, k_relays, points, ws):
+        seen.append(undecoded_counts(gains, k_relays, points, ws))
+        return seen[-1]
+
+    monkeypatch.setattr(montecarlo, "gains_batch", draw)
+    monkeypatch.setattr(montecarlo, "undecoded_counts", counts)
+    totals = montecarlo._sweep_part((v, seed, plan, points))
+    assert len(buffers) == len(plan) and isinstance(buffers[0], np.ndarray) and all(b is buffers[0] for b in buffers)
+    fresh = [undecoded_counts(gains_batch(v, seed, j, rows), 2, points) for j, rows in plan]
+    assert seen == fresh
+    n = sum(rows for _, rows in plan)
+    for (outages, sum_n, _), per_batch in zip(totals, zip(*fresh)):
+        u = [sum(column) for column in zip(*per_batch)]
+        assert (outages, sum_n) == (u[-1], n + sum(u[:-1]))
 
 
 @st.composite

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, _hops, _undecoded_rows, aggregate_batch, simulate_block, undecoded_counts
+from bafsim.protocol import BlockOutcome, _hops, _undecoded_rows, _Workspace, aggregate_batch, simulate_block, undecoded_counts
 from protocol_reference import block_stats_batch
 
 gain = st.floats(0.0, 50.0)
@@ -264,13 +264,13 @@ class TestUndecodedCounts:
         assert undecoded_counts(np.asarray(_DRAWS, order=order), 2, points) == expected
 
     def test_rows_are_all_rows_when_the_smallest_threshold_leaves_most(self):
-        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, [5.0, 4.0])
+        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, [5.0, 4.0], _Workspace(2, 4000))
         assert leading == [4000, 4000] and np.array_equal(g_sd, _DRAWS[:, 0])  # unsorted
         assert [(len(p), len(s)) for p, s in hops] == [(4000, 4000)] * 2
 
     def test_rows_are_sorted_when_the_smallest_threshold_leaves_few(self):
         thresholds = [0.3, 0.01]
-        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, thresholds)
+        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, thresholds, _Workspace(2, 4000))
         assert np.array_equal(g_sd, np.sort(_DRAWS[_DRAWS[:, 0] < 0.3, 0]))
         assert leading == np.searchsorted(g_sd, thresholds, "left").tolist()
         assert leading == [int(np.count_nonzero(_DRAWS[:, 0] < thr)) for thr in thresholds]
