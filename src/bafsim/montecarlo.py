@@ -3,13 +3,15 @@
 Every estimator consumes trials through the fixed batch layout of
 :mod:`bafsim.channel`.  Every pass splits into contiguous parts, ranges of
 its batches or of the placement grid's positions, one per worker but at least
-``_PART_WORK`` of work each (``_ranges``), and runs two or more on a process
-pool (``_run_batches``).  A pass's work is n_trials * (1 + 2K + points): the
-exponentials drawn per trial plus one read per operating point (placement's
-are its grid positions, at K = 1).  No result depends on the split, so each
-is bit-identical for a given (master_seed, n_trials) at any worker count.
-Workers default to ``os.cpu_count()`` capped by ``BAF_WORKERS``, checked
-before any draw.
+``_PART_WORK`` of work each (``_ranges``), and runs two or more in forked
+worker processes, one part each (``_run_batches``): a child works on its copy
+of the parent, so the results are pickled and the tasks are not.  A pass's
+work is n_trials * (1 + 2K + points): the exponentials drawn per trial plus
+one read per operating point (placement's are its grid positions, at K = 1).
+No result depends on the split, so each is bit-identical for a given
+(master_seed, n_trials) at any worker count.  Workers default to
+``os.cpu_count()`` capped by ``BAF_WORKERS``, checked before any draw; without
+``os.fork`` there is one, and every pass runs in process.
 
 The quadrature oracle evaluates the one-relay outage probability
 Pr(U + VW/(V+W+x) < t) by nested adaptive quadrature, giving an independent
@@ -58,6 +60,8 @@ import functools
 import math
 import numbers
 import os
+import pickle
+import signal
 import sys
 import warnings
 from dataclasses import dataclass, replace
@@ -116,6 +120,8 @@ def worker_count(requested: int | None = None) -> int:
         cap = 0
     if cap < 1:
         raise InvalidParameterError(f"BAF_WORKERS must be a positive integer, got {env!r}")
+    if not hasattr(os, "fork"):
+        return 1  # pass parts run in forked children only
     return int(min(requested if requested is not None else (os.cpu_count() or 1), cap))
 
 
@@ -132,13 +138,85 @@ def _ranges(n_items: int, work: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_batches(worker, tasks: list) -> list:
-    """Evaluate ``worker`` over ``tasks``, in task order: one task in process, more on a pool of a worker each."""
+    """Evaluate ``worker`` over ``tasks``, in task order: one task in process, more in a forked child process each.
+
+    A child runs ``worker(task)`` on its copy of this process, so tasks are
+    not pickled; it pickles (True, result), or (False, exception) if the
+    worker raised, into a pipe of its own, and the exception is raised here
+    with its type and message.  Each write end is closed here before the next
+    fork, so a pipe's EOF means its child has exited, and the pipes are read
+    to EOF in task order: a child whose result fills its pipe waits only for
+    those ahead of it.  A child that sends nothing, or does not exit cleanly,
+    raises ``ChildProcessError`` naming its exit status or signal.  No child
+    outlives the call: on an error the children still running are killed,
+    and every child is reaped.  Without ``os.fork`` there is one worker
+    (``worker_count``), so every pass runs in process.
+    """
     if len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
+    children = []  # (pid, read end of its pipe), in task order, until reaped
+    try:
+        for task in tasks:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(worker, task, read, write)
+            except BaseException:
+                os.close(read)
+                raise
+            finally:
+                os.close(write)  # in the parent only: the child never returns
+            children.append((pid, open(read, "rb")))
+        results = []
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            results.append(_received(payload, status))
+        return results
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
-    with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-        return list(pool.map(worker, tasks))
+
+def _child(worker, task, read: int, write: int) -> None:
+    """Run ``worker(task)`` in a forked child, pickle its outcome into its pipe (``read``, ``write``) and exit: never returns.
+
+    The child closes its copy of the read end, so that once the parent has
+    closed its own, a write fails instead of blocking on a full pipe.
+    """
+    code = 1  # nothing sent, as when the outcome does not pickle
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps((True, worker(task)))
+        except BaseException as exc:  # the parent raises it
+            payload = pickle.dumps((False, exc))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(payload: bytes, status: int):
+    """The result a child sent, or its exception raised; ``ChildProcessError`` if it sent nothing or did not exit cleanly."""
+    code = os.waitstatus_to_exitcode(status)
+    if code or not payload:
+        how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+        raise ChildProcessError(f"a pass part's worker process sent no result ({how})")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    return value
 
 
 def _bernoulli_estimate(count: int, n: int) -> Estimate:
@@ -778,8 +856,8 @@ def _exact_passes(
     ``draw(j, rows)`` returns the gains of batch j of ``plan`` as the
     searches see them.  Each pass draws every batch once and serves all its
     points (see ``_pass_part``).  It is split into the contiguous parts
-    plan[a:b] of ``ranges`` (one part if None), run on the process pool if
-    there are two or more, and each point's states after
+    plan[a:b] of ``ranges`` (one part if None), run in forked worker
+    processes if there are two or more, and each point's states after
     the parts are merged in part order (``_PassPoint.merged``).  A point's
     first pass keeps its k0+1 smallest a0 and, in a ``_Rows``, the rows
     below a running bound on the window; where the final bracket lies inside

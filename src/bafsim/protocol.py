@@ -179,7 +179,7 @@ def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float], w
     return g_sd, hops, np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [m]
 
 
-def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace | None = None) -> list[list[int]]:
+def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace) -> list[list[int]]:
     """u_0..u_K at every decode condition (x, thr) of ``points``: the rows of a ``gains_batch`` matrix still undecoded after each stage.
 
     A row whose direct gain meets thr decodes at stage 0 whatever its relay
@@ -187,18 +187,16 @@ def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace | 
     leaves undecoded: the leading rows of those ``_undecoded_rows`` keeps,
     every row if each point leaves most of them, whose hop terms g_rd*g_sr and
     g_rd+g_sr it builds once per batch.  Every array lives in the workspace
-    ``ws``, new if None, which a pass reuses for each of its batches: a
-    condition reads only the leading rows this batch wrote.  A row's floats
-    do not depend on its position, so the counts are those of the whole
-    batch.  The direct gains must not be NaN, as no draw is.
+    ``ws``, of at least len(gains) rows, which a pass reuses for each of its
+    batches: a condition reads only the leading rows this batch wrote.  A
+    row's floats do not depend on its position, so the counts are those of
+    the whole batch.  The direct gains must not be NaN, as no draw is.
 
     A row stays decoded even if a later term is NaN, as in
     ``simulate_block``: u_K rows are in outage, and a row uses one more
     sub-block for each u_m, m < K, that counts it.
     """
     _check_shape(gains, k_relays)
-    if ws is None:
-        ws = _Workspace(k_relays, len(gains))
     g_sd, hops, leading = _undecoded_rows(gains, k_relays, [thr for _, thr in points], ws)
     out = []
     for (x, thr), u in zip(points, leading):

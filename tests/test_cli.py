@@ -173,7 +173,7 @@ class TestCapacity:
         assert metrics["eps_outage_capacity"]["rate"] == ""
 
     def test_benchmark_sweep_is_split_invariant_and_passes_the_benchmark_check(self, tmp_path, monkeypatch):
-        # 31 batches: one part at one worker, two parts on the process pool at two
+        # 31 batches: one part at one worker, two parts in forked workers at two
         benchmark = benchmark_script()
         argv = list(benchmark.WORKLOADS["capacity-sweep"].argv) + ["--seed", "7"]
         references = json.loads((PERFBENCH / "references.json").read_text(encoding="utf-8"))
@@ -587,7 +587,7 @@ class TestBenchmarkChild:
         spans_out = tmp_path / "spans.json"
         argv = ["placement", "--snr-db=-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101",
                 "--trials", "20000", "--seed", str(seed), "--out", str(tmp_path / "placement.csv")]
-        # the tracer sees no span inside a pool worker, so the traced run takes one worker
+        # the tracer sees no span inside a worker process, so the traced run takes one worker
         result = bench.spawn({"mode": "main", "argv": argv, "trace": True, "spans_out": str(spans_out)}, workers=1)
         assert result["rc"] == 0
         names = {span[0] for span in json.loads(spans_out.read_text(encoding="utf-8"))}
@@ -606,11 +606,33 @@ class TestImport:
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     def test_cli_import_leaves_the_process_pool_out(self):
-        # concurrent.futures.process and multiprocessing cost about 0.02 s of import;
-        # only a multi-worker outage pass starts the pool
+        # concurrent.futures.process and multiprocessing cost about 0.02 s of import
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
         code = "import bafsim.cli, sys; assert 'concurrent.futures.process' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+    def test_a_two_part_pass_forks_without_a_process_pool(self, tmp_path, monkeypatch):
+        # 22 K=2 points at 8 batches, 14.2 M of work: two parts at two workers, each in a forked child
+        argv = ["outage", "--snr-db=-20:-10:1", "--rate", "0.02,0.05", "--k", "2", "--pathloss", "0",
+                "--trials", str(8 * 65536), "--seed", "3"]
+        code = f"""
+import os, sys
+from bafsim.cli import main
+forks, fork = [], os.fork
+def counted():
+    pid = fork()
+    forks.append(pid)
+    return pid
+os.fork, os.cpu_count = counted, lambda: 2
+assert main({argv!r} + ["--out", sys.argv[1]]) == 0
+assert len(forks) == 2, forks
+assert not {{"concurrent.futures.process", "multiprocessing"}} & set(sys.modules), sorted(sys.modules)
+"""
+        env = {**os.environ, "BAF_WORKERS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", code, str(tmp_path / "w2.csv")], env=env, check=True, timeout=120)
+        monkeypatch.setenv("BAF_WORKERS", "1")
+        assert run_csv(tmp_path, argv, name="w1.csv")[0] == (tmp_path / "w2.csv").read_text()
 
 
 def _run_module(*args: str) -> subprocess.CompletedProcess:

@@ -1,6 +1,11 @@
+import fcntl
 import functools
 import math
 import multiprocessing
+import os
+import pickle
+import signal
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -36,7 +41,7 @@ from bafsim.montecarlo import (
     quadrature_outage_oracle,
     worker_count,
 )
-from bafsim.protocol import aggregate_batch, undecoded_counts
+from bafsim.protocol import _Workspace, aggregate_batch, undecoded_counts
 from protocol_reference import block_stats_batch
 
 UNIT = LinkVariances(1.0, (1.0,), (1.0,))
@@ -74,6 +79,130 @@ class TestWorkerCount:
         with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
             estimate_outage(UNIT, SystemParams(snr=0.1, rate=0.01), 10_000, 3, workers=requested)
 
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.setenv("BAF_WORKERS", "8")
+        monkeypatch.delattr(os, "fork")
+        assert worker_count(4) == 1
+        monkeypatch.setenv("BAF_WORKERS", "0")
+        with pytest.raises(InvalidParameterError):
+            worker_count(4)
+
+
+def _fan_out_task(task):
+    """A fan-out task: ("array", v) returns 1 MB of v, more than a pipe holds; the others fail as named."""
+    action, value = task
+    if action == "raise":
+        raise value
+    if action == "exit":
+        os._exit(value)
+    if action == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if action == "sleep":
+        time.sleep(value)
+    if action == "unpicklable":
+        raise ConvergenceError(lambda: value)  # neither its outcome nor this error pickles
+    if action == "pipes":  # the pipes this process holds each end of: {inode: {O_RDONLY, O_WRONLY}}
+        ends = {}
+        for fd in os.listdir("/proc/self/fd"):
+            target = os.readlink(f"/proc/self/fd/{fd}") if os.path.exists(f"/proc/self/fd/{fd}") else ""
+            if target.startswith("pipe:"):
+                ends.setdefault(target, set()).add(fcntl.fcntl(int(fd), fcntl.F_GETFL) & os.O_ACCMODE)
+        return ends
+    return np.full(1 << 17, value)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fan-out forks; without os.fork every pass runs in process")
+class TestRunBatches:
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        """A fan-out that blocks fails after 20 s, not never: the alarm raises in the waiting parent."""
+        def expire(signum, frame):
+            raise TimeoutError("the fan-out took over 20 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(20)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids of the children ``_run_batches`` forks, each of which must be reaped when it returns."""
+        pids, fork = [], os.fork
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    @staticmethod
+    def _assert_reaped(pids, count):
+        assert len(pids) == count
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_results_come_back_in_task_order(self, forked):
+        results = montecarlo._run_batches(_fan_out_task, [("array", v) for v in (3.0, 1.0, 2.0, 0.5)])
+        assert [r.nbytes for r in results] == [1 << 20] * 4
+        assert [np.unique(r).tolist() for r in results] == [[3.0], [1.0], [2.0], [0.5]]
+        self._assert_reaped(forked, 4)
+
+    def test_one_task_runs_in_process(self, forked):
+        assert montecarlo._run_batches(_fan_out_task, [("array", 7.0)])[0].nbytes == 1 << 20
+        self._assert_reaped(forked, 0)
+
+    @pytest.mark.parametrize("error", [
+        InvalidParameterError("epsilon must lie in (0, 1), got 2"),
+        ConvergenceError("no bracket after 60 doublings"),
+    ], ids=type)
+    def test_a_child_exception_is_raised_with_its_type_and_message(self, forked, error):
+        tasks = [("array", 1.0), ("raise", error), ("array", 2.0)]
+        with pytest.raises(type(error)) as raised:
+            montecarlo._run_batches(_fan_out_task, tasks)
+        assert type(raised.value) is type(error) and str(raised.value) == str(error)
+        self._assert_reaped(forked, 3)
+
+    @pytest.mark.parametrize("task, status", [
+        (("exit", 3), "exit status 3"),
+        (("kill", None), f"signal {int(signal.SIGKILL)}"),
+        (("unpicklable", None), "exit status 1"),
+    ], ids=["exit", "kill", "unpicklable"])
+    def test_a_child_that_sends_nothing_raises(self, forked, task, status):
+        with pytest.raises(ChildProcessError, match=rf"sent no result \({status}\)$"):
+            montecarlo._run_batches(_fan_out_task, [("array", 1.0), task, ("array", 2.0)])
+        self._assert_reaped(forked, 3)
+
+    @pytest.mark.parametrize("status, how", [(int(signal.SIGKILL), f"signal {int(signal.SIGKILL)}"), (3 << 8, "exit status 3")])
+    def test_an_unclean_exit_raises_whatever_the_child_sent(self, status, how):
+        # a child killed while it writes leaves part of its result in the pipe
+        payload = pickle.dumps((True, np.zeros(1000)))
+        for sent in (payload[: len(payload) // 2], payload):
+            with pytest.raises(ChildProcessError, match=rf"sent no result \({how}\)$"):
+                montecarlo._received(sent, status)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open files through /proc")
+    def test_a_child_holds_no_read_end_of_the_pipe_it_writes(self, forked):
+        # else a child whose parent is gone would block on a full pipe for ever, instead of failing to write
+        def both_ends(ends):
+            return {pipe for pipe, modes in ends.items() if len(modes) == 2}
+
+        own = both_ends(_fan_out_task(("pipes", None)))
+        for ends in montecarlo._run_batches(_fan_out_task, [("pipes", None)] * 3):
+            assert both_ends(ends) <= own
+        self._assert_reaped(forked, 3)
+
+    def test_children_still_running_are_killed_on_an_error(self, forked):
+        started = time.perf_counter()
+        with pytest.raises(ConvergenceError):
+            montecarlo._run_batches(_fan_out_task, [("raise", ConvergenceError("first")), ("sleep", 60.0)])
+        assert time.perf_counter() - started < 30.0
+        self._assert_reaped(forked, 2)
+
 
 class TestOutageEstimator:
     def test_zero_rate_never_in_outage(self):
@@ -90,7 +219,7 @@ class TestOutageEstimator:
             estimate_outage(UNIT, SystemParams(snr=1.0, rate=0.01, k_relays=2), 10_000, 3)
 
     def test_worker_count_never_changes_the_estimate(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # four batches: three parts on the pool
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # four batches: three parts in forked workers
         params = SystemParams(snr=0.1, rate=0.01)
         serial = estimate_outage(UNIT, params, 200_000, 17, workers=1)
         parallel = estimate_outage(UNIT, params, 200_000, 17, workers=3)
@@ -158,7 +287,7 @@ class TestExpectedNEstimator:
         assert np.array_equal(n_used >= 2, gains[:, 0] < thr)
 
     def test_worker_count_never_changes_the_estimate(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # three batches: three parts on the pool
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # three batches: three parts in forked workers
         params = SystemParams(snr=0.1, rate=0.001)
         assert estimate_expected_n(UNIT, params, 150_000, 8, workers=1) == estimate_expected_n(
             UNIT, params, 150_000, 8, workers=4
@@ -240,7 +369,7 @@ def test_a_part_reuses_one_workspace_and_counts_as_fresh_arrays(monkeypatch, spr
     monkeypatch.setattr(montecarlo, "undecoded_counts", counts)
     totals = montecarlo._sweep_part((v, seed, plan, points))
     assert len(buffers) == len(plan) and isinstance(buffers[0], np.ndarray) and all(b is buffers[0] for b in buffers)
-    fresh = [undecoded_counts(gains_batch(v, seed, j, rows), 2, points) for j, rows in plan]
+    fresh = [undecoded_counts(gains_batch(v, seed, j, rows), 2, points, _Workspace(2, rows)) for j, rows in plan]
     assert seen == fresh
     n = sum(rows for _, rows in plan)
     for (outages, sum_n, _), per_batch in zip(totals, zip(*fresh)):
@@ -1167,7 +1296,7 @@ def _counted_placement(*args, **kwargs):
         return found
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("BAF_WORKERS", "1")  # the counters live in this process: one segment, no pool
+        mp.setenv("BAF_WORKERS", "1")  # the counters live in this process: one segment, no fork
         mp.setattr(montecarlo, "_window_stage", counted_stage)
         mp.setattr(montecarlo, "_exact_passes", counted_exact)
         _, caps = empirical_capacity_vs_position(*args, **kwargs)

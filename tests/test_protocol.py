@@ -243,7 +243,7 @@ class TestUndecodedCounts:
         with np.errstate(over="ignore", invalid="ignore"):
             expected = [_counts_from_stats(*block_stats_batch(gains, px, pt, k), k) for px, pt in points]
             for layout in (gains, np.asfortranarray(gains)):
-                assert undecoded_counts(layout, k, points) == expected
+                assert undecoded_counts(layout, k, points, _Workspace(k, len(gains))) == expected
 
     @pytest.mark.parametrize("thresholds", [
         pytest.param([0.3, 0.01, 0.1, 0.03], id="unsorted"),
@@ -261,7 +261,7 @@ class TestUndecodedCounts:
     def test_sweep_matches_block_stats(self, thresholds, order):
         points = [(0.05 * (i % 3), thr) for i, thr in enumerate(thresholds)]
         expected = [_counts_from_stats(*block_stats_batch(_DRAWS, x, thr, 2), 2) for x, thr in points]
-        assert undecoded_counts(np.asarray(_DRAWS, order=order), 2, points) == expected
+        assert undecoded_counts(np.asarray(_DRAWS, order=order), 2, points, _Workspace(2, len(_DRAWS))) == expected
 
     def test_rows_are_all_rows_when_the_smallest_threshold_leaves_most(self):
         g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, [5.0, 4.0], _Workspace(2, 4000))
@@ -281,7 +281,7 @@ class TestUndecodedCounts:
         # misses thr: draws are nonnegative, so the aggregate never falls; the gains are left as they were
         gains, k = _DRAWS.copy(), 2
         for points in ([(0.05, 0.1)], [(0.05, 5.0)], [(0.05, 0.3), (0.0, 0.01), (0.2, 0.1)]):
-            counts = undecoded_counts(gains, k, points)
+            counts = undecoded_counts(gains, k, points, _Workspace(k, len(gains)))
             for (x, thr), row in zip(points, counts):
                 stages = [gains[:, 0]] + [
                     aggregate_batch(gains[:, [0, *range(1, 1 + m), *range(1 + k, 1 + k + m)]], m, x) for m in (1, 2)
@@ -291,4 +291,4 @@ class TestUndecodedCounts:
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidParameterError):
-            undecoded_counts(np.zeros((4, 3)), 2, [(0.1, 0.01)])
+            undecoded_counts(np.zeros((4, 3)), 2, [(0.1, 0.01)], _Workspace(2, 4))
