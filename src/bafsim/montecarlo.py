@@ -22,9 +22,11 @@ One pass task serves the outage probability, E(N) and Lemma 1's ratio: it
 draws each batch of its range once for all points, since the draws depend
 only on (master_seed, batch index, link variances), and counts the rows still
 undecoded after every stage with ``undecoded_counts`` at every decode
-condition (x, threshold) of a sweep.  Its relay stages run only on the rows
-each point's direct link leaves undecoded: one ordering of the batch by g_sd
-makes them a prefix.  The parts' integer sums add up in part order.
+condition (x, threshold) of a sweep.  It takes the points from the largest
+threshold down, and whenever a point's direct link leaves at most half of the
+rows in play undecoded, it compacts them to those rows, so the relay stages
+skip the rows decoded at stage 0.  The parts' integer sums add up in part
+order.
 ``estimate_outage`` and ``estimate_expected_n`` are one-point sweeps, and
 ``lemma1_ratio_experiment`` is a one-relay sweep over its points (x, g).
 
@@ -253,8 +255,8 @@ def _sweep_part(task) -> list[tuple[int, int, int]]:
     """(outages, sum of N, sum of N^2) at every decode condition of a sweep, over one part of a pass's batches.
 
     ``task`` is (variances, master_seed, plan, points).  The relay stages run
-    only on the rows each point's direct link leaves undecoded (see
-    ``undecoded_counts``).  Every batch is drawn into the part's one
+    on the rows in play, which ``undecoded_counts`` compacts as the points'
+    direct links decode them.  Every batch is drawn into the part's one
     ``_Workspace`` and counted in it.  With u_m the rows still undecoded after
     stage m, a row uses one sub-block plus one for each u_m, m < K, that
     counts it: sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as
@@ -294,6 +296,15 @@ def _outage_pass(variances: LinkVariances, points, n_trials: int, master_seed: i
     return [tuple(sum(column) for column in zip(*point)) for point in zip(*parts)]
 
 
+def _decode_pass(
+    variances: LinkVariances, params_seq, n_trials: int, master_seed: int, workers: int | None, threshold_mode: str
+) -> list:
+    """``_outage_pass`` at the decode condition of every operating point of ``params_seq``."""
+    points = _sweep_points(variances, params_seq, n_trials,
+                           lambda p: decode_condition(p.rate, p.snr, p.tau, p.k_relays, threshold_mode))
+    return _outage_pass(variances, points, n_trials, master_seed, workers)
+
+
 def estimate_outage_sweep(
     variances: LinkVariances,
     params_seq,
@@ -307,9 +318,7 @@ def estimate_outage_sweep(
     Each batch of gains is drawn once and serves every point, so a sweep
     costs one pass over the draws; each estimate equals the one-point call's.
     """
-    points = _sweep_points(variances, params_seq, n_trials,
-                           lambda p: decode_condition(p.rate, p.snr, p.tau, p.k_relays, threshold_mode))
-    totals = _outage_pass(variances, points, n_trials, master_seed, workers)
+    totals = _decode_pass(variances, params_seq, n_trials, master_seed, workers, threshold_mode)
     return [_bernoulli_estimate(outages, n_trials) for outages, _, _ in totals]
 
 
@@ -334,9 +343,7 @@ def estimate_expected_n(
     threshold_mode: str = "exact",
 ) -> Estimate:
     """Sample mean of sub-blocks consumed per message (fixed relay order)."""
-    points = _sweep_points(variances, [params], n_trials,
-                           lambda p: decode_condition(p.rate, p.snr, p.tau, p.k_relays, threshold_mode))
-    [(_, total_n, total_n_sq)] = _outage_pass(variances, points, n_trials, master_seed, workers)
+    [(_, total_n, total_n_sq)] = _decode_pass(variances, [params], n_trials, master_seed, workers, threshold_mode)
     return _mean_estimate(total_n, total_n_sq, n_trials)
 
 

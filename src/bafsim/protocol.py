@@ -4,13 +4,15 @@ This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
 offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` builds for a
-batch as new arrays and ``_undecoded_rows`` in a workspace.  Every estimator
+batch as new arrays and ``undecoded_counts`` in a workspace.  Every estimator
 evaluates them here: the capacity kernel through ``aggregate_batch``, and the
-outage, E(N) and Lemma 1 sweep through ``undecoded_counts``, whose relay
-stages run only on the rows each point's direct link leaves undecoded, unless
-every point leaves most rows.  A pass part draws each of its batches into one
-``_Workspace``, which also holds every array of that kernel, so the part maps
-its memory once, not once per batch.
+outage, E(N) and Lemma 1 sweep through ``undecoded_counts``, which takes its
+points from the largest threshold down and compacts the rows in play to
+those a point leaves undecoded at stage 0 whenever they are at most half of
+them, so the relay stages skip the rows the direct link decodes.  A pass
+part draws each of its batches into one ``_Workspace``, which also holds
+every array of that kernel, so the part maps its memory once, not once per
+batch.
 ``simulate_block`` is the scalar reference: it evaluates the estimators'
 decode condition, that of its ``SystemParams``.
 
@@ -108,14 +110,11 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
 class _Workspace:
     """The buffers of ``undecoded_counts`` for batches of up to ``n_rows`` rows, reused batch after batch.
 
-    ``gains`` takes a batch's draw (``gains_batch(..., out=)``).  The kernel
-    writes the leading rows of the others: the contiguous g_sd, one (product,
-    sum) pair per relay hop, and the stages' ``agg``, ``term``, ``hit`` and
-    ``decoded``.  The row rule's scratch lives in the stage buffers, which are
-    free until the stages start: the stage-0 masks in ``hit`` and
-    ``decoded``, the sort key and each gathered g_sr in ``agg``, and the
-    sorted row indices in ``term`` viewed as int64, sorted from a copy in
-    ``g_sd``'s buffer, which g_sd's gather fills last.
+    ``gains`` takes a batch's draw (``gains_batch(..., out=)``) and, until
+    the hop terms are built, the rows in play.  The kernel writes the
+    leading rows of the others: the contiguous g_sd, one (product, sum) pair
+    per relay hop, and the stages' ``agg``, ``term``, ``hit`` and
+    ``decoded``.
     """
 
     def __init__(self, k_relays: int, n_rows: int = TRIALS_PER_BATCH):
@@ -125,88 +124,53 @@ class _Workspace:
         self.hops = [(np.empty(n_rows), np.empty(n_rows)) for _ in range(k_relays)]
 
 
-def _undecoded_rows(gains: np.ndarray, k_relays: int, thresholds: list[float], ws: _Workspace):
-    """g_sd and the hop terms of the rows kept and, per threshold, how many leading rows hold those it leaves undecoded.
-
-    If the smallest threshold leaves more than half of the rows undecoded at
-    stage 0, every row is kept and leads at every threshold: gathering most
-    of the rows costs more than the stages it saves.  Otherwise the rows kept
-    are those the largest threshold leaves undecoded, ordered by g_sd if
-    there are two or more thresholds, so that the rows each one leaves
-    undecoded lead.  A NaN threshold keeps every row.  The arrays returned
-    are leading rows of the buffers of ``ws``.
-    """
-    n, width = gains.shape
-    g_sd = ws.g_sd[:n]
-    np.copyto(g_sd, gains[:, 0])  # the stages read it whole if every row stays
-    hi, lo = max(thresholds, key=lambda t: (t != t, t)), min(thresholds)  # cheaper than numpy's; NaN is the largest
-    undecoded = np.logical_not(np.greater_equal(g_sd, hi, out=ws.hit[:n]), out=ws.hit[:n])
-    left = np.count_nonzero(undecoded)
-    # lo leaves no more rows than hi: counted only if hi leaves most
-    every_row = 2 * left > n and 2 * (
-        left if lo == hi else n - np.count_nonzero(np.greater_equal(g_sd, lo, out=ws.decoded[:n]))
-    ) > n
-    if every_row:
-        m = n
-
-        def column(c, out):
-            return gains[:, c]  # read in place
-    else:
-        rows = np.flatnonzero(undecoded)
-        m = len(rows)
-        if len(thresholds) > 1:
-            key = np.take(g_sd, rows, out=ws.agg[:m], mode="clip")
-            unsorted = ws.g_sd.view(np.int64)[:m]  # the column copy is read no more, and g_sd is gathered last
-            np.copyto(unsorted, rows)
-            del rows  # so that argsort's result is the only index array allocated
-            rows = np.take(unsorted, np.argsort(key), out=ws.term.view(np.int64)[:m], mode="clip")
-        flat, offset = gains.ravel(), 0  # a view of a C-contiguous batch (a copy of any other), gathered without a copy
-        np.multiply(rows, width, out=rows)  # the flat index of each kept row's g_sd
-
-        def column(c, out):
-            nonlocal offset
-            np.add(rows, c - offset, out=rows)  # now the flat index of column c
-            offset = c
-            # mode="clip" writes into out directly (the indices are valid); "raise" would go through a temporary
-            return np.take(flat, rows, out=out[:m], mode="clip")
-    hops = []
-    for i, (product, total) in enumerate(ws.hops):
-        g_sr, g_rd = column(1 + i, ws.agg), column(1 + k_relays + i, total)  # a gathered g_rd is summed in place
-        hops.append((np.multiply(g_rd, g_sr, out=product[:m]), np.add(g_rd, g_sr, out=total[:m])))
-    if every_row:
-        return g_sd, hops, [n] * len(thresholds)
-    g_sd = column(0, ws.g_sd)
-    return g_sd, hops, np.searchsorted(g_sd, thresholds, "left").tolist() if len(thresholds) > 1 else [m]
-
-
 def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace) -> list[list[int]]:
     """u_0..u_K at every decode condition (x, thr) of ``points``: the rows of a ``gains_batch`` matrix still undecoded after each stage.
 
     A row whose direct gain meets thr decodes at stage 0 whatever its relay
-    terms, so the relay stages run only on the rows each point's direct link
-    leaves undecoded: the leading rows of those ``_undecoded_rows`` keeps,
-    every row if each point leaves most of them, whose hop terms g_rd*g_sr and
-    g_rd+g_sr it builds once per batch.  Every array lives in the workspace
-    ``ws``, of at least len(gains) rows, which a pass reuses for each of its
-    batches: a condition reads only the leading rows this batch wrote.  A
-    row's floats do not depend on its position, so the counts are those of
-    the whole batch.  The direct gains must not be NaN, as no draw is.
+    terms, and so at every smaller threshold.  The points are taken from the
+    largest threshold down, NaN first, on the rows in play, at first the
+    whole batch: whenever a point leaves at most half of them undecoded at
+    stage 0, the rows in play become those, in order, compacted into the
+    workspace ``ws``: g_sd, and with it whole rows of the batch before the
+    hop terms g_rd*g_sr and g_rd+g_sr are built, at the first point, or the
+    hop terms after.  The rows dropped are decoded at every later point, so
+    a point counts u_m on the rows in play, and the counts are those of the
+    whole batch.  ``ws`` holds at least len(gains) rows, and a pass reuses it
+    for each of its batches: a point reads only the leading rows this batch
+    wrote.
 
     A row stays decoded even if a later term is NaN, as in
     ``simulate_block``: u_K rows are in outage, and a row uses one more
     sub-block for each u_m, m < K, that counts it.
     """
     _check_shape(gains, k_relays)
-    g_sd, hops, leading = _undecoded_rows(gains, k_relays, [thr for _, thr in points], ws)
-    out = []
-    for (x, thr), u in zip(points, leading):
-        hit_u, decoded_u = ws.hit[:u], ws.decoded[:u]
-        stages = _running_sums(g_sd[:u], [(p[:u], s[:u]) for p, s in hops], x, ws.agg[:u], ws.term[:u])
-        np.greater_equal(next(stages), thr, out=decoded_u)
-        counts = [u - int(np.count_nonzero(decoded_u))]
+    m, hops, out = len(gains), None, [None] * len(points)
+    g_sd = ws.g_sd[:m]
+    np.copyto(g_sd, gains[:, 0])  # read once from the strided column
+    for i in sorted(range(len(points)), key=lambda i: (points[i][1] == points[i][1], -points[i][1])):  # NaN first
+        x, thr = points[i]
+        decoded = np.greater_equal(g_sd, thr, out=ws.decoded[:m])
+        u = m - int(np.count_nonzero(decoded))
+        if 2 * u <= m:
+            rows = np.flatnonzero(np.logical_not(decoded, out=ws.hit[:m]))
+            # the indices are valid; mode="raise" would copy out first
+            g_sd = np.take(g_sd, rows, out=g_sd[:u], mode="clip")
+            if hops is None:
+                gains = np.take(gains, rows, axis=0, out=ws.gains[:u], mode="clip")
+            else:
+                hops = [(np.take(p, rows, out=p[:u], mode="clip"), np.take(s, rows, out=s[:u], mode="clip"))
+                        for p, s in hops]
+            m, decoded = u, ws.decoded[:u]
+            decoded.fill(False)
+        if hops is None:
+            hops = [(np.multiply(g_rd, g_sr, out=p[:m]), np.add(g_rd, g_sr, out=s[:m]))
+                    for (p, s), g_sr, g_rd in zip(ws.hops, gains[:, 1:1 + k_relays].T, gains[:, 1 + k_relays:].T)]
+        stages = _running_sums(g_sd, hops, x, ws.agg[:m], ws.term[:m])
+        next(stages)
+        counts = [u]
         for alpha in stages:
-            np.greater_equal(alpha, thr, out=hit_u)
-            np.logical_or(decoded_u, hit_u, out=decoded_u)
-            counts.append(u - int(np.count_nonzero(decoded_u)))
-        out.append(counts)
+            np.logical_or(decoded, np.greater_equal(alpha, thr, out=ws.hit[:m]), out=decoded)
+            counts.append(m - int(np.count_nonzero(decoded)))
+        out[i] = counts
     return out

@@ -224,7 +224,7 @@ def test_criterion_7_property_suites():
       "--seed", "31"], "capacity"),
     (["placement", "--snr-db", "-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101",
       "--trials", "200000", "--seed", "31"], "placement"),
-    # several points of a K=2 sweep share each batch's g_sd ordering
+    # several points of a K=2 sweep share each batch's compacted rows
     (["outage", "--snr-db=-10:0:5", "--rate", "0.02,0.05", "--k", "2", "--pathloss", "0", "--trials", "1000000"],
      "outage-sweep"),
     (["lemma1", "--g-list", "0.1,0.05,0.02", "--trials", "1000000", "--pathloss", "0", "--seed", "31"], "lemma1"),

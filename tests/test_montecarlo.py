@@ -2,6 +2,8 @@ import fcntl
 import functools
 import math
 import multiprocessing
+import multiprocessing.forkserver
+import multiprocessing.resource_tracker
 import os
 import pickle
 import signal
@@ -346,15 +348,28 @@ class TestOutageSweep:
             estimate_outage_sweep(self.V2, [] if bad is None else self.GRID + bad, 10_000, 1, workers=1)
 
 
-@pytest.mark.parametrize("spread", [(1.0,), (1.0, 2.0, 1.5)], ids=["one-point", "three-points"])
-def test_a_part_reuses_one_workspace_and_counts_as_fresh_arrays(monkeypatch, spread):
-    # at the smallest threshold the row rule keeps every row of the first batch, sorts the next two, and keeps
-    # every row of the last, short one, which must not read the rows the full batches left; every batch is drawn
-    # into one buffer
-    v, seed, plan, thr = LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 3, batch_plan(3 * TRIALS_PER_BATCH + 1000), 0.69
-    g_sd = [gains_batch(v, seed, j, rows)[:, 0] for j, rows in plan]
-    assert [2 * np.count_nonzero(column < thr) > len(column) for column in g_sd] == [True, False, False, True]
-    points = [(0.1 * i, s * thr) for i, s in enumerate(spread)]
+def _compactions(g_sd, thresholds):
+    """The points, counted from the largest threshold down, at which the row rule compacts the rows in play."""
+    at = []
+    for i, thr in enumerate(sorted(thresholds, reverse=True)):
+        left = g_sd[~(g_sd >= thr)]
+        if 2 * len(left) <= len(g_sd):
+            g_sd = left
+            at.append(i)
+    return at
+
+
+@pytest.mark.parametrize("thresholds, compactions", [
+    ((0.692,), [[], [0], [], []]),
+    ((0.692, 0.69, 0.689), [[], [0], [1], []]),
+], ids=["one-point", "three-points"])
+def test_a_part_reuses_one_workspace_and_counts_as_fresh_arrays(monkeypatch, thresholds, compactions):
+    # the row rule compacts no rows of the first batch, whole rows of the second before its hop terms are built
+    # (at the first point), and, with three points, the hop terms of the third after them; the last, short batch,
+    # which compacts nothing, must not read the rows the full batches left.  Every batch is drawn into one buffer
+    v, seed, plan = LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 3, batch_plan(3 * TRIALS_PER_BATCH + 1000)
+    assert [_compactions(gains_batch(v, seed, j, rows)[:, 0], thresholds) for j, rows in plan] == compactions
+    points = [(0.1 * i, thr) for i, thr in enumerate(thresholds)]
     buffers, seen = [], []
 
     def draw(*args, out=None):
@@ -518,6 +533,7 @@ class TestOutageParts:
     def test_part_counts_of_the_benchmark_passes_at_two_workers(self, n_items, n_trials, k, points, parts):
         assert len(montecarlo._ranges(n_items, n_trials * (1 + 2 * k + points), 2)) == parts
 
+    @pytest.mark.usefixtures("stop_the_forkserver")
     def test_parts_read_nothing_of_the_parent_process(self):
         case = PER_BATCH_SPLITS["fused"][:3] + ([0, 2, 3, 5],)
         assert _outage_totals(case, 11, _forkserver_batches) == _outage_totals(case, 11)
@@ -1100,6 +1116,17 @@ def _forkserver_batches(worker, tasks):
         return list(pool.map(worker, tasks))
 
 
+@pytest.fixture
+def stop_the_forkserver():
+    """After a test that starts a forkserver pool, stops the forkserver and the resource tracker, which would otherwise
+    stay children of the test process until it exits, and checks that no child is left."""
+    yield
+    multiprocessing.forkserver._forkserver._stop()
+    multiprocessing.resource_tracker._resource_tracker._stop()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _window_contract(gains):
     """``_window_stage`` that first checks its window against all the trials ``gains``: the rows with a0 in
     [low, high) are those of all the trials, in trial order, and ``below`` counts the trials below ``low``."""
@@ -1202,6 +1229,7 @@ class TestPassParts:
             if workers == 1:
                 assert [res.iterations for res in results] == FLOOR_PASSES[case]
 
+    @pytest.mark.usefixtures("stop_the_forkserver")
     def test_parts_read_nothing_of_the_parent_process(self):
         found = _split_passes("over-budget", [0, 2, 3], _forkserver_batches)
         assert [stage for stage, _ in found] == _one_part_stages("over-budget")
@@ -1432,6 +1460,7 @@ class TestPlacementSegments:
         assert np.array_equal(curves[0], curves[1]) and np.array_equal(curves[0], curves[2])
         assert np.array_equal(curves[0], _one_segment_curve(8.0, 101, "exact"))
 
+    @pytest.mark.usefixtures("stop_the_forkserver")
     def test_segments_read_nothing_of_the_parent_process(self):
         # forkserver workers start from a fresh import, not from a copy of this process
         tasks = _segment_tasks(5.0, *SEGMENT_CASE, 101, "linearized", [0, 33, 67, 101])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
 from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, _hops, _undecoded_rows, _Workspace, aggregate_batch, simulate_block, undecoded_counts
+from bafsim.protocol import BlockOutcome, _hops, _Workspace, aggregate_batch, simulate_block, undecoded_counts
 from protocol_reference import block_stats_batch
 
 gain = st.floats(0.0, 50.0)
@@ -216,6 +216,7 @@ _PICKS = st.lists(st.tuples(st.booleans(), st.integers(0, 16)), min_size=1, max_
 # the case's condition, then x = 0 (0/0 terms on zero gains) and a lower threshold
 _THREE_POINTS = [(True, 0), (False, 0), (True, 1)]
 _DRAWS = gains_batch(LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 7, 0, 4000)
+_G_SD = np.sort(_DRAWS[:, 0])  # _G_SD[j] leaves j of the 4000 rows undecoded at stage 0: no two direct gains are equal
 
 
 class TestUndecodedCounts:
@@ -256,25 +257,18 @@ class TestUndecodedCounts:
         pytest.param([5.0, 4.0], id="two-points-most-rows-left"),
         pytest.param([5.0, 0.05], id="most-rows-left-by-one-point"),
         pytest.param([0.5 * _DRAWS[:, 0].min(), 0.0], id="no-rows-left"),
+        pytest.param([_G_SD[2000]], id="half-left-compacts"),
+        pytest.param([_G_SD[2001]], id="one-more-than-half-left-does-not-compact"),
+        pytest.param([5.0, _G_SD[2001], _G_SD[1000]], id="compacts-only-at-a-later-point"),
+        pytest.param([_G_SD[500], _G_SD[2000], _G_SD[250], _G_SD[1000]], id="compacts-at-four-points"),
+        pytest.param([0.05, math.nan], id="nan-beside-a-small-one"),
+        pytest.param([math.inf, 0.05], id="inf-beside-a-small-one"),
     ])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_sweep_matches_block_stats(self, thresholds, order):
         points = [(0.05 * (i % 3), thr) for i, thr in enumerate(thresholds)]
         expected = [_counts_from_stats(*block_stats_batch(_DRAWS, x, thr, 2), 2) for x, thr in points]
         assert undecoded_counts(np.asarray(_DRAWS, order=order), 2, points, _Workspace(2, len(_DRAWS))) == expected
-
-    def test_rows_are_all_rows_when_the_smallest_threshold_leaves_most(self):
-        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, [5.0, 4.0], _Workspace(2, 4000))
-        assert leading == [4000, 4000] and np.array_equal(g_sd, _DRAWS[:, 0])  # unsorted
-        assert [(len(p), len(s)) for p, s in hops] == [(4000, 4000)] * 2
-
-    def test_rows_are_sorted_when_the_smallest_threshold_leaves_few(self):
-        thresholds = [0.3, 0.01]
-        g_sd, hops, leading = _undecoded_rows(_DRAWS, 2, thresholds, _Workspace(2, 4000))
-        assert np.array_equal(g_sd, np.sort(_DRAWS[_DRAWS[:, 0] < 0.3, 0]))
-        assert leading == np.searchsorted(g_sd, thresholds, "left").tolist()
-        assert leading == [int(np.count_nonzero(_DRAWS[:, 0] < thr)) for thr in thresholds]
-        assert [(len(p), len(s)) for p, s in hops] == [(len(g_sd), len(g_sd))] * 2
 
     def test_counts_are_those_of_the_stage_aggregates(self):
         # u_m counts the rows whose aggregate after stage m, the float aggregate_batch gives on the first m relays,
