@@ -138,10 +138,10 @@ def _parse_sweep(name: str, text: str) -> tuple[float, ...]:
         raise InvalidParameterError(f"{name} step must be > 0, got {step!r}")
     if stop < start:
         raise InvalidParameterError(f"{name} stop must be >= start, got {text!r}")
-    span = (stop - start) / step
-    if not span < MAX_SWEEP_POINTS:
+    span = (stop - start) / step  # inf where stop - start or the quotient overflows
+    count = math.floor(span + 1e-9) + 1 if span < MAX_SWEEP_POINTS else math.inf
+    if count > MAX_SWEEP_POINTS:
         raise InvalidParameterError(f"{name} sweep {text!r} exceeds {MAX_SWEEP_POINTS} points")
-    count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
 
 

@@ -4,10 +4,12 @@ Every estimator consumes trials through the fixed batch layout of
 :mod:`bafsim.channel`.  Every pass splits into contiguous parts, ranges of
 its batches or of the placement grid's positions, one per worker but at least
 ``_PART_WORK`` of work each (``_ranges``), and runs two or more in forked
-worker processes, one part each (``_run_batches``): a child works on its copy
-of the parent, so the results are pickled and the tasks are not.  A pass's
-work is n_trials * (1 + 2K + points): the exponentials drawn per trial plus
-one read per operating point (placement's are its grid positions, at K = 1).
+worker processes, one part each (``_run_batches``): a child calls the worker
+with its part's arguments on its copy of the parent, so only the results are
+pickled, and it reads the parent's arrays, such as the placement draws,
+without copying them.  A pass's work is n_trials * (1 + 2K + points): the
+exponentials drawn per trial plus one read per operating point (placement's
+are its grid positions, at K = 1).
 No result depends on the split, so each is bit-identical for a given
 (master_seed, n_trials) at any worker count.  Workers default to
 ``os.cpu_count()`` capped by ``BAF_WORKERS``, checked before any draw; without
@@ -44,16 +46,16 @@ capacity sweep draws each batch once for all its points, each keeping its
 k0+1 smallest aggregates and the rows below a running bound, and draws it a
 second time only for the points whose rows do not fit the memory of one
 array of n_trials aggregates, or whose kept rows miss the final bracket.
-The parts of a pass are merged in batch order.  A segment of the placement
-grid draws the unit draws itself, restarts its chain of start rates from the
-closed form, and bounds each block of relay positions in one pass over its
-unit draws, solving every position of the block on that window; a position
-the window cannot hold falls back to the exact pass.  Every capacity is the
-unique root of its outage count, whatever the split.  Every kernel function takes
-the gains as its search sees them: each position scales the unit draws by
-its variance row where it reads them.  One float bisection,
-``_solve_increasing``, finds every root the module needs: the kernel's rate
-bracket, the capacity itself and lemma1's policy offset.
+The parts of a pass are merged in batch order.  The placement grid's unit
+draws are made once, by the caller, and read-only.  Each segment of the grid
+restarts its chain of start rates from the closed form, and bounds each block
+of relay positions in one pass over the unit draws, solving every position of
+the block on that window; a position the window cannot hold falls back to the
+exact pass.  Every capacity is the unique root of its outage count, whatever
+the split.  Every kernel function takes the gains as its search sees them:
+each position scales the unit draws by its variance row where it reads them.
+One float bisection, ``_solve_increasing``, finds every root the module needs:
+the kernel's rate bracket, the capacity itself and lemma1's policy offset.
 """
 
 from __future__ import annotations
@@ -140,22 +142,23 @@ def _ranges(n_items: int, work: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_batches(worker, tasks: list) -> list:
-    """Evaluate ``worker`` over ``tasks``, in task order: one task in process, more in a forked child process each.
+    """``worker(*task)`` for each of ``tasks``, in task order: one task in process, more in a forked child process each.
 
-    A child runs ``worker(task)`` on its copy of this process, so tasks are
-    not pickled; it pickles (True, result), or (False, exception) if the
-    worker raised, into a pipe of its own, and the exception is raised here
-    with its type and message.  Each write end is closed here before the next
-    fork, so a pipe's EOF means its child has exited, and the pipes are read
-    to EOF in task order: a child whose result fills its pipe waits only for
-    those ahead of it.  A child that sends nothing, or does not exit cleanly,
-    raises ``ChildProcessError`` naming its exit status or signal.  No child
-    outlives the call: on an error the children still running are killed,
-    and every child is reaped.  Without ``os.fork`` there is one worker
-    (``worker_count``), so every pass runs in process.
+    A child calls the worker on its copy of this process, so tasks are not
+    pickled and their arrays are read copy-on-write; it pickles (True, result),
+    or (False, exception) if the worker raised, into a pipe of its own, and the
+    exception is raised here with its type and message.  Each write end is
+    closed here before the next fork, so a pipe's EOF means its child has
+    exited, and the pipes are read to EOF in task order: a child whose result
+    fills its pipe waits only for those ahead of it.  A child that sends
+    nothing, or does not exit cleanly, raises ``ChildProcessError`` naming its
+    exit status or signal.  No child outlives the call: on an error the
+    children still running are killed, and every child is reaped.  Without
+    ``os.fork`` there is one worker (``worker_count``), so every pass runs in
+    process.
     """
     if len(tasks) <= 1:
-        return [worker(t) for t in tasks]
+        return [worker(*t) for t in tasks]
     children = []  # (pid, read end of its pipe), in task order, until reaped
     try:
         for task in tasks:
@@ -190,7 +193,7 @@ def _run_batches(worker, tasks: list) -> list:
 
 
 def _child(worker, task, read: int, write: int) -> None:
-    """Run ``worker(task)`` in a forked child, pickle its outcome into its pipe (``read``, ``write``) and exit: never returns.
+    """Run ``worker(*task)`` in a forked child, pickle its outcome into its pipe (``read``, ``write``) and exit: never returns.
 
     The child closes its copy of the read end, so that once the parent has
     closed its own, a write fails instead of blocking on a full pipe.
@@ -199,7 +202,7 @@ def _child(worker, task, read: int, write: int) -> None:
     try:
         os.close(read)
         try:
-            payload = pickle.dumps((True, worker(task)))
+            payload = pickle.dumps((True, worker(*task)))
         except BaseException as exc:  # the parent raises it
             payload = pickle.dumps((False, exc))
         with open(write, "wb") as pipe:
@@ -251,18 +254,16 @@ def _check_trials(n_trials: int) -> None:
         raise InvalidParameterError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials!r}")
 
 
-def _sweep_part(task) -> list[tuple[int, int, int]]:
-    """(outages, sum of N, sum of N^2) at every decode condition of a sweep, over one part of a pass's batches.
+def _sweep_part(variances: LinkVariances, master_seed: int, plan, points) -> list[tuple[int, int, int]]:
+    """(outages, sum of N, sum of N^2) at every decode condition (x, thr) of ``points``, over the batches ``plan``.
 
-    ``task`` is (variances, master_seed, plan, points).  The relay stages run
-    on the rows in play, which ``undecoded_counts`` compacts as the points'
-    direct links decode them.  Every batch is drawn into the part's one
-    ``_Workspace`` and counted in it.  With u_m the rows still undecoded after
-    stage m, a row uses one sub-block plus one for each u_m, m < K, that
-    counts it: sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as
-    (m+2)^2 - (m+1)^2 = 2m+3.
+    The relay stages run on the rows in play, which ``undecoded_counts``
+    compacts as the points' direct links decode them.  Every batch is drawn
+    into the part's one ``_Workspace`` and counted in it.  With u_m the rows
+    still undecoded after stage m, a row uses one sub-block plus one for each
+    u_m, m < K, that counts it: sum N = n + sum u_m, and sum N^2 = n + sum
+    (2m+3) u_m, as (m+2)^2 - (m+1)^2 = 2m+3.
     """
-    variances, master_seed, plan, points = task
     k, n, ws = variances.k_relays, sum(rows for _, rows in plan), _Workspace(variances.k_relays)
     counts = [undecoded_counts(gains_batch(variances, master_seed, j, rows, out=ws.gains), k, points, ws)
               for j, rows in plan]
@@ -806,14 +807,13 @@ class _PassPoint:
         return None
 
 
-def _pass_part(task) -> list[_PassPoint]:
+def _pass_part(draw, plan, bands, keeps, room: int) -> list[_PassPoint]:
     """The state of every point of a pass after one contiguous part of its batches.
 
-    ``task`` is (draw, plan, bands, keeps, room).  ``draw(j, rows)``
-    returns the gains of batch j as the searches see them, and ``plan``
-    holds the part's batches.  ``bands`` holds a (search, band) pair per
-    second pass and ``keeps`` a (search, keep) pair per first pass; the
-    states come back in that order.  The first passes that keep rows share
+    ``draw(j, rows)`` returns the gains of batch j as the searches see them,
+    and ``plan`` holds the part's batches.  ``bands`` holds a (search, band)
+    pair per second pass and ``keeps`` a (search, keep) pair per first pass;
+    the states come back in that order.  The first passes that keep rows share
     ``room`` floats for them.  Each batch is drawn once and serves every
     point.  Where a part serves two or more points, its aggregate at their
     largest x0 bounds all their a0 from below (every term falls as x grows,
@@ -823,7 +823,6 @@ def _pass_part(task) -> list[_PassPoint]:
     to their current bounds, in order, until the rows fit; the point that
     grew drops its rows if they do not fit with every point pruned.
     """
-    draw, plan, bands, keeps, room = task
     first = [_PassPoint(search) for search, _ in keeps]
     for point, (_, keep) in zip(first, keeps):
         if not keep:
@@ -1019,25 +1018,20 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     return rows.window(1 + 2 * k, x_lo, x_hi)
 
 
-def _placement_segment(task) -> np.ndarray:
+def _placement_segment(
+    snr: float, k0: int, threshold_mode: str, raw: list[np.ndarray], plan, scales: np.ndarray, start_rate: float
+) -> np.ndarray:
     """Capacities at the contiguous run of positions with variance rows ``scales``.
 
-    ``task`` is (snr, k0, threshold_mode, master_seed, n_trials, scales,
-    start_rate).  The segment draws its own unit draws from (master_seed,
-    batch), so it reads nothing of the caller's memory, and starts its first
-    position's search from ``start_rate``.  Its first two positions take an
-    exact pass; after them, positions come in blocks of ``_BLOCK_POSITIONS``
-    on one ``_block_window`` each, and a position the window cannot hold
-    falls back to the exact pass, after which the next block starts.  Every
-    capacity is the unique root of its outage count, so it does not depend
-    on where its segment starts.
+    ``raw`` holds the unit draws of the batches of ``plan``, which the segment
+    reads and never writes: each position scales them into new arrays.  The
+    first position's search starts from ``start_rate``.  The first two
+    positions take an exact pass; after them, positions come in blocks of
+    ``_BLOCK_POSITIONS`` on one ``_block_window`` each, and a position the
+    window cannot hold falls back to the exact pass, after which the next block
+    starts.  Every capacity is the unique root of its outage count, so it does
+    not depend on where its segment starts.
     """
-    snr, k0, threshold_mode, master_seed, n_trials, scales, start_rate = task
-    unit = LinkVariances(1.0, (1.0,), (1.0,))
-    plan = batch_plan(n_trials)
-    # column-major, so that scaling by the variances runs down whole columns
-    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
-
     caps = np.empty(len(scales))
     window, block_end = None, 0
     for i, scale in enumerate(scales):
@@ -1074,11 +1068,12 @@ def empirical_capacity_vs_position(
     start rate, finds the rate that ``empirical_eps_outage_capacity``,
     started from the closed form, finds on the same variances and trials.
 
-    The grid splits into segments (``_ranges``), which ``_placement_segment``
-    solves.  Each segment draws the trials itself and starts from the closed
-    form ``c_eps_baf_k`` at its first position, then from each capacity it
-    solves.  Within a segment, positions come in blocks of
-    ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
+    The trials are drawn once, here, and made read-only.  The grid splits
+    into segments (``_ranges``), which ``_placement_segment`` solves on those
+    draws; a forked segment reads them without copying them.  Each segment
+    starts from the closed form ``c_eps_baf_k`` at its first position, then
+    from each capacity it solves.  Within a segment, positions come in blocks
+    of ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
     keeps the few trials whose aggregate can lie in the block's predicted
     band, and each position runs ``_window_stage`` on them alone, scaled by
     its variance row.  A position whose start offset or bracket falls outside
@@ -1100,9 +1095,14 @@ def empirical_capacity_vs_position(
     # mapped before the draws, so that a position outside VARIANCE_RANGE is rejected first
     per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
     scales = np.array([variance_row(v) for v in per_position])
-
+    plan = batch_plan(n_trials)
+    # column-major, so that scaling by the variances runs down whole columns
+    unit = LinkVariances(1.0, (1.0,), (1.0,))
+    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
+    for g in raw:
+        g.flags.writeable = False  # shared with the forked segments, which scale it into new arrays
     tasks = [
-        (snr, k0, threshold_mode, master_seed, n_trials, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
+        (snr, k0, threshold_mode, raw, plan, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
         for a, b in _ranges(len(grid), n_trials * (3 + len(grid)), workers)
     ]
     return grid, np.concatenate(_run_batches(_placement_segment, tasks))

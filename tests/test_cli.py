@@ -93,6 +93,9 @@ class TestSweepGuards:
         err = capsys.readouterr().err
         assert err.startswith("bafsim: error: snr_db") and err.count("\n") == 1
 
+    def test_a_sweep_of_the_most_points_parses(self):
+        assert len(cli._parse_sweep("snr_db", "0:99999:1")) == cli.MAX_SWEEP_POINTS == 100_000
+
     def test_nan_x_factor_exits_one(self, tmp_path, capsys):
         code = main([
             "lemma1", "--x-factor", "nan", "--trials", "10000", "--pathloss", "0",
@@ -400,6 +403,9 @@ _MESSAGES = [
     (["analytic", "--snr-db=0:nan:1"], None, "snr_db stop must be a finite number, got nan"),
     (["analytic", "--snr-db=0:1:nan"], None, "snr_db step must be a finite number, got nan"),
     (["analytic", "--snr-db=-inf:0:1"], None, "snr_db start must be a finite number, got -inf"),
+    # a span just below 100000 steps that still counts 100001 points
+    (["analytic", "--snr-db=0:99999.9999999995:1"], None,
+     "snr_db sweep '0:99999.9999999995:1' exceeds 100000 points"),
 ]
 
 

@@ -1,14 +1,11 @@
 import fcntl
 import functools
+import inspect
 import math
-import multiprocessing
-import multiprocessing.forkserver
-import multiprocessing.resource_tracker
 import os
 import pickle
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -90,9 +87,8 @@ class TestWorkerCount:
             worker_count(4)
 
 
-def _fan_out_task(task):
-    """A fan-out task: ("array", v) returns 1 MB of v, more than a pipe holds; the others fail as named."""
-    action, value = task
+def _fan_out_task(action, value):
+    """A fan-out worker: ("array", v) returns 1 MB of v, more than a pipe holds; the others fail as named."""
     if action == "raise":
         raise value
     if action == "exit":
@@ -193,7 +189,7 @@ class TestRunBatches:
         def both_ends(ends):
             return {pipe for pipe, modes in ends.items() if len(modes) == 2}
 
-        own = both_ends(_fan_out_task(("pipes", None)))
+        own = both_ends(_fan_out_task("pipes", None))
         for ends in montecarlo._run_batches(_fan_out_task, [("pipes", None)] * 3):
             assert both_ends(ends) <= own
         self._assert_reaped(forked, 3)
@@ -382,7 +378,7 @@ def test_a_part_reuses_one_workspace_and_counts_as_fresh_arrays(monkeypatch, thr
 
     monkeypatch.setattr(montecarlo, "gains_batch", draw)
     monkeypatch.setattr(montecarlo, "undecoded_counts", counts)
-    totals = montecarlo._sweep_part((v, seed, plan, points))
+    totals = montecarlo._sweep_part(v, seed, plan, points)
     assert len(buffers) == len(plan) and isinstance(buffers[0], np.ndarray) and all(b is buffers[0] for b in buffers)
     fresh = [undecoded_counts(gains_batch(v, seed, j, rows), 2, points, _Workspace(2, rows)) for j, rows in plan]
     assert seen == fresh
@@ -532,11 +528,6 @@ class TestOutageParts:
     ])
     def test_part_counts_of_the_benchmark_passes_at_two_workers(self, n_items, n_trials, k, points, parts):
         assert len(montecarlo._ranges(n_items, n_trials * (1 + 2 * k + points), 2)) == parts
-
-    @pytest.mark.usefixtures("stop_the_forkserver")
-    def test_parts_read_nothing_of_the_parent_process(self):
-        case = PER_BATCH_SPLITS["fused"][:3] + ([0, 2, 3, 5],)
-        assert _outage_totals(case, 11, _forkserver_batches) == _outage_totals(case, 11)
 
 
 class TestLemmaExperiment:
@@ -1107,24 +1098,7 @@ SPLIT_CASES = {
 
 
 def _in_process(worker, tasks):
-    return [worker(t) for t in tasks]
-
-
-def _forkserver_batches(worker, tasks):
-    # forkserver workers start from a fresh import, not from a copy of this process
-    with ProcessPoolExecutor(max_workers=len(tasks), mp_context=multiprocessing.get_context("forkserver")) as pool:
-        return list(pool.map(worker, tasks))
-
-
-@pytest.fixture
-def stop_the_forkserver():
-    """After a test that starts a forkserver pool, stops the forkserver and the resource tracker, which would otherwise
-    stay children of the test process until it exits, and checks that no child is left."""
-    yield
-    multiprocessing.forkserver._forkserver._stop()
-    multiprocessing.resource_tracker._resource_tracker._stop()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return [worker(*t) for t in tasks]
 
 
 def _window_contract(gains):
@@ -1228,11 +1202,6 @@ class TestPassParts:
             ]
             if workers == 1:
                 assert [res.iterations for res in results] == FLOOR_PASSES[case]
-
-    @pytest.mark.usefixtures("stop_the_forkserver")
-    def test_parts_read_nothing_of_the_parent_process(self):
-        found = _split_passes("over-budget", [0, 2, 3], _forkserver_batches)
-        assert [stage for stage, _ in found] == _one_part_stages("over-budget")
 
 
 class TestPlacementCurve:
@@ -1398,12 +1367,17 @@ class TestPlacementBlocks:
 
 
 def _segment_tasks(pathloss, snr, epsilon, n_trials, seed, grid_points, mode, cuts):
-    """``_placement_segment`` tasks for the grid parts [cuts[s], cuts[s + 1]), each started from the closed form."""
+    """``_placement_segment`` arguments for the grid parts [cuts[s], cuts[s + 1]), each started from the closed form,
+    on one read-only cache of unit draws, as ``empirical_capacity_vs_position`` builds it."""
     k0 = montecarlo._max_allowed_count(epsilon, n_trials)
     per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss)) for d in position_grid(grid_points)]
     scales = np.array([variance_row(v) for v in per_position])
+    plan = batch_plan(n_trials)
+    raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in plan]
+    for g in raw:
+        g.flags.writeable = False
     return [
-        (snr, k0, mode, seed, n_trials, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
+        (snr, k0, mode, raw, plan, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
         for a, b in zip(cuts, cuts[1:])
     ]
 
@@ -1415,7 +1389,7 @@ SEGMENT_CASE = (0.01, 0.1, 20_000, 1)
 @functools.lru_cache(maxsize=None)
 def _one_segment_curve(pathloss, grid_points, mode):
     (task,) = _segment_tasks(pathloss, *SEGMENT_CASE, grid_points, mode, [0, grid_points])
-    return montecarlo._placement_segment(task)
+    return montecarlo._placement_segment(*task)
 
 
 @st.composite
@@ -1436,7 +1410,7 @@ class TestPlacementSegments:
     def test_any_split_gives_the_one_segment_curve(self, split, pathloss, mode):
         grid_points, cuts = split
         tasks = _segment_tasks(pathloss, *SEGMENT_CASE, grid_points, mode, cuts)
-        caps = np.concatenate([montecarlo._placement_segment(task) for task in tasks])
+        caps = np.concatenate([montecarlo._placement_segment(*task) for task in tasks])
         assert np.array_equal(caps, _one_segment_curve(pathloss, grid_points, mode))
 
     def test_curve_does_not_depend_on_the_worker_count(self, monkeypatch):
@@ -1460,10 +1434,29 @@ class TestPlacementSegments:
         assert np.array_equal(curves[0], curves[1]) and np.array_equal(curves[0], curves[2])
         assert np.array_equal(curves[0], _one_segment_curve(8.0, 101, "exact"))
 
-    @pytest.mark.usefixtures("stop_the_forkserver")
-    def test_segments_read_nothing_of_the_parent_process(self):
-        # forkserver workers start from a fresh import, not from a copy of this process
-        tasks = _segment_tasks(5.0, *SEGMENT_CASE, 101, "linearized", [0, 33, 67, 101])
-        with ProcessPoolExecutor(max_workers=2, mp_context=multiprocessing.get_context("forkserver")) as pool:
-            caps = np.concatenate(list(pool.map(montecarlo._placement_segment, tasks)))
-        assert np.array_equal(caps, _one_segment_curve(5.0, 101, "linearized"))
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_the_unit_draws_are_made_once_in_the_calling_process(self, monkeypatch, workers):
+        # the segments run in forked children, whose draws would not be counted here
+        draws, segments, run_batches = [], [], montecarlo._run_batches
+
+        def counted_draw(*args, **kwargs):
+            draws.append(args[2])
+            return gains_batch(*args, **kwargs)
+
+        def counted(worker, tasks):
+            if worker is montecarlo._placement_segment:
+                segments.append(len(tasks))
+                for task in tasks:
+                    raw = inspect.signature(worker).bind(*task).arguments["raw"]
+                    assert raw and not any(g.flags.writeable for g in raw)
+            return run_batches(worker, tasks)
+
+        monkeypatch.setattr(montecarlo, "gains_batch", counted_draw)
+        monkeypatch.setattr(montecarlo, "_run_batches", counted)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("BAF_WORKERS", str(workers))
+        pathloss, snr, epsilon, n, seed, grid_points, mode = FALLBACK_CASE
+        empirical_capacity_vs_position(pathloss, snr, epsilon, n, seed, grid_points=grid_points, threshold_mode=mode)
+        assert segments == [workers]
+        assert draws == [j for j, _ in batch_plan(n)] and len(draws) == 2
