@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .channel import ChannelDraw, LinkVariances, SystemParams, _check_relay_count, duty_cycle
+from .channel import ChannelDraw, LinkVariances, SystemParams, _check_relay_count, _is_integer, duty_cycle
 from .errors import InvalidParameterError
 
 LOG2E = math.log2(math.e)
@@ -211,9 +211,12 @@ def position_grid(grid_points: int) -> np.ndarray:
     Point i is (i+1)/(grid_points+1); an odd count places 0.5 exactly on the
     grid.
     """
+    if not _is_integer(grid_points):
+        raise InvalidParameterError(f"grid_points must be an integer, got {grid_points!r}")
     if grid_points < 101:
         raise InvalidParameterError(f"grid_points must be >= 101, got {grid_points!r}")
-    return np.arange(1, grid_points + 1) / (grid_points + 1)
+    n = int(grid_points)
+    return np.arange(1, n + 1) / (n + 1)
 
 
 def placement_objective(d: np.ndarray | float, pathloss_exponent: float) -> np.ndarray | float:

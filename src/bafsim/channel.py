@@ -17,6 +17,7 @@ independent of how many workers consume the batches or in which order.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -35,6 +36,11 @@ VARIANCE_RANGE = (1e-150, 1e150)
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidParameterError(message)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer of any integral type (``numbers.Integral``), a bool excepted."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _in_variance_range(name: str, value: float) -> None:
@@ -123,9 +129,10 @@ class SystemParams:
         )
         _require(0.0 < self.epsilon < 1.0, f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         _require(
-            isinstance(self.k_relays, int) and self.k_relays >= 0,
+            _is_integer(self.k_relays) and self.k_relays >= 0,
             f"k_relays must be a nonnegative integer, got {self.k_relays!r}",
         )
+        object.__setattr__(self, "k_relays", int(self.k_relays))
         if self.tau is not None:
             _require(
                 math.isfinite(self.tau) and 0.0 < self.tau <= 1.0,

@@ -78,6 +78,7 @@ from .channel import (
     LinkVariances,
     NetworkGeometry,
     SystemParams,
+    _is_integer,
     batch_plan,
     gains_batch,
     variance_row,
@@ -164,7 +165,12 @@ def _run_batches(worker, tasks: list) -> list:
         for task in tasks:
             read, write = os.pipe()
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns, in the parent, on a fork while this process has threads, as NumPy's
+                    # OpenBLAS leaves it; the child runs NumPy kernels only and leaves through os._exit
+                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded, "
+                                            r"use of fork\(\) may lead to deadlocks in the child", DeprecationWarning)
+                    pid = os.fork()
                 if pid == 0:
                     _child(worker, task, read, write)
             except BaseException:
@@ -237,21 +243,24 @@ def _mean_estimate(total: int, total_sq: int, n: int) -> Estimate:
     return Estimate(mean, se, n, (mean - 1.96 * se, mean + 1.96 * se))
 
 
-def _check_estimator_inputs(variances: LinkVariances, params: SystemParams, n_trials: int) -> None:
+def _check_estimator_inputs(variances: LinkVariances, params: SystemParams) -> None:
     if variances.k_relays != params.k_relays:
         raise InvalidParameterError(
             f"variances describe {variances.k_relays} relays but params.k_relays={params.k_relays}"
         )
     if params.k_relays < 1:
         raise InvalidParameterError("protocol estimators require at least one relay")
-    _check_trials(n_trials)
 
 
-def _check_trials(n_trials: int) -> None:
+def _check_trials(n_trials: int) -> int:
+    """``n_trials`` as an int, checked: an integer of any integral type but bool, from MIN_TRIALS to MAX_TRIALS."""
+    if not _is_integer(n_trials):
+        raise InvalidParameterError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < MIN_TRIALS:
         raise InvalidParameterError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials!r}")
     if n_trials > MAX_TRIALS:
         raise InvalidParameterError(f"n_trials must be at most {MAX_TRIALS}, got {n_trials!r}")
+    return int(n_trials)
 
 
 def _sweep_part(variances: LinkVariances, master_seed: int, plan, points) -> list[tuple[int, int, int]]:
@@ -259,10 +268,11 @@ def _sweep_part(variances: LinkVariances, master_seed: int, plan, points) -> lis
 
     The relay stages run on the rows in play, which ``undecoded_counts``
     compacts as the points' direct links decode them.  Every batch is drawn
-    into the part's one ``_Workspace`` and counted in it.  With u_m the rows
-    still undecoded after stage m, a row uses one sub-block plus one for each
-    u_m, m < K, that counts it: sum N = n + sum u_m, and sum N^2 = n + sum
-    (2m+3) u_m, as (m+2)^2 - (m+1)^2 = 2m+3.
+    into the part's one ``_Workspace``, whose draw the kernel only reads, and
+    counted in its other buffers.  With u_m the rows still undecoded after
+    stage m, a row uses one sub-block plus one for each u_m, m < K, that
+    counts it: sum N = n + sum u_m, and sum N^2 = n + sum (2m+3) u_m, as
+    (m+2)^2 - (m+1)^2 = 2m+3.
     """
     k, n, ws = variances.k_relays, sum(rows for _, rows in plan), _Workspace(variances.k_relays)
     counts = [undecoded_counts(gains_batch(variances, master_seed, j, rows, out=ws.gains), k, points, ws)
@@ -274,11 +284,11 @@ def _sweep_part(variances: LinkVariances, master_seed: int, plan, points) -> lis
     return totals
 
 
-def _sweep_points(variances: LinkVariances, params_seq, n_trials: int, point_of) -> list:
+def _sweep_points(variances: LinkVariances, params_seq, point_of) -> list:
     """``point_of(params)`` for every operating point of a sweep, each point checked before it is built."""
     points = []
     for params in params_seq:
-        _check_estimator_inputs(variances, params, n_trials)
+        _check_estimator_inputs(variances, params)
         points.append(point_of(params))
     if not points:
         raise InvalidParameterError("a sweep needs at least one operating point")
@@ -301,7 +311,7 @@ def _decode_pass(
     variances: LinkVariances, params_seq, n_trials: int, master_seed: int, workers: int | None, threshold_mode: str
 ) -> list:
     """``_outage_pass`` at the decode condition of every operating point of ``params_seq``."""
-    points = _sweep_points(variances, params_seq, n_trials,
+    points = _sweep_points(variances, params_seq,
                            lambda p: decode_condition(p.rate, p.snr, p.tau, p.k_relays, threshold_mode))
     return _outage_pass(variances, points, n_trials, master_seed, workers)
 
@@ -319,6 +329,7 @@ def estimate_outage_sweep(
     Each batch of gains is drawn once and serves every point, so a sweep
     costs one pass over the draws; each estimate equals the one-point call's.
     """
+    n_trials = _check_trials(n_trials)
     totals = _decode_pass(variances, params_seq, n_trials, master_seed, workers, threshold_mode)
     return [_bernoulli_estimate(outages, n_trials) for outages, _, _ in totals]
 
@@ -344,6 +355,7 @@ def estimate_expected_n(
     threshold_mode: str = "exact",
 ) -> Estimate:
     """Sample mean of sub-blocks consumed per message (fixed relay order)."""
+    n_trials = _check_trials(n_trials)
     [(_, total_n, total_n_sq)] = _decode_pass(variances, [params], n_trials, master_seed, workers, threshold_mode)
     return _mean_estimate(total_n, total_n_sq, n_trials)
 
@@ -389,7 +401,7 @@ def lemma1_ratio_experiment(
     gs = [float(g) for g in g_sequence]
     if not gs or not all(0.0 < g < math.inf for g in gs) or any(b >= a for a, b in zip(gs, gs[1:])):
         raise InvalidParameterError("g_sequence must be strictly decreasing, positive and finite")
-    _check_trials(n_trials)
+    n_trials = _check_trials(n_trials)
     if x_factor is not None:
         if not (math.isfinite(x_factor) and x_factor >= 0.0):
             raise InvalidParameterError(f"x_factor must be finite and >= 0, got {x_factor!r}")
@@ -943,7 +955,8 @@ def empirical_eps_outage_capacity_sweep(
     differ, as a part keeps its rows in its own share of the memory.
     """
     workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
-    searches = _sweep_points(variances, params_seq, n_trials, lambda p: _RateSearch(
+    n_trials = _check_trials(n_trials)
+    searches = _sweep_points(variances, params_seq, lambda p: _RateSearch(
         p.snr, _max_allowed_count(p.epsilon, n_trials), p.k_relays, p.tau,
         threshold_mode, c_eps_baf_k(variances, p.snr, p.epsilon),
     ))
@@ -1085,7 +1098,7 @@ def empirical_capacity_vs_position(
     """
     workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
     SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
-    _check_trials(n_trials)
+    n_trials = _check_trials(n_trials)
     if n_trials > PLACEMENT_TRIAL_LIMIT:
         raise InvalidParameterError(
             f"n_trials above {PLACEMENT_TRIAL_LIMIT} would exceed the in-memory draw cache"

@@ -3,16 +3,16 @@
 This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
-offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` builds for a
-batch as new arrays and ``undecoded_counts`` in a workspace.  Every estimator
+offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` alone builds,
+as new arrays or into a workspace's buffers.  Every estimator
 evaluates them here: the capacity kernel through ``aggregate_batch``, and the
 outage, E(N) and Lemma 1 sweep through ``undecoded_counts``, which takes its
 points from the largest threshold down and compacts the rows in play to
 those a point leaves undecoded at stage 0 whenever they are at most half of
 them, so the relay stages skip the rows the direct link decodes.  A pass
-part draws each of its batches into one ``_Workspace``, which also holds
-every array of that kernel, so the part maps its memory once, not once per
-batch.
+part draws each of its batches into one ``_Workspace``, which the kernel only
+reads and which also holds every array the kernel writes, so the part maps
+its memory once, not once per batch.
 ``simulate_block`` is the scalar reference: it evaluates the estimators'
 decode condition, that of its ``SystemParams``.
 
@@ -72,11 +72,12 @@ def _check_shape(gains: np.ndarray, k_relays: int) -> None:
         raise InvalidParameterError(f"gains must have shape (n, {1 + 2 * k_relays})")
 
 
-def _hops(gains: np.ndarray, k_relays: int, rows=slice(None)):
-    """Yield the offset-free terms (g_rd*g_sr, g_rd+g_sr) of every relay hop on ``rows``, every row by default, one contiguous array each."""
+def _hops(gains: np.ndarray, k_relays: int, rows=slice(None), out=None):
+    """Yield the offset-free terms (g_rd*g_sr, g_rd+g_sr) of every relay hop on ``rows``, every row by default: new contiguous arrays, or ``out``'s (product, sum) pair of len(rows) buffers per hop."""
     for i in range(k_relays):
         g_sr, g_rd = gains[:, 1 + i][rows], gains[:, 1 + k_relays + i][rows]  # 1-D gathers, or views of every row
-        yield g_rd * g_sr, np.add(g_rd, g_sr, out=g_rd if g_rd.flags.owndata else None)  # the sum reuses a gathered g_rd
+        product, total = (None, g_rd if g_rd.flags.owndata else None) if out is None else out[i]  # sum into a gathered g_rd
+        yield np.multiply(g_rd, g_sr, out=product), np.add(g_rd, g_sr, out=total)
 
 
 def _running_sums(g_sd: np.ndarray, hops, x: float, agg: np.ndarray | None = None, term: np.ndarray | None = None):
@@ -110,11 +111,10 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
 class _Workspace:
     """The buffers of ``undecoded_counts`` for batches of up to ``n_rows`` rows, reused batch after batch.
 
-    ``gains`` takes a batch's draw (``gains_batch(..., out=)``) and, until
-    the hop terms are built, the rows in play.  The kernel writes the
-    leading rows of the others: the contiguous g_sd, one (product, sum) pair
-    per relay hop, and the stages' ``agg``, ``term``, ``hit`` and
-    ``decoded``.
+    ``gains`` takes the batch's draw (``gains_batch(..., out=)``), which the
+    kernel only reads.  The kernel writes the leading rows of the others: the
+    contiguous g_sd, one (product, sum) pair per relay hop, and the stages'
+    ``agg``, ``term``, ``hit`` and ``decoded``.
     """
 
     def __init__(self, k_relays: int, n_rows: int = TRIALS_PER_BATCH):
@@ -132,20 +132,20 @@ def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace) -
     largest threshold down, NaN first, on the rows in play, at first the
     whole batch: whenever a point leaves at most half of them undecoded at
     stage 0, the rows in play become those, in order, compacted into the
-    workspace ``ws``: g_sd, and with it whole rows of the batch before the
-    hop terms g_rd*g_sr and g_rd+g_sr are built, at the first point, or the
-    hop terms after.  The rows dropped are decoded at every later point, so
-    a point counts u_m on the rows in play, and the counts are those of the
-    whole batch.  ``ws`` holds at least len(gains) rows, and a pass reuses it
-    for each of its batches: a point reads only the leading rows this batch
-    wrote.
+    workspace ``ws``: g_sd, and each (product, sum) pair of hop terms once
+    ``_hops`` has built them, at the first point, on the rows it keeps.  The
+    rows dropped are decoded at every later point, so a point counts u_m on
+    the rows in play, and the counts are those of the whole batch.  ``ws``
+    holds at least len(gains) rows, and a pass reuses it for each of its
+    batches: a point reads only the leading rows this batch wrote.  ``gains``,
+    which may be ``ws.gains``, is never written.
 
     A row stays decoded even if a later term is NaN, as in
     ``simulate_block``: u_K rows are in outage, and a row uses one more
     sub-block for each u_m, m < K, that counts it.
     """
     _check_shape(gains, k_relays)
-    m, hops, out = len(gains), None, [None] * len(points)
+    m, rows, hops, out = len(gains), slice(None), None, [None] * len(points)
     g_sd = ws.g_sd[:m]
     np.copyto(g_sd, gains[:, 0])  # read once from the strided column
     for i in sorted(range(len(points)), key=lambda i: (points[i][1] == points[i][1], -points[i][1])):  # NaN first
@@ -156,16 +156,13 @@ def undecoded_counts(gains: np.ndarray, k_relays: int, points, ws: _Workspace) -
             rows = np.flatnonzero(np.logical_not(decoded, out=ws.hit[:m]))
             # the indices are valid; mode="raise" would copy out first
             g_sd = np.take(g_sd, rows, out=g_sd[:u], mode="clip")
-            if hops is None:
-                gains = np.take(gains, rows, axis=0, out=ws.gains[:u], mode="clip")
-            else:
+            if hops is not None:
                 hops = [(np.take(p, rows, out=p[:u], mode="clip"), np.take(s, rows, out=s[:u], mode="clip"))
                         for p, s in hops]
             m, decoded = u, ws.decoded[:u]
             decoded.fill(False)
-        if hops is None:
-            hops = [(np.multiply(g_rd, g_sr, out=p[:m]), np.add(g_rd, g_sr, out=s[:m]))
-                    for (p, s), g_sr, g_rd in zip(ws.hops, gains[:, 1:1 + k_relays].T, gains[:, 1 + k_relays:].T)]
+        if hops is None:  # the first point: ``rows`` are every row or those it kept
+            hops = list(_hops(gains, k_relays, rows, [(p[:m], s[:m]) for p, s in ws.hops]))
         stages = _running_sums(g_sd, hops, x, ws.agg[:m], ws.term[:m])
         next(stages)
         counts = [u]

@@ -339,6 +339,15 @@ class TestPlacement:
     def test_objective_symmetric(self, d, alpha):
         assert placement_objective(d, alpha) == pytest.approx(placement_objective(1.0 - d, alpha), rel=1e-9)
 
+    @pytest.mark.parametrize("grid_points", [101.5, 201.0, True, "101"], ids=repr)
+    def test_grid_size_that_is_not_an_integer_rejected(self, grid_points):
+        with pytest.raises(InvalidParameterError) as raised:
+            position_grid(grid_points)
+        assert str(raised.value) == f"grid_points must be an integer, got {grid_points!r}"
+
+    def test_grid_size_of_any_integer_type(self):
+        assert np.array_equal(position_grid(np.int64(101)), position_grid(101))
+
     def test_rejects_small_grid_or_flat_exponent(self):
         with pytest.raises(InvalidParameterError):
             optimal_relay_position(3.0, 51)

@@ -139,6 +139,17 @@ class TestSystemParams:
         with pytest.raises(InvalidParameterError):
             SystemParams(**kwargs)
 
+    @pytest.mark.parametrize("k", [True, False, 1.0, 2.5, "1"], ids=repr)
+    def test_k_relays_that_is_not_an_integer_rejected(self, k):
+        with pytest.raises(InvalidParameterError) as raised:
+            SystemParams(snr=1.0, rate=0.01, k_relays=k)
+        assert str(raised.value) == f"k_relays must be a nonnegative integer, got {k!r}"
+
+    @pytest.mark.parametrize("k", [np.int64(2), np.uint8(1), np.intp(0)], ids=repr)
+    def test_k_relays_of_any_integer_type_is_stored_as_int(self, k):
+        params = SystemParams(snr=1.0, rate=0.01, k_relays=k)
+        assert type(params.k_relays) is int and params.k_relays == k
+
 
 class TestDutyCycle:
     @given(rate_exp=st.floats(-330.0, 300.0), snr_db=st.floats(-3000.0, 3000.0), numpy_rate=st.booleans())

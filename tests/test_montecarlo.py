@@ -6,6 +6,7 @@ import os
 import pickle
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ class TestRunBatches:
             assert both_ends(ends) <= own
         self._assert_reaped(forked, 3)
 
+    def test_a_fork_warning_about_threads_leaves_no_child(self, forked, monkeypatch):
+        # Python 3.12+ warns in the parent, after the child exists, when a process with threads forks: raised as
+        # an error there, the warning would lose the child's pid and leave it unreaped
+        fork = os.fork
+
+        def warning():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning)
+        results = montecarlo._run_batches(_fan_out_task, [("array", 1.0), ("array", 2.0)])
+        assert [np.unique(r).tolist() for r in results] == [[1.0], [2.0]]
+        self._assert_reaped(forked, 2)
+
     def test_children_still_running_are_killed_on_an_error(self, forked):
         started = time.perf_counter()
         with pytest.raises(ConvergenceError):
@@ -254,6 +272,24 @@ class TestTrialCap:
         monkeypatch.setattr(montecarlo, "batch_plan", no_plan)
         with pytest.raises(InvalidParameterError, match=f"n_trials must be at most {MAX_TRIALS}"):
             self._CALLS[name](n_trials)
+
+    @pytest.mark.parametrize("name", _CALLS)
+    @pytest.mark.parametrize("n_trials", [20000.9, 20000.0, np.float64(20000.0), True], ids=repr)
+    def test_a_count_that_is_not_an_integer_is_rejected_before_the_plan(self, monkeypatch, name, n_trials):
+        def no_plan(n):
+            raise AssertionError("batch plan built")
+
+        monkeypatch.setattr(montecarlo, "batch_plan", no_plan)
+        with pytest.raises(InvalidParameterError) as raised:
+            self._CALLS[name](n_trials)
+        assert str(raised.value) == f"n_trials must be an integer, got {n_trials!r}"
+
+    @pytest.mark.parametrize("n_trials", [np.int16(20_000), np.int64(20_000)], ids=repr)
+    def test_a_count_of_any_integer_type_is_taken_as_an_int(self, n_trials):
+        # an int16 count would overflow in the pass's work, n_trials * (1 + 2K + points)
+        params = SystemParams(snr=1.0, rate=0.05)
+        estimate = estimate_outage(UNIT, params, n_trials, 3, workers=1)
+        assert type(estimate.n_trials) is int and estimate == estimate_outage(UNIT, params, 20_000, 3, workers=1)
 
     @pytest.mark.parametrize("name", ["outage", "expected-n", "capacity", "lemma1"])
     def test_cap_is_inclusive(self, monkeypatch, name):
@@ -360,26 +396,30 @@ def _compactions(g_sd, thresholds):
     ((0.692, 0.69, 0.689), [[], [0], [1], []]),
 ], ids=["one-point", "three-points"])
 def test_a_part_reuses_one_workspace_and_counts_as_fresh_arrays(monkeypatch, thresholds, compactions):
-    # the row rule compacts no rows of the first batch, whole rows of the second before its hop terms are built
-    # (at the first point), and, with three points, the hop terms of the third after them; the last, short batch,
-    # which compacts nothing, must not read the rows the full batches left.  Every batch is drawn into one buffer
+    # the row rule compacts no rows of the first batch, the rows of the second at its first point, before the hop
+    # terms are built on the rows it keeps, and, with three points, the hop terms of the third after them; the last,
+    # short batch, which compacts nothing, must not read the rows the full batches left.  Every batch is drawn into
+    # one buffer, which the kernel only reads: after each call it still holds that batch's draw
     v, seed, plan = LinkVariances(1.0, (0.5, 2.0), (2.0, 0.5)), 3, batch_plan(3 * TRIALS_PER_BATCH + 1000)
     assert [_compactions(gains_batch(v, seed, j, rows)[:, 0], thresholds) for j, rows in plan] == compactions
     points = [(0.1 * i, thr) for i, thr in enumerate(thresholds)]
-    buffers, seen = [], []
+    buffers, drawn, seen, unwritten = [], [], [], []
 
     def draw(*args, out=None):
         buffers.append(out)
+        drawn.append(args)
         return gains_batch(*args, out=out)
 
     def counts(gains, k_relays, points, ws):
         seen.append(undecoded_counts(gains, k_relays, points, ws))
+        unwritten.append(np.array_equal(gains, gains_batch(*drawn[-1])))
         return seen[-1]
 
     monkeypatch.setattr(montecarlo, "gains_batch", draw)
     monkeypatch.setattr(montecarlo, "undecoded_counts", counts)
     totals = montecarlo._sweep_part(v, seed, plan, points)
     assert len(buffers) == len(plan) and isinstance(buffers[0], np.ndarray) and all(b is buffers[0] for b in buffers)
+    assert unwritten == [True] * len(plan)
     fresh = [undecoded_counts(gains_batch(v, seed, j, rows), 2, points, _Workspace(2, rows)) for j, rows in plan]
     assert seen == fresh
     n = sum(rows for _, rows in plan)

@@ -185,19 +185,27 @@ class TestBatchAgreement:
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("rows", ["empty", "full", "shuffled"])
+@pytest.mark.parametrize("rows", ["empty", "full", "shuffled", "every"])
 def test_hops_on_rows_are_those_of_the_gathered_rows(k, order, rows):
     gains = np.asarray(gains_batch(LinkVariances(1.0, (0.5,) * k, (2.0,) * k), 5, 0, 500), order=order)
+    drawn = gains.copy(order="A")
     index = {
         "empty": np.array([], dtype=np.intp),
         "full": np.arange(500),
         "shuffled": np.random.default_rng(1).permutation(500)[:300],
+        "every": slice(None),
     }[rows]
     gathered = list(_hops(gains, k, index))
     assert len(gathered) == k
-    for (p, s), (p_ref, s_ref) in zip(gathered, _hops(gains[index], k)):
+    n = len(gains[index])
+    buffers = [(np.full(n + 7, np.nan)[:n], np.full(n + 7, np.nan)[:n]) for _ in range(k)]
+    into = list(_hops(gains, k, index, buffers))  # each hop's terms go to its own buffer pair
+    for (p, s), (p_out, s_out), (p_buf, s_buf), (p_ref, s_ref) in zip(gathered, into, buffers, _hops(gains[index], k)):
         assert p.flags.c_contiguous and s.flags.c_contiguous
         assert np.array_equal(p, p_ref) and np.array_equal(s, s_ref)
+        assert p_out is p_buf and s_out is s_buf
+        assert p_buf.tobytes() == p_ref.tobytes() and s_buf.tobytes() == s_ref.tobytes()
+    assert np.array_equal(gains, drawn)
 
 
 def _counts_from_stats(outage, n_used, k):
