@@ -245,8 +245,9 @@ def gains_batch(
     columns, the gains are drawn into its leading rows, which are returned:
     the same bytes as a fresh draw.
     """
+    _require(_is_integer(n_rows), f"n_rows must be an integer, got {n_rows!r}")
     _require(0 < n_rows <= TRIALS_PER_BATCH, f"n_rows must lie in [1, {TRIALS_PER_BATCH}], got {n_rows!r}")
-    columns = 1 + 2 * variances.k_relays
+    n_rows, columns = int(n_rows), 1 + 2 * variances.k_relays
     if out is not None:
         _require(
             isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous

@@ -52,8 +52,10 @@ restarts its chain of start rates from the closed form, and bounds each block
 of relay positions in one pass over the unit draws, solving every position of
 the block on that window; a position the window cannot hold falls back to the
 exact pass.  Every capacity is the unique root of its outage count, whatever
-the split.  Every kernel function takes the gains as its search sees them:
-each position scales the unit draws by its variance row where it reads them.
+the split.  Every kernel function takes the gains as its search sees them,
+but for a block's bounding pass and window stages, which take the unit draws
+with the variance rows and scale each column as they read it, into buffers
+reused across the block (``_scaled_aggregate``): neither copies the draws.
 One float bisection, ``_solve_increasing``, finds every root the module needs:
 the kernel's rate bracket, the capacity itself and lemma1's policy offset.
 """
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 import pickle
 import signal
@@ -85,7 +86,7 @@ from .channel import (
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import _hops, _running_sums, _Workspace, aggregate_batch, undecoded_counts
+from .protocol import _hops, _running_sums, _scaled_aggregate, _Workspace, aggregate_batch, undecoded_counts
 
 MIN_TRIALS = 10_000
 # 65 536 batches, a plan of about 6 MB: 200 times the 20 M trials that the
@@ -116,7 +117,7 @@ class RateSearchResult:
 
 def worker_count(requested: int | None = None) -> int:
     """Effective worker count: requested (or cpu count) capped by BAF_WORKERS, both positive integers."""
-    if requested is not None and not (isinstance(requested, numbers.Integral) and requested >= 1):
+    if requested is not None and not (_is_integer(requested) and requested >= 1):
         raise InvalidParameterError(f"workers must be a positive integer, got {requested!r}")
     env = os.environ.get("BAF_WORKERS")
     try:
@@ -614,6 +615,9 @@ class _Window:
     scales them by its variance row.  Of the other trials, ``below`` have a0
     below ``low`` and the rest a0 at or above ``high``, at every offset x0 in
     [x_lo, x_hi] and, for a block, every variance row it was bounded for.
+    A block's window also holds ``work``, four rows of len(gains) floats,
+    which every position's ``_window_stage`` reuses for its a0 (the last row
+    only at K >= 2).
     """
 
     below: int
@@ -622,6 +626,7 @@ class _Window:
     high: float
     x_lo: float
     x_hi: float
+    work: np.ndarray | None = None
 
 
 class _Rows:
@@ -664,30 +669,43 @@ class _Rows:
         return _Window(self.below, gains, self.low, self.high, x_lo, x_hi)
 
 
-def _window_stage(search: _RateSearch, window: _Window):
-    """(rate, outage count there) of ``search`` on the ``window`` gains.
+def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None = None):
+    """(rate, outage count there) of ``search`` on the ``window`` gains, scaled by the variance row ``row`` if given.
 
     Returns None when the window cannot hold the answer: x0 outside
     [x_lo, x_hi], or the bracket not inside [low, high).  Otherwise a_k0,
     the bracket and the candidates are those of the whole trial set.  The
     rate is the root of the outage count, the trials below the band plus the
     candidates in outage: at most k0 at the rate and more at the next float.
+
+    With ``row``, the window is a block's: a0 is computed column by column
+    (``_scaled_aggregate``) into the window's ``work``, which also takes the
+    copy that is partitioned, and only the candidates' rows are scaled.  Every
+    float is the one that the window scaled by ``row`` gives without it.
     """
     if not window.x_lo <= search.x0 <= window.x_hi:
         return None
     k, k0 = search.k, search.k0
-    a0 = aggregate_batch(window.gains, k, search.x0)
+    if row is None:
+        a0 = aggregate_batch(window.gains, k, search.x0)
+        ranked = np.empty_like(a0)
+    else:
+        a0, ranked, *work = window.work
+        _scaled_aggregate(window.gains, row, k, search.x0, a0, [ranked, *work])
     i = k0 - window.below
     if not 0 <= i < len(a0):
         return None
-    r_lo, r_hi, a_below, a_above = search.bracket(float(np.partition(a0, i)[i]))
+    np.copyto(ranked, a0)
+    ranked.partition(i)
+    r_lo, r_hi, a_below, a_above = search.bracket(float(ranked[i]))
     if not (window.low <= a_below and a_above <= window.high):
         return None
     below = window.below + int(np.count_nonzero(a0 < a_below))
     cand = np.flatnonzero((a0 >= a_below) & (a0 < a_above))
     # the candidates' hop terms do not depend on the rate: built once, and
     # summed at each rate into the same buffers, to the floats of aggregate_batch
-    g_sd, hops = window.gains[:, 0][cand], list(_hops(window.gains, k, cand))
+    gains, rows = (window.gains, cand) if row is None else (window.gains[cand] * row, slice(None))
+    g_sd, hops = gains[:, 0][rows], list(_hops(gains, k, rows))
     agg, term = np.empty(len(cand)), np.empty(len(cand))
 
     def outages(r: float) -> int:
@@ -1007,9 +1025,13 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     ``_BOUND_MARGIN``.  The aggregate rises in every gain and falls in x, so
     a0 over the block lies between its value at the smallest entry of each
     variance column and the largest x, and its value at the largest entries
-    and the smallest x.  Each batch's two bounds go to a ``_Rows`` over the
-    band, which keeps the unit draws of the trials they cannot place outside
-    it.  ``_window_stage`` checks every window, so a prediction that misses
+    and the smallest x.  Each batch's two bounds, the floats of
+    ``aggregate_batch`` on the batch scaled by those rows, are computed column
+    by column (``_scaled_aggregate``) into buffers allocated once per pass,
+    and go to a ``_Rows`` over the band, which keeps the unit draws of the
+    trials they cannot place outside it.  The pass's buffers are released
+    before the window, and its ``work`` for the positions' stages, are made.
+    ``_window_stage`` checks every window, so a prediction that misses
     (or overflows, far past the clamp) only sends a position to the exact
     pass.
     """
@@ -1025,10 +1047,16 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     low, high = thr_lo - slack, thr_hi + slack
     row_lo, row_hi = scales.min(axis=0), scales.max(axis=0)
     k, rows = search.k, _Rows(low, high)
+    # lower, upper and the three work buffers of _scaled_aggregate (the last untouched at K = 1)
+    bounds = np.empty((5, max(len(g) for g in raw)))
     for g in raw:
-        rows.add(g, aggregate_batch(g * row_lo, k, x_hi) * (1.0 - _BOUND_MARGIN),
-                 aggregate_batch(g * row_hi, k, x_lo) * (1.0 + _BOUND_MARGIN))
-    return rows.window(1 + 2 * k, x_lo, x_hi)
+        lower, upper, *work = bounds[:, : len(g)]
+        np.multiply(_scaled_aggregate(g, row_lo, k, x_hi, lower, work), 1.0 - _BOUND_MARGIN, out=lower)
+        np.multiply(_scaled_aggregate(g, row_hi, k, x_lo, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
+        rows.add(g, lower, upper)
+    del bounds, lower, upper, work
+    window = rows.window(1 + 2 * k, x_lo, x_hi)
+    return replace(window, work=np.empty((4, len(window.gains))))
 
 
 def _placement_segment(
@@ -1037,13 +1065,16 @@ def _placement_segment(
     """Capacities at the contiguous run of positions with variance rows ``scales``.
 
     ``raw`` holds the unit draws of the batches of ``plan``, which the segment
-    reads and never writes: each position scales them into new arrays.  The
+    reads and never writes: a block's bounding pass and its positions' window
+    stages scale them column by column as they read them, into buffers of
+    their own, and an exact pass scales each batch into a new array.  The
     first position's search starts from ``start_rate``.  The first two
     positions take an exact pass; after them, positions come in blocks of
     ``_BLOCK_POSITIONS`` on one ``_block_window`` each, and a position the
     window cannot hold falls back to the exact pass, after which the next block
-    starts.  Every capacity is the unique root of its outage count, so it does
-    not depend on where its segment starts.
+    starts.  A block's window, and its buffers, are released before the next
+    bounding pass or exact pass.  Every capacity is the unique root of its
+    outage count, so it does not depend on where its segment starts.
     """
     caps = np.empty(len(scales))
     window, block_end = None, 0
@@ -1052,7 +1083,7 @@ def _placement_segment(
         if window is None and i >= 2:
             block_end = min(i + _BLOCK_POSITIONS, len(scales))
             window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i])
-        found = None if window is None else _window_stage(search, replace(window, gains=window.gains * scale))
+        found = None if window is None else _window_stage(search, window, scale)
         if found is None or i + 1 == block_end:
             window = None
         if found is None:
@@ -1088,10 +1119,12 @@ def empirical_capacity_vs_position(
     from each capacity it solves.  Within a segment, positions come in blocks
     of ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
     keeps the few trials whose aggregate can lie in the block's predicted
-    band, and each position runs ``_window_stage`` on them alone, scaled by
-    its variance row.  A position whose start offset or bracket falls outside
-    what the window was bounded for, and a segment's first two, take an exact
-    pass over all trials instead.  Either way the result is bit for bit that
+    band, and each position runs ``_window_stage`` on them alone, at its
+    variance row: neither the bounding pass nor the window stage makes a
+    scaled copy of the draws, but each scales the columns it reads into
+    buffers allocated once per block.  A position whose start offset or
+    bracket falls outside what the window was bounded for, and a segment's
+    first two, take an exact pass over all trials instead.  Either way the result is bit for bit that
     of the exact pass, at any split and worker count.
 
     Returns (positions, capacities).
@@ -1113,7 +1146,7 @@ def empirical_capacity_vs_position(
     unit = LinkVariances(1.0, (1.0,), (1.0,))
     raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
     for g in raw:
-        g.flags.writeable = False  # shared with the forked segments, which scale it into new arrays
+        g.flags.writeable = False  # shared with the forked segments, which only read it
     tasks = [
         (snr, k0, threshold_mode, raw, plan, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
         for a, b in _ranges(len(grid), n_trials * (3 + len(grid)), workers)

@@ -3,9 +3,12 @@
 This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
-offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` alone builds,
-as new arrays or into a workspace's buffers.  Every estimator
-evaluates them here: the capacity kernel through ``aggregate_batch``, and the
+offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` builds, as
+new arrays or into a workspace's buffers; ``_scaled_aggregate`` forms the
+same floats for gains scaled by a variance row, column by column in reused
+buffers, without a scaled copy of the gains.  Every estimator
+evaluates them here: the capacity kernel through ``aggregate_batch`` (placement
+through ``_scaled_aggregate``), and the
 outage, E(N) and Lemma 1 sweep through ``undecoded_counts``, which takes its
 points from the largest threshold down and compacts the rows in play to
 those a point leaves undecoded at stage 0 whenever they are at most half of
@@ -106,6 +109,29 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
     for agg in _running_sums(gains[:, 0], _hops(gains, k_relays), x):
         pass
     return agg
+
+
+def _scaled_aggregate(gains: np.ndarray, row: np.ndarray, k_relays: int, x: float, out: np.ndarray, work) -> np.ndarray:
+    """``aggregate_batch(gains * row, k_relays, x)`` into ``out``, float for float, with no scaled copy of ``gains``.
+
+    Each column is scaled by its entry of ``row`` as it is read, into the
+    buffers of ``work``: three of len(out), the third used from the second
+    relay on, so that a column-major ``gains`` is read down whole columns.
+    The operations are those of ``_hops`` and ``_running_sums``: the scaled
+    g_sr and g_rd, their product and sum, + x and the divide give each term;
+    the scaled g_sd plus the first term starts the sum, and each later term
+    adds to it.  At K >= 1 only.
+    """
+    g_sr, g_rd = work[0], work[1]
+    for i in range(k_relays):
+        term = out if i == 0 else work[2]
+        np.multiply(gains[:, 1 + i], row[1 + i], out=g_sr)
+        np.multiply(gains[:, 1 + k_relays + i], row[1 + k_relays + i], out=g_rd)
+        np.multiply(g_rd, g_sr, out=term)
+        np.add(np.add(g_rd, g_sr, out=g_rd), x, out=g_rd)
+        np.divide(term, g_rd, out=term)
+        np.add(np.multiply(gains[:, 0], row[0], out=g_sr) if i == 0 else out, term, out=out)
+    return out
 
 
 class _Workspace:

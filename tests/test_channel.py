@@ -243,6 +243,22 @@ class TestDraws:
             gains_batch(LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0)), 3, 2, 100, out=buf)
         assert np.isnan(buf).all()
 
+    @pytest.mark.parametrize("n_rows", [100.5, True, "5", 5.0])
+    def test_a_non_integer_row_count_is_rejected_before_any_draw(self, monkeypatch, n_rows):
+        def no_stream(*args):
+            raise AssertionError("drew gains before rejecting the row count")
+
+        monkeypatch.setattr(channel, "batch_stream", no_stream)
+        with pytest.raises(InvalidParameterError) as err:
+            gains_batch(LinkVariances(1.0, (1.0,), (1.0,)), 0, 0, n_rows)
+        assert str(err.value) == f"n_rows must be an integer, got {n_rows!r}"
+
+    def test_a_numpy_integer_row_count_draws_as_an_int(self):
+        v = LinkVariances(1.0, (1.0,), (1.0,))
+        drawn = gains_batch(v, 0, 0, np.int64(5))
+        assert drawn.shape == (5, 3)
+        assert drawn.tobytes() == gains_batch(v, 0, 0, 5).tobytes()
+
     def test_sample_mean_matches_variance(self):
         # law of large numbers at 1e6 draws: tolerance is 5 standard errors
         v = LinkVariances(2.0, (1.0,), (1.0,))

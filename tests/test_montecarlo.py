@@ -79,6 +79,18 @@ class TestWorkerCount:
         with pytest.raises(InvalidParameterError, match="workers must be a positive integer"):
             estimate_outage(UNIT, SystemParams(snr=0.1, rate=0.01), 10_000, 3, workers=requested)
 
+    @pytest.mark.parametrize("requested", [True, False])
+    def test_a_bool_request_is_rejected(self, requested, monkeypatch):
+        monkeypatch.delenv("BAF_WORKERS", raising=False)
+        with pytest.raises(InvalidParameterError) as err:
+            worker_count(requested)
+        assert str(err.value) == f"workers must be a positive integer, got {requested!r}"
+
+    def test_a_numpy_integer_request_is_an_int(self, monkeypatch):
+        monkeypatch.setenv("BAF_WORKERS", "8")
+        workers = worker_count(np.int64(3))
+        assert workers == 3 and type(workers) is int
+
     def test_one_worker_without_fork(self, monkeypatch):
         monkeypatch.setenv("BAF_WORKERS", "8")
         monkeypatch.delattr(os, "fork")
@@ -1404,6 +1416,77 @@ class TestPlacementBlocks:
                 assert {tuple(row) for row in in_band} <= kept
                 kept_below = np.count_nonzero(aggregate_batch(window.gains * scale, 1, x) < window.low)
                 assert window.below + kept_below == np.count_nonzero(a0 < window.low)
+
+
+def _grid_row(pathloss, position):
+    return variance_row(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)))
+
+
+class TestScaledWindows:
+    """A block's bounding pass and window stages scale the unit draws column by column, into reused buffers:
+    every float is the one that a scaled copy of the draws gives."""
+
+    @given(
+        pathloss=st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0]),
+        position=st.integers(0, 100),
+        n_rows=st.sampled_from([1, 2, 500, 20_000]),
+        offset=st.sampled_from(["zero", "x_lo", "x_hi"]),
+        epsilon=st.floats(0.01, 0.3),
+        below=st.integers(0, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(pathloss=3.0, position=50, n_rows=1, offset="x_lo", epsilon=0.1, below=0, seed=0)
+    @settings(max_examples=30, deadline=None)
+    def test_stage_a0_at_a_row_is_that_of_the_scaled_window(self, pathloss, position, n_rows, offset, epsilon,
+                                                             below, seed):
+        row, snr = _grid_row(pathloss, position), 0.01
+        start = c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)),
+                            snr, epsilon)
+        k0 = below + int(epsilon * n_rows)
+        search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
+        if offset == "zero":
+            search.x0 = 0.0  # a0 at x = 0 bounds the aggregate at any offset as well
+        x_lo, x_hi = {"zero": (0.0, 1.0), "x_lo": (search.x0, 2.0 * search.x0), "x_hi": (0.0, search.x0)}[offset]
+        gains = np.asfortranarray(gains_batch(UNIT, seed, 0, n_rows))
+        gains.flags.writeable = False
+        window = montecarlo._Window(below, gains, -math.inf, math.inf, x_lo, x_hi, np.full((4, n_rows), np.nan))
+        found = montecarlo._window_stage(search, window, row)
+        assert window.work[0].tobytes() == aggregate_batch(gains * row, 1, search.x0).tobytes()
+        scaled = montecarlo._Window(below, gains * row, -math.inf, math.inf, x_lo, x_hi)
+        assert found is not None and found == montecarlo._window_stage(search, scaled)
+
+    @pytest.mark.parametrize("pathloss", [0.0, 3.0, 8.0])
+    @pytest.mark.parametrize("n", [20_000, 70_000])
+    def test_block_bounds_are_those_of_the_scaled_batches(self, monkeypatch, pathloss, n):
+        # one short batch, or a full one and a short last one, through buffers of the longest
+        snr, epsilon, seed = 0.01, 0.2, 4
+        raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in batch_plan(n)]
+        scales = np.array([_grid_row(pathloss, p) for p in range(30, 38)])
+        caps = np.array([
+            c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[p],), pathloss)), snr, epsilon)
+            for p in (28, 29)
+        ])
+        search = montecarlo._RateSearch(snr, montecarlo._max_allowed_count(epsilon, n), 1, None, "exact", caps[1])
+        add, bounds = montecarlo._Rows.add, []
+
+        def recorded(rows, gains, lower, upper):
+            bounds.append((lower.tobytes(), upper.tobytes()))
+            return add(rows, gains, lower, upper)
+
+        def copied(gains, row, k, x, out, work):
+            out[:] = aggregate_batch(gains * row, k, x)
+            return out
+
+        monkeypatch.setattr(montecarlo._Rows, "add", recorded)
+        window = montecarlo._block_window(search, raw, scales, caps)
+        monkeypatch.setattr(montecarlo, "_scaled_aggregate", copied)
+        reference = montecarlo._block_window(search, raw, scales, caps)
+        assert len(bounds) == 2 * len(raw)
+        assert bounds[: len(raw)] == bounds[len(raw) :]
+        assert window.gains.tobytes() == reference.gains.tobytes() and len(window.gains) > 0
+        assert (window.below, window.low, window.high, window.x_lo, window.x_hi) == (
+            reference.below, reference.low, reference.high, reference.x_lo, reference.x_hi)
+        assert window.work.shape == (4, len(window.gains))
 
 
 def _segment_tasks(pathloss, snr, epsilon, n_trials, seed, grid_points, mode, cuts):

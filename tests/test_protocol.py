@@ -5,10 +5,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity
-from bafsim.channel import ChannelDraw, LinkVariances, SystemParams, gains_batch
+from bafsim.capacity import channel_aggregate, decode_condition, instantaneous_capacity, position_grid
+from bafsim.channel import (
+    ChannelDraw,
+    LinkVariances,
+    NetworkGeometry,
+    SystemParams,
+    gains_batch,
+    variance_row,
+    variances_from_geometry,
+)
 from bafsim.errors import InvalidParameterError
-from bafsim.protocol import BlockOutcome, _hops, _Workspace, aggregate_batch, simulate_block, undecoded_counts
+from bafsim.protocol import (
+    BlockOutcome,
+    _hops,
+    _scaled_aggregate,
+    _Workspace,
+    aggregate_batch,
+    simulate_block,
+    undecoded_counts,
+)
 from protocol_reference import block_stats_batch
 
 gain = st.floats(0.0, 50.0)
@@ -206,6 +222,31 @@ def test_hops_on_rows_are_those_of_the_gathered_rows(k, order, rows):
         assert p_out is p_buf and s_out is s_buf
         assert p_buf.tobytes() == p_ref.tobytes() and s_buf.tobytes() == s_ref.tobytes()
     assert np.array_equal(gains, drawn)
+
+
+@given(
+    k=st.integers(1, 3),
+    pathloss=st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0]),
+    position=st.integers(0, 100),
+    spread=st.lists(st.floats(0.25, 4.0), min_size=6, max_size=6),
+    n_rows=st.sampled_from([1, 2, 333, 4464]),
+    order=st.sampled_from(["C", "F"]),
+    x=st.sampled_from([0.0, 5e-324, 1e-3, 0.5, 40.0]) | st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(k=1, pathloss=8.0, position=0, spread=[1.0] * 6, n_rows=1, order="F", x=0.0, seed=0)
+@settings(max_examples=60, deadline=None)
+def test_scaled_aggregate_is_the_aggregate_of_the_scaled_gains(k, pathloss, position, spread, n_rows, order, x, seed):
+    # a grid position's variance row at K = 1, its relay columns repeated and spread beyond
+    sd, sr, rd = variance_row(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)))
+    row = np.array([sd, *[sr * f for f in spread[:k]], *[rd * f for f in spread[3 : 3 + k]]])
+    gains = np.asarray(gains_batch(LinkVariances(1.0, (1.0,) * k, (1.0,) * k), seed, 0, n_rows), order=order)
+    drawn = gains.copy(order="A")
+    out, work = np.full(n_rows, np.nan), np.full((3, n_rows), np.nan)
+    assert _scaled_aggregate(gains, row, k, x, out, work) is out
+    assert out.tobytes() == aggregate_batch(gains * row, k, x).tobytes()
+    assert np.isnan(work[2]).all() == (k == 1)  # the third buffer serves the second relay on
+    assert gains.tobytes() == drawn.tobytes()
 
 
 def _counts_from_stats(outage, n_used, k):
