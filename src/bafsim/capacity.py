@@ -143,10 +143,15 @@ def c_eps_baf_k(variances: LinkVariances, snr: float, epsilon: float) -> float:
     (1/(K+1)) * log2(1 + SNR * root) with the (K+1)-th root argument of
     ``_root_argument``, through ``_log2_1p`` so that it keeps its precision
     where SNR * root is small.  For K=1 this is exactly the no-feedback
-    closed form.  It approximates the capacity and does not bound it: at one
-    relay, pathloss 3, SNR -10 to -30 dB and epsilon 0.001 to 0.1, the
-    empirical capacity lies between about 5% below it, near the midpoint,
-    and up to 19% above it, near the ends of the segment.
+    closed form.  It approximates the capacity and does not bound it, and
+    how far it lies from the empirical capacity depends on the threshold
+    mode.  At one relay, pathloss 3, SNR -10 to -30 dB and epsilon 0.001 to
+    0.1, the empirical capacity with the linearized threshold lies between
+    about 6% below it, near the midpoint, and up to 19% above it, near the
+    ends of the segment.  With the exact threshold it lies below it: at
+    400 000 trials, seed 3, epsilon 0.01 and -10 to -30 dB, the empirical
+    capacity over the closed form is 0.73-0.74 at d = 0.5 and 0.84 at
+    d = 0.1 (0.96-1.06 with the linearized threshold).
     """
     k = variances.k_relays
     return (1.0 / (k + 1)) * _log2_1p(snr * _root_argument(variances, epsilon))

@@ -38,24 +38,26 @@ at most k0 seeded trials, the largest outage count below epsilon, are in
 outage, and more are at the next float up.  The kernel, ``_window_stage``,
 counts with the protocol's aggregate ``aggregate_batch`` on a window of
 trials: those whose aggregate can fall in the band that brackets the
-answer, plus a count of the trials surely below it.  One gatherer,
-``_Rows``, builds every window from a lower and an upper bound on each
-trial's aggregate, in trial order.
+answer, plus a count of the trials surely below it.  Every window is built
+from a lower and an upper bound on each trial's aggregate, in trial order.
 Operating points take their windows from the exact pass ``_exact_passes``: a
 capacity sweep draws each batch once for all its points, each keeping its
-k0+1 smallest aggregates and the rows below a running bound, and draws it a
-second time only for the points whose rows do not fit the memory of one
-array of n_trials aggregates, or whose kept rows miss the final bracket.
-The parts of a pass are merged in batch order.  The placement grid's unit
-draws are made once, by the caller, and read-only.  Each segment of the grid
-restarts its chain of start rates from the closed form, and bounds each block
-of relay positions in one pass over the unit draws, solving every position of
-the block on that window; a position the window cannot hold falls back to the
-exact pass.  Every capacity is the unique root of its outage count, whatever
-the split.  Every kernel function takes the gains as its search sees them,
-but for a block's bounding pass and window stages, which take the unit draws
-with the variance rows and scale each column as they read it, into buffers
-reused across the block (``_scaled_aggregate``): neither copies the draws.
+k0+1 smallest aggregates and the rows below a running bound (``_Rows``), and
+draws it a second time only for the points whose rows do not fit the memory
+of one array of n_trials aggregates, or whose kept rows miss the final
+bracket.  The parts of a pass are merged in batch order.  The placement
+grid's unit draws are made once, by the caller, and read-only, and every
+placement pass reads them in place: it takes the unit draws with a variance
+row and scales each column as it reads it, into buffers of its own
+(``_scaled_aggregate``), and gathers its window's rows by index, column by
+column (``_band_window``).  Each segment of the grid restarts its chain of
+start rates from the closed form, and bounds each block of relay positions
+in one pass over the unit draws, solving every position of the block on that
+window.  The first two positions of a segment, and a position its block's
+window cannot hold, are solved on all the trials (``_exact_position``): one
+pass computes their a0 into one array, partitioned in place for the k0-th
+a0, and a second gathers its bracket's band.  Every capacity is the unique
+root of its outage count, whatever the split.
 One float bisection, ``_solve_increasing``, finds every root the module needs:
 the kernel's rate bracket, the capacity itself and lemma1's policy offset.
 """
@@ -69,7 +71,7 @@ import pickle
 import signal
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -611,13 +613,13 @@ class _Window:
     """The trials that can hold the order statistic of a search whose bracket lies in [low, high).
 
     ``gains`` holds their gains as the search sees them, in trial order; a
-    placement block's window holds the unit draws, and each of its positions
-    scales them by its variance row.  Of the other trials, ``below`` have a0
-    below ``low`` and the rest a0 at or above ``high``, at every offset x0 in
-    [x_lo, x_hi] and, for a block, every variance row it was bounded for.
-    A block's window also holds ``work``, four rows of len(gains) floats,
-    which every position's ``_window_stage`` reuses for its a0 (the last row
-    only at K >= 2).
+    placement window holds the unit draws, column-major, and each of its
+    positions scales them by its variance row.  Of the other trials,
+    ``below`` have a0 below ``low`` and the rest a0 at or above ``high``, at
+    every offset x0 in [x_lo, x_hi] and, for a block, every variance row it
+    was bounded for.  A placement window also holds ``work``, four rows of
+    len(gains) floats, which every position's ``_window_stage`` reuses for
+    its a0 (the last row only at K >= 2).
     """
 
     below: int
@@ -630,11 +632,13 @@ class _Window:
 
 
 class _Rows:
-    """The rows of a pass whose bounds on a0 meet the band [low, high), in trial order.
+    """The rows of a capacity sweep's pass whose bounds on a0 meet the band [low, high), in trial order.
 
-    ``add`` takes a batch of gains with a lower and an upper bound on each
-    row's a0 (a0 itself for both, where it is computed): it counts the rows
-    surely below the band in ``below`` and keeps those that can lie in it.
+    Only the capacity sweep's ``_PassPoint`` uses it: its batches are drawn
+    and dropped, so it copies the rows it keeps.  ``add`` takes a batch of
+    gains with a lower and an upper bound on each row's a0 (a0 itself for
+    both, where it is computed): it counts the rows surely below the band in
+    ``below`` and keeps those that can lie in it.
     ``size`` is the number of floats kept.
     """
 
@@ -657,8 +661,8 @@ class _Rows:
     def window(self, width: int, x_lo: float, x_hi: float) -> _Window:
         """The kept rows as the window bounded for offsets in [x_lo, x_hi]; the rows leave ``self``.
 
-        Column-major, so that scaling by the variances runs down whole
-        columns.  Each chunk is released once copied, so that its memory can go.
+        Column-major, so that the aggregate reads whole columns.  Each chunk
+        is released once copied, so that its memory can go.
         """
         gains = np.empty((sum(len(chunk) for chunk in self.chunks), width), order="F")
         s = 0
@@ -678,10 +682,11 @@ def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None =
     rate is the root of the outage count, the trials below the band plus the
     candidates in outage: at most k0 at the rate and more at the next float.
 
-    With ``row``, the window is a block's: a0 is computed column by column
-    (``_scaled_aggregate``) into the window's ``work``, which also takes the
-    copy that is partitioned, and only the candidates' rows are scaled.  Every
-    float is the one that the window scaled by ``row`` gives without it.
+    With ``row``, the window is a placement window: a0 is computed column
+    by column (``_scaled_aggregate``) into the window's ``work``, which also
+    takes the copy that is partitioned, and only the candidates' rows are
+    scaled.  Every float is the one that the window scaled by ``row`` gives
+    without it.
     """
     if not window.x_lo <= search.x0 <= window.x_hi:
         return None
@@ -1012,6 +1017,34 @@ def empirical_eps_outage_capacity(
 PLACEMENT_TRIAL_LIMIT = 20_000_000
 
 
+def _band_window(raw: list[np.ndarray], bounds, low: float, high: float, x_lo: float, x_hi: float) -> _Window:
+    """The window of the trials of ``raw`` whose bounds on a0 meet the band [low, high), gathered by index.
+
+    ``bounds(g, buf)`` returns a lower and an upper bound on the a0 of each
+    row of the batch ``g``, computed in the rows of ``buf``: five of len(g)
+    floats, reused batch after batch.  One pass keeps one index array per
+    batch, the rows whose bounds meet the band, and counts in ``below`` the
+    rows whose upper bound lies below it.  Its buffers are released, and the
+    window is then allocated once, column-major, and filled column by column
+    from the unit draws, in trial order, with its ``work`` for the stages.
+    """
+    below, picks = 0, []
+    buf = np.empty((5, max(len(g) for g in raw)))
+    for g in raw:
+        lower, upper = bounds(g, buf[:, : len(g)])
+        below += int(np.count_nonzero(upper < low))
+        picks.append(np.flatnonzero((upper >= low) & (lower < high)))
+    del buf, lower, upper
+    gains = np.empty((sum(len(idx) for idx in picks), raw[0].shape[1]), order="F")
+    s = 0
+    for g, idx in zip(raw, picks):
+        for c in range(g.shape[1]):
+            # the indices are valid; mode="raise" would copy out first
+            np.take(g[:, c], idx, out=gains[s : s + len(idx), c], mode="clip")
+        s += len(idx)
+    return _Window(below, gains, low, high, x_lo, x_hi, np.empty((4, len(gains))))
+
+
 def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray, recent_caps: np.ndarray) -> _Window:
     """Window for the positions with variance rows ``scales``, from one bounding pass over ``raw``.
 
@@ -1027,13 +1060,11 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     variance column and the largest x, and its value at the largest entries
     and the smallest x.  Each batch's two bounds, the floats of
     ``aggregate_batch`` on the batch scaled by those rows, are computed column
-    by column (``_scaled_aggregate``) into buffers allocated once per pass,
-    and go to a ``_Rows`` over the band, which keeps the unit draws of the
-    trials they cannot place outside it.  The pass's buffers are released
-    before the window, and its ``work`` for the positions' stages, are made.
+    by column (``_scaled_aggregate``), and ``_band_window`` gathers the unit
+    draws of the trials they cannot place outside the band.
     ``_window_stage`` checks every window, so a prediction that misses
-    (or overflows, far past the clamp) only sends a position to the exact
-    pass.
+    (or overflows, far past the clamp) only sends a position to
+    ``_exact_position``.
     """
     steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
     with np.errstate(all="ignore"):
@@ -1044,37 +1075,64 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     x_lo, thr_lo = search.condition(rate_lo) if rate_lo * search.snr >= sys.float_info.min else (0.0, 0.0)
     x_hi, thr_hi = search.condition(float(rates.max()) * (1.0 + _PREDICTION_MARGIN))
     slack = search.k / 4.0 * (x_hi - x_lo)
-    low, high = thr_lo - slack, thr_hi + slack
-    row_lo, row_hi = scales.min(axis=0), scales.max(axis=0)
-    k, rows = search.k, _Rows(low, high)
-    # lower, upper and the three work buffers of _scaled_aggregate (the last untouched at K = 1)
-    bounds = np.empty((5, max(len(g) for g in raw)))
-    for g in raw:
-        lower, upper, *work = bounds[:, : len(g)]
+    row_lo, row_hi, k = scales.min(axis=0), scales.max(axis=0), search.k
+
+    def bounds(g, buf):
+        lower, upper, *work = buf  # the last work row untouched at K = 1
         np.multiply(_scaled_aggregate(g, row_lo, k, x_hi, lower, work), 1.0 - _BOUND_MARGIN, out=lower)
         np.multiply(_scaled_aggregate(g, row_hi, k, x_lo, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
-        rows.add(g, lower, upper)
-    del bounds, lower, upper, work
-    window = rows.window(1 + 2 * k, x_lo, x_hi)
-    return replace(window, work=np.empty((4, len(window.gains))))
+        return lower, upper
+
+    return _band_window(raw, bounds, thr_lo - slack, thr_hi + slack, x_lo, x_hi)
+
+
+def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray) -> tuple[float, int]:
+    """(rate, outage count there) of ``search`` on every trial of ``raw``, scaled by the variance row ``row``.
+
+    One pass computes every trial's a0 at x0 (``_scaled_aggregate``) into
+    one array of n_trials floats, the memory of one point's array of a0 in
+    ``_exact_passes``, which is partitioned in place for the k0-th a0.  The
+    array is released, and ``_band_window`` gathers the band [a_below,
+    a_above) of its bracket, so ``_window_stage`` always succeeds there.
+    The answer is the unique root of the outage count, that of
+    ``_exact_passes`` on the scaled draws.
+    """
+    k, x0 = search.k, search.x0
+    a0 = np.empty(sum(len(g) for g in raw))
+    work = np.empty((3, max(len(g) for g in raw)))
+    s = 0
+    for g in raw:
+        _scaled_aggregate(g, row, k, x0, a0[s : s + len(g)], work[:, : len(g)])
+        s += len(g)
+    del work
+    a0.partition(search.k0)
+    _, _, a_below, a_above = search.bracket(float(a0[search.k0]))
+    del a0
+
+    def bounds(g, buf):
+        exact = _scaled_aggregate(g, row, k, x0, buf[0], buf[1:4])
+        return exact, exact
+
+    return _window_stage(search, _band_window(raw, bounds, a_below, a_above, x0, x0), row)
 
 
 def _placement_segment(
-    snr: float, k0: int, threshold_mode: str, raw: list[np.ndarray], plan, scales: np.ndarray, start_rate: float
+    snr: float, k0: int, threshold_mode: str, raw: list[np.ndarray], scales: np.ndarray, start_rate: float
 ) -> np.ndarray:
     """Capacities at the contiguous run of positions with variance rows ``scales``.
 
-    ``raw`` holds the unit draws of the batches of ``plan``, which the segment
-    reads and never writes: a block's bounding pass and its positions' window
-    stages scale them column by column as they read them, into buffers of
-    their own, and an exact pass scales each batch into a new array.  The
-    first position's search starts from ``start_rate``.  The first two
-    positions take an exact pass; after them, positions come in blocks of
+    ``raw`` holds the unit draws, which the segment reads in place and never
+    writes: every pass scales them column by column as it reads them, into
+    buffers of its own, and every window gathers its trials' unit draws by
+    index (``_band_window``).  The first position's search starts from
+    ``start_rate``.  The first two positions are solved on all the trials
+    (``_exact_position``); after them, positions come in blocks of
     ``_BLOCK_POSITIONS`` on one ``_block_window`` each, and a position the
-    window cannot hold falls back to the exact pass, after which the next block
-    starts.  A block's window, and its buffers, are released before the next
-    bounding pass or exact pass.  Every capacity is the unique root of its
-    outage count, so it does not depend on where its segment starts.
+    window cannot hold falls back to ``_exact_position``, after which the
+    next block starts.  A block's window, and its buffers, are released
+    before the next bounding pass or exact position.  Every capacity is the
+    unique root of its outage count, so it does not depend on where its
+    segment starts.
     """
     caps = np.empty(len(scales))
     window, block_end = None, 0
@@ -1087,7 +1145,7 @@ def _placement_segment(
         if found is None or i + 1 == block_end:
             window = None
         if found is None:
-            found = _exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0]
+            found = _exact_position(search, raw, scale)
         caps[i], _ = found
     return caps
 
@@ -1108,9 +1166,9 @@ def empirical_capacity_vs_position(
     position-dependent variances, so the capacity curve is smooth in the
     position and its argmax is comparable across positions.  Each position's
     capacity is the unique root of its outage count under the clamped
-    duty-cycle policy, so the exact pass ``_exact_passes``, from whatever
-    start rate, finds the rate that ``empirical_eps_outage_capacity``,
-    started from the closed form, finds on the same variances and trials.
+    duty-cycle policy, so whatever its start rate, it is the rate that
+    ``empirical_eps_outage_capacity``, started from the closed form, finds
+    on the same variances and trials.
 
     The trials are drawn once, here, and made read-only.  The grid splits
     into segments (``_ranges``), which ``_placement_segment`` solves on those
@@ -1120,12 +1178,13 @@ def empirical_capacity_vs_position(
     of ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
     keeps the few trials whose aggregate can lie in the block's predicted
     band, and each position runs ``_window_stage`` on them alone, at its
-    variance row: neither the bounding pass nor the window stage makes a
-    scaled copy of the draws, but each scales the columns it reads into
-    buffers allocated once per block.  A position whose start offset or
-    bracket falls outside what the window was bounded for, and a segment's
-    first two, take an exact pass over all trials instead.  Either way the result is bit for bit that
-    of the exact pass, at any split and worker count.
+    variance row.  A position whose start offset or bracket falls outside
+    what the window was bounded for, and a segment's first two, are solved
+    on all the trials instead (``_exact_position``).  No pass makes a scaled
+    copy of the draws: each scales the columns it reads into buffers of its
+    own, and each window gathers its rows' unit draws by index.  Either way
+    the result is bit for bit that of the capacity sweep's exact pass, at
+    any split and worker count.
 
     Returns (positions, capacities).
     """
@@ -1148,7 +1207,7 @@ def empirical_capacity_vs_position(
     for g in raw:
         g.flags.writeable = False  # shared with the forked segments, which only read it
     tasks = [
-        (snr, k0, threshold_mode, raw, plan, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
+        (snr, k0, threshold_mode, raw, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
         for a, b in _ranges(len(grid), n_trials * (3 + len(grid)), workers)
     ]
     return grid, np.concatenate(_run_batches(_placement_segment, tasks))

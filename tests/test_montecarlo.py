@@ -827,6 +827,14 @@ class TestEmpiricalCapacity:
         lin = empirical_eps_outage_capacity(UNIT, params, 50_000, 5, threshold_mode="linearized").rate
         assert lin > exact
 
+    def test_exact_threshold_capacity_lies_well_below_the_closed_form_at_the_midpoint(self):
+        # the figure that the c_eps_baf_k docstring gives: with the exact threshold, the
+        # empirical capacity is 0.73 of the closed form at d = 0.5, pathloss 3, -20 dB
+        v = variances_from_geometry(NetworkGeometry((0.5,), 3.0))
+        params = SystemParams(snr=0.01, rate=0.0, epsilon=0.01)
+        ratio = empirical_eps_outage_capacity(v, params, 400_000, 3).rate / c_eps_baf_k(v, 0.01, 0.01)
+        assert 0.73 <= ratio <= 0.74
+
     def test_two_relay_search(self):
         v = LinkVariances(1.0, (8.0, 8.0), (8.0, 8.0))
         params = SystemParams(snr=0.05, rate=0.0, epsilon=0.02, k_relays=2)
@@ -1329,9 +1337,9 @@ def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mo
 
 def _counted_placement(*args, **kwargs):
     """``empirical_capacity_vs_position`` and how often its window stage ran: block windows it
-    solved, block windows that failed their checks, and exact passes."""
+    solved, block windows that failed their checks, and exact positions."""
     counts = {"window": 0, "failed": 0, "exact": 0}
-    stage, exact = montecarlo._window_stage, montecarlo._exact_passes
+    stage, exact = montecarlo._window_stage, montecarlo._exact_position
 
     def counted_exact(*a):
         counts["exact"] += 1
@@ -1347,7 +1355,7 @@ def _counted_placement(*args, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("BAF_WORKERS", "1")  # the counters live in this process: one segment, no fork
         mp.setattr(montecarlo, "_window_stage", counted_stage)
-        mp.setattr(montecarlo, "_exact_passes", counted_exact)
+        mp.setattr(montecarlo, "_exact_position", counted_exact)
         _, caps = empirical_capacity_vs_position(*args, **kwargs)
     return caps, counts
 
@@ -1467,20 +1475,23 @@ class TestScaledWindows:
             for p in (28, 29)
         ])
         search = montecarlo._RateSearch(snr, montecarlo._max_allowed_count(epsilon, n), 1, None, "exact", caps[1])
-        add, bounds = montecarlo._Rows.add, []
+        scaled, outputs = montecarlo._scaled_aggregate, []
 
-        def recorded(rows, gains, lower, upper):
-            bounds.append((lower.tobytes(), upper.tobytes()))
-            return add(rows, gains, lower, upper)
+        def recorded(aggregate):
+            def call(gains, row, k, x, out, work):
+                outputs.append(aggregate(gains, row, k, x, out, work).tobytes())
+                return out
+            return call
 
         def copied(gains, row, k, x, out, work):
             out[:] = aggregate_batch(gains * row, k, x)
             return out
 
-        monkeypatch.setattr(montecarlo._Rows, "add", recorded)
+        monkeypatch.setattr(montecarlo, "_scaled_aggregate", recorded(scaled))
         window = montecarlo._block_window(search, raw, scales, caps)
-        monkeypatch.setattr(montecarlo, "_scaled_aggregate", copied)
+        monkeypatch.setattr(montecarlo, "_scaled_aggregate", recorded(copied))
         reference = montecarlo._block_window(search, raw, scales, caps)
+        bounds = list(zip(outputs[::2], outputs[1::2]))  # (lower, upper) of each batch, before their margins
         assert len(bounds) == 2 * len(raw)
         assert bounds[: len(raw)] == bounds[len(raw) :]
         assert window.gains.tobytes() == reference.gains.tobytes() and len(window.gains) > 0
@@ -1489,18 +1500,87 @@ class TestScaledWindows:
         assert window.work.shape == (4, len(window.gains))
 
 
+def _read_only_draws(n, seed):
+    raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in batch_plan(n)]
+    for g in raw:
+        g.flags.writeable = False
+    return raw
+
+
+class TestDrawsInPlace:
+    """Placement reads its unit draws in place: windows are gathered by index, and a position solved on all the
+    trials computes its a0 into one array, with no scaled copy of a batch."""
+
+    @given(
+        n=st.sampled_from([10_000, 70_000, 140_000]),
+        band=st.tuples(_BOUNDS, _BOUNDS),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(n=70_000, band=(0.5, 1.0), seed=0)
+    @settings(max_examples=20, deadline=None)
+    def test_an_index_gathered_window_is_the_masked_trials_in_trial_order(self, n, band, seed):
+        raw, (low, high) = _read_only_draws(n, seed), band
+
+        def bounds(g, buf):
+            np.copyto(buf[0], g[:, 0])
+            return buf[0], np.add(g[:, 0], g[:, 1], out=buf[1])
+
+        window = montecarlo._band_window(raw, bounds, low, high, 0.25, 0.5)
+        everything = np.concatenate(raw)
+        lower, upper = everything[:, 0], everything[:, 0] + everything[:, 1]
+        expected = everything[(upper >= low) & (lower < high)]
+        assert window.gains.flags.f_contiguous and window.gains.shape == expected.shape
+        assert window.gains.tobytes(order="F") == np.asfortranarray(expected).tobytes(order="F")
+        assert window.below == np.count_nonzero(upper < low)
+        assert (window.low, window.high, window.x_lo, window.x_hi) == (low, high, 0.25, 0.5)
+        assert window.work.shape == (4, len(expected))
+
+    @given(
+        pathloss=st.sampled_from([0.0, 3.0, 8.0]),
+        position=st.integers(1, 99),
+        epsilon=st.one_of(st.floats(0.005, 0.3), st.just(0.9)),
+        setting=st.sampled_from([("exact", 0.01), ("linearized", 0.01), ("exact", 1e6), ("linearized", 1e6)]),
+        n=st.sampled_from([10_000, 70_000, 200_000]),
+        start=st.sampled_from(["above", "below", "neighbour"]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(pathloss=3.0, position=50, epsilon=0.3, setting=("exact", 0.01), n=200_000, start="neighbour", seed=4)
+    @example(pathloss=8.0, position=5, epsilon=0.9, setting=("linearized", 1e6), n=10_000, start="above", seed=1)
+    @example(pathloss=0.0, position=95, epsilon=0.005, setting=("exact", 1e6), n=70_000, start="below", seed=2)
+    @settings(max_examples=25, deadline=None)
+    def test_exact_position_finds_the_exact_pass_root_on_the_scaled_draws(
+        self, pathloss, position, epsilon, setting, n, start, seed
+    ):
+        assume(epsilon * n >= MIN_EVENTS)
+        (mode, snr), raw, plan = setting, _read_only_draws(n, seed), batch_plan(n)
+        k0 = montecarlo._max_allowed_count(epsilon, n)
+
+        def exact_pass(p, start_rate):
+            search = montecarlo._RateSearch(snr, k0, 1, None, mode, start_rate)
+            row = _grid_row(pathloss, p)
+            return search, row, montecarlo._exact_passes([search], lambda j, rows: raw[j] * row, plan)[0][0]
+
+        closed = c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)),
+                             snr, epsilon)
+        *_, (root, _) = exact_pass(position, closed)
+        if start == "neighbour":
+            *_, (rate, _) = exact_pass(position - 1, closed)
+        else:
+            rate = 4.0 * root if start == "above" else root / 4.0
+        search, row, expected = exact_pass(position, rate)
+        assert montecarlo._exact_position(search, raw, row) == expected
+        assert expected[0] == root
+
+
 def _segment_tasks(pathloss, snr, epsilon, n_trials, seed, grid_points, mode, cuts):
     """``_placement_segment`` arguments for the grid parts [cuts[s], cuts[s + 1]), each started from the closed form,
     on one read-only cache of unit draws, as ``empirical_capacity_vs_position`` builds it."""
     k0 = montecarlo._max_allowed_count(epsilon, n_trials)
     per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss)) for d in position_grid(grid_points)]
     scales = np.array([variance_row(v) for v in per_position])
-    plan = batch_plan(n_trials)
-    raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in plan]
-    for g in raw:
-        g.flags.writeable = False
+    raw = _read_only_draws(n_trials, seed)
     return [
-        (snr, k0, mode, raw, plan, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
+        (snr, k0, mode, raw, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
         for a, b in zip(cuts, cuts[1:])
     ]
 
