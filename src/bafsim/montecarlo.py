@@ -35,24 +35,25 @@ order.
 The empirical outage capacity, at operating points or across relay
 positions, is the unique root of the outage count: the float rate at which
 at most k0 seeded trials, the largest outage count below epsilon, are in
-outage, and more are at the next float up.  The kernel, ``_window_stage``,
-counts with the protocol's aggregate ``aggregate_batch`` on a window of
-trials: those whose aggregate can fall in the band that brackets the
-answer, plus a count of the trials surely below it.  Every window is built
-from a lower and an upper bound on each trial's aggregate, in trial order.
-Operating points take their windows from the exact pass ``_exact_passes``: a
-capacity sweep draws each batch once for all its points, each keeping its
-k0+1 smallest aggregates and the rows below a running bound (``_Rows``), and
-draws it a second time only for the points whose rows do not fit the memory
-of one array of n_trials aggregates, or whose kept rows miss the final
-bracket.  The parts of a pass are merged in batch order.  The placement
-grid's unit draws are made once, by the caller, and read-only, and every
-placement pass reads them in place: it takes the unit draws with a variance
-row and scales each column as it reads it, into buffers of its own
-(``_scaled_aggregate``), and gathers its window's rows by index, column by
-column (``_band_window``).  Each segment of the grid restarts its chain of
-start rates from the closed form, and bounds each block of relay positions
-in one pass over the unit draws, solving every position of the block on that
+outage, and more are at the next float up.  One function, ``_aggregate``,
+computes every a0 it needs, into buffers of the caller's.  The kernel,
+``_window_stage``, counts on a window of trials: those whose aggregate can
+fall in the band that brackets the answer, plus a count of the trials surely
+below it.  Every window owns the ``work`` rows its a0 goes into, and is
+built from a lower and an upper bound on each trial's aggregate, in trial
+order.  Operating points take their windows from the exact pass
+``_exact_passes``: a capacity sweep draws each batch once for all its
+points, into one buffer per part, each keeping its k0+1 smallest aggregates
+and the rows below a running bound (``_Rows``), and draws it a second time
+only for the points whose rows do not fit the memory of one array of
+n_trials aggregates, or whose kept rows miss the final bracket.  The parts
+of a pass are merged in batch order.  The placement grid's unit draws are
+made once, by the caller, and read-only, and every placement pass reads them
+in place: ``_aggregate`` scales each column by the variance row as it reads
+it, and windows gather their rows by index, column by column
+(``_band_window``).  Each segment of the grid restarts its chain of start
+rates from the closed form, and bounds each block of relay positions in one
+pass over the unit draws, solving every position of the block on that
 window.  The first two positions of a segment, and a position its block's
 window cannot hold, are solved on all the trials (``_exact_position``): one
 pass computes their a0 into one array, partitioned in place for the k0-th
@@ -64,7 +65,6 @@ the kernel's rate bracket, the capacity itself and lemma1's policy offset.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import pickle
@@ -88,7 +88,7 @@ from .channel import (
     variances_from_geometry,
 )
 from .errors import ConvergenceError, InvalidParameterError
-from .protocol import _hops, _running_sums, _scaled_aggregate, _Workspace, aggregate_batch, undecoded_counts
+from .protocol import _aggregate, _hops, _running_sums, _Workspace, undecoded_counts
 
 MIN_TRIALS = 10_000
 # 65 536 batches, a plan of about 6 MB: 200 times the 20 M trials that the
@@ -565,7 +565,7 @@ def _solve_increasing(
 class _RateSearch:
     """The largest rate at which at most k0 of the trials at one set of variances are in outage.
 
-    A trial is in outage at rate r iff its aggregate ``aggregate_batch`` at
+    A trial is in outage at rate r iff its aggregate ``_aggregate`` at
     x(r) is below thr(r), with (x, thr) from ``decode_condition``; neither
     falls as r grows, float for float, so the outage count never falls with r
     and its root does not depend on where the search starts.  The search
@@ -617,9 +617,9 @@ class _Window:
     positions scales them by its variance row.  Of the other trials,
     ``below`` have a0 below ``low`` and the rest a0 at or above ``high``, at
     every offset x0 in [x_lo, x_hi] and, for a block, every variance row it
-    was bounded for.  A placement window also holds ``work``, four rows of
-    len(gains) floats, which every position's ``_window_stage`` reuses for
-    its a0 (the last row only at K >= 2).
+    was bounded for.  ``work`` holds four rows of len(gains) floats, which
+    every ``_window_stage`` on the window reuses for its a0 (the last row
+    only at K >= 2).
     """
 
     below: int
@@ -628,7 +628,7 @@ class _Window:
     high: float
     x_lo: float
     x_hi: float
-    work: np.ndarray | None = None
+    work: np.ndarray
 
 
 class _Rows:
@@ -670,7 +670,7 @@ class _Rows:
             chunk = self.chunks.pop(0)
             gains[s : s + len(chunk)] = chunk
             s += len(chunk)
-        return _Window(self.below, gains, self.low, self.high, x_lo, x_hi)
+        return _Window(self.below, gains, self.low, self.high, x_lo, x_hi, np.empty((4, len(gains))))
 
 
 def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None = None):
@@ -682,21 +682,16 @@ def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None =
     rate is the root of the outage count, the trials below the band plus the
     candidates in outage: at most k0 at the rate and more at the next float.
 
-    With ``row``, the window is a placement window: a0 is computed column
-    by column (``_scaled_aggregate``) into the window's ``work``, which also
-    takes the copy that is partitioned, and only the candidates' rows are
-    scaled.  Every float is the one that the window scaled by ``row`` gives
-    without it.
+    a0 goes into the window's ``work`` (``_aggregate``), which also takes
+    the copy that is partitioned; the candidates' rows are gathered into one
+    array, scaled by ``row`` if given.  Every float is the one that the
+    window scaled by ``row`` gives without it.
     """
     if not window.x_lo <= search.x0 <= window.x_hi:
         return None
     k, k0 = search.k, search.k0
-    if row is None:
-        a0 = aggregate_batch(window.gains, k, search.x0)
-        ranked = np.empty_like(a0)
-    else:
-        a0, ranked, *work = window.work
-        _scaled_aggregate(window.gains, row, k, search.x0, a0, [ranked, *work])
+    a0, ranked = window.work[:2]
+    _aggregate(window.gains, k, search.x0, row, a0, window.work[1:])
     i = k0 - window.below
     if not 0 <= i < len(a0):
         return None
@@ -708,9 +703,9 @@ def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None =
     below = window.below + int(np.count_nonzero(a0 < a_below))
     cand = np.flatnonzero((a0 >= a_below) & (a0 < a_above))
     # the candidates' hop terms do not depend on the rate: built once, and
-    # summed at each rate into the same buffers, to the floats of aggregate_batch
-    gains, rows = (window.gains, cand) if row is None else (window.gains[cand] * row, slice(None))
-    g_sd, hops = gains[:, 0][rows], list(_hops(gains, k, rows))
+    # summed at each rate into the same buffers, to the floats of _aggregate
+    gains = window.gains[cand] if row is None else window.gains[cand] * row
+    g_sd, hops = gains[:, 0], list(_hops(gains, k))
     agg, term = np.empty(len(cand)), np.empty(len(cand))
 
     def outages(r: float) -> int:
@@ -725,7 +720,8 @@ def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None =
 class _PassPoint:
     """One search's share of a pass over the trials, or of a part of one, as the window its ``rows`` gather.
 
-    ``add`` and ``prune`` take the gains as the search sees them.  A first
+    ``add`` and ``prune`` take the gains as the search sees them, and compute
+    their a0 in the part's three ``work`` rows of a batch's length.  A first
     pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf`` and,
     unless ``rows`` is None, every drawn row whose a0 lies below the running
     bound ``rows.high`` when its batch comes, or when the rows are pruned.
@@ -785,12 +781,12 @@ class _PassPoint:
             return self.rows.high
         return self.settled if self.rows is None else max(self.settled, self.rows.high)
 
-    def add(self, gains: np.ndarray, floor: np.ndarray | None = None) -> None:
+    def add(self, gains: np.ndarray, work: np.ndarray, floor: np.ndarray | None = None) -> None:
         """Take one batch of drawn gains; ``floor``, if given, is a lower bound on each row's a0."""
         s = self.search
         if floor is not None and self.cut() < math.inf:
             gains = gains[np.flatnonzero(floor < self.cut())]
-        a0 = aggregate_batch(gains, s.k, s.x0)
+        a0 = _aggregate(gains, s.k, s.x0, work=work)
         if self.buf is not None:
             new = a0 if self.settled == math.inf else a0[a0 < self.settled]
             if new.size > s.k0 + 1:  # only the k0+1 smallest of a batch can count
@@ -807,7 +803,7 @@ class _PassPoint:
                 self.bounded = u
         self.rows.add(gains, a0, a0)
 
-    def prune(self) -> int:
+    def prune(self, work: np.ndarray) -> int:
         """Keep only the kept rows whose a0 lies below the current running bound; returns the floats freed.
 
         Rows kept since the last prune lie below the bound, unless it has fallen since.
@@ -815,7 +811,7 @@ class _PassPoint:
         if self.rows is None or self.rows.high == self.pruned:
             return 0
         s, size, self.pruned = self.search, self.rows.size, self.rows.high
-        self.rows.prune(lambda gains: aggregate_batch(gains, s.k, s.x0))
+        self.rows.prune(lambda gains: _aggregate(gains, s.k, s.x0, work=work))
         return size - self.rows.size
 
     def drop(self) -> None:
@@ -842,21 +838,22 @@ class _PassPoint:
         return None
 
 
-def _pass_part(draw, plan, bands, keeps, room: int) -> list[_PassPoint]:
+def _pass_part(variances: LinkVariances, master_seed: int, plan, bands, keeps, room: int) -> list[_PassPoint]:
     """The state of every point of a pass after one contiguous part of its batches.
 
-    ``draw(j, rows)`` returns the gains of batch j as the searches see them,
-    and ``plan`` holds the part's batches.  ``bands`` holds a (search, band)
-    pair per second pass and ``keeps`` a (search, keep) pair per first pass;
-    the states come back in that order.  The first passes that keep rows share
-    ``room`` floats for them.  Each batch is drawn once and serves every
+    ``plan`` holds the part's batches of the draws of (``variances``,
+    ``master_seed``).  ``bands`` holds a (search, band) pair per second pass
+    and ``keeps`` a (search, keep) pair per first pass; the states come back
+    in that order.  The first passes that keep rows share ``room`` floats for
+    them.  Each batch is drawn once, into one reused buffer, and serves every
     point.  Where a part serves two or more points, its aggregate at their
-    largest x0 bounds all their a0 from below (every term falls as x grows,
-    and so does its float), and each point computes its a0 only on the rows
-    whose bound lies below its ``cut``, which changes no result.  When the
-    kept rows of the first passes outgrow the room, points prune their rows
-    to their current bounds, in order, until the rows fit; the point that
-    grew drops its rows if they do not fit with every point pruned.
+    largest x0, in a row of its own, bounds all their a0 from below (every
+    term falls as x grows, and so does its float), and each point computes
+    its a0 only on the rows whose bound lies below its ``cut``, which changes
+    no result.  When the kept rows of the first passes outgrow the room,
+    points prune their rows to their current bounds, in order, until the
+    rows fit; the point that grew drops its rows if they do not fit with
+    every point pruned.
     """
     first = [_PassPoint(search) for search, _ in keeps]
     for point, (_, keep) in zip(first, keeps):
@@ -864,22 +861,24 @@ def _pass_part(draw, plan, bands, keeps, room: int) -> list[_PassPoint]:
             point.drop()
     points = [_PassPoint(search, band) for search, band in bands] + first
     x_floor = max(p.search.x0 for p in points) if len(points) > 1 else None
+    drawn = np.empty((TRIALS_PER_BATCH, 1 + 2 * variances.k_relays))
+    floor_row, work = np.empty(TRIALS_PER_BATCH), np.empty((3, TRIALS_PER_BATCH))
     kept = 0  # the floats the first passes keep
     for j, rows in plan:
-        gains = draw(j, rows)
+        gains = gains_batch(variances, master_seed, j, rows, out=drawn)
         floor = None
         if x_floor is not None and min(p.cut() for p in points) < math.inf:
-            floor = aggregate_batch(gains, points[0].search.k, x_floor)
+            floor = _aggregate(gains, variances.k_relays, x_floor, out=floor_row[:rows], work=work)
         for point in points:
             size = point.size()
-            point.add(gains, floor)
+            point.add(gains, work, floor)
             if point.buf is None:
                 continue
             kept += point.size() - size
             for p in first:  # prune only until the rows fit
                 if kept <= room:
                     break
-                kept -= p.prune()
+                kept -= p.prune(work)
             if kept > room:
                 kept -= point.size()
                 point.drop()
@@ -890,12 +889,13 @@ def _pass_part(draw, plan, bands, keeps, room: int) -> list[_PassPoint]:
 
 
 def _exact_passes(
-    searches: list[_RateSearch], draw, plan: list[tuple[int, int]], ranges: list[tuple[int, int]] | None = None
+    searches: list[_RateSearch], variances: LinkVariances, master_seed: int, plan: list[tuple[int, int]],
+    ranges: list[tuple[int, int]] | None = None,
 ) -> list[tuple[tuple, int]]:
     """(``_window_stage`` result, passes over the trials taken) of every search of ``searches``.
 
-    ``draw(j, rows)`` returns the gains of batch j of ``plan`` as the
-    searches see them.  Each pass draws every batch once and serves all its
+    The searches see the draws of (``variances``, ``master_seed``) in the
+    batches of ``plan``.  Each pass draws every batch once and serves all its
     points (see ``_pass_part``).  It is split into the contiguous parts
     plan[a:b] of ``ranges`` (one part if None), run in forked worker
     processes if there are two or more, and each point's states after
@@ -942,7 +942,7 @@ def _exact_passes(
         bands, keeps = [(p.search, p.band) for _, p in second], [(searches[i], keep) for i, keep in first]
         # each part keeps its rows in its own trials less its buffers
         tasks = [
-            (draw, plan[a:b], bands, keeps, room - n + sum(rows for _, rows in plan[a:b]))
+            (variances, master_seed, plan[a:b], bands, keeps, room - n + sum(rows for _, rows in plan[a:b]))
             for a, b in ranges
         ]
         states = [_PassPoint.merged(list(p)) for p in zip(*_run_batches(_pass_part, tasks))]
@@ -985,7 +985,7 @@ def empirical_eps_outage_capacity_sweep(
     ))
     plan = batch_plan(n_trials)
     ranges = _ranges(len(plan), n_trials * (1 + 2 * variances.k_relays + len(searches)), workers)
-    found = _exact_passes(searches, functools.partial(gains_batch, variances, master_seed), plan, ranges)
+    found = _exact_passes(searches, variances, master_seed, plan, ranges)
     return [
         RateSearchResult(rate=rate, achieved_outage=count / n_trials, iterations=passes)
         for (rate, count), passes in found
@@ -1050,21 +1050,19 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
 
     The positions' start rates are extrapolated from the last two capacities
     solved, ``recent_caps``, and widened by ``_PREDICTION_MARGIN`` to
-    [rate_lo, rate_hi], with offsets x_lo, x_hi and thresholds thr_lo,
-    thr_hi there.  The band is [thr_lo - K/4*(x_hi - x_lo), thr_hi +
-    K/4*(x_hi - x_lo)), from the slope bound K/4 that ``_RateSearch``
-    brackets with: a search whose start rate and bracket lie in
-    [rate_lo, rate_hi] has its (a_below, a_above) in the band, but for
-    ``_BOUND_MARGIN``.  The aggregate rises in every gain and falls in x, so
-    a0 over the block lies between its value at the smallest entry of each
-    variance column and the largest x, and its value at the largest entries
-    and the smallest x.  Each batch's two bounds, the floats of
-    ``aggregate_batch`` on the batch scaled by those rows, are computed column
-    by column (``_scaled_aggregate``), and ``_band_window`` gathers the unit
-    draws of the trials they cannot place outside the band.
-    ``_window_stage`` checks every window, so a prediction that misses
-    (or overflows, far past the clamp) only sends a position to
-    ``_exact_position``.
+    [rate_lo, rate_hi], with offsets x_lo, x_hi and thresholds thr_lo, thr_hi
+    there.  The band is [thr_lo - K/4*(x_hi - x_lo), thr_hi + K/4*(x_hi -
+    x_lo)), from the slope bound K/4 that ``_RateSearch`` brackets with: a
+    search whose start rate and bracket lie in [rate_lo, rate_hi] has its
+    (a_below, a_above) in the band, but for ``_BOUND_MARGIN``.  The aggregate
+    rises in every gain and falls in x, so a0 over the block lies between its
+    value at the smallest entry of each variance column and the largest x, and
+    its value at the largest entries and the smallest x.  Each batch's two
+    bounds, the aggregates of the batch scaled by those rows, are computed
+    column by column (``_aggregate``), and ``_band_window`` gathers the unit
+    draws of the trials they cannot place outside the band.  ``_window_stage``
+    checks every window, so a prediction that misses (or overflows, far past
+    the clamp) only sends a position to ``_exact_position``.
     """
     steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
     with np.errstate(all="ignore"):
@@ -1079,8 +1077,8 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
 
     def bounds(g, buf):
         lower, upper, *work = buf  # the last work row untouched at K = 1
-        np.multiply(_scaled_aggregate(g, row_lo, k, x_hi, lower, work), 1.0 - _BOUND_MARGIN, out=lower)
-        np.multiply(_scaled_aggregate(g, row_hi, k, x_lo, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
+        np.multiply(_aggregate(g, k, x_hi, row_lo, lower, work), 1.0 - _BOUND_MARGIN, out=lower)
+        np.multiply(_aggregate(g, k, x_lo, row_hi, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
         return lower, upper
 
     return _band_window(raw, bounds, thr_lo - slack, thr_hi + slack, x_lo, x_hi)
@@ -1089,7 +1087,7 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
 def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray) -> tuple[float, int]:
     """(rate, outage count there) of ``search`` on every trial of ``raw``, scaled by the variance row ``row``.
 
-    One pass computes every trial's a0 at x0 (``_scaled_aggregate``) into
+    One pass computes every trial's a0 at x0 (``_aggregate``) into
     one array of n_trials floats, the memory of one point's array of a0 in
     ``_exact_passes``, which is partitioned in place for the k0-th a0.  The
     array is released, and ``_band_window`` gathers the band [a_below,
@@ -1102,7 +1100,7 @@ def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray)
     work = np.empty((3, max(len(g) for g in raw)))
     s = 0
     for g in raw:
-        _scaled_aggregate(g, row, k, x0, a0[s : s + len(g)], work[:, : len(g)])
+        _aggregate(g, k, x0, row, a0[s : s + len(g)], work)
         s += len(g)
     del work
     a0.partition(search.k0)
@@ -1110,7 +1108,7 @@ def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray)
     del a0
 
     def bounds(g, buf):
-        exact = _scaled_aggregate(g, row, k, x0, buf[0], buf[1:4])
+        exact = _aggregate(g, k, x0, row, buf[0], buf[1:4])
         return exact, exact
 
     return _window_stage(search, _band_window(raw, bounds, a_below, a_above, x0, x0), row)
@@ -1122,17 +1120,14 @@ def _placement_segment(
     """Capacities at the contiguous run of positions with variance rows ``scales``.
 
     ``raw`` holds the unit draws, which the segment reads in place and never
-    writes: every pass scales them column by column as it reads them, into
-    buffers of its own, and every window gathers its trials' unit draws by
-    index (``_band_window``).  The first position's search starts from
-    ``start_rate``.  The first two positions are solved on all the trials
-    (``_exact_position``); after them, positions come in blocks of
+    writes (``_aggregate``, ``_band_window``).  The first position's search
+    starts from ``start_rate``.  The first two positions are solved on all the
+    trials (``_exact_position``); after them, positions come in blocks of
     ``_BLOCK_POSITIONS`` on one ``_block_window`` each, and a position the
-    window cannot hold falls back to ``_exact_position``, after which the
-    next block starts.  A block's window, and its buffers, are released
-    before the next bounding pass or exact position.  Every capacity is the
-    unique root of its outage count, so it does not depend on where its
-    segment starts.
+    window cannot hold falls back to ``_exact_position``, after which the next
+    block starts.  A block's window, and its buffers, are released before the
+    next bounding pass or exact position.  Every capacity is the unique root
+    of its outage count, so it does not depend on where its segment starts.
     """
     caps = np.empty(len(scales))
     window, block_end = None, 0
@@ -1181,10 +1176,8 @@ def empirical_capacity_vs_position(
     variance row.  A position whose start offset or bracket falls outside
     what the window was bounded for, and a segment's first two, are solved
     on all the trials instead (``_exact_position``).  No pass makes a scaled
-    copy of the draws: each scales the columns it reads into buffers of its
-    own, and each window gathers its rows' unit draws by index.  Either way
-    the result is bit for bit that of the capacity sweep's exact pass, at
-    any split and worker count.
+    copy of the draws.  Either way the result is bit for bit that of the
+    capacity sweep's exact pass, at any split and worker count.
 
     Returns (positions, capacities).
     """

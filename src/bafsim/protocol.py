@@ -3,19 +3,19 @@
 This module owns the aggregate alpha_n and its decode test alpha_n >=
 threshold, summed in stage order: the direct-link gain, then one relay term
 g_rd*g_sr/(g_rd+g_sr+x) per stage, evaluated as product/(sum + x) from the
-offset-free hop terms g_rd*g_sr and g_rd+g_sr, which ``_hops`` builds, as
-new arrays or into a workspace's buffers; ``_scaled_aggregate`` forms the
-same floats for gains scaled by a variance row, column by column in reused
-buffers, without a scaled copy of the gains.  Every estimator
-evaluates them here: the capacity kernel through ``aggregate_batch`` (placement
-through ``_scaled_aggregate``), and the
-outage, E(N) and Lemma 1 sweep through ``undecoded_counts``, which takes its
-points from the largest threshold down and compacts the rows in play to
-those a point leaves undecoded at stage 0 whenever they are at most half of
-them, so the relay stages skip the rows the direct link decodes.  A pass
-part draws each of its batches into one ``_Workspace``, which the kernel only
-reads and which also holds every array the kernel writes, so the part maps
-its memory once, not once per batch.
+offset-free hop terms g_rd*g_sr and g_rd+g_sr.  Every estimator evaluates
+them here.  The capacity kernel computes alpha_K with one function,
+``_aggregate``: column by column, of the gains as given or scaled by a
+variance row, into the caller's buffers or new ones.  ``aggregate_batch``,
+the same floats from ``_hops`` and ``_running_sums``, is the tests'
+reference.  The outage, E(N) and Lemma 1 sweep counts through
+``undecoded_counts``, which takes its points from the largest threshold down
+and compacts the rows in play to those a point leaves undecoded at stage 0
+whenever they are at most half of them, so the relay stages skip the rows
+the direct link decodes.  A pass part draws each of its batches into one
+``_Workspace``, which the kernel only reads and which also holds every array
+the kernel writes, hop terms included, so the part maps its memory once, not
+once per batch.
 ``simulate_block`` is the scalar reference: it evaluates the estimators'
 decode condition, that of its ``SystemParams``.
 
@@ -79,7 +79,7 @@ def _hops(gains: np.ndarray, k_relays: int, rows=slice(None), out=None):
     """Yield the offset-free terms (g_rd*g_sr, g_rd+g_sr) of every relay hop on ``rows``, every row by default: new contiguous arrays, or ``out``'s (product, sum) pair of len(rows) buffers per hop."""
     for i in range(k_relays):
         g_sr, g_rd = gains[:, 1 + i][rows], gains[:, 1 + k_relays + i][rows]  # 1-D gathers, or views of every row
-        product, total = (None, g_rd if g_rd.flags.owndata else None) if out is None else out[i]  # sum into a gathered g_rd
+        product, total = (None, None) if out is None else out[i]
         yield np.multiply(g_rd, g_sr, out=product), np.add(g_rd, g_sr, out=total)
 
 
@@ -111,26 +111,31 @@ def aggregate_batch(gains: np.ndarray, k_relays: int, x: float) -> np.ndarray:
     return agg
 
 
-def _scaled_aggregate(gains: np.ndarray, row: np.ndarray, k_relays: int, x: float, out: np.ndarray, work) -> np.ndarray:
-    """``aggregate_batch(gains * row, k_relays, x)`` into ``out``, float for float, with no scaled copy of ``gains``.
+def _aggregate(gains: np.ndarray, k_relays: int, x: float, row: np.ndarray | None = None, out=None, work=None):
+    """``aggregate_batch(gains, k_relays, x)``, or of ``gains * row`` if ``row`` is given, float for float.
 
-    Each column is scaled by its entry of ``row`` as it is read, into the
-    buffers of ``work``: three of len(out), the third used from the second
-    relay on, so that a column-major ``gains`` is read down whole columns.
-    The operations are those of ``_hops`` and ``_running_sums``: the scaled
-    g_sr and g_rd, their product and sum, + x and the divide give each term;
-    the scaled g_sd plus the first term starts the sum, and each later term
-    adds to it.  At K >= 1 only.
+    Each column is read whole and scaled by its entry of ``row`` as it is
+    read: no scaled copy is made, and ``gains`` is never written.  alpha_K
+    goes to ``out``, of len(gains) floats, and ``work`` holds three rows of
+    at least as many, the third used from the second relay on; either is new
+    if None.
+    The operations are those of ``_hops`` and ``_running_sums``: g_sr and
+    g_rd, their product and sum, + x and the divide give each term, and g_sd
+    plus the terms in stage order give alpha_K.  At K >= 1 only.
     """
-    g_sr, g_rd = work[0], work[1]
+    out = np.empty(len(gains)) if out is None else out
+    g_sr, g_rd, rest = np.empty((3, len(gains))) if work is None else (w[: len(gains)] for w in work)
     for i in range(k_relays):
-        term = out if i == 0 else work[2]
-        np.multiply(gains[:, 1 + i], row[1 + i], out=g_sr)
-        np.multiply(gains[:, 1 + k_relays + i], row[1 + k_relays + i], out=g_rd)
-        np.multiply(g_rd, g_sr, out=term)
-        np.add(np.add(g_rd, g_sr, out=g_rd), x, out=g_rd)
+        term = out if i == 0 else rest
+        sr, rd = gains[:, 1 + i], gains[:, 1 + k_relays + i]
+        if row is not None:
+            sr, rd = np.multiply(sr, row[1 + i], out=g_sr), np.multiply(rd, row[1 + k_relays + i], out=g_rd)
+        np.multiply(rd, sr, out=term)
+        np.add(np.add(rd, sr, out=g_rd), x, out=g_rd)
         np.divide(term, g_rd, out=term)
-        np.add(np.multiply(gains[:, 0], row[0], out=g_sr) if i == 0 else out, term, out=out)
+        if i == 0:
+            sd = gains[:, 0] if row is None else np.multiply(gains[:, 0], row[0], out=g_sr)
+        np.add(sd if i == 0 else out, term, out=out)
     return out
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import signal
+import sys
 import time
 import warnings
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bafsim import montecarlo
+from bafsim import montecarlo, protocol
 from bafsim.capacity import c_eps_baf_k, decode_condition, lemma1_constant, position_grid
 from bafsim.channel import (
     TRIALS_PER_BATCH,
@@ -910,7 +911,9 @@ def _two_pass_oracle(variances, params, n_trials, seed, mode):
     _, _, a_below, a_above = search.bracket(float(np.partition(a0, k0)[k0]))
     band = (a0 >= a_below) & (a0 < a_above)
     below = int(np.count_nonzero(a0 < a_below))
-    window = montecarlo._Window(below, gains[band], a_below, a_above, search.x0, search.x0)
+    window = montecarlo._Window(
+        below, gains[band], a_below, a_above, search.x0, search.x0, np.empty((4, np.count_nonzero(band)))
+    )
     rate, count = montecarlo._window_stage(search, window)
     return rate, count / n_trials
 
@@ -933,7 +936,7 @@ def test_window_stage_without_candidates_counts_the_trials_below(monkeypatch, k)
         return start, upper
 
     monkeypatch.setattr(montecarlo, "_solve_increasing", solve)
-    window = montecarlo._Window(2, gains, -math.inf, math.inf, search.x0, search.x0)
+    window = montecarlo._Window(2, gains, -math.inf, math.inf, search.x0, search.x0, np.empty((4, len(gains))))
     rate, count = montecarlo._window_stage(search, window)
     assert rate == 0.01 * (1.0 - montecarlo._BOUND_MARGIN)
     assert counts == [below, below] and count == below
@@ -1003,9 +1006,9 @@ class TestCapacitySweep:
     def test_small_epsilon_sweep_draws_each_batch_once(self, monkeypatch):
         draws = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             draws.append(args[2])
-            return gains_batch(*args)
+            return gains_batch(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "gains_batch", counted)
         v, params = _sweep_case(2, None, [-30.0, -20.0, -10.0], 0.01, [1.0, 8.0, 8.0, 1.0, 8.0, 8.0, 1.0])
@@ -1019,9 +1022,9 @@ class TestCapacitySweep:
         # first passes also serves the first round's second passes
         draws = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             draws.append(args[2])
-            return gains_batch(*args)
+            return gains_batch(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "gains_batch", counted)
         v, params = _sweep_case(3, None, [-30.0 + 2.0 * i for i in range(14)], 0.01, [1.0] * 7)
@@ -1092,11 +1095,11 @@ class TestSharedFloor:
         (v, params), n, seed, margin = FLOOR_CASES[case]
         if margin is not None:
             monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
-        rows, aggregate = [], montecarlo.aggregate_batch
+        rows, aggregate = [], montecarlo._aggregate
 
-        def counted(gains, k, x):
+        def counted(gains, k, x, *args, **kwargs):
             rows.append(len(gains))
-            return aggregate(gains, k, x)
+            return aggregate(gains, k, x, *args, **kwargs)
 
         windows, stage = [], montecarlo._window_stage
 
@@ -1104,14 +1107,14 @@ class TestSharedFloor:
             windows.append((window.below, window.gains.tobytes(), window.low, window.high))
             return stage(search, window)
 
-        monkeypatch.setattr(montecarlo, "aggregate_batch", counted)
+        monkeypatch.setattr(montecarlo, "_aggregate", counted)
         monkeypatch.setattr(montecarlo, "_window_stage", recorded)
         floored = empirical_eps_outage_capacity_sweep(v, params, n, seed)
         floored_rows, floored_windows = sum(rows), windows[:]
         rows.clear()
         windows.clear()
         add = montecarlo._PassPoint.add
-        monkeypatch.setattr(montecarlo._PassPoint, "add", lambda point, gains, floor=None: add(point, gains))
+        monkeypatch.setattr(montecarlo._PassPoint, "add", lambda point, gains, work, floor=None: add(point, gains, work))
         assert empirical_eps_outage_capacity_sweep(v, params, n, seed) == floored
         # the same rows kept, so the same windows
         assert windows == floored_windows
@@ -1138,9 +1141,9 @@ class TestSharedFloor:
     def test_each_pass_draws_the_batches_once_in_order(self, monkeypatch, case, passes):
         draws = []
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             draws.append(args[2])
-            return gains_batch(*args)
+            return gains_batch(*args, **kwargs)
 
         monkeypatch.setattr(montecarlo, "gains_batch", counted)
         (v, params), n, seed, _ = FLOOR_CASES[case]
@@ -1194,7 +1197,7 @@ def _split_passes(case, cuts=None, run_batches=_in_process):
         mp.setattr(montecarlo, "_run_batches", run_batches)
         mp.setattr(montecarlo, "_window_stage", _window_contract(_case_gains(case)))
         ranges = None if cuts is None else list(zip(cuts, cuts[1:]))
-        return montecarlo._exact_passes(searches, functools.partial(gains_batch, v, seed), batch_plan(n), ranges)
+        return montecarlo._exact_passes(searches, v, seed, batch_plan(n), ranges)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1402,13 +1405,11 @@ class TestPlacementBlocks:
         k0 = montecarlo._max_allowed_count(0.2, n)
         plan = batch_plan(n)
         raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in plan]
-        scales = np.array([
-            variance_row(variances_from_geometry(NetworkGeometry((d,), 3.0))) for d in position_grid(101)[30:40]
-        ])
+        scales = np.array([_grid_row(3.0, p) for p in range(30, 40)])
         solved, start = [], 1e-3
-        for scale in scales[:3]:  # the first bracket is wide, as it starts far from the capacity
+        for p in range(30, 33):  # the first bracket is wide, as it starts far from the capacity
             search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
-            solved.append(montecarlo._exact_passes([search], lambda j, rows: raw[j] * scale, plan)[0][0])
+            solved.append(montecarlo._exact_passes([search], _position_variances(raw, 3.0, p, seed), seed, plan)[0][0])
             start = solved[-1][0]
         search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
         caps = np.array([rate for rate, _ in solved[1:]])
@@ -1428,6 +1429,19 @@ class TestPlacementBlocks:
 
 def _grid_row(pathloss, position):
     return variance_row(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)))
+
+
+def _position_variances(raw, pathloss, position, seed):
+    """The variances at a position of the 101-point grid, whose own draws the capacity sweep's exact pass makes.
+
+    Placement scales the unit draws ``raw`` by the position's variance row; each batch of them so scaled is checked
+    to be, byte for byte, the batch drawn at the position's variances.
+    """
+    v = variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss))
+    row = variance_row(v)
+    for (j, rows), g in zip(batch_plan(sum(len(g) for g in raw)), raw):
+        assert (g * row).tobytes() == gains_batch(v, seed, j, rows).tobytes()
+    return v
 
 
 class TestScaledWindows:
@@ -1460,7 +1474,7 @@ class TestScaledWindows:
         window = montecarlo._Window(below, gains, -math.inf, math.inf, x_lo, x_hi, np.full((4, n_rows), np.nan))
         found = montecarlo._window_stage(search, window, row)
         assert window.work[0].tobytes() == aggregate_batch(gains * row, 1, search.x0).tobytes()
-        scaled = montecarlo._Window(below, gains * row, -math.inf, math.inf, x_lo, x_hi)
+        scaled = montecarlo._Window(below, gains * row, -math.inf, math.inf, x_lo, x_hi, np.empty((4, n_rows)))
         assert found is not None and found == montecarlo._window_stage(search, scaled)
 
     @pytest.mark.parametrize("pathloss", [0.0, 3.0, 8.0])
@@ -1475,21 +1489,21 @@ class TestScaledWindows:
             for p in (28, 29)
         ])
         search = montecarlo._RateSearch(snr, montecarlo._max_allowed_count(epsilon, n), 1, None, "exact", caps[1])
-        scaled, outputs = montecarlo._scaled_aggregate, []
+        scaled, outputs = montecarlo._aggregate, []
 
         def recorded(aggregate):
-            def call(gains, row, k, x, out, work):
-                outputs.append(aggregate(gains, row, k, x, out, work).tobytes())
+            def call(gains, k, x, row, out, work):
+                outputs.append(aggregate(gains, k, x, row, out, work).tobytes())
                 return out
             return call
 
-        def copied(gains, row, k, x, out, work):
+        def copied(gains, k, x, row, out, work):
             out[:] = aggregate_batch(gains * row, k, x)
             return out
 
-        monkeypatch.setattr(montecarlo, "_scaled_aggregate", recorded(scaled))
+        monkeypatch.setattr(montecarlo, "_aggregate", recorded(scaled))
         window = montecarlo._block_window(search, raw, scales, caps)
-        monkeypatch.setattr(montecarlo, "_scaled_aggregate", recorded(copied))
+        monkeypatch.setattr(montecarlo, "_aggregate", recorded(copied))
         reference = montecarlo._block_window(search, raw, scales, caps)
         bounds = list(zip(outputs[::2], outputs[1::2]))  # (lower, upper) of each batch, before their margins
         assert len(bounds) == 2 * len(raw)
@@ -1557,8 +1571,8 @@ class TestDrawsInPlace:
 
         def exact_pass(p, start_rate):
             search = montecarlo._RateSearch(snr, k0, 1, None, mode, start_rate)
-            row = _grid_row(pathloss, p)
-            return search, row, montecarlo._exact_passes([search], lambda j, rows: raw[j] * row, plan)[0][0]
+            found = montecarlo._exact_passes([search], _position_variances(raw, pathloss, p, seed), seed, plan)
+            return search, _grid_row(pathloss, p), found[0][0]
 
         closed = c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)),
                              snr, epsilon)
@@ -1663,3 +1677,39 @@ class TestPlacementSegments:
         empirical_capacity_vs_position(pathloss, snr, epsilon, n, seed, grid_points=grid_points, threshold_mode=mode)
         assert segments == [workers]
         assert draws == [j for j, _ in batch_plan(n)] and len(draws) == 2
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_estimator_reaches_the_reference_aggregate(self, monkeypatch, workers):
+        # ``aggregate_batch`` is the tests' reference: the capacity search, forced through a second pass, placement
+        # and the outage sweep complete with it and every alias of it raising, in process and in forked parts
+        def reference(*args, **kwargs):
+            raise AssertionError("an estimator called aggregate_batch")
+
+        aggregate = protocol.aggregate_batch
+        for name, module in list(sys.modules.items()):
+            if name == "bafsim" or name.startswith("bafsim."):
+                for attr, value in list(vars(module).items()):
+                    if value is aggregate:
+                        monkeypatch.setattr(module, attr, reference)
+        assert protocol.aggregate_batch is reference
+        parts, run_batches = [], montecarlo._run_batches
+
+        def counted(worker, tasks):
+            parts.append(len(tasks))
+            return run_batches(worker, tasks)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", counted)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # a part per worker
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("BAF_WORKERS", str(workers))
+        (v, params), n, seed, margin = FLOOR_CASES["second-pass"]
+        monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        results = empirical_eps_outage_capacity_sweep(v, params[:2], n, seed)
+        assert [res.iterations for res in results] == [2, 2]
+        pathloss, snr, epsilon, n_place, seed_place, grid_points, mode = FALLBACK_CASE
+        empirical_capacity_vs_position(pathloss, snr, epsilon, n_place, seed_place, grid_points=grid_points,
+                                       threshold_mode=mode)
+        estimate_outage_sweep(v, [SystemParams(snr=0.1, rate=r, k_relays=2) for r in (0.01, 0.05)], n, seed)
+        assert parts and set(parts) == {workers}

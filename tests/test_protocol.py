@@ -18,8 +18,8 @@ from bafsim.channel import (
 from bafsim.errors import InvalidParameterError
 from bafsim.protocol import (
     BlockOutcome,
+    _aggregate,
     _hops,
-    _scaled_aggregate,
     _Workspace,
     aggregate_batch,
     simulate_block,
@@ -232,20 +232,32 @@ def test_hops_on_rows_are_those_of_the_gathered_rows(k, order, rows):
     n_rows=st.sampled_from([1, 2, 333, 4464]),
     order=st.sampled_from(["C", "F"]),
     x=st.sampled_from([0.0, 5e-324, 1e-3, 0.5, 40.0]) | st.floats(0.0, 10.0),
+    scaled=st.booleans(),
+    buffers=st.booleans(),
     seed=st.integers(0, 2**64 - 1),
 )
-@example(k=1, pathloss=8.0, position=0, spread=[1.0] * 6, n_rows=1, order="F", x=0.0, seed=0)
+@example(k=1, pathloss=8.0, position=0, spread=[1.0] * 6, n_rows=1, order="F", x=0.0, scaled=True, buffers=True, seed=0)
+@example(k=2, pathloss=3.0, position=50, spread=[1.0] * 6, n_rows=333, order="C", x=0.5, scaled=False, buffers=True,
+         seed=0)
 @settings(max_examples=60, deadline=None)
-def test_scaled_aggregate_is_the_aggregate_of_the_scaled_gains(k, pathloss, position, spread, n_rows, order, x, seed):
-    # a grid position's variance row at K = 1, its relay columns repeated and spread beyond
+def test_scaled_aggregate_is_the_aggregate_of_the_scaled_gains(k, pathloss, position, spread, n_rows, order, x, scaled,
+                                                               buffers, seed):
+    # a grid position's variance row at K = 1, its relay columns repeated and spread beyond; or no row, the gains as
+    # they are
     sd, sr, rd = variance_row(variances_from_geometry(NetworkGeometry((position_grid(101)[position],), pathloss)))
-    row = np.array([sd, *[sr * f for f in spread[:k]], *[rd * f for f in spread[3 : 3 + k]]])
+    row = np.array([sd, *[sr * f for f in spread[:k]], *[rd * f for f in spread[3 : 3 + k]]]) if scaled else None
     gains = np.asarray(gains_batch(LinkVariances(1.0, (1.0,) * k, (1.0,) * k), seed, 0, n_rows), order=order)
+    gains.flags.writeable = False
     drawn = gains.copy(order="A")
-    out, work = np.full(n_rows, np.nan), np.full((3, n_rows), np.nan)
-    assert _scaled_aggregate(gains, row, k, x, out, work) is out
-    assert out.tobytes() == aggregate_batch(gains * row, k, x).tobytes()
-    assert np.isnan(work[2]).all() == (k == 1)  # the third buffer serves the second relay on
+    expected = aggregate_batch(gains if row is None else gains * row, k, x).tobytes()
+    if buffers:
+        out, work = np.full(n_rows, np.nan), np.full((3, n_rows + 7), np.nan)  # work rows may be longer
+        assert _aggregate(gains, k, x, row, out, work) is out
+        assert np.isnan(work[2]).all() == (k == 1)  # the third buffer serves the second relay on
+        assert np.isnan(work[:, n_rows:]).all()
+    else:
+        out = _aggregate(gains, k, x, row)
+    assert out.tobytes() == expected
     assert gains.tobytes() == drawn.tobytes()
 
 
