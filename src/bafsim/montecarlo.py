@@ -43,10 +43,11 @@ below it.  Every window owns the ``work`` rows its a0 goes into, and is
 built from a lower and an upper bound on each trial's aggregate, in trial
 order.  Operating points take their windows from the exact pass
 ``_exact_passes``: a capacity sweep draws each batch once for all its
-points, into one buffer per part, each keeping its k0+1 smallest aggregates
-and the rows below a running bound (``_Rows``), and draws it a second time
-only for the points whose rows do not fit the memory of one array of
-n_trials aggregates, or whose kept rows miss the final bracket.  The parts
+points, into one buffer per part, and each point's pass state
+(``_PassPoint``) keeps its k0+1 smallest aggregates and copies of the rows
+below a running bound.  It draws each batch a second time only for the
+points whose rows do not fit the memory of one array of n_trials
+aggregates, or whose kept rows miss the final bracket.  The parts
 of a pass are merged in batch order.  The placement grid's unit draws are
 made once, by the caller, and read-only, and every placement pass reads them
 in place: ``_aggregate`` scales each column by the variance row as it reads
@@ -447,7 +448,9 @@ def quadrature_outage_oracle(variances: LinkVariances, threshold: float, x: floa
 
     The probability is the expectation of that CDF over U restricted to
     U < t, a second 1-D adaptive quadrature.  The V tail is truncated at
-    ``ORACLE_TAIL_MEANS`` means beyond s (neglected mass below e-40), and a
+    ``ORACLE_TAIL_MEANS`` means beyond s, and the range of U at as many of
+    its own means where t lies beyond them (neglected mass below e-40 each),
+    so that the outer rule samples where U has its mass even at a huge t.  A
     ConvergenceError reports the achieved tolerance if the combined error
     estimate exceeds ``ORACLE_REL_TOL`` relative to the result.
     """
@@ -490,13 +493,14 @@ def quadrature_outage_oracle(variances: LinkVariances, threshold: float, x: floa
     def outer(u: float) -> float:
         return math.exp(-u / su2) / su2 * relay_cdf(t - u)
 
+    span = min(t, ORACLE_TAIL_MEANS * su2)
     with warnings.catch_warnings():
         # accuracy is gated on the returned error estimates below
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        p, outer_err = integrate.quad(outer, 0.0, t, epsabs=0.0, epsrel=1e-9, limit=200)
+        p, outer_err = integrate.quad(outer, 0.0, span, epsabs=0.0, epsrel=1e-9, limit=200)
     if p <= 0.0:
         return 0.0
-    err = outer_err + (max(inner_errs) * t / su2 if inner_errs else 0.0)
+    err = outer_err + (max(inner_errs) * span / su2 if inner_errs else 0.0)
     if err > ORACLE_REL_TOL * p:
         raise ConvergenceError(
             f"quadrature achieved relative tolerance {err / p:.3e}, required {ORACLE_REL_TOL:g}"
@@ -631,48 +635,6 @@ class _Window:
     work: np.ndarray
 
 
-class _Rows:
-    """The rows of a capacity sweep's pass whose bounds on a0 meet the band [low, high), in trial order.
-
-    Only the capacity sweep's ``_PassPoint`` uses it: its batches are drawn
-    and dropped, so it copies the rows it keeps.  ``add`` takes a batch of
-    gains with a lower and an upper bound on each row's a0 (a0 itself for
-    both, where it is computed): it counts the rows surely below the band in
-    ``below`` and keeps those that can lie in it.
-    ``size`` is the number of floats kept.
-    """
-
-    def __init__(self, low: float, high: float):
-        self.low, self.high = low, high
-        self.below, self.chunks, self.size = 0, [], 0
-
-    def add(self, gains: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> None:
-        self.below += int(np.count_nonzero(upper < self.low))
-        # faster than a boolean index on rows
-        self.chunks.append(gains[np.flatnonzero((upper >= self.low) & (lower < self.high))])
-        self.size += self.chunks[-1].size
-
-    def prune(self, a0_of) -> None:
-        """Keep only the rows whose a0, ``a0_of(rows)``, lies below ``high``."""
-        for c, chunk in enumerate(self.chunks):
-            self.chunks[c] = chunk[np.flatnonzero(a0_of(chunk) < self.high)]
-        self.size = sum(chunk.size for chunk in self.chunks)
-
-    def window(self, width: int, x_lo: float, x_hi: float) -> _Window:
-        """The kept rows as the window bounded for offsets in [x_lo, x_hi]; the rows leave ``self``.
-
-        Column-major, so that the aggregate reads whole columns.  Each chunk
-        is released once copied, so that its memory can go.
-        """
-        gains = np.empty((sum(len(chunk) for chunk in self.chunks), width), order="F")
-        s = 0
-        while self.chunks:
-            chunk = self.chunks.pop(0)
-            gains[s : s + len(chunk)] = chunk
-            s += len(chunk)
-        return _Window(self.below, gains, self.low, self.high, x_lo, x_hi, np.empty((4, len(gains))))
-
-
 def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None = None):
     """(rate, outage count there) of ``search`` on the ``window`` gains, scaled by the variance row ``row`` if given.
 
@@ -718,26 +680,32 @@ def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None =
 
 
 class _PassPoint:
-    """One search's share of a pass over the trials, or of a part of one, as the window its ``rows`` gather.
+    """One search's share of a pass over the trials, or of a part of one, and the rows it keeps for its window.
 
-    ``add`` and ``prune`` take the gains as the search sees them, and compute
-    their a0 in the part's three ``work`` rows of a batch's length.  A first
-    pass (``band`` None) keeps the k0+1 smallest a0 seen in ``buf`` and,
-    unless ``rows`` is None, every drawn row whose a0 lies below the running
-    bound ``rows.high`` when its batch comes, or when the rows are pruned.
-    The k0-th smallest a0 seen so far only falls, so the rows kept are a
-    superset of the trials the final bracket needs.  A second pass keeps the
-    rows with a0 in ``band``, the bracket's band [a_below, a_above) from the
-    final k0-th smallest a0 that ``close`` sets after a first pass, and
-    counts the trials below it.
+    The point copies the drawn rows whose a0 lies in the band [``low``,
+    ``high``) into ``chunks``, one array per batch, in trial order, as its
+    batches are drawn and dropped; it counts the rows below ``low`` in
+    ``below``, and ``size`` is the number of floats kept.  Once the point
+    drops its rows, ``chunks`` is None and ``size`` 0.  ``add`` and
+    ``prune`` take the gains as the search sees them, and compute their a0
+    in the part's three ``work`` rows of a batch's length.  A first pass
+    (``band`` None, ``low`` -inf) keeps the k0+1 smallest a0 seen in ``buf``
+    and, unless it has dropped its rows, every drawn row whose a0 lies below
+    the running bound ``high`` when its batch comes, or when the rows are
+    pruned.  The k0-th smallest a0 seen so far only falls, so the rows kept
+    are a superset of the trials the final bracket needs.  A second pass
+    keeps the rows with a0 in ``band``, the bracket's band [a_below,
+    a_above) from the final k0-th smallest a0 that ``close`` sets after a
+    first pass, and counts the trials below it.
     """
 
     def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
         self.search, self.band, self.bounded, self.pruned = search, band, math.inf, math.inf
+        self.low, self.high = (-math.inf, math.inf) if band is None else band
+        self.below, self.chunks, self.size = 0, [], 0
         if band is not None:
-            self.rows, self.buf = _Rows(*band), None
+            self.buf = None
             return
-        self.rows = _Rows(-math.inf, math.inf)
         # room for up to as many values again (at most a batch), partitioned only when full
         spare = min(search.k0 + 1, TRIALS_PER_BATCH)
         self.buf, self.filled, self.settled = np.empty(search.k0 + 1 + spare), 0, math.inf
@@ -757,14 +725,14 @@ class _PassPoint:
         if point.buf is not None:
             point.buf = np.concatenate([p.buf[: p.filled] for p in parts])
             point.filled, point.settled = len(point.buf), math.inf
-        if any(p.rows is None for p in parts):
-            point.rows = None
+        if any(p.chunks is None for p in parts):
+            point.drop()
             return point
         for p in parts[1:]:
-            point.rows.below += p.rows.below
-            point.rows.chunks += p.rows.chunks
-            point.rows.size += p.rows.size
-            point.rows.high = min(point.rows.high, p.rows.high)
+            point.below += p.below
+            point.chunks += p.chunks
+            point.size += p.size
+            point.high = min(point.high, p.high)
         return point
 
     def _settle(self) -> float:
@@ -778,8 +746,8 @@ class _PassPoint:
     def cut(self) -> float:
         """The a0 at or above which a row of the next batch adds nothing."""
         if self.buf is None:
-            return self.rows.high
-        return self.settled if self.rows is None else max(self.settled, self.rows.high)
+            return self.high
+        return self.settled if self.chunks is None else max(self.settled, self.high)
 
     def add(self, gains: np.ndarray, work: np.ndarray, floor: np.ndarray | None = None) -> None:
         """Take one batch of drawn gains; ``floor``, if given, is a lower bound on each row's a0."""
@@ -795,42 +763,53 @@ class _PassPoint:
                 new = new[new < self._settle()]
             self.buf[self.filled : self.filled + new.size] = new
             self.filled += new.size
-            if self.rows is None:
+            if self.chunks is None:
                 return
             u = self._settle()
             if u < self.bounded:
-                self.rows.high = min(self.rows.high, s.upper(u)[1] * (1.0 + _RUNNING_MARGIN))
+                self.high = min(self.high, s.upper(u)[1] * (1.0 + _RUNNING_MARGIN))
                 self.bounded = u
-        self.rows.add(gains, a0, a0)
+        self.below += int(np.count_nonzero(a0 < self.low))
+        # faster than a boolean index on rows
+        self.chunks.append(gains[np.flatnonzero((a0 >= self.low) & (a0 < self.high))])
+        self.size += self.chunks[-1].size
 
     def prune(self, work: np.ndarray) -> int:
         """Keep only the kept rows whose a0 lies below the current running bound; returns the floats freed.
 
         Rows kept since the last prune lie below the bound, unless it has fallen since.
         """
-        if self.rows is None or self.rows.high == self.pruned:
+        if self.chunks is None or self.high == self.pruned:
             return 0
-        s, size, self.pruned = self.search, self.rows.size, self.rows.high
-        self.rows.prune(lambda gains: _aggregate(gains, s.k, s.x0, work=work))
-        return size - self.rows.size
+        s, size, self.pruned = self.search, self.size, self.high
+        for c, chunk in enumerate(self.chunks):
+            self.chunks[c] = chunk[np.flatnonzero(_aggregate(chunk, s.k, s.x0, work=work) < self.high)]
+        self.size = sum(chunk.size for chunk in self.chunks)
+        return size - self.size
 
     def drop(self) -> None:
         """Stop keeping rows."""
-        self.rows = None
-
-    def size(self) -> int:
-        """The floats of the rows kept."""
-        return 0 if self.rows is None else self.rows.size
+        self.chunks, self.size = None, 0
 
     def close(self) -> tuple | None:
         """The window stage's result on the rows kept; releases the point's arrays.
 
-        After a first pass whose window cannot hold the answer, or that kept
-        no rows, returns None and sets ``band`` for the second pass.
+        The window is bounded for the offset x0 alone and column-major, so
+        that the aggregate reads whole columns.  Each chunk is released once
+        copied into it, so that its memory can go.  After a first pass whose
+        window cannot hold the answer, or that kept no rows, returns None and
+        sets ``band`` for the second pass.
         """
-        s, rows, self.rows = self.search, self.rows, None
-        if rows is not None:
-            found = _window_stage(s, rows.window(1 + 2 * s.k, s.x0, s.x0))
+        s, chunks = self.search, self.chunks
+        self.drop()
+        if chunks is not None:
+            gains = np.empty((sum(len(chunk) for chunk in chunks), 1 + 2 * s.k), order="F")
+            row = 0
+            while chunks:
+                gains[row : row + len(chunks[0])] = chunks[0]
+                row += len(chunks.pop(0))
+            window = _Window(self.below, gains, self.low, self.high, s.x0, s.x0, np.empty((4, len(gains))))
+            found = _window_stage(s, window)
             if found is not None or self.buf is None:
                 return found
         _, _, a_below, a_above = s.bracket(self._settle())
@@ -870,17 +849,17 @@ def _pass_part(variances: LinkVariances, master_seed: int, plan, bands, keeps, r
         if x_floor is not None and min(p.cut() for p in points) < math.inf:
             floor = _aggregate(gains, variances.k_relays, x_floor, out=floor_row[:rows], work=work)
         for point in points:
-            size = point.size()
+            size = point.size
             point.add(gains, work, floor)
             if point.buf is None:
                 continue
-            kept += point.size() - size
+            kept += point.size - size
             for p in first:  # prune only until the rows fit
                 if kept <= room:
                     break
                 kept -= p.prune(work)
             if kept > room:
-                kept -= point.size()
+                kept -= point.size
                 point.drop()
     for point in first:  # a buffer leaves the part as its k0+1 smallest values alone
         point._settle()
@@ -900,17 +879,20 @@ def _exact_passes(
     plan[a:b] of ``ranges`` (one part if None), run in forked worker
     processes if there are two or more, and each point's states after
     the parts are merged in part order (``_PassPoint.merged``).  A point's
-    first pass keeps its k0+1 smallest a0 and, in a ``_Rows``, the rows
-    below a running bound on the window; where the final bracket lies inside
-    that bound, the window stage runs on those rows and the point is done in
-    one pass.  Otherwise, or where a part kept no rows for the point,
-    ``close`` sets the exact band [a_below, a_above) of its final k0-th a0,
-    and a second pass gathers it, so the stage always succeeds there.
+    first pass keeps its k0+1 smallest a0 and copies of the rows below a
+    running bound on the window; where the final bracket lies inside that
+    bound, ``close`` runs the window stage on those rows and the point is
+    done in one pass.  Otherwise, or where a part kept no rows for the
+    point, ``close`` sets the exact band [a_below, a_above) of its final
+    k0-th a0, and a second pass gathers it, so the stage always succeeds
+    there.
 
     The state of first passes, k0+1 buffered values and the kept rows per
     point, stays within the n_trials floats one point's array of a0 would
     take, across all parts: each part buffers its own k0+1 values per point
-    and keeps its rows within its own trials less its buffers.  A buffer's
+    and keeps its rows within its own trials less its buffers, its ``room``:
+    after every batch, the ``size`` of its first passes adds up to at most
+    that room, and to none where the room is negative.  A buffer's
     spare room, at most as large again, is not counted, as the parent
     array's partitioned copy was not.  Points start their first pass in
     order while they fit beside the points ahead of them in n_trials floats,

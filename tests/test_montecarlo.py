@@ -644,8 +644,19 @@ class TestQuadratureOracle:
     def test_zero_threshold(self):
         assert quadrature_outage_oracle(UNIT, 0.0, 0.1) == 0.0
 
-    def test_huge_threshold_saturates(self):
-        assert quadrature_outage_oracle(UNIT, 60.0, 0.1) > 0.999
+    @pytest.mark.parametrize("sigma_sd2,threshold,x", [
+        (1.0, 60.0, 0.1),
+        # thresholds far past the direct link's mean: the outer rule must sample where
+        # U has its mass, not only where its density underflows to 0
+        (1.0, 1e5, 0.5),
+        (1.0, 1e6, 0.5),
+        (1.0, 1e300, 0.5),
+        (1e-3, 100.0, 0.5),
+        (1e-3, 300.0, 0.5),
+        (1e-3, 1e6, 0.5),
+    ])
+    def test_huge_threshold_saturates(self, sigma_sd2, threshold, x):
+        assert quadrature_outage_oracle(LinkVariances(sigma_sd2, (1.0,), (1.0,)), threshold, x) > 0.999
 
     def test_frozen_reference_point(self):
         p = quadrature_outage_oracle(UNIT, 0.02, 0.002)
@@ -847,53 +858,56 @@ class TestEmpiricalCapacity:
 _BOUNDS = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, math.inf])
 
 
-def _bounded_row(row):
-    """(lower, upper, a0) with lower <= upper, or NaN throughout where a bound is NaN."""
-    lower, upper, a0 = row
-    if math.isnan(lower) or math.isnan(upper):
-        return (math.nan,) * 3
-    return (min(lower, upper), max(lower, upper), a0)
-
-
-_ROW = st.tuples(*[st.one_of(_BOUNDS, st.just(math.nan))] * 3).map(_bounded_row)
-
-
 class TestRows:
     @given(
-        batches=st.lists(st.lists(_ROW, max_size=12), min_size=1, max_size=4),
+        batches=st.lists(st.lists(st.one_of(_BOUNDS, st.just(math.nan)), max_size=12), min_size=1, max_size=4),
         low=_BOUNDS,
         high=_BOUNDS,
         cut=_BOUNDS,
     )
-    @example(batches=[[(0.0, 1.0, 0.5), (1.0, 1.0, 1.0)], [(-math.inf, math.inf, 2.0)]], low=1.0, high=1.0, cut=1.0)
+    @example(batches=[[0.5, 1.0], [2.0]], low=1.0, high=1.0, cut=1.0)
+    @example(batches=[[0.5, 1.0, math.nan], [-math.inf, 2.0, 0.0]], low=0.0, high=2.0, cut=1.0)
     @settings(max_examples=200, deadline=None)
     def test_window_and_prune_follow_the_bound_masks(self, batches, low, high, cut):
-        # the contract of every window: ``below`` counts the rows whose upper bound
-        # lies below ``low``, the window keeps the rows whose bounds meet [low, high)
-        # in trial order, column-major, and ``prune`` keeps those with a0 below ``high``
-        bounds = [np.array(batch, dtype=float).reshape(-1, 3) for batch in batches]
-        starts = np.cumsum([0] + [len(b) for b in bounds])
+        # the contract of a pass point's window: ``below`` counts the rows whose a0 lies
+        # below ``low``, the window keeps the rows whose a0 lies in [low, high) in trial
+        # order, column-major, and ``prune`` keeps those with a0 below ``high``
+        a0s = [np.array(batch, dtype=float) for batch in batches]
+        starts = np.cumsum([0] + [len(a) for a in a0s])
         # each row is (a0, trial index, -trial index), so the order of the rows shows
-        gains = [np.column_stack([b[:, 2], np.arange(s, s + len(b)), -np.arange(s, s + len(b))])
-                 for b, s in zip(bounds, starts)]
+        gains = [np.column_stack([a, np.arange(s, s + len(a)), -np.arange(s, s + len(a))])
+                 for a, s in zip(a0s, starts)]
         everything = np.concatenate(gains)
-        lower, upper, a0 = np.concatenate(bounds).T
-        kept = (upper >= low) & (lower < high)
-        for prune in (False, True):
-            rows = montecarlo._Rows(low, high)
-            for g, b in zip(gains, bounds):
-                rows.add(g, b[:, 0], b[:, 1])
-            assert rows.size == 3 * np.count_nonzero(kept)
-            if prune:
-                rows.high = cut
-                rows.prune(lambda chunk: chunk[:, 0])
-                kept &= a0 < cut
-                assert rows.size == 3 * np.count_nonzero(kept)
-            window = rows.window(3, 0.25, 0.5)
-            assert window.below == np.count_nonzero(upper < low)
-            assert np.array_equal(window.gains, everything[kept], equal_nan=True)
-            assert window.gains.flags.f_contiguous
-            assert (window.low, window.high, window.x_lo, window.x_hi) == (low, rows.high, 0.25, 0.5)
+        a0 = everything[:, 0]
+        kept = (a0 >= low) & (a0 < high)
+        windows = []
+
+        def stage(search, window):
+            windows.append(window)
+            return 0.0, 0
+
+        search = montecarlo._RateSearch(1.0, 0, 1, None, "exact", 0.01)
+        work = np.empty((3, 12))
+        with pytest.MonkeyPatch.context() as mp:
+            # a0 is read from column 0, and the window handed to the stage is kept
+            mp.setattr(montecarlo, "_aggregate", lambda gains, k, x, row=None, out=None, work=None: gains[:, 0])
+            mp.setattr(montecarlo, "_window_stage", stage)
+            for prune in (False, True):
+                point = montecarlo._PassPoint(search, (low, high))
+                for g in gains:
+                    point.add(g, work)
+                assert point.size == 3 * np.count_nonzero(kept)
+                if prune:
+                    point.high = cut
+                    point.prune(work)
+                    kept &= a0 < cut
+                    assert point.size == 3 * np.count_nonzero(kept)
+                assert point.close() == (0.0, 0)
+                window = windows.pop()
+                assert window.below == np.count_nonzero(a0 < low)
+                assert np.array_equal(window.gains, everything[kept], equal_nan=True)
+                assert window.gains.flags.f_contiguous
+                assert (window.low, window.high, window.x_lo, window.x_hi) == (low, point.high, search.x0, search.x0)
 
 
 def _two_pass_oracle(variances, params, n_trials, seed, mode):
@@ -1265,6 +1279,49 @@ class TestPassParts:
             ]
             if workers == 1:
                 assert [res.iterations for res in results] == FLOOR_PASSES[case]
+
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    def test_first_passes_keep_their_rows_within_the_room(self, monkeypatch, case):
+        # after every batch of every part, the floats the part's first passes keep add
+        # up to at most the part's room, and to none where the room is negative
+        (v, params), n, seed, margin = FLOOR_CASES[case]
+        if margin is not None:
+            monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # up to a part per batch
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_run_batches", _in_process)
+        part, checks = {}, []  # the running part's room and first passes; each check's (kept, room)
+        init, pass_part, draw = montecarlo._PassPoint.__init__, montecarlo._pass_part, montecarlo.gains_batch
+
+        def check():
+            kept = sum(point.size for point in part["first"])
+            assert kept <= max(part["room"], 0)
+            checks.append((kept, part["room"]))
+
+        def created(point, search, band=None):
+            init(point, search, band)
+            if band is None:
+                part["first"].append(point)
+
+        def drawn(*args, **kwargs):
+            check()  # the part's points have taken every batch drawn before this one
+            return draw(*args, **kwargs)
+
+        def checked_part(variances, master_seed, plan, bands, keeps, room):
+            part.update(room=room, first=[])
+            points = pass_part(variances, master_seed, plan, bands, keeps, room)
+            check()
+            return points
+
+        monkeypatch.setattr(montecarlo._PassPoint, "__init__", created)
+        monkeypatch.setattr(montecarlo, "gains_batch", drawn)
+        monkeypatch.setattr(montecarlo, "_pass_part", checked_part)
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("BAF_WORKERS", str(workers))
+            checks.clear()
+            empirical_eps_outage_capacity_sweep(v, params, n, seed)
+            assert any(kept for kept, _ in checks)
 
 
 class TestPlacementCurve:
