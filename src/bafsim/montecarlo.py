@@ -43,15 +43,18 @@ below it.  Every window owns the ``work`` rows its a0 goes into, and is
 built from a lower and an upper bound on each trial's aggregate, in trial
 order.  Operating points take their windows from the exact pass
 ``_exact_passes``: a capacity sweep draws each batch once for all its
-points, into one buffer per part, and each point's pass state
-(``_PassPoint``) keeps its k0+1 smallest aggregates and copies of the rows
-below a running bound.  It draws each batch a second time only for the
-points whose rows do not fit the memory of one array of n_trials
-aggregates, or whose kept rows miss the final bracket.  The parts
-of a pass are merged in batch order.  The placement grid's unit draws are
-made once, by the caller, and read-only, and every placement pass reads them
-in place: ``_aggregate`` scales each column by the variance row as it reads
-it, and windows gather their rows by index, column by column
+points, into one buffer per part.  Points start their first pass in order
+while every part's buffers for them fit the memory of one array of
+n_trials aggregates, and each point's pass state (``_PassPoint``) keeps its
+k0+1 smallest aggregates and copies of the rows below a running bound,
+while the rows fit what the buffers leave of that memory; the point whose
+rows outgrow it drops them.  It draws each batch a second time only for
+the points that dropped their rows, or whose kept rows miss the final
+bracket.  The parts of a pass are merged in batch order.  The placement
+grid's unit draws are made once, by the caller, and read-only, and every
+placement pass reads them in place: ``_aggregate`` scales each column by
+the variance row as it reads it, and windows gather their rows by index,
+column by column
 (``_band_window``).  Each segment of the grid restarts its chain of start
 rates from the closed form, and bounds each block of relay positions in one
 pass over the unit draws, solving every position of the block on that
@@ -686,21 +689,21 @@ class _PassPoint:
     ``high``) into ``chunks``, one array per batch, in trial order, as its
     batches are drawn and dropped; it counts the rows below ``low`` in
     ``below``, and ``size`` is the number of floats kept.  Once the point
-    drops its rows, ``chunks`` is None and ``size`` 0.  ``add`` and
-    ``prune`` take the gains as the search sees them, and compute their a0
-    in the part's three ``work`` rows of a batch's length.  A first pass
-    (``band`` None, ``low`` -inf) keeps the k0+1 smallest a0 seen in ``buf``
-    and, unless it has dropped its rows, every drawn row whose a0 lies below
-    the running bound ``high`` when its batch comes, or when the rows are
-    pruned.  The k0-th smallest a0 seen so far only falls, so the rows kept
-    are a superset of the trials the final bracket needs.  A second pass
+    drops its rows, ``chunks`` is None and ``size`` 0.  ``add`` takes the
+    gains as the search sees them, and computes their a0 in the part's three
+    ``work`` rows of a batch's length.  A first pass (``band`` None, ``low``
+    -inf) keeps the k0+1 smallest a0 seen in ``buf`` and, unless it has
+    dropped its rows, every drawn row whose a0 lies below the running bound
+    ``high`` when its batch comes.  The k0-th smallest a0 seen so far only
+    falls, and so does the bound, so the rows kept are a superset of the
+    trials the final bracket needs.  A second pass
     keeps the rows with a0 in ``band``, the bracket's band [a_below,
     a_above) from the final k0-th smallest a0 that ``close`` sets after a
     first pass, and counts the trials below it.
     """
 
     def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
-        self.search, self.band, self.bounded, self.pruned = search, band, math.inf, math.inf
+        self.search, self.band, self.bounded = search, band, math.inf
         self.low, self.high = (-math.inf, math.inf) if band is None else band
         self.below, self.chunks, self.size = 0, [], 0
         if band is not None:
@@ -716,7 +719,7 @@ class _PassPoint:
 
         The k0+1 smallest a0 of the pass are among those the parts buffered.
         The rows and the counts below the band add up in trial order, under
-        the least of the parts' running bounds: every trial with a0 below it
+        the lowest of the parts' running bounds: every trial with a0 below it
         is among them.  A point that a part kept no rows for keeps none.
         """
         point = parts[0]
@@ -774,19 +777,6 @@ class _PassPoint:
         self.chunks.append(gains[np.flatnonzero((a0 >= self.low) & (a0 < self.high))])
         self.size += self.chunks[-1].size
 
-    def prune(self, work: np.ndarray) -> int:
-        """Keep only the kept rows whose a0 lies below the current running bound; returns the floats freed.
-
-        Rows kept since the last prune lie below the bound, unless it has fallen since.
-        """
-        if self.chunks is None or self.high == self.pruned:
-            return 0
-        s, size, self.pruned = self.search, self.size, self.high
-        for c, chunk in enumerate(self.chunks):
-            self.chunks[c] = chunk[np.flatnonzero(_aggregate(chunk, s.k, s.x0, work=work) < self.high)]
-        self.size = sum(chunk.size for chunk in self.chunks)
-        return size - self.size
-
     def drop(self) -> None:
         """Stop keeping rows."""
         self.chunks, self.size = None, 0
@@ -817,32 +807,28 @@ class _PassPoint:
         return None
 
 
-def _pass_part(variances: LinkVariances, master_seed: int, plan, bands, keeps, room: int) -> list[_PassPoint]:
+def _pass_part(variances: LinkVariances, master_seed: int, plan, bands, searches) -> list[_PassPoint]:
     """The state of every point of a pass after one contiguous part of its batches.
 
     ``plan`` holds the part's batches of the draws of (``variances``,
     ``master_seed``).  ``bands`` holds a (search, band) pair per second pass
-    and ``keeps`` a (search, keep) pair per first pass; the states come back
-    in that order.  The first passes that keep rows share ``room`` floats for
-    them.  Each batch is drawn once, into one reused buffer, and serves every
-    point.  Where a part serves two or more points, its aggregate at their
-    largest x0, in a row of its own, bounds all their a0 from below (every
-    term falls as x grows, and so does its float), and each point computes
-    its a0 only on the rows whose bound lies below its ``cut``, which changes
-    no result.  When the kept rows of the first passes outgrow the room,
-    points prune their rows to their current bounds, in order, until the
-    rows fit; the point that grew drops its rows if they do not fit with
-    every point pruned.
+    and ``searches`` the search of each first pass; the states come back in
+    that order.  Each batch is drawn once, into one reused buffer, and serves
+    every point.  Where a part serves two or more points, its aggregate at
+    their largest x0, in a row of its own, bounds all their a0 from below
+    (every term falls as x grows, and so does its float), and each point
+    computes its a0 only on the rows whose bound lies below its ``cut``,
+    which changes no result.  The first passes keep their rows in the part's
+    room, its trials less their k0+1 buffered values each: when a point's
+    batch makes the rows outgrow the room, that point drops its rows.
     """
-    first = [_PassPoint(search) for search, _ in keeps]
-    for point, (_, keep) in zip(first, keeps):
-        if not keep:
-            point.drop()
+    first = [_PassPoint(search) for search in searches]
     points = [_PassPoint(search, band) for search, band in bands] + first
     x_floor = max(p.search.x0 for p in points) if len(points) > 1 else None
     drawn = np.empty((TRIALS_PER_BATCH, 1 + 2 * variances.k_relays))
     floor_row, work = np.empty(TRIALS_PER_BATCH), np.empty((3, TRIALS_PER_BATCH))
-    kept = 0  # the floats the first passes keep
+    # the floats the first passes may still keep: the room less their rows
+    free = sum(rows for _, rows in plan) - sum(search.k0 + 1 for search in searches)
     for j, rows in plan:
         gains = gains_batch(variances, master_seed, j, rows, out=drawn)
         floor = None
@@ -853,13 +839,9 @@ def _pass_part(variances: LinkVariances, master_seed: int, plan, bands, keeps, r
             point.add(gains, work, floor)
             if point.buf is None:
                 continue
-            kept += point.size - size
-            for p in first:  # prune only until the rows fit
-                if kept <= room:
-                    break
-                kept -= p.prune(work)
-            if kept > room:
-                kept -= point.size
+            free -= point.size - size
+            if free < 0:
+                free += point.size
                 point.drop()
     for point in first:  # a buffer leaves the part as its k0+1 smallest values alone
         point._settle()
@@ -882,23 +864,22 @@ def _exact_passes(
     first pass keeps its k0+1 smallest a0 and copies of the rows below a
     running bound on the window; where the final bracket lies inside that
     bound, ``close`` runs the window stage on those rows and the point is
-    done in one pass.  Otherwise, or where a part kept no rows for the
-    point, ``close`` sets the exact band [a_below, a_above) of its final
-    k0-th a0, and a second pass gathers it, so the stage always succeeds
-    there.
+    done in one pass.  Otherwise, or where a part dropped the point's rows,
+    ``close`` sets the exact band [a_below, a_above) of its final k0-th a0,
+    and a second pass gathers it, so the stage always succeeds there.
 
     The state of first passes, k0+1 buffered values and the kept rows per
     point, stays within the n_trials floats one point's array of a0 would
-    take, across all parts: each part buffers its own k0+1 values per point
-    and keeps its rows within its own trials less its buffers, its ``room``:
-    after every batch, the ``size`` of its first passes adds up to at most
-    that room, and to none where the room is negative.  A buffer's
-    spare room, at most as large again, is not counted, as the parent
-    array's partitioned copy was not.  Points start their first pass in
-    order while they fit beside the points ahead of them in n_trials floats,
-    each with its k0+1 values and, where it keeps rows, room for its k0+1
-    smallest rows; a point whose k0+1 rows would not fit even alone keeps
-    none.  A later pass serves the second passes of the previous one.
+    take, across all parts, as each part's stays within its own trials.  A
+    part buffers its own k0+1 values per point, so points start their first
+    pass in order while their buffered values fit, beside those ahead of
+    them, in the trials of every part; a point that fits in none starts
+    alone, and a part buffers no more values than it draws.  Each part keeps
+    its rows within its room, its own trials less its buffers: after every
+    batch, the ``size`` of its first passes adds up to at most that room,
+    and to none where the room is negative.  A buffer's spare room, at most
+    as large again, is not counted, as the parent array's partitioned copy
+    was not.  A later pass serves the second passes of the previous one.
     Either way the window holds the trials with a0 in the final [a_below,
     a_above) in trial order, so the answer depends neither on the path nor
     on the split: at one part, the passes are those of an unsplit pass.
@@ -907,30 +888,23 @@ def _exact_passes(
     at most k0 trials in outage there and more at the next float up, the
     same whatever the start rate or the bracket.
     """
-    n = sum(rows for _, rows in plan)
     ranges = ranges or [(0, len(plan))]
+    # every part buffers each first pass's k0+1 values in its own trials
+    fit = min(sum(rows for _, rows in plan[a:b]) for a, b in ranges)
     found: list = [None] * len(searches)
     start, second = 0, []
     while start < len(searches) or second:
-        first, used, room = [], 0, n
-        while start < len(searches):
-            search = searches[start]
-            buf, least = search.k0 + 1, (search.k0 + 1) * (1 + 2 * search.k)
-            keep = buf + least <= n
-            if first and used + buf + keep * least > n:
-                break
-            first.append((start, keep))
-            used, room, start = used + buf + keep * least, room - buf, start + 1
-        bands, keeps = [(p.search, p.band) for _, p in second], [(searches[i], keep) for i, keep in first]
-        # each part keeps its rows in its own trials less its buffers
-        tasks = [
-            (variances, master_seed, plan[a:b], bands, keeps, room - n + sum(rows for _, rows in plan[a:b]))
-            for a, b in ranges
-        ]
+        first, used = [], 0
+        while start < len(searches) and (not first or used + searches[start].k0 + 1 <= fit):
+            used += searches[start].k0 + 1
+            first.append(start)
+            start += 1
+        bands = [(p.search, p.band) for _, p in second]
+        tasks = [(variances, master_seed, plan[a:b], bands, [searches[i] for i in first]) for a, b in ranges]
         states = [_PassPoint.merged(list(p)) for p in zip(*_run_batches(_pass_part, tasks))]
         # first passes close first, to release their buffers before the second passes' stages
         done, second = list(zip(second, states)), []
-        for (i, _), point in zip(first, states[len(done) :]):
+        for i, point in zip(first, states[len(done) :]):
             stage = point.close()
             if stage is None:
                 second.append((i, point))
@@ -951,13 +925,15 @@ def empirical_eps_outage_capacity_sweep(
     """``empirical_eps_outage_capacity`` at every operating point of ``params_seq``, in order.
 
     Every point is checked before any draw.  A pass over the draws serves
-    every point (see ``_exact_passes``): each batch is drawn once, and once
-    more only for the points whose state does not fit the memory of one
-    point's array of a0, or whose window misses the bracket.  Each pass
-    splits into parts (``_ranges``), which draw their own batches and
-    together stay within that memory.  Each result's (rate, achieved_outage)
-    equals the one-point call's at any split; only ``iterations`` may
-    differ, as a part keeps its rows in its own share of the memory.
+    every point whose k0+1 buffered a0, in each part of the pass, fit beside
+    those ahead of it in the memory of one point's array of a0 (see
+    ``_exact_passes``): each batch is drawn once for a point, and once more
+    only where the rows it kept outgrew that memory and it dropped them, or
+    its window misses the bracket.  Each pass splits into parts
+    (``_ranges``), which draw their own batches and together stay within
+    that memory.  Each result's (rate, achieved_outage) equals the one-point
+    call's at any split; only ``iterations`` may differ, as a part buffers
+    its points and keeps its rows in its own share of the memory.
     """
     workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
     n_trials = _check_trials(n_trials)

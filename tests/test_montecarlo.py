@@ -863,15 +863,14 @@ class TestRows:
         batches=st.lists(st.lists(st.one_of(_BOUNDS, st.just(math.nan)), max_size=12), min_size=1, max_size=4),
         low=_BOUNDS,
         high=_BOUNDS,
-        cut=_BOUNDS,
     )
-    @example(batches=[[0.5, 1.0], [2.0]], low=1.0, high=1.0, cut=1.0)
-    @example(batches=[[0.5, 1.0, math.nan], [-math.inf, 2.0, 0.0]], low=0.0, high=2.0, cut=1.0)
+    @example(batches=[[0.5, 1.0], [2.0]], low=1.0, high=1.0)
+    @example(batches=[[0.5, 1.0, math.nan], [-math.inf, 2.0, 0.0]], low=0.0, high=2.0)
     @settings(max_examples=200, deadline=None)
-    def test_window_and_prune_follow_the_bound_masks(self, batches, low, high, cut):
+    def test_window_follows_the_bound_masks(self, batches, low, high):
         # the contract of a pass point's window: ``below`` counts the rows whose a0 lies
-        # below ``low``, the window keeps the rows whose a0 lies in [low, high) in trial
-        # order, column-major, and ``prune`` keeps those with a0 below ``high``
+        # below ``low``, and the window keeps the rows whose a0 lies in [low, high) in
+        # trial order, column-major
         a0s = [np.array(batch, dtype=float) for batch in batches]
         starts = np.cumsum([0] + [len(a) for a in a0s])
         # each row is (a0, trial index, -trial index), so the order of the rows shows
@@ -892,22 +891,16 @@ class TestRows:
             # a0 is read from column 0, and the window handed to the stage is kept
             mp.setattr(montecarlo, "_aggregate", lambda gains, k, x, row=None, out=None, work=None: gains[:, 0])
             mp.setattr(montecarlo, "_window_stage", stage)
-            for prune in (False, True):
-                point = montecarlo._PassPoint(search, (low, high))
-                for g in gains:
-                    point.add(g, work)
-                assert point.size == 3 * np.count_nonzero(kept)
-                if prune:
-                    point.high = cut
-                    point.prune(work)
-                    kept &= a0 < cut
-                    assert point.size == 3 * np.count_nonzero(kept)
-                assert point.close() == (0.0, 0)
-                window = windows.pop()
-                assert window.below == np.count_nonzero(a0 < low)
-                assert np.array_equal(window.gains, everything[kept], equal_nan=True)
-                assert window.gains.flags.f_contiguous
-                assert (window.low, window.high, window.x_lo, window.x_hi) == (low, point.high, search.x0, search.x0)
+            point = montecarlo._PassPoint(search, (low, high))
+            for g in gains:
+                point.add(g, work)
+            assert point.size == 3 * np.count_nonzero(kept)
+            assert point.close() == (0.0, 0)
+        [window] = windows
+        assert window.below == np.count_nonzero(a0 < low)
+        assert np.array_equal(window.gains, everything[kept], equal_nan=True)
+        assert window.gains.flags.f_contiguous
+        assert (window.low, window.high, window.x_lo, window.x_hi) == (low, high, search.x0, search.x0)
 
 
 def _two_pass_oracle(variances, params, n_trials, seed, mode):
@@ -983,7 +976,7 @@ class TestCapacitySweep:
         seed=st.integers(0, 2**64 - 1),
     )
     # rows kept in the first pass; rows dropped mid-pass beside rows kept; buffers
-    # alone, in two rounds of first passes
+    # that fill the room, so rows dropped at once, in two rounds of first passes
     @example(k=3, mode="exact", tau=None, snr_dbs=[-20.0, 30.0], epsilon=0.01, sigmas=[1.0] * 7, seed=1)
     @example(k=2, mode="exact", tau=None, snr_dbs=[-20.0, 0.0], epsilon=0.08, sigmas=[1.0] * 7, seed=5)
     @example(k=1, mode="linearized", tau=0.3, snr_dbs=[-20.0, -10.0, 0.0, 10.0], epsilon=0.5, sigmas=[2.0] * 7, seed=3)
@@ -998,12 +991,23 @@ class TestCapacitySweep:
         passes = self.EXAMPLE_PASSES.get((k, mode, tau, tuple(snr_dbs), epsilon, tuple(sigmas), seed))
         assert passes in (None, [res.iterations for res in results])
 
-    def test_pruned_rows_keep_both_points_in_one_pass(self):
-        # the running bounds fall through the pass; the rows kept while they were
-        # high outgrow the room unless pruned, and one point would take a second pass
+    def test_the_point_whose_rows_outgrow_the_room_takes_a_second_pass(self, monkeypatch):
+        # the running bounds fall through the pass, but the rows kept while they were
+        # high stay: the second point's batch makes the rows outgrow the room, so that
+        # point drops its rows and takes a second pass, and the first keeps its own
+        drops, drop = [], montecarlo._PassPoint.drop
+
+        def recorded(point):
+            if point.buf is not None and point.chunks is not None:
+                drops.append(point.search.snr)
+            drop(point)
+
+        monkeypatch.setattr(montecarlo._PassPoint, "drop", recorded)
         v, params = _sweep_case(1, None, [-10.0, 0.0], 0.1, [1.0] * 7)
         results = empirical_eps_outage_capacity_sweep(v, params, self.N, 5)
-        assert [res.iterations for res in results] == [1, 1]
+        assert [res.iterations for res in results] == [1, 2]
+        # the second point drops its rows mid-pass, the first only when it closes
+        assert drops == [params[1].snr, params[0].snr]
         for p, res in zip(params, results):
             assert (res.rate, res.achieved_outage) == _two_pass_oracle(v, p, self.N, 5, "exact")
 
@@ -1030,10 +1034,9 @@ class TestCapacitySweep:
         assert draws == [j for j, _ in batch_plan(self.N)]
         assert [res.iterations for res in results] == [1, 1, 1]
 
-    def test_sweep_over_the_budget_shares_its_passes(self, monkeypatch):
-        # 14 points, each with k0+1 buffered values and room for its k0+1 smallest
-        # rows, fill more than one pass's budget of n floats: the second round of
-        # first passes also serves the first round's second passes
+    def test_points_that_drop_their_rows_share_one_second_pass(self, monkeypatch):
+        # 14 points start their first pass together, and their rows outgrow the room:
+        # the points that drop them share one second pass
         draws = []
 
         def counted(*args, **kwargs):
@@ -1065,7 +1068,7 @@ class TestCapacitySweep:
 
 # (sweep, n_trials, seed, _RUNNING_MARGIN or None): one batch; three batches, the
 # last one short, every point done in one pass; every point forced to a second
-# pass; and 14 points over one pass's budget, in two passes
+# pass; and 14 points whose rows outgrow the room, in two passes
 FLOOR_CASES = {
     "one-batch": (_sweep_case(1, None, [-10.0, 0.0], 0.05, [1.0] * 7), 50_000, 3, None),
     "short-last-batch": (
@@ -1081,7 +1084,7 @@ FLOOR_PASSES = {
     "one-batch": [1, 1],
     "short-last-batch": [1, 1, 1],
     "second-pass": [2, 2, 2],
-    "over-budget": [2, 1, 1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 1, 1],
+    "over-budget": [1, 2, 1, 2, 1, 1, 2, 1, 2, 2, 2, 2, 2, 2],
 }
 
 
@@ -1283,21 +1286,20 @@ class TestPassParts:
 
     @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
     def test_first_passes_keep_their_rows_within_the_room(self, monkeypatch, case):
-        # after every batch of every part, the floats the part's first passes keep add
-        # up to at most the part's room, and to none where the room is negative
+        # the memory rule: after every batch of a part, its first passes hold at most
+        # k0+1 buffered values each, no more than it has drawn, and the rows they keep;
+        # the most each part holds adds up, over the parts of a pass, to at most n_trials
         (v, params), n, seed, margin = FLOOR_CASES[case]
         if margin is not None:
             monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
         monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # up to a part per batch
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(montecarlo, "_run_batches", _in_process)
-        part, checks = {}, []  # the running part's room and first passes; each check's (kept, room)
+        part, passes = {}, []  # the running part's first passes and the most they held; each pass's parts' most
         init, pass_part, draw = montecarlo._PassPoint.__init__, montecarlo._pass_part, montecarlo.gains_batch
 
         def check():
-            kept = sum(point.size for point in part["first"])
-            assert kept <= max(part["room"], 0)
-            checks.append((kept, part["room"]))
+            held = sum(min(point.filled, point.search.k0 + 1) + point.size for point in part["first"])
+            part["most"] = max(part["most"], held)
 
         def created(point, search, band=None):
             init(point, search, band)
@@ -1308,20 +1310,82 @@ class TestPassParts:
             check()  # the part's points have taken every batch drawn before this one
             return draw(*args, **kwargs)
 
-        def checked_part(variances, master_seed, plan, bands, keeps, room):
-            part.update(room=room, first=[])
-            points = pass_part(variances, master_seed, plan, bands, keeps, room)
+        def checked_part(*args):
+            part.update(first=[], most=0)
+            points = pass_part(*args)
             check()
+            passes[-1].append((part["most"], any(point.size for point in part["first"])))
             return points
 
+        def in_process(worker, tasks):
+            if worker is checked_part:
+                passes.append([])
+            return _in_process(worker, tasks)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", in_process)
         monkeypatch.setattr(montecarlo._PassPoint, "__init__", created)
         monkeypatch.setattr(montecarlo, "gains_batch", drawn)
         monkeypatch.setattr(montecarlo, "_pass_part", checked_part)
         for workers in (1, 2, 3):
             monkeypatch.setenv("BAF_WORKERS", str(workers))
-            checks.clear()
+            passes.clear()
             empirical_eps_outage_capacity_sweep(v, params, n, seed)
-            assert any(kept for kept, _ in checks)
+            for parts in passes:
+                assert sum(most for most, _ in parts) <= n
+            assert any(kept for parts in passes for _, kept in parts)
+            assert max(len(parts) for parts in passes) == min(workers, len(batch_plan(n)))
+
+
+# a many-point K=1 sweep whose epsilons mix: its buffers take several rounds of first passes
+MIXED_EPSILON_CASE = (
+    LinkVariances(1.0, (1.0,), (1.0,)),
+    [SystemParams(snr=10.0 ** (db / 10.0), rate=0.0, epsilon=eps)
+     for db, eps in zip(range(-20, 4, 2), [0.3, 0.01, 0.5, 0.1, 0.2, 0.02] * 2)],
+)
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("case", [*sorted(FLOOR_CASES), "mixed-epsilon"])
+    def test_points_start_their_first_pass_in_order_while_their_buffers_fit(self, monkeypatch, case):
+        # in every pass, the k0+1 buffered values of the points that start their first
+        # pass add up to at most every part's trials, unless one point starts alone;
+        # points start in order, and a pass takes the next point whenever its buffer fits
+        if case == "mixed-epsilon":
+            (v, params), n, seed, margin = MIXED_EPSILON_CASE, 140_000, 17, None
+        else:
+            (v, params), n, seed, margin = FLOOR_CASES[case]
+        if margin is not None:
+            monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # up to a part per batch
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        rounds, run_batches = [], montecarlo._run_batches
+
+        def recorded(worker, tasks):
+            if worker is montecarlo._pass_part:
+                assert all(task[4] == tasks[0][4] for task in tasks)  # every part serves the same first passes
+                fit = min(sum(rows for _, rows in task[2]) for task in tasks)  # the smallest part's trials
+                rounds.append(([search.k0 + 1 for search in tasks[0][4]], len(tasks), fit))
+            return run_batches(worker, tasks)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", recorded)
+        k0s = [montecarlo._max_allowed_count(p.epsilon, n) for p in params]
+        expected = None
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("BAF_WORKERS", str(workers))
+            rounds.clear()
+            results = empirical_eps_outage_capacity_sweep(v, params, n, seed)
+            assert [b for bufs, _, _ in rounds for b in bufs] == [k0 + 1 for k0 in k0s]
+            for (bufs, parts, fit), (after, _, _) in zip(rounds, rounds[1:] + [([], 0, 0)]):
+                # every part buffers the values: they fit in each part's trials, so in n_trials across the parts
+                assert (sum(bufs) <= fit and parts * sum(bufs) <= n) or len(bufs) == 1
+                assert not bufs or not after or sum(bufs) + after[0] > fit
+            rates = [(res.rate, res.achieved_outage) for res in results]
+            assert expected in (None, rates)
+            expected = rates
+        if case == "mixed-epsilon":
+            assert len([bufs for bufs, _, _ in rounds if bufs]) >= 3
+            for p, rate in zip(params, expected):
+                assert rate == _two_pass_oracle(v, p, n, seed, "exact")
 
 
 class TestPlacementCurve:
