@@ -28,6 +28,7 @@ from .montecarlo import (
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
     empirical_eps_outage_capacity_sweep,
+    empirical_placement_argmax,
     estimate_expected_n,
     estimate_outage,
     estimate_outage_sweep,

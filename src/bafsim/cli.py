@@ -51,7 +51,7 @@ from .errors import ConvergenceError, InvalidParameterError
 MAX_SWEEP_POINTS = 100_000
 # each batch of 65 536 trials holds 1 + 2K gains per trial
 MAX_RELAYS = 32
-# placement runs one capacity search per grid point
+# placement bounds or solves a capacity at every grid point
 MAX_GRID_POINTS = 10_001
 
 
@@ -408,10 +408,7 @@ def cmd_placement(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     snr = _db_to_linear(db)
     pathloss = cfg.geometry.pathloss_exponent
     d_analytic = cap.optimal_relay_position(pathloss, cfg.grid)
-    grid, caps = mc.empirical_capacity_vs_position(
-        pathloss, snr, cfg.epsilon, cfg.trials, cfg.seed, cfg.grid, cfg.mode
-    )
-    d_empirical = float(grid[int(caps.argmax())])
+    d_empirical = mc.empirical_placement_argmax(pathloss, snr, cfg.epsilon, cfg.trials, cfg.seed, cfg.grid, cfg.mode)
     return [
         ResultRow(db, None, cfg.epsilon, 1, "placement_argmax_analytic", d_analytic, None, None, None),
         ResultRow(db, None, cfg.epsilon, 1, "placement_argmax_empirical", d_empirical, None, cfg.trials, cfg.seed),

@@ -63,6 +63,14 @@ window cannot hold, are solved on all the trials (``_exact_position``): one
 pass computes their a0 into one array, partitioned in place for the k0-th
 a0, and a second gathers its bracket's band.  Every capacity is the unique
 root of its outage count, whatever the split.
+The argmax of that curve needs fewer positions solved
+(``empirical_placement_argmax``): the outage count never falls as the rate
+rises, so a position's capacity lies below a rate C exactly when its count
+at C exceeds k0.  Each segment solves the position of its largest closed
+form, and excludes the others at its capacity, a block of positions per
+pass over the draws where a bound on a0 over the block already leaves more
+than k0 trials in outage, and by exact counts on a window otherwise; only
+a position whose counts allow a larger capacity is solved.
 One float bisection, ``_solve_increasing``, finds every root the module needs:
 the kernel's rate bracket, the capacity itself and lemma1's policy offset.
 """
@@ -1003,6 +1011,25 @@ def _band_window(raw: list[np.ndarray], bounds, low: float, high: float, x_lo: f
     return _Window(below, gains, low, high, x_lo, x_hi, np.empty((4, len(gains))))
 
 
+def _block_bounds(k: int, x_lo: float, x_hi: float, row_lo: np.ndarray, row_hi: np.ndarray):
+    """``bounds`` for ``_band_window``: a lower and an upper bound on a0 at every offset in [x_lo, x_hi] and every
+    variance row between ``row_lo`` and ``row_hi``, column by column.
+
+    The aggregate rises in every gain and falls in x, so a0 lies between its
+    value at ``row_lo`` and ``x_hi`` and its value at ``row_hi`` and ``x_lo``;
+    each is widened by ``_BOUND_MARGIN`` against the rounding of the scaled
+    gains, whose float aggregate need not rise with them.
+    """
+
+    def bounds(g, buf):
+        lower, upper, *work = buf  # the last work row untouched at K = 1
+        np.multiply(_aggregate(g, k, x_hi, row_lo, lower, work), 1.0 - _BOUND_MARGIN, out=lower)
+        np.multiply(_aggregate(g, k, x_lo, row_hi, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
+        return lower, upper
+
+    return bounds
+
+
 def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray, recent_caps: np.ndarray) -> _Window:
     """Window for the positions with variance rows ``scales``, from one bounding pass over ``raw``.
 
@@ -1012,15 +1039,12 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     there.  The band is [thr_lo - K/4*(x_hi - x_lo), thr_hi + K/4*(x_hi -
     x_lo)), from the slope bound K/4 that ``_RateSearch`` brackets with: a
     search whose start rate and bracket lie in [rate_lo, rate_hi] has its
-    (a_below, a_above) in the band, but for ``_BOUND_MARGIN``.  The aggregate
-    rises in every gain and falls in x, so a0 over the block lies between its
-    value at the smallest entry of each variance column and the largest x, and
-    its value at the largest entries and the smallest x.  Each batch's two
-    bounds, the aggregates of the batch scaled by those rows, are computed
-    column by column (``_aggregate``), and ``_band_window`` gathers the unit
-    draws of the trials they cannot place outside the band.  ``_window_stage``
-    checks every window, so a prediction that misses (or overflows, far past
-    the clamp) only sends a position to ``_exact_position``.
+    (a_below, a_above) in the band, but for ``_BOUND_MARGIN``.  Each batch's
+    two bounds on a0 over the block (``_block_bounds``) take the smallest and
+    the largest entry of each variance column, and ``_band_window`` gathers
+    the unit draws of the trials they cannot place outside the band.
+    ``_window_stage`` checks every window, so a prediction that misses (or
+    overflows, far past the clamp) only sends a position to ``_exact_position``.
     """
     steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
     with np.errstate(all="ignore"):
@@ -1031,14 +1055,7 @@ def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray
     x_lo, thr_lo = search.condition(rate_lo) if rate_lo * search.snr >= sys.float_info.min else (0.0, 0.0)
     x_hi, thr_hi = search.condition(float(rates.max()) * (1.0 + _PREDICTION_MARGIN))
     slack = search.k / 4.0 * (x_hi - x_lo)
-    row_lo, row_hi, k = scales.min(axis=0), scales.max(axis=0), search.k
-
-    def bounds(g, buf):
-        lower, upper, *work = buf  # the last work row untouched at K = 1
-        np.multiply(_aggregate(g, k, x_hi, row_lo, lower, work), 1.0 - _BOUND_MARGIN, out=lower)
-        np.multiply(_aggregate(g, k, x_lo, row_hi, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
-        return lower, upper
-
+    bounds = _block_bounds(search.k, x_lo, x_hi, scales.min(axis=0), scales.max(axis=0))
     return _band_window(raw, bounds, thr_lo - slack, thr_hi + slack, x_lo, x_hi)
 
 
@@ -1103,6 +1120,38 @@ def _placement_segment(
     return caps
 
 
+def _placement_setup(
+    pathloss_exponent: float, snr: float, epsilon: float, n_trials: int, master_seed: int, grid_points: int
+) -> tuple:
+    """(k0, grid, per-position variances, variance rows, unit draws, grid segments) of a placement search.
+
+    Every input is checked before any draw: ``BAF_WORKERS``, snr and
+    epsilon, the trial count and its cap, k0, the grid, and the variances of
+    every position.  The unit draws are made once, here, column-major, so
+    that scaling by the variances runs down whole columns, and read-only, as
+    the forked segments share them.  The segments are the contiguous ranges
+    of grid positions of ``_ranges``, one per worker.
+    """
+    workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
+    SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
+    n_trials = _check_trials(n_trials)
+    if n_trials > PLACEMENT_TRIAL_LIMIT:
+        raise InvalidParameterError(
+            f"n_trials above {PLACEMENT_TRIAL_LIMIT} would exceed the in-memory draw cache"
+        )
+    k0 = _max_allowed_count(epsilon, n_trials)
+    grid = position_grid(grid_points)
+    # mapped before the draws, so that a position outside VARIANCE_RANGE is rejected first
+    per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
+    scales = np.array([variance_row(v) for v in per_position])
+    unit = LinkVariances(1.0, (1.0,), (1.0,))
+    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in batch_plan(n_trials)]
+    for g in raw:
+        g.flags.writeable = False  # shared with the forked segments, which only read it
+    segments = _ranges(len(grid), n_trials * (3 + len(grid)), workers)
+    return k0, grid, per_position, scales, raw, segments
+
+
 def empirical_capacity_vs_position(
     pathloss_exponent: float,
     snr: float,
@@ -1123,42 +1172,155 @@ def empirical_capacity_vs_position(
     ``empirical_eps_outage_capacity``, started from the closed form, finds
     on the same variances and trials.
 
-    The trials are drawn once, here, and made read-only.  The grid splits
-    into segments (``_ranges``), which ``_placement_segment`` solves on those
-    draws; a forked segment reads them without copying them.  Each segment
-    starts from the closed form ``c_eps_baf_k`` at its first position, then
-    from each capacity it solves.  Within a segment, positions come in blocks
-    of ``_BLOCK_POSITIONS``: one bounding pass per block (``_block_window``)
-    keeps the few trials whose aggregate can lie in the block's predicted
-    band, and each position runs ``_window_stage`` on them alone, at its
-    variance row.  A position whose start offset or bracket falls outside
-    what the window was bounded for, and a segment's first two, are solved
-    on all the trials instead (``_exact_position``).  No pass makes a scaled
-    copy of the draws.  Either way the result is bit for bit that of the
-    capacity sweep's exact pass, at any split and worker count.
+    The trials are drawn once, by ``_placement_setup``, and made read-only.
+    The grid splits into segments (``_ranges``), which ``_placement_segment``
+    solves on those draws; a forked segment reads them without copying them.
+    Each segment starts from the closed form ``c_eps_baf_k`` at its first
+    position, then from each capacity it solves.  Within a segment, positions
+    come in blocks of ``_BLOCK_POSITIONS``: one bounding pass per block
+    (``_block_window``) keeps the few trials whose aggregate can lie in the
+    block's predicted band, and each position runs ``_window_stage`` on them
+    alone, at its variance row.  A position whose start offset or bracket
+    falls outside what the window was bounded for, and a segment's first two,
+    are solved on all the trials instead (``_exact_position``).  No pass
+    makes a scaled copy of the draws.  Either way the result is bit for bit
+    that of the capacity sweep's exact pass, at any split and worker count.
+    The ``placement`` command needs the argmax alone, and takes it from
+    ``empirical_placement_argmax``, which solves far fewer positions.
 
     Returns (positions, capacities).
     """
-    workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
-    SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
-    n_trials = _check_trials(n_trials)
-    if n_trials > PLACEMENT_TRIAL_LIMIT:
-        raise InvalidParameterError(
-            f"n_trials above {PLACEMENT_TRIAL_LIMIT} would exceed the in-memory draw cache"
-        )
-    k0 = _max_allowed_count(epsilon, n_trials)
-    grid = position_grid(grid_points)
-    # mapped before the draws, so that a position outside VARIANCE_RANGE is rejected first
-    per_position = [variances_from_geometry(NetworkGeometry((d,), pathloss_exponent)) for d in grid]
-    scales = np.array([variance_row(v) for v in per_position])
-    plan = batch_plan(n_trials)
-    # column-major, so that scaling by the variances runs down whole columns
-    unit = LinkVariances(1.0, (1.0,), (1.0,))
-    raw = [np.asfortranarray(gains_batch(unit, master_seed, j, rows)) for j, rows in plan]
-    for g in raw:
-        g.flags.writeable = False  # shared with the forked segments, which only read it
+    k0, grid, per_position, scales, raw, segments = _placement_setup(
+        pathloss_exponent, snr, epsilon, n_trials, master_seed, grid_points
+    )
     tasks = [
         (snr, k0, threshold_mode, raw, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
-        for a, b in _ranges(len(grid), n_trials * (3 + len(grid)), workers)
+        for a, b in segments
     ]
     return grid, np.concatenate(_run_batches(_placement_segment, tasks))
+
+
+def _outage_exceeds(raw: list[np.ndarray], row: np.ndarray, x: float, thr: float, k0: int) -> bool:
+    """Whether more than k0 trials of ``raw`` have the upper bound of ``_block_bounds`` at ``row`` and ``x`` below ``thr``.
+
+    Scaled by any variance row at or below ``row``, each such trial's a0 at
+    ``x`` lies below ``thr``.  The pass stops at the batch where the count
+    passes k0.
+    """
+    buf = np.empty((4, max(len(g) for g in raw)))
+    count = 0
+    for g in raw:
+        upper, *work = buf[:, : len(g)]
+        np.multiply(_aggregate(g, 1, x, row, upper, work), 1.0 + _BOUND_MARGIN, out=upper)
+        count += int(np.count_nonzero(upper < thr))
+        if count > k0:
+            return True
+    return False
+
+
+def _window_outages(window: _Window, row: np.ndarray, x: float, thr: float) -> int:
+    """The outage count at the decode condition (``x``, ``thr``) of the trials of ``window``'s band, scaled by ``row``."""
+    a0 = _aggregate(window.gains, 1, x, row, window.work[0], window.work[1:])
+    return window.below + int(np.count_nonzero(a0 < thr))
+
+
+def _argmax_segment(
+    snr: float, k0: int, threshold_mode: str, raw: list[np.ndarray], scales: np.ndarray, starts: np.ndarray
+) -> tuple[float, int]:
+    """(capacity, index) of the first position of largest capacity among those with variance rows ``scales``.
+
+    ``starts`` holds the positions' closed forms ``c_eps_baf_k``, and ``raw``
+    the unit draws, read in place as in ``_placement_segment``.  The position
+    of the largest closed form (the first, on ties) is solved on all the
+    trials (``_exact_position``), and its capacity C is the best so far.
+
+    The outage count never falls as the rate rises, and a position's
+    capacity is the largest rate whose count is at most k0, so it lies below
+    C exactly when its count at C exceeds k0.  Every position shares the
+    decode condition (x, thr) at C, and only its variance row differs.  So
+    each round takes the positions still pending, at first every other one,
+    in blocks that span fewer than ``_BLOCK_POSITIONS`` grid positions each,
+    so that the rows of a block lie close together.  A block is excluded by
+    one pass (``_outage_exceeds``) where more than k0 trials lie below thr at
+    every position of it.  Otherwise one window (``_band_window``) holds the
+    trials whose a0 can lie in [thr, thr+) at some position of the block,
+    (x+, thr+) being the decode condition at the next float above C, and
+    gives each position its exact counts at both rates.  A count above k0 at
+    C places the position below C; at most k0 at C and more at the next
+    float, at C, a tie that the smaller index wins; at most k0 at both, above
+    C.  Where no position lies above C, the best stands.  Otherwise the one
+    with the fewest outages at the next float is solved on all the trials,
+    and becomes the best, and the others above C are pending in the next
+    round.  Each window is released before the next pass over the draws.
+    """
+
+    def solve(i: int, rate: float) -> float:
+        return _exact_position(_RateSearch(snr, k0, 1, None, threshold_mode, rate), raw, scales[i])[0]
+
+    best = int(np.argmax(starts))
+    cap = solve(best, starts[best])
+    pending = [i for i in range(len(scales)) if i != best]
+    while pending:
+        x, thr = decode_condition(cap, snr, None, 1, threshold_mode)
+        x_up, thr_up = decode_condition(math.nextafter(cap, math.inf), snr, None, 1, threshold_mode)
+        blocks = []
+        for j in pending:
+            if blocks and j - blocks[-1][0] < _BLOCK_POSITIONS:
+                blocks[-1].append(j)
+            else:
+                blocks.append([j])
+        above = []  # (outage count at the next float above cap, index)
+        for block in blocks:
+            row_lo, row_hi = scales[block].min(axis=0), scales[block].max(axis=0)
+            if _outage_exceeds(raw, row_hi, x, thr, k0):
+                continue
+            window = _band_window(raw, _block_bounds(1, x, x_up, row_lo, row_hi), thr, thr_up, x, x_up)
+            for j in block:
+                if _window_outages(window, scales[j], x, thr) > k0:
+                    continue  # below cap
+                count = _window_outages(window, scales[j], x_up, thr_up)
+                if count <= k0:
+                    above.append((count, j))
+                elif j < best:  # at cap
+                    best = j
+            del window
+        if not above:
+            break
+        _, best = min(above)
+        cap = solve(best, cap)
+        pending = [j for _, j in above if j != best]
+    return cap, best
+
+
+def empirical_placement_argmax(
+    pathloss_exponent: float,
+    snr: float,
+    epsilon: float,
+    n_trials: int,
+    master_seed: int,
+    grid_points: int = 201,
+    threshold_mode: str = "exact",
+) -> float:
+    """The grid position of the largest empirical capacity: ``grid[argmax(caps)]`` of ``empirical_capacity_vs_position``.
+
+    It takes the same inputs, checks and draws (``_placement_setup``) and
+    returns the same float, the first position on ties, without solving
+    every position.  Each segment of the grid finds its own first argmax
+    (``_argmax_segment``): it solves the position of its largest closed form,
+    and proves each other position below that capacity C by its outage count
+    at C, which exceeds k0 exactly where the position's capacity lies below
+    C, as the count never falls with the rate.  Blocks of positions are
+    excluded in one pass over the draws, by a bound on a0 over the block;
+    the rest are counted exactly on a window, and only a position whose
+    count allows a capacity above C is solved.  The segments merge by the
+    largest capacity, then the smallest index, so the result does not depend
+    on the split or the worker count.
+    """
+    k0, grid, per_position, scales, raw, segments = _placement_setup(
+        pathloss_exponent, snr, epsilon, n_trials, master_seed, grid_points
+    )
+    starts = np.array([c_eps_baf_k(v, snr, epsilon) for v in per_position])
+    tasks = [(snr, k0, threshold_mode, raw, scales[a:b], starts[a:b]) for a, b in segments]
+    found = [(cap, a + i) for (cap, i), (a, _) in zip(_run_batches(_argmax_segment, tasks), segments)]
+    _, best = max(found, key=lambda f: (f[0], -f[1]))
+    return float(grid[best])

@@ -597,7 +597,7 @@ class TestBenchmarkChild:
         result = bench.spawn({"mode": "main", "argv": argv, "trace": True, "spans_out": str(spans_out)}, workers=1)
         assert result["rc"] == 0
         names = {span[0] for span in json.loads(spans_out.read_text(encoding="utf-8"))}
-        assert {"cli.main", "channel.gains_batch", "montecarlo.empirical_capacity_vs_position"} <= names
+        assert {"cli.main", "channel.gains_batch", "montecarlo.empirical_placement_argmax"} <= names
 
         result = bench.spawn({"mode": "probe", "trials": [20_000], "workers": [1, 2], "repeats": 1, "seed": seed})
         assert sorted(result["times"]) == ["20000:1", "20000:2"]

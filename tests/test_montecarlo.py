@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from bafsim import montecarlo, protocol
+from bafsim import cli, montecarlo, protocol
 from bafsim.capacity import c_eps_baf_k, decode_condition, lemma1_constant, position_grid
 from bafsim.channel import (
     TRIALS_PER_BATCH,
@@ -34,6 +34,7 @@ from bafsim.montecarlo import (
     empirical_capacity_vs_position,
     empirical_eps_outage_capacity,
     empirical_eps_outage_capacity_sweep,
+    empirical_placement_argmax,
     estimate_expected_n,
     estimate_outage,
     estimate_outage_sweep,
@@ -274,6 +275,7 @@ class TestTrialCap:
         "capacity": lambda n: empirical_eps_outage_capacity(UNIT, SystemParams(snr=1.0, rate=0.0, epsilon=0.01), n, 3),
         "lemma1": lambda n: lemma1_ratio_experiment(1.0, 1.0, 1.0, [0.1], n, 3),
         "placement": lambda n: empirical_capacity_vs_position(2.0, 1.0, 0.01, n, 3, grid_points=3),
+        "placement-argmax": lambda n: empirical_placement_argmax(2.0, 1.0, 0.01, n, 3, grid_points=3),
     }
 
     @pytest.mark.parametrize("name", _CALLS)
@@ -1832,5 +1834,106 @@ class TestOneKernel:
         pathloss, snr, epsilon, n_place, seed_place, grid_points, mode = FALLBACK_CASE
         empirical_capacity_vs_position(pathloss, snr, epsilon, n_place, seed_place, grid_points=grid_points,
                                        threshold_mode=mode)
+        empirical_placement_argmax(pathloss, snr, epsilon, n_place, seed_place, grid_points=grid_points,
+                                   threshold_mode=mode)
         estimate_outage_sweep(v, [SystemParams(snr=0.1, rate=r, k_relays=2) for r in (0.01, 0.05)], n, seed)
         assert parts and set(parts) == {workers}
+
+
+# (pathloss, snr_db, epsilon, n_trials, seed, grid_points, mode), fixed before any result was seen: every position
+# ties at pathloss 0; a flat curve at epsilon 0.001; clamped duty cycles at +20 dB; and a steep curve at pathloss 8
+ARGMAX_PANEL = [
+    (0.0, -20.0, 0.05, 20_000, 1, 101, "exact"),
+    (1.5, -40.0, 0.001, 100_000, 3, 151, "exact"),
+    (2.0, 20.0, 0.9, 20_000, 5, 1001, "linearized"),
+    (3.0, -10.0, 0.3, 40_000, 7, 201, "linearized"),
+    (3.0, 0.0, 0.01, 20_000, 9, 101, "linearized"),
+    (5.0, 20.0, 0.05, 20_000, 2, 201, "exact"),
+    (8.0, -20.0, 0.1, 70_000, 1, 101, "exact"),
+]
+
+
+def _argmax_args(case):
+    pathloss, snr_db, epsilon, n, seed, grid_points, mode = case
+    return pathloss, 10.0 ** (snr_db / 10.0), epsilon, n, seed, grid_points, mode
+
+
+class TestPlacementArgmax:
+    @pytest.mark.parametrize("case", ARGMAX_PANEL, ids=repr)
+    def test_equals_the_curves_first_argmax_at_any_worker_count(self, monkeypatch, case):
+        args = _argmax_args(case)
+        monkeypatch.setenv("BAF_WORKERS", "1")
+        grid, caps = empirical_capacity_vs_position(*args)
+        expected = float(grid[int(caps.argmax())])
+        if case[0] == 0.0:
+            assert expected == grid[0]
+        segments, run_batches = [], montecarlo._run_batches
+
+        def counted(worker, tasks):
+            if worker is montecarlo._argmax_segment:
+                segments.append(len(tasks))
+            return run_batches(worker, tasks)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", counted)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # a segment per worker, merged by capacity then index
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        for workers in (1, 2, 3):
+            monkeypatch.setenv("BAF_WORKERS", str(workers))
+            assert empirical_placement_argmax(*args) == expected
+        assert segments == [1, 2, 3]
+
+    def test_a_tie_goes_to_the_first_position(self):
+        # every position has the variances of the middle one, and the largest start is in the middle: every
+        # position ties, so the block below the start, whose count at the start's capacity is exactly k0, is kept
+        snr, epsilon, n, seed = 0.01, 0.05, 20_000, 1
+        k0 = montecarlo._max_allowed_count(epsilon, n)
+        scales = np.array([_grid_row(3.0, 50)] * 20)
+        starts = np.zeros(len(scales))
+        starts[12] = 1e-3
+        cap, best = montecarlo._argmax_segment(snr, k0, "exact", _read_only_draws(n, seed), scales, starts)
+        assert best == 0
+        v = variances_from_geometry(NetworkGeometry((position_grid(101)[50],), 3.0))
+        assert cap == empirical_eps_outage_capacity(v, SystemParams(snr=snr, rate=0.0, epsilon=epsilon), n, seed).rate
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_placement_command_solves_few_positions(self, monkeypatch, tmp_path, workers):
+        # the benchmark's placement workload at seed 11: a segment solves the position of its largest closed
+        # form, and then only positions whose capacity exceeds that one's; the curve and its segments never run
+        argv = ["placement", "--snr-db=-20", "--epsilon", "0.3", "--pathloss", "3", "--grid", "101",
+                "--trials", "800000", "--seed", "11"]
+        snr, n, seed = 10.0 ** (-20.0 / 10.0), 800_000, 11
+        grid, caps = empirical_capacity_vs_position(3.0, snr, 0.3, n, seed, grid_points=101)
+        solved, segments = [], []
+        exact = montecarlo._exact_position
+
+        def counted(search, raw, row):
+            solved.append(row)
+            return exact(search, raw, row)
+
+        def in_process(worker, tasks):  # so that the calls are counted here
+            for task in tasks:
+                bound = inspect.signature(worker).bind(*task).arguments
+                segments.append((bound["scales"], bound["starts"]))
+            return [worker(*task) for task in tasks]
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the placement command solved the whole curve")
+
+        monkeypatch.setattr(montecarlo, "_exact_position", counted)
+        monkeypatch.setattr(montecarlo, "_run_batches", in_process)
+        monkeypatch.setattr(montecarlo, "_placement_segment", unreachable)
+        monkeypatch.setattr(montecarlo, "empirical_capacity_vs_position", unreachable)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
+        monkeypatch.setenv("BAF_WORKERS", str(workers))
+        out = tmp_path / "placement.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        rows = {line.split(",")[4]: line.split(",")[5] for line in out.read_text(encoding="utf-8").splitlines()[1:]}
+        assert float(rows["placement_argmax_empirical"]) == float(grid[int(caps.argmax())])
+        assert len(segments) == workers
+        allowed, a = 0, 0
+        for scales, starts in segments:
+            seg_caps = caps[a : a + len(scales)]
+            allowed += 1 + int(np.count_nonzero(seg_caps > seg_caps[int(np.argmax(starts))]))
+            a += len(scales)
+        assert a == len(grid)
+        assert workers <= len(solved) <= allowed
