@@ -51,7 +51,7 @@ from .errors import ConvergenceError, InvalidParameterError
 MAX_SWEEP_POINTS = 100_000
 # each batch of 65 536 trials holds 1 + 2K gains per trial
 MAX_RELAYS = 32
-# placement bounds or solves a capacity at every grid point
+# placement's argmax bounds or counts the outages at every grid point, and solves only a few
 MAX_GRID_POINTS = 10_001
 
 

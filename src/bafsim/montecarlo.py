@@ -55,14 +55,12 @@ grid's unit draws are made once, by the caller, and read-only, and every
 placement pass reads them in place: ``_aggregate`` scales each column by
 the variance row as it reads it, and windows gather their rows by index,
 column by column
-(``_band_window``).  Each segment of the grid restarts its chain of start
-rates from the closed form, and bounds each block of relay positions in one
-pass over the unit draws, solving every position of the block on that
-window.  The first two positions of a segment, and a position its block's
-window cannot hold, are solved on all the trials (``_exact_position``): one
-pass computes their a0 into one array, partitioned in place for the k0-th
-a0, and a second gathers its bracket's band.  Every capacity is the unique
-root of its outage count, whatever the split.
+(``_band_window``).  The curve solves every position on all the trials
+(``_exact_position``): one pass computes its a0 into one array, partitioned
+in place for the k0-th a0, and a second gathers its bracket's band.  Each
+segment of the grid starts its first position from the closed form and each
+later one from the capacity before it.  Every capacity is the unique root of
+its outage count, whatever the split.
 The argmax of that curve needs fewer positions solved
 (``empirical_placement_argmax``): the outage count never falls as the rate
 rises, so a position's capacity lies below a rate C exactly when its count
@@ -81,13 +79,12 @@ import math
 import os
 import pickle
 import signal
-import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _exp2m1, c_eps_baf_k, decode_condition, position_grid
+from .capacity import THRESHOLD_MODES, _check_mode, _exp2m1, c_eps_baf_k, decode_condition, position_grid
 from .channel import (
     TRIALS_PER_BATCH,
     LinkVariances,
@@ -529,11 +526,9 @@ _BOUND_MARGIN = 1e-9
 # smaller k0-th a0 may lie a little above the one from a larger.  A bound
 # too tight only costs a second pass.
 _RUNNING_MARGIN = 1e-6
-# The placement sweep bounds this many relay positions in one pass over the
-# draws, and widens the start rates and aggregate band it predicts for them
-# by this relative margin.
+# The placement argmax counts the positions it still has to place in blocks
+# that span fewer than this many grid positions, one pass over the draws each.
 _BLOCK_POSITIONS = 8
-_PREDICTION_MARGIN = 0.02
 
 
 def _max_allowed_count(epsilon: float, n_trials: int) -> int:
@@ -630,38 +625,36 @@ class _Window:
     ``gains`` holds their gains as the search sees them, in trial order; a
     placement window holds the unit draws, column-major, and each of its
     positions scales them by its variance row.  Of the other trials,
-    ``below`` have a0 below ``low`` and the rest a0 at or above ``high``, at
-    every offset x0 in [x_lo, x_hi] and, for a block, every variance row it
-    was bounded for.  ``work`` holds four rows of len(gains) floats, which
-    every ``_window_stage`` on the window reuses for its a0 (the last row
-    only at K >= 2).
+    ``below`` have a0 below ``low`` and the rest a0 at or above ``high``: at
+    the offset x0 of the one search it was gathered for, or, for a block of
+    the placement argmax, at every variance row and offset the block was
+    bounded for (``_block_bounds``).  ``work`` holds four rows of len(gains)
+    floats, which every ``_window_stage`` on the window reuses for its a0
+    (the last row only at K >= 2).
     """
 
     below: int
     gains: np.ndarray
     low: float
     high: float
-    x_lo: float
-    x_hi: float
     work: np.ndarray
 
 
 def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None = None):
     """(rate, outage count there) of ``search`` on the ``window`` gains, scaled by the variance row ``row`` if given.
 
-    Returns None when the window cannot hold the answer: x0 outside
-    [x_lo, x_hi], or the bracket not inside [low, high).  Otherwise a_k0,
-    the bracket and the candidates are those of the whole trial set.  The
-    rate is the root of the outage count, the trials below the band plus the
-    candidates in outage: at most k0 at the rate and more at the next float.
+    The window is one gathered at the search's own x0.  Returns None when it
+    cannot hold the answer: the bracket not inside [low, high).  Otherwise
+    a_k0, the bracket and the candidates are those of the whole trial set.
+    The rate is the root of the outage count, the trials below the band plus
+    the candidates in outage: at most k0 at the rate and more at the next
+    float.
 
     a0 goes into the window's ``work`` (``_aggregate``), which also takes
     the copy that is partitioned; the candidates' rows are gathered into one
     array, scaled by ``row`` if given.  Every float is the one that the
     window scaled by ``row`` gives without it.
     """
-    if not window.x_lo <= search.x0 <= window.x_hi:
-        return None
     k, k0 = search.k, search.k0
     a0, ranked = window.work[:2]
     _aggregate(window.gains, k, search.x0, row, a0, window.work[1:])
@@ -806,7 +799,7 @@ class _PassPoint:
             while chunks:
                 gains[row : row + len(chunks[0])] = chunks[0]
                 row += len(chunks.pop(0))
-            window = _Window(self.below, gains, self.low, self.high, s.x0, s.x0, np.empty((4, len(gains))))
+            window = _Window(self.below, gains, self.low, self.high, np.empty((4, len(gains))))
             found = _window_stage(s, window)
             if found is not None or self.buf is None:
                 return found
@@ -983,7 +976,7 @@ def empirical_eps_outage_capacity(
 PLACEMENT_TRIAL_LIMIT = 20_000_000
 
 
-def _band_window(raw: list[np.ndarray], bounds, low: float, high: float, x_lo: float, x_hi: float) -> _Window:
+def _band_window(raw: list[np.ndarray], bounds, low: float, high: float) -> _Window:
     """The window of the trials of ``raw`` whose bounds on a0 meet the band [low, high), gathered by index.
 
     ``bounds(g, buf)`` returns a lower and an upper bound on the a0 of each
@@ -1008,7 +1001,7 @@ def _band_window(raw: list[np.ndarray], bounds, low: float, high: float, x_lo: f
             # the indices are valid; mode="raise" would copy out first
             np.take(g[:, c], idx, out=gains[s : s + len(idx), c], mode="clip")
         s += len(idx)
-    return _Window(below, gains, low, high, x_lo, x_hi, np.empty((4, len(gains))))
+    return _Window(below, gains, low, high, np.empty((4, len(gains))))
 
 
 def _block_bounds(k: int, x_lo: float, x_hi: float, row_lo: np.ndarray, row_hi: np.ndarray):
@@ -1028,35 +1021,6 @@ def _block_bounds(k: int, x_lo: float, x_hi: float, row_lo: np.ndarray, row_hi: 
         return lower, upper
 
     return bounds
-
-
-def _block_window(search: _RateSearch, raw: list[np.ndarray], scales: np.ndarray, recent_caps: np.ndarray) -> _Window:
-    """Window for the positions with variance rows ``scales``, from one bounding pass over ``raw``.
-
-    The positions' start rates are extrapolated from the last two capacities
-    solved, ``recent_caps``, and widened by ``_PREDICTION_MARGIN`` to
-    [rate_lo, rate_hi], with offsets x_lo, x_hi and thresholds thr_lo, thr_hi
-    there.  The band is [thr_lo - K/4*(x_hi - x_lo), thr_hi + K/4*(x_hi -
-    x_lo)), from the slope bound K/4 that ``_RateSearch`` brackets with: a
-    search whose start rate and bracket lie in [rate_lo, rate_hi] has its
-    (a_below, a_above) in the band, but for ``_BOUND_MARGIN``.  Each batch's
-    two bounds on a0 over the block (``_block_bounds``) take the smallest and
-    the largest entry of each variance column, and ``_band_window`` gathers
-    the unit draws of the trials they cannot place outside the band.
-    ``_window_stage`` checks every window, so a prediction that misses (or
-    overflows, far past the clamp) only sends a position to ``_exact_position``.
-    """
-    steps = np.arange(len(scales))  # position t starts from the capacity of position t - 1
-    with np.errstate(all="ignore"):
-        rates = recent_caps[1] * (recent_caps[1] / recent_caps[0]) ** steps
-    rate_lo = float(rates.min()) * (1.0 - _PREDICTION_MARGIN)
-    # below the duty cycle's domain, x0 > 0 and thr > 0 are the only bounds
-    # (every start rate is inside it)
-    x_lo, thr_lo = search.condition(rate_lo) if rate_lo * search.snr >= sys.float_info.min else (0.0, 0.0)
-    x_hi, thr_hi = search.condition(float(rates.max()) * (1.0 + _PREDICTION_MARGIN))
-    slack = search.k / 4.0 * (x_hi - x_lo)
-    bounds = _block_bounds(search.k, x_lo, x_hi, scales.min(axis=0), scales.max(axis=0))
-    return _band_window(raw, bounds, thr_lo - slack, thr_hi + slack, x_lo, x_hi)
 
 
 def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray) -> tuple[float, int]:
@@ -1086,7 +1050,7 @@ def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray)
         exact = _aggregate(g, k, x0, row, buf[0], buf[1:4])
         return exact, exact
 
-    return _window_stage(search, _band_window(raw, bounds, a_below, a_above, x0, x0), row)
+    return _window_stage(search, _band_window(raw, bounds, a_below, a_above), row)
 
 
 def _placement_segment(
@@ -1095,45 +1059,35 @@ def _placement_segment(
     """Capacities at the contiguous run of positions with variance rows ``scales``.
 
     ``raw`` holds the unit draws, which the segment reads in place and never
-    writes (``_aggregate``, ``_band_window``).  The first position's search
-    starts from ``start_rate``.  The first two positions are solved on all the
-    trials (``_exact_position``); after them, positions come in blocks of
-    ``_BLOCK_POSITIONS`` on one ``_block_window`` each, and a position the
-    window cannot hold falls back to ``_exact_position``, after which the next
-    block starts.  A block's window, and its buffers, are released before the
-    next bounding pass or exact position.  Every capacity is the unique root
-    of its outage count, so it does not depend on where its segment starts.
+    writes (``_aggregate``, ``_band_window``).  Every position is solved on
+    all the trials (``_exact_position``), the first from ``start_rate`` and
+    each later one from the capacity before it.  Every capacity is the
+    unique root of its outage count, so it does not depend on where its
+    segment starts.
     """
     caps = np.empty(len(scales))
-    window, block_end = None, 0
     for i, scale in enumerate(scales):
         search = _RateSearch(snr, k0, 1, None, threshold_mode, caps[i - 1] if i else start_rate)
-        if window is None and i >= 2:
-            block_end = min(i + _BLOCK_POSITIONS, len(scales))
-            window = _block_window(search, raw, scales[i:block_end], caps[i - 2 : i])
-        found = None if window is None else _window_stage(search, window, scale)
-        if found is None or i + 1 == block_end:
-            window = None
-        if found is None:
-            found = _exact_position(search, raw, scale)
-        caps[i], _ = found
+        caps[i], _ = _exact_position(search, raw, scale)
     return caps
 
 
 def _placement_setup(
-    pathloss_exponent: float, snr: float, epsilon: float, n_trials: int, master_seed: int, grid_points: int
+    pathloss_exponent: float, snr: float, epsilon: float, n_trials: int, master_seed: int, grid_points: int,
+    threshold_mode: str,
 ) -> tuple:
     """(k0, grid, per-position variances, variance rows, unit draws, grid segments) of a placement search.
 
     Every input is checked before any draw: ``BAF_WORKERS``, snr and
-    epsilon, the trial count and its cap, k0, the grid, and the variances of
-    every position.  The unit draws are made once, here, column-major, so
-    that scaling by the variances runs down whole columns, and read-only, as
-    the forked segments share them.  The segments are the contiguous ranges
+    epsilon, the threshold mode, the trial count and its cap, k0, the grid,
+    and the variances of every position.  The unit draws are made once,
+    here, column-major, so that scaling by the variances runs down whole
+    columns, and read-only, as the forked segments share them.  The segments are the contiguous ranges
     of grid positions of ``_ranges``, one per worker.
     """
     workers = worker_count()  # rejects an invalid BAF_WORKERS before any draw
     SystemParams(snr=snr, rate=0.0, epsilon=epsilon)  # rejects an invalid snr or epsilon
+    _check_mode(threshold_mode, THRESHOLD_MODES)
     n_trials = _check_trials(n_trials)
     if n_trials > PLACEMENT_TRIAL_LIMIT:
         raise InvalidParameterError(
@@ -1176,22 +1130,17 @@ def empirical_capacity_vs_position(
     The grid splits into segments (``_ranges``), which ``_placement_segment``
     solves on those draws; a forked segment reads them without copying them.
     Each segment starts from the closed form ``c_eps_baf_k`` at its first
-    position, then from each capacity it solves.  Within a segment, positions
-    come in blocks of ``_BLOCK_POSITIONS``: one bounding pass per block
-    (``_block_window``) keeps the few trials whose aggregate can lie in the
-    block's predicted band, and each position runs ``_window_stage`` on them
-    alone, at its variance row.  A position whose start offset or bracket
-    falls outside what the window was bounded for, and a segment's first two,
-    are solved on all the trials instead (``_exact_position``).  No pass
-    makes a scaled copy of the draws.  Either way the result is bit for bit
-    that of the capacity sweep's exact pass, at any split and worker count.
-    The ``placement`` command needs the argmax alone, and takes it from
-    ``empirical_placement_argmax``, which solves far fewer positions.
+    position, then from each capacity it solves, and solves every position
+    on all the trials (``_exact_position``), with no scaled copy of the
+    draws.  The result is bit for bit that of the capacity sweep's exact
+    pass, at any split and worker count.  The ``placement`` command needs
+    the argmax alone, and takes it from ``empirical_placement_argmax``,
+    which solves far fewer positions.
 
     Returns (positions, capacities).
     """
     k0, grid, per_position, scales, raw, segments = _placement_setup(
-        pathloss_exponent, snr, epsilon, n_trials, master_seed, grid_points
+        pathloss_exponent, snr, epsilon, n_trials, master_seed, grid_points, threshold_mode
     )
     tasks = [
         (snr, k0, threshold_mode, raw, scales[a:b], c_eps_baf_k(per_position[a], snr, epsilon))
@@ -1274,7 +1223,7 @@ def _argmax_segment(
             row_lo, row_hi = scales[block].min(axis=0), scales[block].max(axis=0)
             if _outage_exceeds(raw, row_hi, x, thr, k0):
                 continue
-            window = _band_window(raw, _block_bounds(1, x, x_up, row_lo, row_hi), thr, thr_up, x, x_up)
+            window = _band_window(raw, _block_bounds(1, x, x_up, row_lo, row_hi), thr, thr_up)
             for j in block:
                 if _window_outages(window, scales[j], x, thr) > k0:
                     continue  # below cap
@@ -1317,7 +1266,7 @@ def empirical_placement_argmax(
     on the split or the worker count.
     """
     k0, grid, per_position, scales, raw, segments = _placement_setup(
-        pathloss_exponent, snr, epsilon, n_trials, master_seed, grid_points
+        pathloss_exponent, snr, epsilon, n_trials, master_seed, grid_points, threshold_mode
     )
     starts = np.array([c_eps_baf_k(v, snr, epsilon) for v in per_position])
     tasks = [(snr, k0, threshold_mode, raw, scales[a:b], starts[a:b]) for a, b in segments]

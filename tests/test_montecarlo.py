@@ -902,7 +902,7 @@ class TestRows:
         assert window.below == np.count_nonzero(a0 < low)
         assert np.array_equal(window.gains, everything[kept], equal_nan=True)
         assert window.gains.flags.f_contiguous
-        assert (window.low, window.high, window.x_lo, window.x_hi) == (low, high, search.x0, search.x0)
+        assert (window.low, window.high) == (low, high)
 
 
 def _two_pass_oracle(variances, params, n_trials, seed, mode):
@@ -920,9 +920,7 @@ def _two_pass_oracle(variances, params, n_trials, seed, mode):
     _, _, a_below, a_above = search.bracket(float(np.partition(a0, k0)[k0]))
     band = (a0 >= a_below) & (a0 < a_above)
     below = int(np.count_nonzero(a0 < a_below))
-    window = montecarlo._Window(
-        below, gains[band], a_below, a_above, search.x0, search.x0, np.empty((4, np.count_nonzero(band)))
-    )
+    window = montecarlo._Window(below, gains[band], a_below, a_above, np.empty((4, np.count_nonzero(band))))
     rate, count = montecarlo._window_stage(search, window)
     return rate, count / n_trials
 
@@ -945,7 +943,7 @@ def test_window_stage_without_candidates_counts_the_trials_below(monkeypatch, k)
         return start, upper
 
     monkeypatch.setattr(montecarlo, "_solve_increasing", solve)
-    window = montecarlo._Window(2, gains, -math.inf, math.inf, search.x0, search.x0, np.empty((4, len(gains))))
+    window = montecarlo._Window(2, gains, -math.inf, math.inf, np.empty((4, len(gains))))
     rate, count = montecarlo._window_stage(search, window)
     assert rate == 0.01 * (1.0 - montecarlo._BOUND_MARGIN)
     assert counts == [below, below] and count == below
@@ -1446,6 +1444,22 @@ class TestPlacementCurve:
         with pytest.raises(InvalidParameterError):
             empirical_capacity_vs_position(3.0, 0.01, 0.05, 30_000_000, 1)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("search", [empirical_capacity_vs_position, empirical_placement_argmax])
+    def test_an_unknown_threshold_mode_is_rejected_before_any_draw(self, monkeypatch, search, workers):
+        draws = []
+
+        def counted_draw(*args, **kwargs):
+            draws.append(args[2])
+            return gains_batch(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "gains_batch", counted_draw)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: workers)
+        monkeypatch.setenv("BAF_WORKERS", str(workers))
+        with pytest.raises(InvalidParameterError, match="mode must be one of"):
+            search(3.0, 0.01, 0.05, 200_000, 1, grid_points=101, threshold_mode="bogus")
+        assert draws == []
+
 
 def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mode):
     """The placement curve as ``empirical_eps_outage_capacity`` at every position.
@@ -1461,34 +1475,8 @@ def _per_position_oracle(pathloss, snr, epsilon, n_trials, seed, grid_points, mo
     return np.array(caps)
 
 
-def _counted_placement(*args, **kwargs):
-    """``empirical_capacity_vs_position`` and how often its window stage ran: block windows it
-    solved, block windows that failed their checks, and exact positions."""
-    counts = {"window": 0, "failed": 0, "exact": 0}
-    stage, exact = montecarlo._window_stage, montecarlo._exact_position
-
-    def counted_exact(*a):
-        counts["exact"] += 1
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(montecarlo, "_window_stage", stage)  # not a block window
-            return exact(*a)
-
-    def counted_stage(*a):
-        found = stage(*a)
-        counts["window" if found is not None else "failed"] += 1
-        return found
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("BAF_WORKERS", "1")  # the counters live in this process: one segment, no fork
-        mp.setattr(montecarlo, "_window_stage", counted_stage)
-        mp.setattr(montecarlo, "_exact_position", counted_exact)
-        _, caps = empirical_capacity_vs_position(*args, **kwargs)
-    return caps, counts
-
-
-# (pathloss, snr, epsilon, n_trials, seed, grid_points, mode): a steep curve
-# whose band leaves some block windows, over two batches (the last one short),
-# and a flatter one past the clamp
+# (pathloss, snr, epsilon, n_trials, seed, grid_points, mode): a steep curve over two batches (the last one
+# short), and a flatter one past the clamp
 FALLBACK_CASE = (8.0, 0.01, 0.1, 70_000, 1, 101, "exact")
 CLAMPED_CASE = (5.0, 1e6, 0.05, 20_000, 2, 201, "linearized")
 
@@ -1500,54 +1488,61 @@ class TestPlacementBlocks:
         mode=st.sampled_from(["exact", "linearized"]),
         epsilon=st.floats(0.05, 0.3),
         grid_points=st.sampled_from([101, 201]),
+        n_trials=st.sampled_from([20_000, 70_000]),
         seed=st.integers(0, 2**64 - 1),
     )
-    @example(pathloss=8.0, snr_db=-20.0, mode="exact", epsilon=0.1, grid_points=101, seed=1)
-    @example(pathloss=5.0, snr_db=60.0, mode="linearized", epsilon=0.05, grid_points=201, seed=2)
+    @example(pathloss=8.0, snr_db=-20.0, mode="exact", epsilon=0.1, grid_points=101, n_trials=70_000, seed=1)
+    @example(pathloss=5.0, snr_db=60.0, mode="linearized", epsilon=0.05, grid_points=201, n_trials=20_000, seed=2)
     @settings(max_examples=6, deadline=None)
-    def test_curve_matches_per_position_oracle(self, pathloss, snr_db, mode, epsilon, grid_points, seed):
-        args = (pathloss, 10.0 ** (snr_db / 10.0), epsilon, 20_000, seed, grid_points, mode)
+    def test_curve_matches_per_position_oracle(self, pathloss, snr_db, mode, epsilon, grid_points, n_trials, seed):
+        args = (pathloss, 10.0 ** (snr_db / 10.0), epsilon, n_trials, seed, grid_points, mode)
         _, caps = empirical_capacity_vs_position(*args[:5], grid_points=grid_points, threshold_mode=mode)
         assert np.array_equal(caps, _per_position_oracle(*args))
 
-    @pytest.mark.parametrize("case", [FALLBACK_CASE, CLAMPED_CASE])
-    def test_both_paths_run_and_agree_with_oracle(self, case):
-        caps, counts = _counted_placement(*case[:5], grid_points=case[5], threshold_mode=case[6])
-        assert np.array_equal(caps, _per_position_oracle(*case))
-        # every position is solved once, on a block window or by an exact pass
-        assert counts["window"] + counts["exact"] == case[5]
-        # the first two positions have no block window; every other exact pass follows a failed check
-        assert counts["failed"] == counts["exact"] - 2 > 0
-        assert counts["window"] > counts["exact"]
-
-    def test_block_window_holds_every_trial_its_band_can_hold(self):
-        # the window's contract: at every variance row of the block and offset in
-        # [x_lo, x_hi], each trial with a0 in [low, high) is in it, and ``below``
-        # counts the trials outside it with a0 < low
-        snr, n, seed = 0.01, 100_000, 4
-        k0 = montecarlo._max_allowed_count(0.2, n)
-        plan = batch_plan(n)
-        raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in plan]
-        scales = np.array([_grid_row(3.0, p) for p in range(30, 40)])
-        solved, start = [], 1e-3
-        for p in range(30, 33):  # the first bracket is wide, as it starts far from the capacity
-            search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
-            solved.append(montecarlo._exact_passes([search], _position_variances(raw, 3.0, p, seed), seed, plan)[0][0])
-            start = solved[-1][0]
-        search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
-        caps = np.array([rate for rate, _ in solved[1:]])
-        window = montecarlo._block_window(search, raw, scales[3:], caps)
-        assert 0 < len(window.gains) < n // 5
-        assert window.x_lo < window.x_hi and window.low < window.high
-        kept = {tuple(row) for row in window.gains}
+    @given(
+        pathloss=st.sampled_from([0.0, 3.0, 8.0]),
+        first=st.integers(0, 101 - montecarlo._BLOCK_POSITIONS),
+        offsets=st.lists(st.integers(0, montecarlo._BLOCK_POSITIONS - 1), min_size=1, unique=True),
+        setting=st.sampled_from([("exact", 0.01), ("linearized", 0.01), ("exact", 1e6), ("linearized", 1e6)]),
+        epsilon=st.floats(0.01, 0.3),
+        factor=st.sampled_from([0.5, 1.0, 2.0]),
+        n=st.sampled_from([20_000, 70_000]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(pathloss=3.0, first=30, offsets=[0, 2, 4, 6, 7], setting=("exact", 0.01), epsilon=0.2, factor=1.0,
+             n=70_000, seed=4)
+    @example(pathloss=8.0, first=10, offsets=[3, 0, 5], setting=("linearized", 1e6), epsilon=0.05, factor=2.0,
+             n=20_000, seed=1)
+    @settings(max_examples=20, deadline=None)
+    def test_an_argmax_block_window_counts_every_row_of_its_block(
+        self, pathloss, first, offsets, setting, epsilon, factor, n, seed
+    ):
+        # the argmax's block window at a rate C, bounded over the block's rows at the decode conditions of C and of
+        # the next float, gives each row its full outage count at both; an exclusion pass at the block's largest
+        # row excludes only a block whose every row has more than k0 trials in outage at C
+        (mode, snr), raw = setting, _read_only_draws(n, seed)
+        k0 = montecarlo._max_allowed_count(epsilon, n)
+        rows = np.array([_grid_row(pathloss, first + o) for o in offsets])
+        closed = c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[first + offsets[0]],),
+                                                                     pathloss)), snr, epsilon)
+        cap, _ = montecarlo._exact_position(montecarlo._RateSearch(snr, k0, 1, None, mode, closed), raw, rows[0])
+        rate = factor * cap
+        x, thr = decode_condition(rate, snr, None, 1, mode)
+        x_up, thr_up = decode_condition(math.nextafter(rate, math.inf), snr, None, 1, mode)
+        row_lo, row_hi = rows.min(axis=0), rows.max(axis=0)
+        window = montecarlo._band_window(raw, montecarlo._block_bounds(1, x, x_up, row_lo, row_hi), thr, thr_up)
         everything = np.concatenate(raw)
-        for scale in scales[3:]:
-            for x in (window.x_lo, window.x_hi):
-                a0 = aggregate_batch(everything * scale, 1, x)
-                in_band = everything[(a0 >= window.low) & (a0 < window.high)]
-                assert {tuple(row) for row in in_band} <= kept
-                kept_below = np.count_nonzero(aggregate_batch(window.gains * scale, 1, x) < window.low)
-                assert window.below + kept_below == np.count_nonzero(a0 < window.low)
+        counts = []
+        for row in rows:
+            full = [int(np.count_nonzero(aggregate_batch(everything * row, 1, xx) < tt))
+                    for xx, tt in ((x, thr), (x_up, thr_up))]
+            assert [montecarlo._window_outages(window, row, x, thr),
+                    montecarlo._window_outages(window, row, x_up, thr_up)] == full
+            counts.append(full[0])
+        if factor == 1.0:  # the solved row has at most k0 in outage at its capacity
+            assert counts[0] <= k0
+        if montecarlo._outage_exceeds(raw, row_hi, x, thr, k0):
+            assert min(counts) > k0
 
 
 def _grid_row(pathloss, position):
@@ -1568,19 +1563,19 @@ def _position_variances(raw, pathloss, position, seed):
 
 
 class TestScaledWindows:
-    """A block's bounding pass and window stages scale the unit draws column by column, into reused buffers:
+    """A block's bounding pass and a window stage scale the unit draws column by column, into reused buffers:
     every float is the one that a scaled copy of the draws gives."""
 
     @given(
         pathloss=st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0]),
         position=st.integers(0, 100),
         n_rows=st.sampled_from([1, 2, 500, 20_000]),
-        offset=st.sampled_from(["zero", "x_lo", "x_hi"]),
+        offset=st.sampled_from(["zero", "x0"]),
         epsilon=st.floats(0.01, 0.3),
         below=st.integers(0, 3),
         seed=st.integers(0, 2**64 - 1),
     )
-    @example(pathloss=3.0, position=50, n_rows=1, offset="x_lo", epsilon=0.1, below=0, seed=0)
+    @example(pathloss=3.0, position=50, n_rows=1, offset="x0", epsilon=0.1, below=0, seed=0)
     @settings(max_examples=30, deadline=None)
     def test_stage_a0_at_a_row_is_that_of_the_scaled_window(self, pathloss, position, n_rows, offset, epsilon,
                                                              below, seed):
@@ -1591,27 +1586,25 @@ class TestScaledWindows:
         search = montecarlo._RateSearch(snr, k0, 1, None, "exact", start)
         if offset == "zero":
             search.x0 = 0.0  # a0 at x = 0 bounds the aggregate at any offset as well
-        x_lo, x_hi = {"zero": (0.0, 1.0), "x_lo": (search.x0, 2.0 * search.x0), "x_hi": (0.0, search.x0)}[offset]
         gains = np.asfortranarray(gains_batch(UNIT, seed, 0, n_rows))
         gains.flags.writeable = False
-        window = montecarlo._Window(below, gains, -math.inf, math.inf, x_lo, x_hi, np.full((4, n_rows), np.nan))
+        window = montecarlo._Window(below, gains, -math.inf, math.inf, np.full((4, n_rows), np.nan))
         found = montecarlo._window_stage(search, window, row)
         assert window.work[0].tobytes() == aggregate_batch(gains * row, 1, search.x0).tobytes()
-        scaled = montecarlo._Window(below, gains * row, -math.inf, math.inf, x_lo, x_hi, np.empty((4, n_rows)))
+        scaled = montecarlo._Window(below, gains * row, -math.inf, math.inf, np.empty((4, n_rows)))
         assert found is not None and found == montecarlo._window_stage(search, scaled)
 
     @pytest.mark.parametrize("pathloss", [0.0, 3.0, 8.0])
     @pytest.mark.parametrize("n", [20_000, 70_000])
     def test_block_bounds_are_those_of_the_scaled_batches(self, monkeypatch, pathloss, n):
-        # one short batch, or a full one and a short last one, through buffers of the longest
+        # one short batch, or a full one and a short last one, through buffers of the longest; the block's
+        # offsets and band are those of rates 2% either side of the closed form at the position before it
         snr, epsilon, seed = 0.01, 0.2, 4
         raw = [np.asfortranarray(gains_batch(UNIT, seed, j, rows)) for j, rows in batch_plan(n)]
         scales = np.array([_grid_row(pathloss, p) for p in range(30, 38)])
-        caps = np.array([
-            c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[p],), pathloss)), snr, epsilon)
-            for p in (28, 29)
-        ])
-        search = montecarlo._RateSearch(snr, montecarlo._max_allowed_count(epsilon, n), 1, None, "exact", caps[1])
+        rate = c_eps_baf_k(variances_from_geometry(NetworkGeometry((position_grid(101)[29],), pathloss)), snr, epsilon)
+        (x_lo, low), (x_hi, high) = (decode_condition(r, snr, None, 1, "exact") for r in (0.98 * rate, 1.02 * rate))
+        block = montecarlo._block_bounds(1, x_lo, x_hi, scales.min(axis=0), scales.max(axis=0))
         scaled, outputs = montecarlo._aggregate, []
 
         def recorded(aggregate):
@@ -1625,15 +1618,14 @@ class TestScaledWindows:
             return out
 
         monkeypatch.setattr(montecarlo, "_aggregate", recorded(scaled))
-        window = montecarlo._block_window(search, raw, scales, caps)
+        window = montecarlo._band_window(raw, block, low, high)
         monkeypatch.setattr(montecarlo, "_aggregate", recorded(copied))
-        reference = montecarlo._block_window(search, raw, scales, caps)
+        reference = montecarlo._band_window(raw, block, low, high)
         bounds = list(zip(outputs[::2], outputs[1::2]))  # (lower, upper) of each batch, before their margins
         assert len(bounds) == 2 * len(raw)
         assert bounds[: len(raw)] == bounds[len(raw) :]
         assert window.gains.tobytes() == reference.gains.tobytes() and len(window.gains) > 0
-        assert (window.below, window.low, window.high, window.x_lo, window.x_hi) == (
-            reference.below, reference.low, reference.high, reference.x_lo, reference.x_hi)
+        assert (window.below, window.low, window.high) == (reference.below, reference.low, reference.high)
         assert window.work.shape == (4, len(window.gains))
 
 
@@ -1662,14 +1654,14 @@ class TestDrawsInPlace:
             np.copyto(buf[0], g[:, 0])
             return buf[0], np.add(g[:, 0], g[:, 1], out=buf[1])
 
-        window = montecarlo._band_window(raw, bounds, low, high, 0.25, 0.5)
+        window = montecarlo._band_window(raw, bounds, low, high)
         everything = np.concatenate(raw)
         lower, upper = everything[:, 0], everything[:, 0] + everything[:, 1]
         expected = everything[(upper >= low) & (lower < high)]
         assert window.gains.flags.f_contiguous and window.gains.shape == expected.shape
         assert window.gains.tobytes(order="F") == np.asfortranarray(expected).tobytes(order="F")
         assert window.below == np.count_nonzero(upper < low)
-        assert (window.low, window.high, window.x_lo, window.x_hi) == (low, high, 0.25, 0.5)
+        assert (window.low, window.high) == (low, high)
         assert window.work.shape == (4, len(expected))
 
     @given(
@@ -1722,7 +1714,7 @@ def _segment_tasks(pathloss, snr, epsilon, n_trials, seed, grid_points, mode, cu
     ]
 
 
-# (snr, epsilon, n_trials, seed) of the segment tests: at pathloss 8 some block windows fail
+# (snr, epsilon, n_trials, seed) of the segment tests
 SEGMENT_CASE = (0.01, 0.1, 20_000, 1)
 
 
