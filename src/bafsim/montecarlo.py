@@ -36,14 +36,16 @@ The empirical outage capacity, at operating points or across relay
 positions, is the unique root of the outage count: the float rate at which
 at most k0 seeded trials, the largest outage count below epsilon, are in
 outage, and more are at the next float up.  One function, ``_aggregate``,
-computes every a0 it needs, into buffers of the caller's.  The kernel,
-``_window_stage``, counts on a window of trials: those whose aggregate can
-fall in the band that brackets the answer, plus a count of the trials surely
-below it.  Every window owns the ``work`` rows its a0 goes into, and is
-built from a lower and an upper bound on each trial's aggregate, in trial
-order.  Operating points take their windows from the exact pass
-``_exact_passes``: a capacity sweep draws each batch once for all its
-points, into one buffer per part.  Points start their first pass in order
+computes every a0 it needs, into buffers of the caller's.  Each search
+ranks its k0-th smallest a0 once, and solves the rate bracket around it
+once (``_RateSearch.bracket``).  The kernel, ``_window_stage``, takes that
+bracket and counts on a window of trials: those whose aggregate can fall in
+the bracket's band, plus a count of the trials surely below it.  Every
+window owns the ``work`` rows its a0 goes into, and is built from a lower
+and an upper bound on each trial's aggregate, in trial order.  Operating
+points take their windows from the exact pass ``_exact_passes``: a
+capacity sweep draws each batch once for all its points, into one buffer
+per part.  Points start their first pass in order
 while every part's buffers for them fit the memory of one array of
 n_trials aggregates, and each point's pass state (``_PassPoint``) keeps its
 k0+1 smallest aggregates and copies of the rows below a running bound,
@@ -620,52 +622,43 @@ class _RateSearch:
 
 @dataclass(frozen=True)
 class _Window:
-    """The trials that can hold the order statistic of a search whose bracket lies in [low, high).
+    """The trials that can hold the order statistic of a search, and a count of the trials below them.
 
     ``gains`` holds their gains as the search sees them, in trial order; a
     placement window holds the unit draws, column-major, and each of its
     positions scales them by its variance row.  Of the other trials,
-    ``below`` have a0 below ``low`` and the rest a0 at or above ``high``: at
-    the offset x0 of the one search it was gathered for, or, for a block of
-    the placement argmax, at every variance row and offset the block was
-    bounded for (``_block_bounds``).  ``work`` holds four rows of len(gains)
-    floats, which every ``_window_stage`` on the window reuses for its a0
-    (the last row only at K >= 2).
+    ``below`` have a0 below the band the window was gathered for, and the
+    rest a0 at or above it: at the offset x0 of the one search it was
+    gathered for, or, for a block of the placement argmax, at every variance
+    row and offset the block was bounded for (``_block_bounds``).  ``work``
+    holds four rows of len(gains) floats, which every ``_window_stage`` on
+    the window reuses for its a0 (the last row only at K >= 2).
     """
 
     below: int
     gains: np.ndarray
-    low: float
-    high: float
     work: np.ndarray
 
 
-def _window_stage(search: _RateSearch, window: _Window, row: np.ndarray | None = None):
+def _window_stage(search: _RateSearch, window: _Window, bracket: tuple, row: np.ndarray | None = None):
     """(rate, outage count there) of ``search`` on the ``window`` gains, scaled by the variance row ``row`` if given.
 
-    The window is one gathered at the search's own x0.  Returns None when it
-    cannot hold the answer: the bracket not inside [low, high).  Otherwise
-    a_k0, the bracket and the candidates are those of the whole trial set.
-    The rate is the root of the outage count, the trials below the band plus
-    the candidates in outage: at most k0 at the rate and more at the next
-    float.
+    ``bracket`` is ``search.bracket`` of the k0-th smallest a0 of the whole
+    trial set, (r_lo, r_hi, a_below, a_above), which the caller has ranked.
+    The window is one gathered at the search's own x0 that holds every trial
+    with a0 in [a_below, a_above), in trial order, and possibly others; its
+    ``below`` counts the trials under a_below that it does not hold.  The
+    candidates are then those of the whole trial set, and the rate is the
+    root of the outage count, the trials below the band plus the candidates
+    in outage: at most k0 at the rate and more at the next float.
 
-    a0 goes into the window's ``work`` (``_aggregate``), which also takes
-    the copy that is partitioned; the candidates' rows are gathered into one
-    array, scaled by ``row`` if given.  Every float is the one that the
-    window scaled by ``row`` gives without it.
+    a0 goes into the window's ``work`` (``_aggregate``); the candidates'
+    rows are gathered into one array, scaled by ``row`` if given.  Every
+    float is the one that the window scaled by ``row`` gives without it.
     """
     k, k0 = search.k, search.k0
-    a0, ranked = window.work[:2]
-    _aggregate(window.gains, k, search.x0, row, a0, window.work[1:])
-    i = k0 - window.below
-    if not 0 <= i < len(a0):
-        return None
-    np.copyto(ranked, a0)
-    ranked.partition(i)
-    r_lo, r_hi, a_below, a_above = search.bracket(float(ranked[i]))
-    if not (window.low <= a_below and a_above <= window.high):
-        return None
+    r_lo, r_hi, a_below, a_above = bracket
+    a0 = _aggregate(window.gains, k, search.x0, row, window.work[0], window.work[1:])
     below = window.below + int(np.count_nonzero(a0 < a_below))
     cand = np.flatnonzero((a0 >= a_below) & (a0 < a_above))
     # the candidates' hop terms do not depend on the rate: built once, and
@@ -692,22 +685,22 @@ class _PassPoint:
     ``below``, and ``size`` is the number of floats kept.  Once the point
     drops its rows, ``chunks`` is None and ``size`` 0.  ``add`` takes the
     gains as the search sees them, and computes their a0 in the part's three
-    ``work`` rows of a batch's length.  A first pass (``band`` None, ``low``
-    -inf) keeps the k0+1 smallest a0 seen in ``buf`` and, unless it has
-    dropped its rows, every drawn row whose a0 lies below the running bound
-    ``high`` when its batch comes.  The k0-th smallest a0 seen so far only
-    falls, and so does the bound, so the rows kept are a superset of the
-    trials the final bracket needs.  A second pass
-    keeps the rows with a0 in ``band``, the bracket's band [a_below,
-    a_above) from the final k0-th smallest a0 that ``close`` sets after a
-    first pass, and counts the trials below it.
+    ``work`` rows of a batch's length.  A first pass (``bracket`` None,
+    ``low`` -inf) keeps the k0+1 smallest a0 seen in ``buf`` and, unless it
+    has dropped its rows, every drawn row whose a0 lies below the running
+    bound ``high`` when its batch comes.  The k0-th smallest a0 seen so far
+    only falls, and so does the bound, so the rows kept are a superset of
+    the trials the final bracket needs.  ``close`` solves that bracket,
+    ``search.bracket`` of the final k0-th smallest a0, once.  A second pass
+    takes it, and keeps the rows with a0 in its band [a_below, a_above),
+    ``bracket[2:]``, and counts the trials below it.
     """
 
-    def __init__(self, search: _RateSearch, band: tuple[float, float] | None = None):
-        self.search, self.band, self.bounded = search, band, math.inf
-        self.low, self.high = (-math.inf, math.inf) if band is None else band
+    def __init__(self, search: _RateSearch, bracket: tuple | None = None):
+        self.search, self.bracket, self.bounded = search, bracket, math.inf
+        self.low, self.high = (-math.inf, math.inf) if bracket is None else bracket[2:]
         self.below, self.chunks, self.size = 0, [], 0
-        if band is not None:
+        if bracket is not None:
             self.buf = None
             return
         # room for up to as many values again (at most a batch), partitioned only when full
@@ -785,46 +778,47 @@ class _PassPoint:
     def close(self) -> tuple | None:
         """The window stage's result on the rows kept; releases the point's arrays.
 
-        The window is bounded for the offset x0 alone and column-major, so
-        that the aggregate reads whole columns.  Each chunk is released once
-        copied into it, so that its memory can go.  After a first pass whose
-        window cannot hold the answer, or that kept no rows, returns None and
-        sets ``band`` for the second pass.
+        A first pass solves its ``bracket`` here.  Where it kept no rows, or
+        its running bound lies below the bracket's a_above, so that its rows
+        can miss the band, it returns None and keeps the bracket for the
+        second pass.  Otherwise its rows hold every trial with a0 below the
+        bound, so the band's, and the k0+1 smallest a0.  The window is
+        bounded for the offset x0 alone and column-major, so that the
+        aggregate reads whole columns.  Each chunk is released once copied
+        into it, so that its memory can go.
         """
         s, chunks = self.search, self.chunks
         self.drop()
-        if chunks is not None:
-            gains = np.empty((sum(len(chunk) for chunk in chunks), 1 + 2 * s.k), order="F")
-            row = 0
-            while chunks:
-                gains[row : row + len(chunks[0])] = chunks[0]
-                row += len(chunks.pop(0))
-            window = _Window(self.below, gains, self.low, self.high, np.empty((4, len(gains))))
-            found = _window_stage(s, window)
-            if found is not None or self.buf is None:
-                return found
-        _, _, a_below, a_above = s.bracket(self._settle())
-        self.buf, self.band = None, (a_below, a_above)
-        return None
+        if self.buf is not None:
+            self.bracket, self.buf = s.bracket(self._settle()), None
+            if chunks is None or self.bracket[3] > self.high:
+                return None
+        gains = np.empty((sum(len(chunk) for chunk in chunks), 1 + 2 * s.k), order="F")
+        row = 0
+        while chunks:
+            gains[row : row + len(chunks[0])] = chunks[0]
+            row += len(chunks.pop(0))
+        return _window_stage(s, _Window(self.below, gains, np.empty((4, len(gains)))), self.bracket)
 
 
-def _pass_part(variances: LinkVariances, master_seed: int, plan, bands, searches) -> list[_PassPoint]:
+def _pass_part(variances: LinkVariances, master_seed: int, plan, brackets, searches) -> list[_PassPoint]:
     """The state of every point of a pass after one contiguous part of its batches.
 
     ``plan`` holds the part's batches of the draws of (``variances``,
-    ``master_seed``).  ``bands`` holds a (search, band) pair per second pass
-    and ``searches`` the search of each first pass; the states come back in
-    that order.  Each batch is drawn once, into one reused buffer, and serves
-    every point.  Where a part serves two or more points, its aggregate at
-    their largest x0, in a row of its own, bounds all their a0 from below
-    (every term falls as x grows, and so does its float), and each point
-    computes its a0 only on the rows whose bound lies below its ``cut``,
-    which changes no result.  The first passes keep their rows in the part's
-    room, its trials less their k0+1 buffered values each: when a point's
-    batch makes the rows outgrow the room, that point drops its rows.
+    ``master_seed``).  ``brackets`` holds a (search, bracket) pair per second
+    pass, the bracket its first pass solved, and ``searches`` the search of
+    each first pass; the states come back in that order.  Each batch is
+    drawn once, into one reused buffer, and serves every point.  Where a
+    part serves two or more points, its aggregate at their largest x0, in a
+    row of its own, bounds all their a0 from below (every term falls as x
+    grows, and so does its float), and each point computes its a0 only on
+    the rows whose bound lies below its ``cut``, which changes no result.
+    The first passes keep their rows in the part's room, its trials less
+    their k0+1 buffered values each: when a point's batch makes the rows
+    outgrow the room, that point drops its rows.
     """
     first = [_PassPoint(search) for search in searches]
-    points = [_PassPoint(search, band) for search, band in bands] + first
+    points = [_PassPoint(search, bracket) for search, bracket in brackets] + first
     x_floor = max(p.search.x0 for p in points) if len(points) > 1 else None
     drawn = np.empty((TRIALS_PER_BATCH, 1 + 2 * variances.k_relays))
     floor_row, work = np.empty(TRIALS_PER_BATCH), np.empty((3, TRIALS_PER_BATCH))
@@ -863,11 +857,12 @@ def _exact_passes(
     processes if there are two or more, and each point's states after
     the parts are merged in part order (``_PassPoint.merged``).  A point's
     first pass keeps its k0+1 smallest a0 and copies of the rows below a
-    running bound on the window; where the final bracket lies inside that
-    bound, ``close`` runs the window stage on those rows and the point is
-    done in one pass.  Otherwise, or where a part dropped the point's rows,
-    ``close`` sets the exact band [a_below, a_above) of its final k0-th a0,
-    and a second pass gathers it, so the stage always succeeds there.
+    running bound on the window, and ``close`` solves the bracket of its
+    final k0-th a0 once; where the bracket's band [a_below, a_above) lies
+    below that bound, it runs the window stage on those rows and the point
+    is done in one pass.  Otherwise, or where a part dropped the point's
+    rows, a second pass takes that bracket and gathers its band, on which
+    the stage reuses it.
 
     The state of first passes, k0+1 buffered values and the kept rows per
     point, stays within the n_trials floats one point's array of a0 would
@@ -900,8 +895,8 @@ def _exact_passes(
             used += searches[start].k0 + 1
             first.append(start)
             start += 1
-        bands = [(p.search, p.band) for _, p in second]
-        tasks = [(variances, master_seed, plan[a:b], bands, [searches[i] for i in first]) for a, b in ranges]
+        brackets = [(p.search, p.bracket) for _, p in second]
+        tasks = [(variances, master_seed, plan[a:b], brackets, [searches[i] for i in first]) for a, b in ranges]
         states = [_PassPoint.merged(list(p)) for p in zip(*_run_batches(_pass_part, tasks))]
         # first passes close first, to release their buffers before the second passes' stages
         done, second = list(zip(second, states)), []
@@ -1001,7 +996,7 @@ def _band_window(raw: list[np.ndarray], bounds, low: float, high: float) -> _Win
             # the indices are valid; mode="raise" would copy out first
             np.take(g[:, c], idx, out=gains[s : s + len(idx), c], mode="clip")
         s += len(idx)
-    return _Window(below, gains, low, high, np.empty((4, len(gains))))
+    return _Window(below, gains, np.empty((4, len(gains))))
 
 
 def _block_bounds(k: int, x_lo: float, x_hi: float, row_lo: np.ndarray, row_hi: np.ndarray):
@@ -1028,11 +1023,11 @@ def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray)
 
     One pass computes every trial's a0 at x0 (``_aggregate``) into
     one array of n_trials floats, the memory of one point's array of a0 in
-    ``_exact_passes``, which is partitioned in place for the k0-th a0.  The
-    array is released, and ``_band_window`` gathers the band [a_below,
-    a_above) of its bracket, so ``_window_stage`` always succeeds there.
-    The answer is the unique root of the outage count, that of
-    ``_exact_passes`` on the scaled draws.
+    ``_exact_passes``, which is partitioned in place for the k0-th a0, whose
+    bracket is solved once.  The array is released, and ``_band_window``
+    gathers the bracket's band [a_below, a_above), on which
+    ``_window_stage`` reuses the bracket.  The answer is the unique root of
+    the outage count, that of ``_exact_passes`` on the scaled draws.
     """
     k, x0 = search.k, search.x0
     a0 = np.empty(sum(len(g) for g in raw))
@@ -1043,14 +1038,14 @@ def _exact_position(search: _RateSearch, raw: list[np.ndarray], row: np.ndarray)
         s += len(g)
     del work
     a0.partition(search.k0)
-    _, _, a_below, a_above = search.bracket(float(a0[search.k0]))
+    bracket = search.bracket(float(a0[search.k0]))
     del a0
 
     def bounds(g, buf):
         exact = _aggregate(g, k, x0, row, buf[0], buf[1:4])
         return exact, exact
 
-    return _window_stage(search, _band_window(raw, bounds, a_below, a_above), row)
+    return _window_stage(search, _band_window(raw, bounds, *bracket[2:]), bracket, row)
 
 
 def _placement_segment(

@@ -881,10 +881,10 @@ class TestRows:
         everything = np.concatenate(gains)
         a0 = everything[:, 0]
         kept = (a0 >= low) & (a0 < high)
-        windows = []
+        windows, bracket = [], (0.01, 0.02, low, high)
 
-        def stage(search, window):
-            windows.append(window)
+        def stage(search, window, bracket):
+            windows.append((window, bracket))
             return 0.0, 0
 
         search = montecarlo._RateSearch(1.0, 0, 1, None, "exact", 0.01)
@@ -893,16 +893,40 @@ class TestRows:
             # a0 is read from column 0, and the window handed to the stage is kept
             mp.setattr(montecarlo, "_aggregate", lambda gains, k, x, row=None, out=None, work=None: gains[:, 0])
             mp.setattr(montecarlo, "_window_stage", stage)
-            point = montecarlo._PassPoint(search, (low, high))
+            point = montecarlo._PassPoint(search, bracket)
             for g in gains:
                 point.add(g, work)
             assert point.size == 3 * np.count_nonzero(kept)
             assert point.close() == (0.0, 0)
-        [window] = windows
+        [(window, staged)] = windows
         assert window.below == np.count_nonzero(a0 < low)
         assert np.array_equal(window.gains, everything[kept], equal_nan=True)
         assert window.gains.flags.f_contiguous
-        assert (window.low, window.high) == (low, high)
+        assert staged is bracket and staged[2:] == (low, high)
+
+    @pytest.mark.parametrize("margin", [-1e-7, -0.5])
+    def test_a_bound_below_the_bracket_closes_without_a_stage(self, monkeypatch, margin):
+        # a first pass whose running bound lies below its bracket's a_above may miss rows of the band, even
+        # where it keeps more than k0 rows: it closes with its bracket alone, for the second pass
+        def stage(*args):
+            raise AssertionError("a window that can miss the band reached the stage")
+
+        monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        monkeypatch.setattr(montecarlo, "_window_stage", stage)
+        search = montecarlo._RateSearch(0.1, 1_000, 2, None, "exact", 0.01)
+        v, work = LinkVariances(1.0, (1.0, 1.0), (1.0, 1.0)), np.empty((3, TRIALS_PER_BATCH))
+        point = montecarlo._PassPoint(search)
+        for j, rows in batch_plan(140_000):
+            point.add(gains_batch(v, 3, j, rows), work)
+        assert point.chunks is not None
+        if margin == -1e-7:  # the rows kept still exceed k0, each of 1 + 2K gains
+            assert point.size > (search.k0 + 1) * 5
+        a0 = aggregate_batch(_gains(v, 140_000, 3), 2, search.x0)
+        bracket = search.bracket(float(np.partition(a0, search.k0)[search.k0]))
+        assert point.high < bracket[3]
+        assert point.close() is None
+        assert point.bracket == bracket
+        assert point.chunks is None and point.size == 0 and point.buf is None
 
 
 def _two_pass_oracle(variances, params, n_trials, seed, mode):
@@ -917,11 +941,12 @@ def _two_pass_oracle(variances, params, n_trials, seed, mode):
     search = montecarlo._RateSearch(params.snr, k0, params.k_relays, params.tau, mode, start)
     gains = np.concatenate([gains_batch(variances, seed, j, rows) for j, rows in batch_plan(n_trials)])
     a0 = aggregate_batch(gains, search.k, search.x0)
-    _, _, a_below, a_above = search.bracket(float(np.partition(a0, k0)[k0]))
+    bracket = search.bracket(float(np.partition(a0, k0)[k0]))
+    _, _, a_below, a_above = bracket
     band = (a0 >= a_below) & (a0 < a_above)
     below = int(np.count_nonzero(a0 < a_below))
-    window = montecarlo._Window(below, gains[band], a_below, a_above, np.empty((4, np.count_nonzero(band))))
-    rate, count = montecarlo._window_stage(search, window)
+    window = montecarlo._Window(below, gains[band], np.empty((4, np.count_nonzero(band))))
+    rate, count = montecarlo._window_stage(search, window, bracket)
     return rate, count / n_trials
 
 
@@ -935,7 +960,6 @@ def test_window_stage_without_candidates_counts_the_trials_below(monkeypatch, k)
     a0 = aggregate_batch(gains, k, search.x0)
     a = float(np.median(a0))
     below = 2 + int(np.count_nonzero(a0 < a))
-    monkeypatch.setattr(search, "bracket", lambda a_k0: (0.01, 0.02, a, a))
     counts = []
 
     def solve(f, target, start, rel_width=0.0, upper=None):
@@ -943,8 +967,8 @@ def test_window_stage_without_candidates_counts_the_trials_below(monkeypatch, k)
         return start, upper
 
     monkeypatch.setattr(montecarlo, "_solve_increasing", solve)
-    window = montecarlo._Window(2, gains, -math.inf, math.inf, np.empty((4, len(gains))))
-    rate, count = montecarlo._window_stage(search, window)
+    window = montecarlo._Window(2, gains, np.empty((4, len(gains))))
+    rate, count = montecarlo._window_stage(search, window, (0.01, 0.02, a, a))
     assert rate == 0.01 * (1.0 - montecarlo._BOUND_MARGIN)
     assert counts == [below, below] and count == below
 
@@ -1120,9 +1144,9 @@ class TestSharedFloor:
 
         windows, stage = [], montecarlo._window_stage
 
-        def recorded(search, window):
-            windows.append((window.below, window.gains.tobytes(), window.low, window.high))
-            return stage(search, window)
+        def recorded(search, window, bracket):
+            windows.append((window.below, window.gains.tobytes(), bracket))
+            return stage(search, window, bracket)
 
         monkeypatch.setattr(montecarlo, "_aggregate", counted)
         monkeypatch.setattr(montecarlo, "_window_stage", recorded)
@@ -1182,17 +1206,19 @@ def _in_process(worker, tasks):
 
 
 def _window_contract(gains):
-    """``_window_stage`` that first checks its window against all the trials ``gains``: the rows with a0 in
-    [low, high) are those of all the trials, in trial order, and ``below`` counts the trials below ``low``."""
+    """``_window_stage`` that first checks its window against all the trials ``gains`` and its bracket's band
+    [a_below, a_above): the window's rows with a0 in the band are those of all the trials, in trial order, and
+    ``below`` plus its rows under a_below counts all the trials under a_below."""
     stage = montecarlo._window_stage
 
-    def checked(search, window):
+    def checked(search, window, bracket):
+        _, _, a_below, a_above = bracket
         a0 = aggregate_batch(gains, search.k, search.x0)
         kept = aggregate_batch(window.gains, search.k, search.x0)
-        assert window.below == np.count_nonzero(a0 < window.low)
-        in_band = window.gains[(kept >= window.low) & (kept < window.high)]
-        assert np.array_equal(in_band, gains[(a0 >= window.low) & (a0 < window.high)])
-        return stage(search, window)
+        assert window.below + np.count_nonzero(kept < a_below) == np.count_nonzero(a0 < a_below)
+        in_band = window.gains[(kept >= a_below) & (kept < a_above)]
+        assert np.array_equal(in_band, gains[(a0 >= a_below) & (a0 < a_above)])
+        return stage(search, window, bracket)
 
     return checked
 
@@ -1301,9 +1327,9 @@ class TestPassParts:
             held = sum(min(point.filled, point.search.k0 + 1) + point.size for point in part["first"])
             part["most"] = max(part["most"], held)
 
-        def created(point, search, band=None):
-            init(point, search, band)
-            if band is None:
+        def created(point, search, bracket=None):
+            init(point, search, bracket)
+            if bracket is None:
                 part["first"].append(point)
 
         def drawn(*args, **kwargs):
@@ -1588,11 +1614,13 @@ class TestScaledWindows:
             search.x0 = 0.0  # a0 at x = 0 bounds the aggregate at any offset as well
         gains = np.asfortranarray(gains_batch(UNIT, seed, 0, n_rows))
         gains.flags.writeable = False
-        window = montecarlo._Window(below, gains, -math.inf, math.inf, np.full((4, n_rows), np.nan))
-        found = montecarlo._window_stage(search, window, row)
-        assert window.work[0].tobytes() == aggregate_batch(gains * row, 1, search.x0).tobytes()
-        scaled = montecarlo._Window(below, gains * row, -math.inf, math.inf, np.empty((4, n_rows)))
-        assert found is not None and found == montecarlo._window_stage(search, scaled)
+        a0 = aggregate_batch(gains * row, 1, search.x0)
+        bracket = search.bracket(float(np.partition(a0, k0 - below)[k0 - below]))
+        window = montecarlo._Window(below, gains, np.full((4, n_rows), np.nan))
+        found = montecarlo._window_stage(search, window, bracket, row)
+        assert window.work[0].tobytes() == a0.tobytes()
+        scaled = montecarlo._Window(below, gains * row, np.empty((4, n_rows)))
+        assert found is not None and found == montecarlo._window_stage(search, scaled, bracket)
 
     @pytest.mark.parametrize("pathloss", [0.0, 3.0, 8.0])
     @pytest.mark.parametrize("n", [20_000, 70_000])
@@ -1625,7 +1653,7 @@ class TestScaledWindows:
         assert len(bounds) == 2 * len(raw)
         assert bounds[: len(raw)] == bounds[len(raw) :]
         assert window.gains.tobytes() == reference.gains.tobytes() and len(window.gains) > 0
-        assert (window.below, window.low, window.high) == (reference.below, reference.low, reference.high)
+        assert window.below == reference.below
         assert window.work.shape == (4, len(window.gains))
 
 
@@ -1661,7 +1689,6 @@ class TestDrawsInPlace:
         assert window.gains.flags.f_contiguous and window.gains.shape == expected.shape
         assert window.gains.tobytes(order="F") == np.asfortranarray(expected).tobytes(order="F")
         assert window.below == np.count_nonzero(upper < low)
-        assert (window.low, window.high) == (low, high)
         assert window.work.shape == (4, len(expected))
 
     @given(
@@ -1929,3 +1956,61 @@ class TestPlacementArgmax:
             a += len(scales)
         assert a == len(grid)
         assert workers <= len(solved) <= allowed
+
+
+def _counted_brackets(monkeypatch) -> list:
+    """The k0-th a0 of every ``_RateSearch.bracket`` call from now on, in call order."""
+    calls, bracket = [], montecarlo._RateSearch.bracket
+
+    def counted(search, a_k0):
+        calls.append(a_k0)
+        return bracket(search, a_k0)
+
+    monkeypatch.setattr(montecarlo._RateSearch, "bracket", counted)
+    return calls
+
+
+class TestOneBracketPerSearch:
+    """Each search ranks its k0-th a0 and solves its bracket once; the window stage takes its caller's."""
+
+    @pytest.mark.parametrize("case", sorted(FLOOR_CASES))
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_a_sweep_solves_one_bracket_per_point(self, monkeypatch, case, workers):
+        (v, params), n, seed, margin = FLOOR_CASES[case]
+        if margin is not None:
+            monkeypatch.setattr(montecarlo, "_RUNNING_MARGIN", margin)
+        monkeypatch.setattr(montecarlo, "_PART_WORK", 1)  # up to a part per batch
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        monkeypatch.setenv("BAF_WORKERS", str(workers))
+        parts = []
+
+        def in_process(worker, tasks):  # so that the calls are counted here
+            parts.append(len(tasks))
+            return _in_process(worker, tasks)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", in_process)
+        calls = _counted_brackets(monkeypatch)
+        empirical_eps_outage_capacity_sweep(v, params, n, seed)
+        assert set(parts) == {min(workers, len(batch_plan(n)))}
+        assert len(calls) == len(params)
+
+    def test_the_curve_solves_one_bracket_per_position(self, monkeypatch):
+        pathloss, snr, epsilon, n, seed, grid_points, mode = FALLBACK_CASE
+        monkeypatch.setenv("BAF_WORKERS", "1")
+        calls = _counted_brackets(monkeypatch)
+        grid, _ = empirical_capacity_vs_position(pathloss, snr, epsilon, n, seed, grid_points, mode)
+        assert len(calls) == len(grid) == grid_points
+
+    @pytest.mark.parametrize("case", ARGMAX_PANEL, ids=repr)
+    def test_the_argmax_solves_one_bracket_per_solved_position(self, monkeypatch, case):
+        monkeypatch.setenv("BAF_WORKERS", "1")
+        solved, exact = [], montecarlo._exact_position
+
+        def counted(search, raw, row):
+            solved.append(row)
+            return exact(search, raw, row)
+
+        monkeypatch.setattr(montecarlo, "_exact_position", counted)
+        calls = _counted_brackets(monkeypatch)
+        empirical_placement_argmax(*_argmax_args(case))
+        assert len(calls) == len(solved) >= 1
